@@ -158,6 +158,7 @@ def drazin_sum_nilpotent(
     tol: Tolerance = DEFAULT_TOL,
     lam: complex | None = None,
     force: bool = False,
+    b_dr: DrazinResult | None = None,
 ) -> np.ndarray:
     """Drazin inverse of a + b when a is quasinilpotent and
     a b = lambda * b a b^pi.
@@ -176,6 +177,8 @@ def drazin_sum_nilpotent(
     force : bool
         Evaluate the formula even when the hypothesis fails. The output then
         carries no guarantee; validate it with check_drazin_axioms.
+    b_dr : DrazinResult, optional
+        Precomputed oracle result of b to use instead of running the oracle.
 
     Returns
     -------
@@ -192,7 +195,8 @@ def drazin_sum_nilpotent(
     b = as_matrix(b)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ValueError(f"need square matrices of equal shape, got {a.shape} and {b.shape}")
-    b_dr = drazin_oracle(b, tol)
+    if b_dr is None:
+        b_dr = drazin_oracle(b, tol)
     if not force:
         if not is_quasinilpotent(a, tol):
             raise PreconditionViolated("a is not quasinilpotent")

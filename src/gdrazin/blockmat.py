@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .additive import FactorCheck, check_factor_condition, drazin_sum
-from .drazin import DrazinResult, drazin_index, drazin_oracle
-from .errors import AxiomViolation, PreconditionViolated, ReconciliationError
+from .drazin import DrazinResult, drazin_oracle
+from .errors import PreconditionViolated, ReconciliationError
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, fro_norm, scale_of
 from .series import PowerCache, series_cap, summed
 
@@ -35,12 +35,15 @@ __all__ = [
     "Block2x2",
     "assemble",
     "exchange",
+    "block_oracles",
     "check_hypothesis",
     "block_drazin",
     "closed_form_drazin",
 ]
 
 RULE_IDS = ("3.1", "3.2", "3.3", "3.4", "4.1", "4.2", "4.3")
+# Rules whose conditions and splitting read the Drazin data of B C.
+_BC_RULES = ("3.1", "3.3")
 
 
 @dataclass(frozen=True)
@@ -95,23 +98,71 @@ def _exchange_permutation(m: int, n: int) -> np.ndarray:
     return np.vstack([top, bot]).astype(complex)
 
 
-def _safe_index(q: np.ndarray, tol: Tolerance) -> int:
-    try:
-        return drazin_index(q, tol)
-    except AxiomViolation:
-        return q.shape[0]
-
-
 def _zero_like(rows: int, cols: int) -> np.ndarray:
     return np.zeros((rows, cols), dtype=complex)
+
+
+def _validate(rule: str, lam: complex | None = None) -> None:
+    if rule not in RULE_IDS:
+        raise ValueError(f"unknown rule {rule!r}; valid ids: {', '.join(RULE_IDS)}")
+    if lam is not None and lam == 0:
+        raise ValueError("lambda must be nonzero")
+
+
+def _bc_drazin(blocks: Block2x2, tol: Tolerance) -> DrazinResult | None:
+    """Oracle data of B C, or None when B C is at rounding-noise level.
+
+    Such a product is an exact zero of the hypotheses (and makes Q^3 = 0);
+    handing it to the oracle would invert the noise.
+    """
+    b, c = blocks.b, blocks.c
+    bc = b @ c
+    if fro_norm(bc) <= tol.eps_check * scale_of(b, c):
+        return None
+    return drazin_oracle(bc, tol)
+
+
+def _oracles(
+    blocks: Block2x2,
+    rule: str,
+    tol: Tolerance,
+    a_dr: DrazinResult | None = None,
+    d_dr: DrazinResult | None = None,
+    bc_dr: DrazinResult | None = None,
+) -> tuple[DrazinResult, DrazinResult, DrazinResult | None]:
+    """The Drazin data of A, D and (rules 3.1, 3.3) B C that ``rule`` reads;
+    runs the oracle only for what the caller did not supply."""
+    if a_dr is None:
+        a_dr = drazin_oracle(blocks.a, tol)
+    if d_dr is None:
+        d_dr = drazin_oracle(blocks.d, tol)
+    if rule not in _BC_RULES:
+        bc_dr = None
+    elif bc_dr is None:
+        bc_dr = _bc_drazin(blocks, tol)
+    return a_dr, d_dr, bc_dr
+
+
+def block_oracles(
+    blocks: Block2x2, rule: str, tol: Tolerance = DEFAULT_TOL
+) -> dict[str, DrazinResult | None]:
+    """Oracle data that the conditions and the splitting of ``rule`` read.
+
+    Keys are the keyword parameters of check_hypothesis and block_drazin
+    ("a_dr", "d_dr", "bc_dr"), so one result can be handed to both and each
+    matrix goes through the oracle once. "bc_dr" is None for rules that do
+    not read B C, and when B C is at rounding-noise level.
+    """
+    _validate(rule)
+    return dict(zip(("a_dr", "d_dr", "bc_dr"), _oracles(blocks, rule, tol)))
 
 
 def _conditions(
     blocks: Block2x2,
     rule: str,
-    tol: Tolerance,
     a_dr: DrazinResult,
     d_dr: DrazinResult,
+    bc_dr: DrazinResult | None,
 ) -> list[tuple[str, np.ndarray, np.ndarray, int | None]]:
     """Condition rows (label, lhs, rhs_base, lambda_power) for one rule.
 
@@ -123,16 +174,14 @@ def _conditions(
     api, dpi = a_dr.pi, d_dr.pi
     rows: list[tuple[str, np.ndarray, np.ndarray, int | None]] = []
 
-    if rule in ("3.1", "3.3"):
-        bc = b @ c
-        # a product at rounding-noise level is an exact zero of the
-        # hypothesis; handing it to the oracle would invert the noise
-        if fro_norm(bc) <= tol.eps_check * scale_of(b, c):
-            bc = _zero_like(m, m)
-        bc_dr = drazin_oracle(bc, tol)
-        bc_pi = np.eye(m, dtype=complex) - bc @ bc_dr.d
-        cb_d = c @ bc_dr.d @ bc_dr.d @ b
-        cb_pi = np.eye(n, dtype=complex) - (c @ b) @ cb_d
+    if rule in _BC_RULES:
+        if bc_dr is None:  # B C = 0: both idempotents are the identity
+            bc_pi = np.eye(m, dtype=complex)
+            cb_pi = np.eye(n, dtype=complex)
+        else:
+            bc_pi = bc_dr.pi
+            cb_d = c @ bc_dr.d @ bc_dr.d @ b
+            cb_pi = np.eye(n, dtype=complex) - (c @ b) @ cb_d
 
     if rule == "3.1":
         rows.append(("B D = lambda (B C)^pi A B D^pi", b @ d, bc_pi @ a @ b @ dpi, 1))
@@ -160,8 +209,6 @@ def _conditions(
         rows.append(("A B = lambda A^pi B D", a @ b, api @ b @ d, 1))
         rows.append(("D C = lambda D^pi C A", d @ c, dpi @ c @ a, 1))
         rows.append(("B C = 0", b @ c, _zero_like(m, m), None))
-    else:
-        raise ValueError(f"unknown rule {rule!r}; valid ids: {', '.join(RULE_IDS)}")
     return rows
 
 
@@ -170,6 +217,9 @@ def check_hypothesis(
     rule: str,
     tol: Tolerance = DEFAULT_TOL,
     lam: complex | None = None,
+    a_dr: DrazinResult | None = None,
+    d_dr: DrazinResult | None = None,
+    bc_dr: DrazinResult | None = None,
 ) -> list[FactorCheck]:
     """Evaluate every hypothesis condition of a rule on the given blocks.
 
@@ -187,6 +237,9 @@ def check_hypothesis(
     tol : Tolerance
     lam : complex, optional
         Declared scalar; None fits per condition.
+    a_dr, d_dr, bc_dr : DrazinResult, optional
+        Oracle data of A, D and B C to use instead of running the oracle,
+        as block_oracles returns it.
 
     Returns
     -------
@@ -194,13 +247,9 @@ def check_hypothesis(
         One entry per condition, in catalog order, plus the consistency row
         in fitted mode.
     """
-    if rule not in RULE_IDS:
-        raise ValueError(f"unknown rule {rule!r}; valid ids: {', '.join(RULE_IDS)}")
-    if lam is not None and lam == 0:
-        raise ValueError("lambda must be nonzero")
-    a_dr = drazin_oracle(blocks.a, tol)
-    d_dr = drazin_oracle(blocks.d, tol)
-    return _check_hypothesis(blocks, rule, tol, lam, a_dr, d_dr)
+    _validate(rule, lam)
+    oracles = _oracles(blocks, rule, tol, a_dr, d_dr, bc_dr)
+    return _check_hypothesis(blocks, rule, tol, lam, *oracles)
 
 
 def _check_hypothesis(
@@ -210,8 +259,9 @@ def _check_hypothesis(
     lam: complex | None,
     a_dr: DrazinResult,
     d_dr: DrazinResult,
+    bc_dr: DrazinResult | None,
 ) -> list[FactorCheck]:
-    rows = _conditions(blocks, rule, tol, a_dr, d_dr)
+    rows = _conditions(blocks, rule, a_dr, d_dr, bc_dr)
     checks: list[FactorCheck] = []
     fitted: list[complex] = []
     for label, lhs, rhs, power in rows:
@@ -247,6 +297,9 @@ def block_drazin(
     tol: Tolerance = DEFAULT_TOL,
     lam: complex | None = None,
     force: bool = False,
+    a_dr: DrazinResult | None = None,
+    d_dr: DrazinResult | None = None,
+    bc_dr: DrazinResult | None = None,
 ) -> np.ndarray:
     """Drazin inverse of the assembled block matrix under the named rule.
 
@@ -259,8 +312,11 @@ def block_drazin(
     lam : complex, optional
         Declared scalar for the hypothesis test; None fits it.
     force : bool
-        Evaluate the rule's formula even when a condition fails. The output
+        Skip the hypothesis check and evaluate the rule's formula. The output
         then carries no guarantee; validate it with check_drazin_axioms.
+    a_dr, d_dr, bc_dr : DrazinResult, optional
+        Oracle data of A, D and B C to use instead of running the oracle,
+        as block_oracles returns it.
 
     Returns
     -------
@@ -275,17 +331,19 @@ def block_drazin(
         If a series fails to terminate within the cap (reachable only under
         force).
     """
-    if rule not in RULE_IDS:
-        raise ValueError(f"unknown rule {rule!r}; valid ids: {', '.join(RULE_IDS)}")
-    a_dr = drazin_oracle(blocks.a, tol)
-    d_dr = drazin_oracle(blocks.d, tol)
-    checks = _check_hypothesis(blocks, rule, tol, lam, a_dr, d_dr)
+    _validate(rule, lam)
+    oracles = _oracles(blocks, rule, tol, a_dr, d_dr, bc_dr)
+    if not force:
+        _require_hypothesis(_check_hypothesis(blocks, rule, tol, lam, *oracles))
+    return _dispatch(blocks, rule, tol, *oracles)
+
+
+def _require_hypothesis(checks: list[FactorCheck]) -> None:
     failing = [c for c in checks if not c.holds]
-    if failing and not force:
+    if failing:
         raise PreconditionViolated(
             "hypothesis fails: " + "; ".join(c.condition for c in failing)
         )
-    return _dispatch(blocks, rule, tol, a_dr, d_dr)
 
 
 def _diag_dr(a_dr: DrazinResult, d_dr: DrazinResult, m: int, n: int) -> DrazinResult:
@@ -294,35 +352,24 @@ def _diag_dr(a_dr: DrazinResult, d_dr: DrazinResult, m: int, n: int) -> DrazinRe
     return DrazinResult(d=d, pi=pi, index=max(a_dr.index, d_dr.index))
 
 
-def _antidiag_dr(blocks: Block2x2, tol: Tolerance, nilpotent: bool) -> tuple[np.ndarray, DrazinResult]:
+def _antidiag_dr(blocks: Block2x2, bc_dr: DrazinResult | None) -> tuple[np.ndarray, DrazinResult]:
     """The corner part Q = [[0, B], [C, 0]] and its Drazin data.
 
-    With B C = 0 the cube of Q vanishes, so Q^d = 0. Otherwise Q^d follows
-    from the product-exchange identity applied to the corner factors:
+    Without B C data (B C = 0 by hypothesis or at rounding-noise level) the
+    cube of Q vanishes, so Q^d = 0. Otherwise Q^d follows from the
+    product-exchange identity applied to the corner factors:
     (C B)^d = C ((B C)^d)^2 B and Q^d = [[0, B (C B)^d], [C (B C)^d, 0]].
     """
     m, n = blocks.dims
     b, c = blocks.b, blocks.c
     q = np.block([[_zero_like(m, m), b], [c, _zero_like(n, n)]])
     dim = m + n
-    if not nilpotent and fro_norm(b @ c) <= tol.eps_check * scale_of(b, c):
-        # B C at noise level makes Q^3 = 0: take the nilpotent route rather
-        # than inverting noise
-        nilpotent = True
-    if nilpotent:
-        norm = fro_norm(q)
-        if norm == 0.0:
-            idx = 1
-        elif fro_norm(q @ q) <= tol.eps_rank * max(1.0, norm) ** 2:
-            idx = 2
-        else:
-            idx = 3
-        return q, DrazinResult(d=np.zeros((dim, dim), dtype=complex), pi=np.eye(dim, dtype=complex), index=idx)
-    bc_dr = drazin_oracle(b @ c, tol)
+    if bc_dr is None:
+        return q, DrazinResult(d=np.zeros((dim, dim), dtype=complex), pi=np.eye(dim, dtype=complex), index=None)
     cb_d = c @ bc_dr.d @ bc_dr.d @ b
     qd = np.block([[_zero_like(m, m), b @ cb_d], [c @ bc_dr.d, _zero_like(n, n)]])
     qpi = np.eye(dim, dtype=complex) - q @ qd
-    return q, DrazinResult(d=qd, pi=qpi, index=_safe_index(q, tol))
+    return q, DrazinResult(d=qd, pi=qpi, index=None)
 
 
 def _dispatch(
@@ -331,11 +378,12 @@ def _dispatch(
     tol: Tolerance,
     a_dr: DrazinResult,
     d_dr: DrazinResult,
+    bc_dr: DrazinResult | None,
 ) -> np.ndarray:
     m, n = blocks.dims
     if rule == "4.2":
         ex = exchange(blocks)
-        inner = _dispatch(ex, "4.1", tol, d_dr, a_dr)
+        inner = _dispatch(ex, "4.1", tol, d_dr, a_dr, None)
         perm = _exchange_permutation(m, n)
         return perm @ inner @ perm.T
 
@@ -352,12 +400,12 @@ def _dispatch(
         ad2 = ad @ ad
         qd = np.block([[ad, ad2 @ b], [c @ ad2, c @ ad2 @ ad @ b]])
         qpi = np.eye(m + n, dtype=complex) - q @ qd
-        q_dr = DrazinResult(d=qd, pi=qpi, index=_safe_index(q, tol))
+        q_dr = DrazinResult(d=qd, pi=qpi, index=None)
         return drazin_sum(p, q, tol=tol, check=False, a_dr=p_dr, b_dr=q_dr)
 
     p = np.block([[blocks.a, _zero_like(m, n)], [_zero_like(n, m), blocks.d]])
     p_dr = _diag_dr(a_dr, d_dr, m, n)
-    q, q_dr = _antidiag_dr(blocks, tol, nilpotent=rule in ("3.2", "3.4", "4.3"))
+    q, q_dr = _antidiag_dr(blocks, bc_dr)
     if rule in ("3.1", "3.2"):
         return drazin_sum(q, p, tol=tol, check=False, a_dr=q_dr, b_dr=p_dr)
     return drazin_sum(p, q, tol=tol, check=False, a_dr=p_dr, b_dr=q_dr)
@@ -390,14 +438,9 @@ def closed_form_drazin(
     ReconciliationError
         If the two computation routes disagree.
     """
-    a_dr = drazin_oracle(blocks.a, tol)
-    d_dr = drazin_oracle(blocks.d, tol)
-    checks = _check_hypothesis(blocks, "4.1", tol, lam, a_dr, d_dr)
-    failing = [c for c in checks if not c.holds]
-    if failing and not force:
-        raise PreconditionViolated(
-            "hypothesis fails: " + "; ".join(c.condition for c in failing)
-        )
+    a_dr, d_dr, _ = _oracles(blocks, "4.1", tol)
+    if not force:
+        _require_hypothesis(_check_hypothesis(blocks, "4.1", tol, lam, a_dr, d_dr, None))
 
     a, b, c, d = blocks.a, blocks.b, blocks.c, blocks.d
     m, n = blocks.dims
@@ -430,7 +473,7 @@ def closed_form_drazin(
     br = d_dr.d + c @ ad2 @ ad @ b + summed(br_terms(), nmax, tiny, "closed form tail series")
     closed = np.block([[ad, tr], [c @ ad2, br]])
 
-    general = _dispatch(blocks, "4.1", tol, a_dr, d_dr)
+    general = _dispatch(blocks, "4.1", tol, a_dr, d_dr, None)
     gap = fro_norm(closed - general)
     if gap > tol.eps_match * scale:
         raise ReconciliationError(

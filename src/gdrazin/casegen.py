@@ -24,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .additive import FactorCheck, check_factor_condition
-from .blockmat import RULE_IDS, Block2x2, check_hypothesis
-from .drazin import drazin_oracle, is_quasinilpotent
+from .blockmat import RULE_IDS, Block2x2, block_oracles, check_hypothesis
+from .drazin import DrazinResult, drazin_oracle, nilpotency_residual
 from .errors import AxiomViolation, GenerationFailed
-from .linalg import DEFAULT_TOL, Tolerance, fro_norm
+from .linalg import DEFAULT_TOL, Tolerance
 
 __all__ = [
     "PAIR_TARGETS",
@@ -36,6 +36,7 @@ __all__ = [
     "PRESET_SPECS",
     "CaseSpec",
     "GeneratedCase",
+    "oracle_data",
     "certify",
     "generate",
     "preset",
@@ -438,15 +439,38 @@ def _rng_clone(rng: np.random.Generator) -> np.random.Generator:
 # ------------------------------------------------------------- certificates
 
 def _qnil_row(name: str, m: np.ndarray, tol: Tolerance) -> FactorCheck:
-    n = m.shape[0]
-    residual = fro_norm(np.linalg.matrix_power(m, n)) / max(1.0, fro_norm(m)) ** n
+    residual = nilpotency_residual(m)
     return FactorCheck(
         condition=f"{name} is quasinilpotent",
-        holds=is_quasinilpotent(m, tol),
+        holds=residual <= tol.eps_check,
         lam=None,
         residual=residual,
         degenerate=False,
     )
+
+
+def oracle_data(
+    kind: str,
+    target: str,
+    mats: dict[str, np.ndarray],
+    tol: Tolerance = DEFAULT_TOL,
+) -> dict[str, DrazinResult | None]:
+    """Oracle results of every matrix whose Drazin data the target's
+    conditions and formula read, each computed once.
+
+    Keys are the keyword parameters of the target's formula: "b_dr" for
+    2.3, "a_dr" and "b_dr" for 2.4, none for 2.2, and block_oracles' keys
+    for the block rules. Hand the result to ``certify`` and then to the
+    formula, so neither runs the oracle again.
+    """
+    if kind == "block":
+        blocks = Block2x2(a=mats["a"], b=mats["b"], c=mats["c"], d=mats["d"])
+        return block_oracles(blocks, target, tol)
+    if target == "2.2":
+        return {}
+    if target == "2.3":
+        return {"b_dr": drazin_oracle(mats["b"], tol)}
+    return {"a_dr": drazin_oracle(mats["a"], tol), "b_dr": drazin_oracle(mats["b"], tol)}
 
 
 def certify(
@@ -455,17 +479,22 @@ def certify(
     mats: dict[str, np.ndarray],
     lam: complex | None,
     tol: Tolerance = DEFAULT_TOL,
+    oracles: dict[str, DrazinResult | None] | None = None,
 ) -> tuple[FactorCheck, ...]:
     """Every hypothesis condition of a target, checked on explicit matrices.
 
     ``kind`` is "pair" (matrices {"a", "b"}) or "block" ({"a", "b", "c",
-    "d"}). ``lam`` fixes the scalar; None fits it per condition. This is the
-    same check the generator certificates and the command-line entry points
-    use, so a certificate can be reproduced from the saved matrices alone.
+    "d"}). ``lam`` fixes the scalar; None fits it per condition. ``oracles``
+    is the result of ``oracle_data`` on the same matrices; None computes it.
+    This is the same check the generator certificates and the command-line
+    entry points use, so a certificate can be reproduced from the saved
+    matrices alone.
     """
+    if oracles is None:
+        oracles = oracle_data(kind, target, mats, tol)
     if kind == "block":
         blocks = Block2x2(a=mats["a"], b=mats["b"], c=mats["c"], d=mats["d"])
-        return tuple(check_hypothesis(blocks, target, tol, lam))
+        return tuple(check_hypothesis(blocks, target, tol, lam, **oracles))
     a, b = mats["a"], mats["b"]
     rows: list[FactorCheck] = []
     if target == "2.2":
@@ -473,14 +502,13 @@ def certify(
         rows.append(_qnil_row("b", b, tol))
         rows.append(check_factor_condition(a @ b, b @ a, lam, tol, condition="a b = lambda b a"))
     elif target == "2.3":
-        b_pi = drazin_oracle(b, tol).pi
+        b_pi = oracles["b_dr"].pi
         rows.append(_qnil_row("a", a, tol))
         rows.append(
             check_factor_condition(a @ b, b @ a @ b_pi, lam, tol, condition="a b = lambda b a b^pi")
         )
     else:  # 2.4
-        a_dr = drazin_oracle(a, tol)
-        b_dr = drazin_oracle(b, tol)
+        a_dr, b_dr = oracles["a_dr"], oracles["b_dr"]
         rows.append(
             check_factor_condition(
                 a @ b,

@@ -20,6 +20,7 @@ GDZ_TOL_TAIL) before the built-in defaults.
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -28,7 +29,7 @@ import numpy as np
 
 from .additive import drazin_sum, drazin_sum_nilpotent, nilpotent_sum_closure
 from .blockmat import RULE_IDS, Block2x2, assemble, block_drazin
-from .casegen import PRESET_SPECS, TARGETS, CaseSpec, certify, generate
+from .casegen import PRESET_SPECS, TARGETS, CaseSpec, certify, generate, oracle_data
 from .drazin import check_drazin_axioms, drazin_oracle
 from .errors import (
     AxiomViolation,
@@ -66,7 +67,16 @@ _ENV_TOLS = {
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on usage errors, which collides with the
-    precondition-violation code; route usage problems to the I/O code."""
+    precondition-violation code; route usage problems to the I/O code.
+
+    Tokens that start like a negative scalar ("-2", "-1/2", "-i", "-.5j")
+    are values, so "--lambda -1/2" works as well as "--lambda=-1/2". No
+    option of gdz looks like one.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|[ij]$)")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -146,7 +156,7 @@ def cmd_drazin(args, parser) -> int:
         report = _report("drazin", error=str(exc), wall_ms=(time.perf_counter() - t0) * 1e3)
         _emit(report, args.out)
         return EXIT_MISMATCH
-    axioms = check_drazin_axioms(a, res.d, tol)
+    axioms = check_drazin_axioms(a, res.d, tol, index=res.index)
     report = _report(
         "drazin",
         result=matrix_to_doc(res.d),
@@ -164,24 +174,27 @@ def cmd_drazin(args, parser) -> int:
     return EXIT_OK if axioms.ok else EXIT_MISMATCH
 
 
-def _evaluate_pair(target: str, a, b, lam, tol) -> np.ndarray | None:
-    """Formula output for a pair target; None for the closure decision."""
-    if target == "2.2":
-        return None
+def _formula(kind: str, target: str, mats: dict, lam, tol, oracles: dict):
+    """(formula output, the matrix it inverts) for a sum or block target,
+    evaluated without the hypothesis check, on the oracle data of
+    ``oracle_data``."""
+    if kind == "block":
+        blocks = Block2x2(**mats)
+        x = block_drazin(blocks, target, tol, lam=lam, force=True, **oracles)
+        return x, assemble(blocks)
+    a, b = mats["a"], mats["b"]
     if target == "2.3":
-        return drazin_sum_nilpotent(a, b, tol, lam=lam, force=True)
-    return drazin_sum(a, b, tol, lam=lam, force=True)
+        return drazin_sum_nilpotent(a, b, tol, lam=lam, force=True, **oracles), a + b
+    return drazin_sum(a, b, tol, lam=lam, force=True, **oracles), a + b
 
 
-def cmd_sum(args, parser) -> int:
-    tol = _tol_from_args(parser, args)
-    t0 = time.perf_counter()
-    a = load_matrix(args.a)
-    b = load_matrix(args.b)
-    mats = {"a": a, "b": b}
-    conditions = certify("pair", args.theorem, mats, args.lam, tol)
+def _solve(command: str, kind: str, mats: dict, args, tol: Tolerance, t0: float) -> int:
+    """Shared body of ``sum`` and ``block``: conditions, formula, oracle,
+    gap and axioms, with each Drazin datum computed once."""
+    oracles = oracle_data(kind, args.theorem, mats, tol)
+    conditions = certify(kind, args.theorem, mats, args.lam, tol, oracles)
     report = _report(
-        "sum",
+        command,
         theorem=args.theorem,
         conditions=_conditions_doc(conditions),
         **{"lambda": _lambda_doc(args.lam, conditions)},
@@ -195,13 +208,13 @@ def cmd_sum(args, parser) -> int:
 
     try:
         if args.theorem == "2.2":
-            closed = nilpotent_sum_closure(a, b, tol, lam=args.lam) if not failing else False
+            closed = nilpotent_sum_closure(mats["a"], mats["b"], tol, lam=args.lam) if not failing else False
             report["match"] = bool(closed)
             report["wall_ms"] = (time.perf_counter() - t0) * 1e3
             _emit(report, args.out)
             return EXIT_OK if closed else EXIT_MISMATCH
-        formula = _evaluate_pair(args.theorem, a, b, args.lam, tol)
-        oracle = drazin_oracle(a + b, tol)
+        formula, m = _formula(kind, args.theorem, mats, args.lam, tol, oracles)
+        oracle = drazin_oracle(m, tol)
     except (ConvergenceError, AxiomViolation) as exc:
         report["error"] = str(exc)
         report["wall_ms"] = (time.perf_counter() - t0) * 1e3
@@ -209,8 +222,8 @@ def cmd_sum(args, parser) -> int:
         return EXIT_MISMATCH
 
     gap = fro_norm(formula - oracle.d)
-    scale = scale_of(a, b)
-    axioms = check_drazin_axioms(a + b, formula, tol)
+    scale = scale_of(*mats.values())
+    axioms = check_drazin_axioms(m, formula, tol, index=oracle.index)
     ok = gap <= tol.eps_match * scale and axioms.ok
     report.update(
         result=matrix_to_doc(formula),
@@ -226,6 +239,13 @@ def cmd_sum(args, parser) -> int:
     )
     _emit(report, args.out)
     return EXIT_OK if ok else EXIT_MISMATCH
+
+
+def cmd_sum(args, parser) -> int:
+    tol = _tol_from_args(parser, args)
+    t0 = time.perf_counter()
+    mats = {"a": load_matrix(args.a), "b": load_matrix(args.b)}
+    return _solve("sum", "pair", mats, args, tol, t0)
 
 
 def cmd_block(args, parser) -> int:
@@ -235,48 +255,7 @@ def cmd_block(args, parser) -> int:
         a=load_matrix(args.a), b=load_matrix(args.b), c=load_matrix(args.c), d=load_matrix(args.d)
     )
     mats = {"a": blocks.a, "b": blocks.b, "c": blocks.c, "d": blocks.d}
-    conditions = certify("block", args.theorem, mats, args.lam, tol)
-    report = _report(
-        "block",
-        theorem=args.theorem,
-        conditions=_conditions_doc(conditions),
-        **{"lambda": _lambda_doc(args.lam, conditions)},
-    )
-    failing = [c for c in conditions if not c.holds]
-    if failing and not args.force:
-        report["error"] = "precondition violated: " + "; ".join(c.condition for c in failing)
-        report["wall_ms"] = (time.perf_counter() - t0) * 1e3
-        _emit(report, args.out)
-        return EXIT_PRECONDITION
-
-    m = assemble(blocks)
-    try:
-        formula = block_drazin(blocks, args.theorem, tol, lam=args.lam, force=True)
-        oracle = drazin_oracle(m, tol)
-    except (ConvergenceError, AxiomViolation) as exc:
-        report["error"] = str(exc)
-        report["wall_ms"] = (time.perf_counter() - t0) * 1e3
-        _emit(report, args.out)
-        return EXIT_MISMATCH
-
-    gap = fro_norm(formula - oracle.d)
-    scale = scale_of(blocks.a, blocks.b, blocks.c, blocks.d)
-    axioms = check_drazin_axioms(m, formula, tol)
-    ok = gap <= tol.eps_match * scale and axioms.ok
-    report.update(
-        result=matrix_to_doc(formula),
-        oracle=matrix_to_doc(oracle.d),
-        oracle_gap=gap,
-        axiom_residuals={
-            "solution": axioms.solution,
-            "commute": axioms.commute,
-            "power": axioms.power,
-        },
-        match=bool(ok),
-        wall_ms=(time.perf_counter() - t0) * 1e3,
-    )
-    _emit(report, args.out)
-    return EXIT_OK if ok else EXIT_MISMATCH
+    return _solve("block", "block", mats, args, tol, t0)
 
 
 def cmd_gen(args, parser) -> int:
@@ -289,9 +268,12 @@ def cmd_gen(args, parser) -> int:
             parser.error("gen requires --target and --dim (or --preset)")
         if args.lam is None:
             parser.error("gen requires a concrete --lambda (not auto)")
-        spec = CaseSpec(
-            target=args.target, dim=args.dim, lam=args.lam, seed=args.seed, negate=args.negate
-        )
+        try:
+            spec = CaseSpec(
+                target=args.target, dim=args.dim, lam=args.lam, seed=args.seed, negate=args.negate
+            )
+        except ValueError as exc:
+            parser.error(str(exc))
     case = generate(spec, tol)
     manifest = save_instance(args.out, case)
     report = _report(
@@ -314,7 +296,8 @@ def _verify_one(manifest: dict, matrices: dict, tol: Tolerance) -> tuple[bool, s
     kind = manifest["kind"]
     negate = bool(manifest.get("negate", False))
     lam = doc_to_complex(manifest.get("lambda"))
-    conditions = certify(kind, target, matrices, lam, tol)
+    oracles = oracle_data(kind, target, matrices, tol)
+    conditions = certify(kind, target, matrices, lam, tol, oracles)
     failing = [c for c in conditions if not c.holds]
 
     if negate:
@@ -324,19 +307,11 @@ def _verify_one(manifest: dict, matrices: dict, tol: Tolerance) -> tuple[bool, s
 
     if failing:
         return False, "valid instance rejected: " + "; ".join(c.condition for c in failing)
-    if kind == "pair":
-        a, b = matrices["a"], matrices["b"]
-        if target == "2.2":
-            ok = nilpotent_sum_closure(a, b, tol, lam=lam)
-            return (ok, "closure holds" if ok else "closure failed")
-        formula = _evaluate_pair(target, a, b, lam, tol)
-        m = a + b
-        scale = scale_of(a, b)
-    else:
-        blocks = Block2x2(a=matrices["a"], b=matrices["b"], c=matrices["c"], d=matrices["d"])
-        formula = block_drazin(blocks, target, tol, lam=lam, force=True)
-        m = assemble(blocks)
-        scale = scale_of(*matrices.values())
+    if target == "2.2":
+        ok = nilpotent_sum_closure(matrices["a"], matrices["b"], tol, lam=lam)
+        return (ok, "closure holds" if ok else "closure failed")
+    formula, m = _formula(kind, target, matrices, lam, tol, oracles)
+    scale = scale_of(*matrices.values())
     oracle = drazin_oracle(m, tol)
     gap = fro_norm(formula - oracle.d)
     if gap > tol.eps_match * scale:

@@ -29,6 +29,7 @@ __all__ = [
     "drazin_index",
     "drazin_oracle",
     "is_quasinilpotent",
+    "nilpotency_residual",
     "check_drazin_axioms",
 ]
 
@@ -41,11 +42,16 @@ GAP_MIN = 1e4
 
 @dataclass(frozen=True)
 class DrazinResult:
-    """The Drazin inverse d = a^d, spectral idempotent pi = I - a a^d, and index."""
+    """The Drazin inverse d = a^d, spectral idempotent pi = I - a a^d, and index.
+
+    ``index`` is None for results assembled from other results (the corner
+    parts of the block splittings) rather than computed by the oracle; no
+    formula reads it.
+    """
 
     d: np.ndarray
     pi: np.ndarray
-    index: int
+    index: int | None
 
 
 @dataclass(frozen=True)
@@ -136,7 +142,7 @@ def drazin_oracle(a, tol: Tolerance = DEFAULT_TOL) -> DrazinResult:
     am = np.linalg.matrix_power(ah, m)
     dh = am @ x_pinv @ am
     # self-check in the normalized domain, where powers cannot overflow
-    report = check_drazin_axioms(ah, dh, tol)
+    report = check_drazin_axioms(ah, dh, tol, index=k)
     if not report.ok:
         raise AxiomViolation(
             f"oracle output fails Drazin axioms: residuals "
@@ -147,16 +153,31 @@ def drazin_oracle(a, tol: Tolerance = DEFAULT_TOL) -> DrazinResult:
     return DrazinResult(d=d, pi=pi, index=k)
 
 
-def is_quasinilpotent(a, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Nilpotency test: ||a^n|| <= eps_check * max(1, ||a||)^n at n = rows(a)."""
+def nilpotency_residual(a) -> float:
+    """||(a / ||a||)^n|| at n = rows(a), Frobenius norms; 0 for the zero matrix.
+
+    Normalizing first makes the residual independent of the scale of a.
+    """
     a = _require_square(a)
-    n = a.shape[0]
-    bound = tol.eps_check * max(1.0, fro_norm(a)) ** n
-    return fro_norm(mat_power(a, n)) <= bound
+    s = fro_norm(a)
+    if s == 0.0:
+        return 0.0
+    return fro_norm(mat_power(a / s, a.shape[0]))
 
 
-def check_drazin_axioms(a, cand, tol: Tolerance = DEFAULT_TOL) -> AxiomReport:
+def is_quasinilpotent(a, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Nilpotency test: nilpotency_residual(a) <= eps_check, so the verdict
+    on a equals the verdict on s a for every nonzero scalar s."""
+    return nilpotency_residual(a) <= tol.eps_check
+
+
+def check_drazin_axioms(
+    a, cand, tol: Tolerance = DEFAULT_TOL, index: int | None = None
+) -> AxiomReport:
     """Residuals of cand as a Drazin inverse of a.
+
+    ``index`` is the Drazin index of a when the caller already knows it, as
+    ``drazin_oracle(a).index``; None computes it with drazin_index.
 
     Verdict: every residual <= eps_match * scale, where scale is max(1,
     largest operand norm) of the corresponding identity.
@@ -165,7 +186,7 @@ def check_drazin_axioms(a, cand, tol: Tolerance = DEFAULT_TOL) -> AxiomReport:
     cand = _require_square(cand)
     if a.shape != cand.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {cand.shape}")
-    k = drazin_index(a, tol)
+    k = drazin_index(a, tol) if index is None else index
     ak = mat_power(a, k)
     r1 = fro_norm(cand @ a @ cand - cand)
     r2 = fro_norm(a @ cand - cand @ a)

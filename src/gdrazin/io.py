@@ -79,17 +79,36 @@ def doc_to_matrix(doc) -> np.ndarray:
             f"{len(data) if isinstance(data, list) else type(data).__name__}"
         )
     out = np.empty(rows * cols, dtype=complex)
-    for i, entry in enumerate(data):
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
-        ):
-            raise DocumentError(f"entry {i} must be a [re, im] pair of numbers, got {entry!r}")
-        if not (math.isfinite(entry[0]) and math.isfinite(entry[1])):
-            raise DocumentError(f"entry {i} is not finite: {entry!r}")
-        out[i] = complex(entry[0], entry[1])
+    try:
+        for i, entry in enumerate(data):
+            if not isinstance(entry, list) or len(entry) != 2 or not all(map(_is_number, entry)):
+                raise DocumentError(f"entry {i} must be a [re, im] pair of numbers, got {entry!r}")
+            if not (math.isfinite(entry[0]) and math.isfinite(entry[1])):
+                raise DocumentError(f"entry {i} is not finite: {entry!r}")
+            out[i] = complex(entry[0], entry[1])
+    except OverflowError:  # an integer too large for a float
+        raise DocumentError(f"entry {i} is out of the floating-point range") from None
     return out.reshape(rows, cols)
+
+
+def _is_number(x) -> bool:
+    # bool is an int subclass; JSON true/false must not pass as numbers
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _read_json(path: Path):
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise DocumentError(f"cannot read {path}: {exc}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        # json raises a plain ValueError for an integer literal beyond the
+        # interpreter's digit limit
+        raise DocumentError(f"{path} holds an unreadable number: {exc}") from exc
 
 
 def save_matrix(path, m: np.ndarray) -> None:
@@ -98,14 +117,7 @@ def save_matrix(path, m: np.ndarray) -> None:
 
 def load_matrix(path) -> np.ndarray:
     p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError as exc:
-        raise DocumentError(f"cannot read {p}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"{p} is not valid JSON: {exc}") from exc
+    doc = _read_json(p)
     try:
         return doc_to_matrix(doc)
     except DocumentError as exc:
@@ -122,9 +134,15 @@ def complex_to_doc(z: complex | None):
 def doc_to_complex(doc) -> complex | None:
     if doc is None:
         return None
-    if not isinstance(doc, list) or len(doc) != 2:
-        raise DocumentError(f"scalar must be a [re, im] pair, got {doc!r}")
-    return complex(float(doc[0]), float(doc[1]))
+    if not isinstance(doc, list) or len(doc) != 2 or not all(map(_is_number, doc)):
+        raise DocumentError(f"scalar must be a [re, im] pair of numbers, got {doc!r}")
+    try:
+        finite = math.isfinite(doc[0]) and math.isfinite(doc[1])
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not finite:
+        raise DocumentError("scalar is not a finite [re, im] pair")
+    return complex(doc[0], doc[1])
 
 
 def factor_check_to_doc(chk: FactorCheck) -> dict:
@@ -187,12 +205,7 @@ def load_instance(directory) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a generated-instance directory back: (manifest, matrices)."""
     d = Path(directory)
     mpath = d / "instance.json"
-    try:
-        manifest = json.loads(mpath.read_text())
-    except OSError as exc:
-        raise DocumentError(f"cannot read {mpath}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"{mpath} is not valid JSON: {exc}") from exc
+    manifest = _read_json(mpath)
     if not isinstance(manifest, dict):
         raise DocumentError(f"{mpath}: manifest must be an object")
     for key in ("schema_version", "kind", "target", "files"):

@@ -1,4 +1,4 @@
-"""Dense complex-matrix primitives: products, powers, rank, pseudoinverse, norms.
+"""Dense complex-matrix primitives: powers, rank, pseudoinverse, norms.
 
 All matrices are 2-D numpy arrays of complex128. ``as_matrix`` is the single
 entry point that coerces and validates; everything downstream assumes its
@@ -13,7 +13,6 @@ __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
     "as_matrix",
-    "mat_mul",
     "mat_power",
     "rank",
     "pseudo_inverse",
@@ -57,14 +56,6 @@ def as_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
     return m
-
-
-def mat_mul(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def mat_power(a, n: int) -> np.ndarray:

@@ -7,6 +7,8 @@ loops, no tolerance fudging.
 
 import numpy as np
 
+import gdrazin.drazin
+
 
 def unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -114,3 +116,17 @@ def rectangular_pair(
         return u @ np.diag(rng.uniform(0.7, 1.4, k)) @ v
 
     return factor(m, n), factor(n, m)
+
+
+def count_sweeps(monkeypatch) -> list:
+    """Record each power-rank sweep (one per oracle run, one per index
+    computation) from now on; returns the list the sweeps are appended to."""
+    sweeps = []
+    original = gdrazin.drazin._power_ranks
+
+    def counting(ah, eps_rank):
+        sweeps.append(ah.shape[0])
+        return original(ah, eps_rank)
+
+    monkeypatch.setattr(gdrazin.drazin, "_power_ranks", counting)
+    return sweeps

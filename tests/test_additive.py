@@ -94,6 +94,11 @@ class TestNilpotentClosure:
         with pytest.raises(PreconditionViolated, match="quasinilpotent"):
             nilpotent_sum_closure(n, np.eye(3))
 
+    def test_rejects_small_invertible_operands(self):
+        # a small norm must not pass for nilpotency: a + b here is invertible
+        with pytest.raises(PreconditionViolated, match="quasinilpotent"):
+            nilpotent_sum_closure(1e-3 * np.eye(4), 1e-3 * np.diag([1.0, 2.0, 3.0, 4.0]))
+
     def test_rejects_non_commuting_pair(self):
         a = np.zeros((2, 2), dtype=complex); a[0, 1] = 1.0
         b = np.zeros((2, 2), dtype=complex); b[1, 0] = 1.0

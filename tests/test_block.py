@@ -20,6 +20,7 @@ from gdrazin import (
 )
 from gdrazin.blockmat import _exchange_permutation
 from gdrazin.linalg import scale_of
+from helpers import count_sweeps
 
 LAMBDAS = (0.5, 3.0, 1j, -2.0)
 
@@ -141,6 +142,13 @@ class TestBlockDrazin:
         with pytest.raises(PreconditionViolated) as err:
             block_drazin(case.blocks, rule, lam=3.0)
         assert case.broken in str(err.value)
+
+    def test_bc_inverse_is_computed_once(self, monkeypatch):
+        # rule 3.1 reads (B C)^d in its conditions and in its splitting
+        case = _case("3.1", 6, 0.5, 1)
+        sweeps = count_sweeps(monkeypatch)
+        block_drazin(case.blocks, "3.1", lam=0.5)
+        assert sorted(sweeps) == [6, 6, 6]  # A, D, B C
 
     def test_zero_product_subsumption(self):
         # an instance of the zero-coupling rule also satisfies the projector

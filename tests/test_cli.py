@@ -14,6 +14,7 @@ import pytest
 from gdrazin import CaseSpec, generate, preset
 from gdrazin.cli import EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_PRECONDITION, main
 from gdrazin.io import load_matrix, save_instance, save_matrix
+from helpers import count_sweeps
 
 REPORT_KEYS = {
     "schema_version",
@@ -239,6 +240,15 @@ class TestGenVerify:
         code, _ = run(["verify", str(tmp_path)], capsys)
         assert code == EXIT_IO
 
+    @pytest.mark.parametrize(
+        "flag", [["--dim", "1"], ["--seed", "-1"], ["--lambda", "0"]]
+    )
+    def test_gen_spec_out_of_range_is_usage_error(self, flag, tmp_path, capsys):
+        argv = ["gen", "--target", "2.4", "--dim", "4", "--out", str(tmp_path / "x")]
+        code, _ = run(argv + flag, capsys)
+        assert code == EXIT_IO
+        assert not (tmp_path / "x").exists()
+
     def test_gen_requires_concrete_lambda(self, tmp_path, capsys):
         code, _ = run(
             ["gen", "--target", "3.1", "--dim", "4", "--lambda", "auto",
@@ -257,6 +267,13 @@ class TestUsageAndTolerances:
     def test_bad_scalar(self, pair_files, capsys):
         a, b = pair_files
         assert main(["sum", a, b, "--theorem", "2.4", "--lambda", "wat"]) == EXIT_IO
+
+    @pytest.mark.parametrize("text,lam", [("-1/2", [-0.5, 0.0]), ("-i", [0.0, -1.0])])
+    def test_spaced_negative_lambda(self, text, lam, pair_files, capsys):
+        a, b = pair_files
+        code, doc = run(["sum", a, b, "--theorem", "2.4", "--lambda", text], capsys)
+        assert code == EXIT_OK
+        assert doc["lambda"] == lam
 
     def test_bad_theorem_choice(self, pair_files, capsys):
         a, b = pair_files
@@ -295,6 +312,33 @@ class TestUsageAndTolerances:
         assert code == EXIT_OK
         doc = json.loads(report.read_text())
         assert doc["match"] is True
+
+
+class TestOracleReuse:
+    """Each request runs the oracle once per distinct matrix: one power-rank
+    sweep each, none for axiom checks or unused indices."""
+
+    @pytest.mark.parametrize(
+        "command,target,lam,sweeps",
+        [
+            ("block", "3.1", "1/2", 4),  # A, D, B C, M
+            ("block", "4.3", "3", 3),  # A, D, M
+            ("sum", "2.4", "1/2", 3),  # a, b, a + b
+            ("verify", "2.4", "1/2", 3),
+        ],
+    )
+    def test_one_sweep_per_matrix(self, command, target, lam, sweeps, tmp_path, capsys, monkeypatch):
+        case = generate(CaseSpec(target=target, dim=32, lam=0.5 if lam == "1/2" else 3.0, seed=0))
+        save_instance(tmp_path, case)
+        if command == "verify":
+            argv = ["verify", str(tmp_path)]
+        else:
+            files = [str(tmp_path / f"{name}.json") for name in sorted(case.matrices)]
+            argv = [command, *files, "--theorem", target, "--lambda", lam]
+        counted = count_sweeps(monkeypatch)
+        code, doc = run(argv, capsys)
+        assert code == EXIT_OK and doc["match"] is True
+        assert len(counted) == sweeps
 
 
 def test_subprocess_real_exit_code(tmp_path):

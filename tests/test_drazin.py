@@ -10,7 +10,15 @@ from gdrazin import (
     drazin_oracle,
     is_quasinilpotent,
 )
-from helpers import invertible, jordan_block, mild_similarity, mixture, nilpotent, unitary
+from helpers import (
+    count_sweeps,
+    invertible,
+    jordan_block,
+    mild_similarity,
+    mixture,
+    nilpotent,
+    unitary,
+)
 
 
 def test_zero_matrix():
@@ -67,6 +75,22 @@ def test_axioms_on_seeded_mixtures(seed):
     r = drazin_oracle(a)
     rep = check_drazin_axioms(a, r.d)
     assert rep.ok, (rep.solution, rep.commute, rep.power)
+
+
+def test_known_index_gives_the_same_axiom_report(monkeypatch):
+    # the matrices of the acceptance gate's oracle sweep
+    for seed in range(500):
+        rng = np.random.default_rng(seed)
+        a = mixture(2 + seed % 11, rng)
+        r = drazin_oracle(a)
+        rep = check_drazin_axioms(a, r.d)
+        assert check_drazin_axioms(a, r.d, index=drazin_index(a)) == rep, seed
+        assert check_drazin_axioms(a, r.d, index=r.index) == rep, seed
+    # the oracle's self-check and a known-index check sweep no powers again
+    sweeps = count_sweeps(monkeypatch)
+    r = drazin_oracle(a)
+    check_drazin_axioms(a, r.d, index=r.index)
+    assert len(sweeps) == 1
 
 
 @pytest.mark.parametrize("alpha", [2.0, -3.0, 0.5j, 1.5 - 0.5j])
@@ -135,4 +159,13 @@ def test_is_quasinilpotent():
     assert not is_quasinilpotent(invertible(4, rng))
     # small norm alone is not nilpotency
     assert not is_quasinilpotent(1e-3 * np.eye(3))
+    assert not is_quasinilpotent(1e-3 * np.eye(4))
     assert is_quasinilpotent(np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("s", [1e-6, 1e-3, 1e3, 1e6])
+def test_is_quasinilpotent_is_scale_invariant(s):
+    rng = np.random.default_rng(4)
+    assert is_quasinilpotent(s * nilpotent(5, rng))
+    assert not is_quasinilpotent(s * invertible(5, rng))
+    assert not is_quasinilpotent(s * mixture(6, rng))

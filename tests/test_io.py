@@ -51,6 +51,7 @@ def test_doc_shape_and_layout():
         {"rows": 1, "cols": 1, "data": [[1, "x"]]},
         {"rows": 1, "cols": 1, "data": [[True, 0.0]]},
         {"rows": 1, "cols": 1, "data": [[float("inf"), 0.0]]},
+        {"rows": 1, "cols": 1, "data": [[0.0, 10**400]]},
     ],
 )
 def test_doc_to_matrix_rejects_malformed(doc):
@@ -65,6 +66,11 @@ def test_load_matrix_error_paths(tmp_path):
     bad.write_text("{nope")
     with pytest.raises(DocumentError, match="not valid JSON"):
         load_matrix(bad)
+    for digits in (400, 5000):  # past float range; past the int digit limit
+        huge = tmp_path / f"huge{digits}.json"
+        huge.write_text('{"rows": 1, "cols": 1, "data": [[1' + "0" * digits + ", 0]]}")
+        with pytest.raises(DocumentError):
+            load_matrix(huge)
 
 
 def test_complex_doc_roundtrip():
@@ -72,8 +78,9 @@ def test_complex_doc_roundtrip():
     assert doc_to_complex(None) is None
     z = 1.5 - 2.5j
     assert doc_to_complex(complex_to_doc(z)) == z
-    with pytest.raises(DocumentError):
-        doc_to_complex([1.0])
+    for bad in ([1.0], ["1", 0.0], [True, 0.0], [float("nan"), 0.0], [10**400, 0.0]):
+        with pytest.raises(DocumentError):
+            doc_to_complex(bad)
 
 
 @pytest.mark.parametrize(
