@@ -49,7 +49,7 @@ from .errors import (
     PreconditionViolated,
     ReconciliationError,
 )
-from .linalg import DEFAULT_TOL, Tolerance, fro_norm, rank, scale_of
+from .linalg import DEFAULT_TOL, Tolerance, fro_norm, scale_of
 from .pierce import PierceSplit, cline_drazin, pierce_split, triangular_drazin
 
 __version__ = "0.1.0"
@@ -96,7 +96,6 @@ __all__ = [
     "nilpotent_sum_closure",
     "pierce_split",
     "preset",
-    "rank",
     "scale_of",
     "triangular_drazin",
     "__version__",

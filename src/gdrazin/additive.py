@@ -5,7 +5,8 @@ The central routine is ``drazin_sum``: under a b = lambda a^pi b a b^pi the
 inverse of the sum is a finite combination of corner inverses and four
 terminating series. ``drazin_sum_nilpotent`` handles the sharper hypothesis
 with a quasinilpotent enabled; ``nilpotent_sum_closure`` decides closure of
-nilpotency under lambda-commutation. ``check_factor_condition`` is the shared
+nilpotency under lambda-commutation. Their hypotheses live in one rule table
+(``check_pair_hypothesis``), and ``check_factor_condition`` is the shared
 scalar-fit primitive all hypothesis tests reduce to.
 """
 
@@ -13,18 +14,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drazin import DrazinResult, drazin_oracle, is_quasinilpotent
+from .drazin import DrazinResult, drazin_oracle, is_quasinilpotent, nilpotency_residual
 from .errors import ConvergenceError, PreconditionViolated
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, fro_norm, scale_of
 from .series import PowerCache, series_cap, summed
 
 __all__ = [
+    "PAIR_TARGETS",
     "FactorCheck",
     "check_factor_condition",
+    "pair_oracles",
+    "check_pair_hypothesis",
+    "require_hypothesis",
     "nilpotent_sum_closure",
     "drazin_sum_nilpotent",
     "drazin_sum",
 ]
+
+PAIR_TARGETS = ("2.2", "2.3", "2.4")
 
 
 @dataclass(frozen=True)
@@ -121,6 +128,91 @@ def check_factor_condition(
     return FactorCheck(condition, holds, lam, residual, False)
 
 
+def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    a = as_matrix(a)
+    b = as_matrix(b)
+    if a.shape != b.shape or a.shape[0] != a.shape[1]:
+        raise ValueError(f"need square matrices of equal shape, got {a.shape} and {b.shape}")
+    return a, b
+
+
+def _oracles(
+    target: str, a: np.ndarray, b: np.ndarray, tol: Tolerance,
+    a_dr: DrazinResult | None = None, b_dr: DrazinResult | None = None,
+) -> tuple[DrazinResult | None, DrazinResult | None]:
+    """The Drazin data of a (2.4) and b (2.3, 2.4) that ``target`` reads;
+    runs the oracle only for what the caller did not supply."""
+    if target not in PAIR_TARGETS:
+        raise ValueError(f"unknown pair target {target!r}; valid: {', '.join(PAIR_TARGETS)}")
+    if target == "2.4" and a_dr is None:
+        a_dr = drazin_oracle(a, tol)
+    if target != "2.2" and b_dr is None:
+        b_dr = drazin_oracle(b, tol)
+    return a_dr, b_dr
+
+
+def pair_oracles(
+    target: str, a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL
+) -> dict[str, DrazinResult]:
+    """Oracle data that the conditions and the formula of ``target`` read,
+    keyed by their parameter names: none for 2.2, "b_dr" for 2.3, "a_dr" and
+    "b_dr" for 2.4. Hand it to both, so each matrix sees the oracle once."""
+    oracles = zip(("a_dr", "b_dr"), _oracles(target, *_pair(a, b), tol))
+    return {key: dr for key, dr in oracles if dr is not None}
+
+
+def _conditions(
+    target: str, a: np.ndarray, b: np.ndarray, a_dr: DrazinResult | None, b_dr: DrazinResult | None
+) -> list[tuple[str, np.ndarray, np.ndarray | None]]:
+    """Condition rows (label, lhs, rhs_base) for one pair target, in catalog
+    order. rhs_base None marks a quasinilpotency row on lhs."""
+    if target == "2.2":
+        return [("a is quasinilpotent", a, None), ("b is quasinilpotent", b, None),
+                ("a b = lambda b a", a @ b, b @ a)]
+    if target == "2.3":
+        return [("a is quasinilpotent", a, None), ("a b = lambda b a b^pi", a @ b, b @ a @ b_dr.pi)]
+    return [("a b = lambda a^pi b a b^pi", a @ b, a_dr.pi @ b @ a @ b_dr.pi)]
+
+
+def check_pair_hypothesis(
+    a: np.ndarray,
+    b: np.ndarray,
+    target: str,
+    tol: Tolerance = DEFAULT_TOL,
+    lam: complex | None = None,
+    a_dr: DrazinResult | None = None,
+    b_dr: DrazinResult | None = None,
+) -> list[FactorCheck]:
+    """Every hypothesis condition of a pair target (one of PAIR_TARGETS),
+    checked on (a, b), in catalog order. ``lam`` fixes the scalar; None fits
+    it. ``a_dr``/``b_dr`` are oracle data as pair_oracles returns it, used
+    instead of running the oracle. A quasinilpotency row carries no scalar;
+    its residual is nilpotency_residual of the operand."""
+    a, b = _pair(a, b)
+    checks = []
+    for label, lhs, rhs in _conditions(target, a, b, *_oracles(target, a, b, tol, a_dr, b_dr)):
+        if rhs is None:
+            residual = nilpotency_residual(lhs)
+            checks.append(FactorCheck(label, residual <= tol.eps_check, None, residual, False))
+        else:
+            checks.append(check_factor_condition(lhs, rhs, lam, tol, condition=label))
+    return checks
+
+
+def _refusal(c: FactorCheck) -> str:
+    # a scalar condition names lambda on its right-hand side
+    scalar = "lambda" in c.condition.partition(" = ")[2]
+    return f"{c.condition} ({'not a scalar multiple, ' if scalar else ''}residual {c.residual:.3e})"
+
+
+def require_hypothesis(checks: list[FactorCheck]) -> None:
+    """Raise PreconditionViolated naming every failing condition and its
+    residual; the pair and block formulas refuse through this one helper."""
+    failing = [_refusal(c) for c in checks if not c.holds]
+    if failing:
+        raise PreconditionViolated("hypothesis fails: " + "; ".join(failing))
+
+
 def nilpotent_sum_closure(
     a: np.ndarray,
     b: np.ndarray,
@@ -128,7 +220,7 @@ def nilpotent_sum_closure(
     lam: complex | None = None,
 ) -> bool:
     """Decide whether a + b is quasinilpotent, given that a and b are and
-    that a b = lambda * b a for some nonzero scalar.
+    that a b = lambda * b a for some nonzero scalar (target 2.2).
 
     Raises
     ------
@@ -136,19 +228,8 @@ def nilpotent_sum_closure(
         If a or b fails the quasinilpotency test, or a b is not a scalar
         multiple of b a.
     """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise ValueError(f"need square matrices of equal shape, got {a.shape} and {b.shape}")
-    if not is_quasinilpotent(a, tol):
-        raise PreconditionViolated("a is not quasinilpotent")
-    if not is_quasinilpotent(b, tol):
-        raise PreconditionViolated("b is not quasinilpotent")
-    chk = check_factor_condition(a @ b, b @ a, lam, tol, condition="a b = lambda b a")
-    if not chk.holds:
-        raise PreconditionViolated(
-            f"a b is not a scalar multiple of b a (residual {chk.residual:.3e})"
-        )
+    a, b = _pair(a, b)
+    require_hypothesis(check_pair_hypothesis(a, b, "2.2", tol, lam))
     return is_quasinilpotent(a + b, tol)
 
 
@@ -191,22 +272,10 @@ def drazin_sum_nilpotent(
     ConvergenceError
         If the series fails to terminate within 2 * dim + 2 terms.
     """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise ValueError(f"need square matrices of equal shape, got {a.shape} and {b.shape}")
-    if b_dr is None:
-        b_dr = drazin_oracle(b, tol)
+    a, b = _pair(a, b)
+    _, b_dr = _oracles("2.3", a, b, tol, b_dr=b_dr)
     if not force:
-        if not is_quasinilpotent(a, tol):
-            raise PreconditionViolated("a is not quasinilpotent")
-        chk = check_factor_condition(
-            a @ b, b @ a @ b_dr.pi, lam, tol, condition="a b = lambda b a b^pi"
-        )
-        if not chk.holds:
-            raise PreconditionViolated(
-                f"hypothesis a b = lambda b a b^pi fails (residual {chk.residual:.3e})"
-            )
+        require_hypothesis(check_pair_hypothesis(a, b, "2.3", tol, lam, b_dr=b_dr))
     dim = a.shape[0]
     tiny = tol.eps_tail * scale_of(a, b)
     m_pow = PowerCache(a + b)
@@ -230,7 +299,6 @@ def drazin_sum(
     force: bool = False,
     a_dr: DrazinResult | None = None,
     b_dr: DrazinResult | None = None,
-    check: bool = True,
 ) -> np.ndarray:
     """Drazin inverse of a + b under a b = lambda * a^pi b a b^pi.
 
@@ -258,9 +326,6 @@ def drazin_sum(
     a_dr, b_dr : DrazinResult, optional
         Precomputed inverses to use instead of the oracle. Callers with
         structural knowledge (block splittings) supply these.
-    check : bool
-        Skip the hypothesis test entirely when False; used by callers that
-        have already verified an equivalent condition.
 
     Returns
     -------
@@ -273,26 +338,10 @@ def drazin_sum(
     ConvergenceError
         If a series fails to terminate within the cap.
     """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise ValueError(f"need square matrices of equal shape, got {a.shape} and {b.shape}")
-    if a_dr is None:
-        a_dr = drazin_oracle(a, tol)
-    if b_dr is None:
-        b_dr = drazin_oracle(b, tol)
-    if check and not force:
-        chk = check_factor_condition(
-            a @ b,
-            a_dr.pi @ b @ a @ b_dr.pi,
-            lam,
-            tol,
-            condition="a b = lambda a^pi b a b^pi",
-        )
-        if not chk.holds:
-            raise PreconditionViolated(
-                f"hypothesis a b = lambda a^pi b a b^pi fails (residual {chk.residual:.3e})"
-            )
+    a, b = _pair(a, b)
+    a_dr, b_dr = _oracles("2.4", a, b, tol, a_dr, b_dr)
+    if not force:
+        require_hypothesis(check_pair_hypothesis(a, b, "2.4", tol, lam, a_dr, b_dr))
 
     dim = a.shape[0]
     tiny = tol.eps_tail * scale_of(a, b)

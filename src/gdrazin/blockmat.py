@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .additive import FactorCheck, check_factor_condition, drazin_sum
+from .additive import FactorCheck, check_factor_condition, drazin_sum, require_hypothesis
 from .drazin import DrazinResult, drazin_oracle
-from .errors import PreconditionViolated, ReconciliationError
+from .errors import ReconciliationError
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, fro_norm, scale_of
 from .series import PowerCache, series_cap, summed
 
@@ -248,20 +248,7 @@ def check_hypothesis(
         in fitted mode.
     """
     _validate(rule, lam)
-    oracles = _oracles(blocks, rule, tol, a_dr, d_dr, bc_dr)
-    return _check_hypothesis(blocks, rule, tol, lam, *oracles)
-
-
-def _check_hypothesis(
-    blocks: Block2x2,
-    rule: str,
-    tol: Tolerance,
-    lam: complex | None,
-    a_dr: DrazinResult,
-    d_dr: DrazinResult,
-    bc_dr: DrazinResult | None,
-) -> list[FactorCheck]:
-    rows = _conditions(blocks, rule, a_dr, d_dr, bc_dr)
+    rows = _conditions(blocks, rule, *_oracles(blocks, rule, tol, a_dr, d_dr, bc_dr))
     checks: list[FactorCheck] = []
     fitted: list[complex] = []
     for label, lhs, rhs, power in rows:
@@ -334,16 +321,8 @@ def block_drazin(
     _validate(rule, lam)
     oracles = _oracles(blocks, rule, tol, a_dr, d_dr, bc_dr)
     if not force:
-        _require_hypothesis(_check_hypothesis(blocks, rule, tol, lam, *oracles))
+        require_hypothesis(check_hypothesis(blocks, rule, tol, lam, *oracles))
     return _dispatch(blocks, rule, tol, *oracles)
-
-
-def _require_hypothesis(checks: list[FactorCheck]) -> None:
-    failing = [c for c in checks if not c.holds]
-    if failing:
-        raise PreconditionViolated(
-            "hypothesis fails: " + "; ".join(c.condition for c in failing)
-        )
 
 
 def _diag_dr(a_dr: DrazinResult, d_dr: DrazinResult, m: int, n: int) -> DrazinResult:
@@ -401,14 +380,14 @@ def _dispatch(
         qd = np.block([[ad, ad2 @ b], [c @ ad2, c @ ad2 @ ad @ b]])
         qpi = np.eye(m + n, dtype=complex) - q @ qd
         q_dr = DrazinResult(d=qd, pi=qpi, index=None)
-        return drazin_sum(p, q, tol=tol, check=False, a_dr=p_dr, b_dr=q_dr)
+        return drazin_sum(p, q, tol=tol, force=True, a_dr=p_dr, b_dr=q_dr)
 
     p = np.block([[blocks.a, _zero_like(m, n)], [_zero_like(n, m), blocks.d]])
     p_dr = _diag_dr(a_dr, d_dr, m, n)
     q, q_dr = _antidiag_dr(blocks, bc_dr)
     if rule in ("3.1", "3.2"):
-        return drazin_sum(q, p, tol=tol, check=False, a_dr=q_dr, b_dr=p_dr)
-    return drazin_sum(p, q, tol=tol, check=False, a_dr=p_dr, b_dr=q_dr)
+        return drazin_sum(q, p, tol=tol, force=True, a_dr=q_dr, b_dr=p_dr)
+    return drazin_sum(p, q, tol=tol, force=True, a_dr=p_dr, b_dr=q_dr)
 
 
 def closed_form_drazin(
@@ -440,7 +419,7 @@ def closed_form_drazin(
     """
     a_dr, d_dr, _ = _oracles(blocks, "4.1", tol)
     if not force:
-        _require_hypothesis(_check_hypothesis(blocks, "4.1", tol, lam, a_dr, d_dr, None))
+        require_hypothesis(check_hypothesis(blocks, "4.1", tol, lam, a_dr, d_dr))
 
     a, b, c, d = blocks.a, blocks.b, blocks.c, blocks.d
     m, n = blocks.dims

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .additive import FactorCheck, check_factor_condition
+from .additive import PAIR_TARGETS, FactorCheck, check_pair_hypothesis, pair_oracles
 from .blockmat import RULE_IDS, Block2x2, block_oracles, check_hypothesis
-from .drazin import DrazinResult, drazin_oracle, nilpotency_residual
+from .drazin import DrazinResult
 from .errors import AxiomViolation, GenerationFailed
 from .linalg import DEFAULT_TOL, Tolerance
 
@@ -42,7 +42,6 @@ __all__ = [
     "preset",
 ]
 
-PAIR_TARGETS = ("2.2", "2.3", "2.4")
 BLOCK_TARGETS = RULE_IDS
 TARGETS = PAIR_TARGETS + BLOCK_TARGETS
 
@@ -111,8 +110,7 @@ class GeneratedCase:
     def blocks(self) -> Block2x2:
         if self.kind != "block":
             raise ValueError("not a block instance")
-        m = self.matrices
-        return Block2x2(a=m["a"], b=m["b"], c=m["c"], d=m["d"])
+        return Block2x2(**self.matrices)
 
 
 PRESET_SPECS: dict[str, CaseSpec] = {
@@ -438,39 +436,19 @@ def _rng_clone(rng: np.random.Generator) -> np.random.Generator:
 
 # ------------------------------------------------------------- certificates
 
-def _qnil_row(name: str, m: np.ndarray, tol: Tolerance) -> FactorCheck:
-    residual = nilpotency_residual(m)
-    return FactorCheck(
-        condition=f"{name} is quasinilpotent",
-        holds=residual <= tol.eps_check,
-        lam=None,
-        residual=residual,
-        degenerate=False,
-    )
-
-
 def oracle_data(
     kind: str,
     target: str,
     mats: dict[str, np.ndarray],
     tol: Tolerance = DEFAULT_TOL,
 ) -> dict[str, DrazinResult | None]:
-    """Oracle results of every matrix whose Drazin data the target's
-    conditions and formula read, each computed once.
-
-    Keys are the keyword parameters of the target's formula: "b_dr" for
-    2.3, "a_dr" and "b_dr" for 2.4, none for 2.2, and block_oracles' keys
-    for the block rules. Hand the result to ``certify`` and then to the
-    formula, so neither runs the oracle again.
+    """pair_oracles or block_oracles of the target: the oracle data its
+    conditions and formula read, keyed by the formula's parameters. Hand it
+    to ``certify`` and then to the formula, so neither runs the oracle again.
     """
     if kind == "block":
-        blocks = Block2x2(a=mats["a"], b=mats["b"], c=mats["c"], d=mats["d"])
-        return block_oracles(blocks, target, tol)
-    if target == "2.2":
-        return {}
-    if target == "2.3":
-        return {"b_dr": drazin_oracle(mats["b"], tol)}
-    return {"a_dr": drazin_oracle(mats["a"], tol), "b_dr": drazin_oracle(mats["b"], tol)}
+        return block_oracles(Block2x2(**mats), target, tol)
+    return pair_oracles(target, mats["a"], mats["b"], tol)
 
 
 def certify(
@@ -481,44 +459,19 @@ def certify(
     tol: Tolerance = DEFAULT_TOL,
     oracles: dict[str, DrazinResult | None] | None = None,
 ) -> tuple[FactorCheck, ...]:
-    """Every hypothesis condition of a target, checked on explicit matrices.
+    """Every hypothesis condition of a target, checked on explicit matrices
+    by check_pair_hypothesis ("pair" kind, matrices {"a", "b"}) or
+    check_hypothesis ("block", {"a", "b", "c", "d"}).
 
-    ``kind`` is "pair" (matrices {"a", "b"}) or "block" ({"a", "b", "c",
-    "d"}). ``lam`` fixes the scalar; None fits it per condition. ``oracles``
-    is the result of ``oracle_data`` on the same matrices; None computes it.
-    This is the same check the generator certificates and the command-line
-    entry points use, so a certificate can be reproduced from the saved
-    matrices alone.
+    ``lam`` fixes the scalar; None fits it per condition. ``oracles`` is the
+    result of ``oracle_data`` on the same matrices; None computes it. The
+    generator certificates and the command line use this same check, so a
+    certificate can be reproduced from the saved matrices alone.
     """
-    if oracles is None:
-        oracles = oracle_data(kind, target, mats, tol)
+    oracles = oracles or {}
     if kind == "block":
-        blocks = Block2x2(a=mats["a"], b=mats["b"], c=mats["c"], d=mats["d"])
-        return tuple(check_hypothesis(blocks, target, tol, lam, **oracles))
-    a, b = mats["a"], mats["b"]
-    rows: list[FactorCheck] = []
-    if target == "2.2":
-        rows.append(_qnil_row("a", a, tol))
-        rows.append(_qnil_row("b", b, tol))
-        rows.append(check_factor_condition(a @ b, b @ a, lam, tol, condition="a b = lambda b a"))
-    elif target == "2.3":
-        b_pi = oracles["b_dr"].pi
-        rows.append(_qnil_row("a", a, tol))
-        rows.append(
-            check_factor_condition(a @ b, b @ a @ b_pi, lam, tol, condition="a b = lambda b a b^pi")
-        )
-    else:  # 2.4
-        a_dr, b_dr = oracles["a_dr"], oracles["b_dr"]
-        rows.append(
-            check_factor_condition(
-                a @ b,
-                a_dr.pi @ b @ a @ b_dr.pi,
-                lam,
-                tol,
-                condition="a b = lambda a^pi b a b^pi",
-            )
-        )
-    return tuple(rows)
+        return tuple(check_hypothesis(Block2x2(**mats), target, tol, lam, **oracles))
+    return tuple(check_pair_hypothesis(mats["a"], mats["b"], target, tol, lam, **oracles))
 
 
 # ---------------------------------------------------------------- generate

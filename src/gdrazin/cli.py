@@ -23,14 +23,15 @@ import os
 import re
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .additive import drazin_sum, drazin_sum_nilpotent, nilpotent_sum_closure
+from .additive import PAIR_TARGETS, FactorCheck, drazin_sum, drazin_sum_nilpotent
 from .blockmat import RULE_IDS, Block2x2, assemble, block_drazin
 from .casegen import PRESET_SPECS, TARGETS, CaseSpec, certify, generate, oracle_data
-from .drazin import check_drazin_axioms, drazin_oracle
+from .drazin import AxiomReport, DrazinResult, check_drazin_axioms, drazin_oracle, is_quasinilpotent
 from .errors import (
     AxiomViolation,
     ConvergenceError,
@@ -115,35 +116,20 @@ def _emit(report: dict, out: str | None) -> None:
         print(text)
 
 
+_REPORT_FIELDS = (
+    "theorem", "lambda", "conditions", "result", "oracle", "axiom_residuals", "match", "error", "wall_ms"
+)
+
+
 def _report(command: str, **fields) -> dict:
-    base = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "theorem": None,
-        "lambda": None,
-        "conditions": None,
-        "result": None,
-        "oracle": None,
-        "axiom_residuals": None,
-        "match": None,
-        "error": None,
-        "wall_ms": None,
-    }
+    """A report with every common field, None where ``fields`` gives none."""
+    base = {"schema_version": SCHEMA_VERSION, "command": command, **dict.fromkeys(_REPORT_FIELDS)}
     base.update(fields)
     return base
 
 
-def _conditions_doc(conditions) -> list:
-    return [factor_check_to_doc(c) for c in conditions]
-
-
-def _lambda_doc(lam, conditions) -> list | None:
-    if lam is not None:
-        return complex_to_doc(lam)
-    for c in conditions:
-        if c.lam is not None:
-            return complex_to_doc(c.lam)
-    return None
+def _axioms_doc(axioms: AxiomReport) -> dict:
+    return {"solution": axioms.solution, "commute": axioms.commute, "power": axioms.power}
 
 
 def cmd_drazin(args, parser) -> int:
@@ -162,11 +148,7 @@ def cmd_drazin(args, parser) -> int:
         result=matrix_to_doc(res.d),
         pi=matrix_to_doc(res.pi),
         index=res.index,
-        axiom_residuals={
-            "solution": axioms.solution,
-            "commute": axioms.commute,
-            "power": axioms.power,
-        },
+        axiom_residuals=_axioms_doc(axioms),
         match=bool(axioms.ok),
         wall_ms=(time.perf_counter() - t0) * 1e3,
     )
@@ -174,88 +156,92 @@ def cmd_drazin(args, parser) -> int:
     return EXIT_OK if axioms.ok else EXIT_MISMATCH
 
 
-def _formula(kind: str, target: str, mats: dict, lam, tol, oracles: dict):
-    """(formula output, the matrix it inverts) for a sum or block target,
-    evaluated without the hypothesis check, on the oracle data of
-    ``oracle_data``."""
-    if kind == "block":
-        blocks = Block2x2(**mats)
-        x = block_drazin(blocks, target, tol, lam=lam, force=True, **oracles)
-        return x, assemble(blocks)
-    a, b = mats["a"], mats["b"]
-    if target == "2.3":
-        return drazin_sum_nilpotent(a, b, tol, lam=lam, force=True, **oracles), a + b
-    return drazin_sum(a, b, tol, lam=lam, force=True, **oracles), a + b
+@dataclass
+class _Outcome:
+    """What _evaluate found; the fields past ``failing`` stay None where it stopped."""
+
+    conditions: tuple[FactorCheck, ...]
+    failing: list[FactorCheck]
+    closed: bool | None = None
+    formula: np.ndarray | None = None
+    m: np.ndarray | None = None
+    oracle: DrazinResult | None = None
+    gap: float | None = None
+    bound: float | None = None
+    error: str | None = None
 
 
-def _solve(command: str, kind: str, mats: dict, args, tol: Tolerance, t0: float) -> int:
-    """Shared body of ``sum`` and ``block``: conditions, formula, oracle,
-    gap and axioms, with each Drazin datum computed once."""
-    oracles = oracle_data(kind, args.theorem, mats, tol)
-    conditions = certify(kind, args.theorem, mats, args.lam, tol, oracles)
-    report = _report(
-        command,
-        theorem=args.theorem,
-        conditions=_conditions_doc(conditions),
-        **{"lambda": _lambda_doc(args.lam, conditions)},
-    )
-    failing = [c for c in conditions if not c.holds]
-    if failing and not args.force:
-        report["error"] = "precondition violated: " + "; ".join(c.condition for c in failing)
-        report["wall_ms"] = (time.perf_counter() - t0) * 1e3
-        _emit(report, args.out)
-        return EXIT_PRECONDITION
-
+def _evaluate(kind: str, target: str, mats: dict, lam, tol: Tolerance, force: bool) -> _Outcome:
+    """Conditions, then closure (2.2) or formula, oracle and gap, with the
+    oracle data of ``oracle_data`` fed to both the conditions and the formula."""
+    oracles = oracle_data(kind, target, mats, tol)
+    conditions = certify(kind, target, mats, lam, tol, oracles)
+    out = _Outcome(conditions, [c for c in conditions if not c.holds])
+    if out.failing and not force:
+        return out
+    if target == "2.2":
+        # certify has checked every condition of the closure theorem
+        out.closed = not out.failing and is_quasinilpotent(mats["a"] + mats["b"], tol)
+        return out
     try:
-        if args.theorem == "2.2":
-            closed = nilpotent_sum_closure(mats["a"], mats["b"], tol, lam=args.lam) if not failing else False
-            report["match"] = bool(closed)
-            report["wall_ms"] = (time.perf_counter() - t0) * 1e3
-            _emit(report, args.out)
-            return EXIT_OK if closed else EXIT_MISMATCH
-        formula, m = _formula(kind, args.theorem, mats, args.lam, tol, oracles)
-        oracle = drazin_oracle(m, tol)
+        if kind == "block":
+            blocks = Block2x2(**mats)
+            out.formula = block_drazin(blocks, target, tol, lam=lam, force=True, **oracles)
+            out.m = assemble(blocks)
+        else:
+            sum_formula = drazin_sum_nilpotent if target == "2.3" else drazin_sum
+            out.formula = sum_formula(mats["a"], mats["b"], tol, lam=lam, force=True, **oracles)
+            out.m = mats["a"] + mats["b"]
+        out.oracle = drazin_oracle(out.m, tol)
     except (ConvergenceError, AxiomViolation) as exc:
-        report["error"] = str(exc)
-        report["wall_ms"] = (time.perf_counter() - t0) * 1e3
-        _emit(report, args.out)
-        return EXIT_MISMATCH
+        out.error = str(exc)
+        return out
+    out.gap = fro_norm(out.formula - out.oracle.d)
+    out.bound = tol.eps_match * scale_of(*mats.values())
+    return out
 
-    gap = fro_norm(formula - oracle.d)
-    scale = scale_of(*mats.values())
-    axioms = check_drazin_axioms(m, formula, tol, index=oracle.index)
-    ok = gap <= tol.eps_match * scale and axioms.ok
-    report.update(
-        result=matrix_to_doc(formula),
-        oracle=matrix_to_doc(oracle.d),
-        oracle_gap=gap,
-        axiom_residuals={
-            "solution": axioms.solution,
-            "commute": axioms.commute,
-            "power": axioms.power,
-        },
-        match=bool(ok),
-        wall_ms=(time.perf_counter() - t0) * 1e3,
+
+def cmd_solve(args, parser) -> int:
+    """``sum`` and ``block``: _evaluate, plus the axiom check of the formula."""
+    tol = _tol_from_args(parser, args)
+    t0 = time.perf_counter()
+    mats = {name: load_matrix(getattr(args, name)) for name in args.names}
+    if args.kind == "block":
+        try:
+            Block2x2(**mats)
+        except ValueError as exc:  # blocks of mismatched shapes
+            raise DocumentError(str(exc)) from exc
+    out = _evaluate(args.kind, args.theorem, mats, args.lam, tol, args.force)
+    fitted = next((c.lam for c in out.conditions if c.lam is not None), None)
+    report = _report(
+        args.command,
+        theorem=args.theorem,
+        conditions=[factor_check_to_doc(c) for c in out.conditions],
+        **{"lambda": complex_to_doc(fitted if args.lam is None else args.lam)},
     )
+    if out.failing and not args.force:
+        report["error"] = "precondition violated: " + "; ".join(c.condition for c in out.failing)
+        code = EXIT_PRECONDITION
+    elif out.closed is not None:
+        report["match"] = out.closed
+        code = EXIT_OK if out.closed else EXIT_MISMATCH
+    elif out.error is not None:
+        report["error"] = out.error
+        code = EXIT_MISMATCH
+    else:
+        axioms = check_drazin_axioms(out.m, out.formula, tol, index=out.oracle.index)
+        ok = out.gap <= out.bound and axioms.ok
+        report.update(
+            result=matrix_to_doc(out.formula),
+            oracle=matrix_to_doc(out.oracle.d),
+            oracle_gap=out.gap,
+            axiom_residuals=_axioms_doc(axioms),
+            match=bool(ok),
+        )
+        code = EXIT_OK if ok else EXIT_MISMATCH
+    report["wall_ms"] = (time.perf_counter() - t0) * 1e3
     _emit(report, args.out)
-    return EXIT_OK if ok else EXIT_MISMATCH
-
-
-def cmd_sum(args, parser) -> int:
-    tol = _tol_from_args(parser, args)
-    t0 = time.perf_counter()
-    mats = {"a": load_matrix(args.a), "b": load_matrix(args.b)}
-    return _solve("sum", "pair", mats, args, tol, t0)
-
-
-def cmd_block(args, parser) -> int:
-    tol = _tol_from_args(parser, args)
-    t0 = time.perf_counter()
-    blocks = Block2x2(
-        a=load_matrix(args.a), b=load_matrix(args.b), c=load_matrix(args.c), d=load_matrix(args.d)
-    )
-    mats = {"a": blocks.a, "b": blocks.b, "c": blocks.c, "d": blocks.d}
-    return _solve("block", "block", mats, args, tol, t0)
+    return code
 
 
 def cmd_gen(args, parser) -> int:
@@ -292,31 +278,21 @@ def cmd_gen(args, parser) -> int:
 def _verify_one(manifest: dict, matrices: dict, tol: Tolerance) -> tuple[bool, str]:
     """Contract check for one instance: valid instances must evaluate and
     match the oracle; negated instances must trip the precondition."""
-    target = manifest["target"]
-    kind = manifest["kind"]
-    negate = bool(manifest.get("negate", False))
     lam = doc_to_complex(manifest.get("lambda"))
-    oracles = oracle_data(kind, target, matrices, tol)
-    conditions = certify(kind, target, matrices, lam, tol, oracles)
-    failing = [c for c in conditions if not c.holds]
-
-    if negate:
-        if not failing:
+    out = _evaluate(manifest["kind"], manifest["target"], matrices, lam, tol, force=False)
+    if manifest.get("negate", False):
+        if not out.failing:
             return False, "negated instance was accepted (no condition failed)"
-        return True, f"precondition tripped: {failing[0].condition}"
-
-    if failing:
-        return False, "valid instance rejected: " + "; ".join(c.condition for c in failing)
-    if target == "2.2":
-        ok = nilpotent_sum_closure(matrices["a"], matrices["b"], tol, lam=lam)
-        return (ok, "closure holds" if ok else "closure failed")
-    formula, m = _formula(kind, target, matrices, lam, tol, oracles)
-    scale = scale_of(*matrices.values())
-    oracle = drazin_oracle(m, tol)
-    gap = fro_norm(formula - oracle.d)
-    if gap > tol.eps_match * scale:
-        return False, f"formula/oracle gap {gap:.3e} exceeds {tol.eps_match * scale:.3e}"
-    return True, f"match (gap {gap:.3e})"
+        return True, f"precondition tripped: {out.failing[0].condition}"
+    if out.failing:
+        return False, "valid instance rejected: " + "; ".join(c.condition for c in out.failing)
+    if out.closed is not None:
+        return out.closed, "closure holds" if out.closed else "closure failed"
+    if out.error is not None:
+        return False, out.error
+    if out.gap > out.bound:
+        return False, f"formula/oracle gap {out.gap:.3e} exceeds {out.bound:.3e}"
+    return True, f"match (gap {out.gap:.3e})"
 
 
 def cmd_verify(args, parser) -> int:
@@ -333,16 +309,13 @@ def cmd_verify(args, parser) -> int:
         raise DocumentError(f"no instances under {root}")
 
     rows = []
-    all_ok = True
     for d in dirs:
         manifest, matrices = load_instance(d)
         if args.theorem and manifest["target"] != args.theorem:
             continue
         try:
             ok, detail = _verify_one(manifest, matrices, tol)
-        except PreconditionViolated as exc:
-            ok, detail = bool(manifest.get("negate")), f"precondition tripped: {exc}"
-        except (ConvergenceError, AxiomViolation) as exc:
+        except AxiomViolation as exc:  # from the oracle run on an operand
             ok, detail = False, str(exc)
         rows.append(
             {
@@ -353,9 +326,9 @@ def cmd_verify(args, parser) -> int:
                 "detail": detail,
             }
         )
-        all_ok = all_ok and ok
     if not rows:
         raise DocumentError(f"no instances under {root} match theorem {args.theorem}")
+    all_ok = all(row["ok"] for row in rows)
 
     report = _report(
         "verify",
@@ -378,27 +351,20 @@ def build_parser() -> _Parser:
     _add_tol_flags(p)
     p.set_defaults(func=cmd_drazin)
 
-    p = sub.add_parser("sum", help="additive formulas for a + b")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--theorem", required=True, choices=["2.2", "2.3", "2.4"])
-    p.add_argument("--lambda", dest="lam", type=parse_scalar, default=None, metavar="L",
-                   help="scalar (complex, fraction, or 'auto'); default auto")
-    p.add_argument("--force", action="store_true", help="evaluate even if the hypothesis fails")
-    p.add_argument("--out", default=None)
-    _add_tol_flags(p)
-    p.set_defaults(func=cmd_sum)
-
-    p = sub.add_parser("block", help="block-matrix formulas for [[A,B],[C,D]]")
-    for name in ("a", "b", "c", "d"):
-        p.add_argument(name)
-    p.add_argument("--theorem", required=True, choices=list(RULE_IDS))
-    p.add_argument("--lambda", dest="lam", type=parse_scalar, default=None, metavar="L",
-                   help="scalar (complex, fraction, or 'auto'); default auto")
-    p.add_argument("--force", action="store_true", help="evaluate even if the hypothesis fails")
-    p.add_argument("--out", default=None)
-    _add_tol_flags(p)
-    p.set_defaults(func=cmd_block)
+    for command, kind, names, theorems, text in (
+        ("sum", "pair", ("a", "b"), PAIR_TARGETS, "additive formulas for a + b"),
+        ("block", "block", ("a", "b", "c", "d"), RULE_IDS, "block-matrix formulas for [[A,B],[C,D]]"),
+    ):
+        p = sub.add_parser(command, help=text)
+        for name in names:
+            p.add_argument(name)
+        p.add_argument("--theorem", required=True, choices=list(theorems))
+        p.add_argument("--lambda", dest="lam", type=parse_scalar, default=None, metavar="L",
+                       help="scalar (complex, fraction, or 'auto'); default auto")
+        p.add_argument("--force", action="store_true", help="evaluate even if the hypothesis fails")
+        p.add_argument("--out", default=None)
+        _add_tol_flags(p)
+        p.set_defaults(func=cmd_solve, kind=kind, names=names)
 
     p = sub.add_parser("gen", help="write a generated instance directory")
     p.add_argument("--target", choices=list(TARGETS), default=None)
@@ -436,16 +402,13 @@ def main(argv=None) -> int:
     except DocumentError as exc:
         print(f"gdz: {exc}", file=sys.stderr)
         return EXIT_IO
-    except GenerationFailed as exc:
-        print(f"gdz: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except PreconditionViolated as exc:
         print(f"gdz: precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (ConvergenceError, AxiomViolation, ReconciliationError) as exc:
         print(f"gdz: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except ValueError as exc:
+    except (GenerationFailed, ValueError) as exc:
         print(f"gdz: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .additive import FactorCheck
-from .casegen import CaseSpec, GeneratedCase
+from .casegen import GeneratedCase
 from .errors import GDrazinError
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "parse_scalar",
     "save_instance",
     "load_instance",
-    "spec_from_manifest",
 ]
 
 SCHEMA_VERSION = 1
@@ -98,8 +97,8 @@ def _is_number(x) -> bool:
 
 def _read_json(path: Path):
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")  # JSON text is UTF-8 (RFC 8259)
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
@@ -218,14 +217,3 @@ def load_instance(directory) -> tuple[dict, dict[str, np.ndarray]]:
         raise DocumentError(f"{mpath}: files must map exactly {sorted(expected)}")
     matrices = {name: load_matrix(d / fname) for name, fname in files.items()}
     return manifest, matrices
-
-
-def spec_from_manifest(manifest: dict) -> CaseSpec:
-    lam = doc_to_complex(manifest.get("lambda"))
-    return CaseSpec(
-        target=manifest["target"],
-        dim=int(manifest["dim"]),
-        lam=lam if lam is not None else 1.0,
-        seed=int(manifest.get("seed", 0)),
-        negate=bool(manifest.get("negate", False)),
-    )

@@ -1,4 +1,4 @@
-"""Dense complex-matrix primitives: powers, rank, pseudoinverse, norms.
+"""Dense complex-matrix primitives: coercion, powers, norms.
 
 All matrices are 2-D numpy arrays of complex128. ``as_matrix`` is the single
 entry point that coerces and validates; everything downstream assumes its
@@ -14,8 +14,6 @@ __all__ = [
     "DEFAULT_TOL",
     "as_matrix",
     "mat_power",
-    "rank",
-    "pseudo_inverse",
     "fro_norm",
     "scale_of",
 ]
@@ -79,23 +77,3 @@ def scale_of(*mats) -> float:
         s = max(s, float(np.linalg.norm(m)))
     return s
 
-
-def rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Numerical rank: singular values above eps_rank * sigma_max."""
-    a = as_matrix(a)
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sv > tol.eps_rank * sv[0]))
-
-
-def pseudo_inverse(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via SVD with relative cutoff eps_rank."""
-    a = as_matrix(a)
-    u, sv, vh = np.linalg.svd(a, full_matrices=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return np.zeros((a.shape[1], a.shape[0]), dtype=complex)
-    keep = sv > tol.eps_rank * sv[0]
-    inv = np.zeros_like(sv)
-    inv[keep] = 1.0 / sv[keep]
-    return (vh.conj().T * inv) @ u.conj().T

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from gdrazin import (
+    PAIR_TARGETS,
     CaseSpec,
     ConvergenceError,
     PreconditionViolated,
+    certify,
     check_drazin_axioms,
     check_factor_condition,
     drazin_oracle,
@@ -16,8 +18,12 @@ from gdrazin import (
     nilpotent_sum_closure,
     preset,
 )
+from gdrazin.additive import check_pair_hypothesis, pair_oracles
 
 LAMBDAS = (0.5, 3.0, 1j, -2.0)
+
+# The public entry point that refuses on each pair target's hypothesis.
+PAIR_FORMULAS = {"2.2": nilpotent_sum_closure, "2.3": drazin_sum_nilpotent, "2.4": drazin_sum}
 
 
 class TestFactorCheck:
@@ -72,6 +78,44 @@ class TestFactorCheck:
         rhs = api @ b @ a @ bpi
         assert check_factor_condition(a @ b, rhs, given_lambda=0.5).holds
         assert not check_factor_condition(a @ b, rhs, given_lambda=1.0).holds
+
+
+class TestPairHypothesisTable:
+    @pytest.mark.parametrize(
+        "target,labels",
+        [
+            ("2.2", ["a is quasinilpotent", "b is quasinilpotent", "a b = lambda b a"]),
+            ("2.3", ["a is quasinilpotent", "a b = lambda b a b^pi"]),
+            ("2.4", ["a b = lambda a^pi b a b^pi"]),
+        ],
+    )
+    def test_labels_in_catalog_order(self, target, labels):
+        case = generate(CaseSpec(target=target, dim=5, lam=3.0, seed=0))
+        checks = check_pair_hypothesis(*case.pair, target, lam=3.0)
+        assert [c.condition for c in checks] == labels
+        assert all(c.holds for c in checks)
+
+    @pytest.mark.parametrize("target", PAIR_TARGETS)
+    def test_oracle_data_is_reused_and_changes_nothing(self, target):
+        case = generate(CaseSpec(target=target, dim=5, lam=1j, seed=1, negate=True))
+        oracles = pair_oracles(target, *case.pair)
+        assert set(oracles) == {"2.2": set(), "2.3": {"b_dr"}, "2.4": {"a_dr", "b_dr"}}[target]
+        given = check_pair_hypothesis(*case.pair, target, lam=1j, **oracles)
+        assert given == check_pair_hypothesis(*case.pair, target, lam=1j)
+        assert tuple(given) == certify("pair", target, case.matrices, 1j)
+
+    def test_unknown_target(self):
+        with pytest.raises(ValueError, match="unknown pair target"):
+            check_pair_hypothesis(np.eye(2), np.eye(2), "3.1")
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    @pytest.mark.parametrize("target", PAIR_TARGETS)
+    def test_negated_instance_is_refused_with_named_condition(self, target, lam, seed):
+        case = generate(CaseSpec(target=target, dim=5, lam=lam, seed=seed, negate=True))
+        with pytest.raises(PreconditionViolated) as err:
+            PAIR_FORMULAS[target](*case.pair, lam=lam)
+        assert case.broken in str(err.value)
 
 
 class TestNilpotentClosure:

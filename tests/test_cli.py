@@ -85,6 +85,12 @@ class TestDrazinCommand:
         code, _ = run(["drazin", str(tmp_path / "nope.json")], capsys)
         assert code == EXIT_IO
 
+    def test_non_utf8_file_exits_io(self, tmp_path, capsys):
+        m = tmp_path / "m.json"
+        m.write_bytes(b"\xff\xfe{\x00}\x00")
+        assert main(["drazin", str(m)]) == EXIT_IO
+        assert "cannot read" in capsys.readouterr().err
+
 
 class TestSumCommand:
     def test_match_with_given_lambda(self, pair_files, capsys):
@@ -154,6 +160,15 @@ class TestBlockCommand:
         )
         assert code == EXIT_PRECONDITION
         assert case.broken in doc["error"]
+
+    def test_mismatched_block_shapes_exit_io(self, tmp_path, capsys):
+        paths = []
+        for name, n in (("a", 2), ("b", 2), ("c", 3), ("d", 2)):
+            paths.append(str(tmp_path / f"{name}.json"))
+            save_matrix(paths[-1], np.eye(n, dtype=complex))
+        assert main(["block", *paths, "--theorem", "4.3"]) == EXIT_IO
+        out = capsys.readouterr()
+        assert out.out == "" and "off-diagonal blocks" in out.err
 
     def test_forced_failing_output_is_flagged(self, tmp_path, capsys):
         # this negated instance evaluates to a matrix that fails the axiom
