@@ -23,6 +23,7 @@ __all__ = [
     "PAIR_TARGETS",
     "FactorCheck",
     "check_factor_condition",
+    "square_pair",
     "pair_oracles",
     "check_pair_hypothesis",
     "require_hypothesis",
@@ -128,7 +129,8 @@ def check_factor_condition(
     return FactorCheck(condition, holds, lam, residual, False)
 
 
-def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+def square_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) as complex matrices; ValueError unless both are square of one shape."""
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
@@ -157,7 +159,7 @@ def pair_oracles(
     """Oracle data that the conditions and the formula of ``target`` read,
     keyed by their parameter names: none for 2.2, "b_dr" for 2.3, "a_dr" and
     "b_dr" for 2.4. Hand it to both, so each matrix sees the oracle once."""
-    oracles = zip(("a_dr", "b_dr"), _oracles(target, *_pair(a, b), tol))
+    oracles = zip(("a_dr", "b_dr"), _oracles(target, *square_pair(a, b), tol))
     return {key: dr for key, dr in oracles if dr is not None}
 
 
@@ -188,7 +190,7 @@ def check_pair_hypothesis(
     it. ``a_dr``/``b_dr`` are oracle data as pair_oracles returns it, used
     instead of running the oracle. A quasinilpotency row carries no scalar;
     its residual is nilpotency_residual of the operand."""
-    a, b = _pair(a, b)
+    a, b = square_pair(a, b)
     checks = []
     for label, lhs, rhs in _conditions(target, a, b, *_oracles(target, a, b, tol, a_dr, b_dr)):
         if rhs is None:
@@ -228,7 +230,7 @@ def nilpotent_sum_closure(
         If a or b fails the quasinilpotency test, or a b is not a scalar
         multiple of b a.
     """
-    a, b = _pair(a, b)
+    a, b = square_pair(a, b)
     require_hypothesis(check_pair_hypothesis(a, b, "2.2", tol, lam))
     return is_quasinilpotent(a + b, tol)
 
@@ -272,7 +274,7 @@ def drazin_sum_nilpotent(
     ConvergenceError
         If the series fails to terminate within 2 * dim + 2 terms.
     """
-    a, b = _pair(a, b)
+    a, b = square_pair(a, b)
     _, b_dr = _oracles("2.3", a, b, tol, b_dr=b_dr)
     if not force:
         require_hypothesis(check_pair_hypothesis(a, b, "2.3", tol, lam, b_dr=b_dr))
@@ -338,7 +340,7 @@ def drazin_sum(
     ConvergenceError
         If a series fails to terminate within the cap.
     """
-    a, b = _pair(a, b)
+    a, b = square_pair(a, b)
     a_dr, b_dr = _oracles("2.4", a, b, tol, a_dr, b_dr)
     if not force:
         require_hypothesis(check_pair_hypothesis(a, b, "2.4", tol, lam, a_dr, b_dr))

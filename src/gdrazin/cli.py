@@ -42,6 +42,7 @@ from .errors import (
 from .io import (
     SCHEMA_VERSION,
     DocumentError,
+    check_shapes,
     complex_to_doc,
     doc_to_complex,
     factor_check_to_doc,
@@ -205,12 +206,10 @@ def cmd_solve(args, parser) -> int:
     """``sum`` and ``block``: _evaluate, plus the axiom check of the formula."""
     tol = _tol_from_args(parser, args)
     t0 = time.perf_counter()
+    if args.lam == 0:
+        parser.error("lambda must be nonzero")
     mats = {name: load_matrix(getattr(args, name)) for name in args.names}
-    if args.kind == "block":
-        try:
-            Block2x2(**mats)
-        except ValueError as exc:  # blocks of mismatched shapes
-            raise DocumentError(str(exc)) from exc
+    check_shapes(args.kind, mats)
     out = _evaluate(args.kind, args.theorem, mats, args.lam, tol, args.force)
     fitted = next((c.lam for c in out.conditions if c.lam is not None), None)
     report = _report(

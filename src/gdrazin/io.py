@@ -12,11 +12,13 @@ verification certificate.
 
 import json
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .additive import FactorCheck
+from .additive import FactorCheck, square_pair
+from .blockmat import Block2x2
 from .casegen import GeneratedCase
 from .errors import GDrazinError
 
@@ -27,6 +29,7 @@ __all__ = [
     "doc_to_matrix",
     "save_matrix",
     "load_matrix",
+    "check_shapes",
     "complex_to_doc",
     "doc_to_complex",
     "factor_check_to_doc",
@@ -47,11 +50,11 @@ def matrix_to_doc(m: np.ndarray) -> dict:
     if m.ndim != 2:
         raise ValueError(f"need a 2-D array, got ndim {m.ndim}")
     rows, cols = m.shape
-    flat = m.reshape(-1)
+    flat = m.reshape(-1)  # row-major whatever the memory layout of m
     return {
         "rows": int(rows),
         "cols": int(cols),
-        "data": [[float(z.real), float(z.imag)] for z in flat],
+        "data": np.stack((flat.real, flat.imag), axis=1).tolist(),
     }
 
 
@@ -77,22 +80,48 @@ def doc_to_matrix(doc) -> np.ndarray:
             f"data must list rows*cols = {rows * cols} entries, got "
             f"{len(data) if isinstance(data, list) else type(data).__name__}"
         )
-    out = np.empty(rows * cols, dtype=complex)
+    flat = _decode_pairs(data)
+    if flat is None:
+        raise _entry_error(data)
+    return flat.view(complex).reshape(rows, cols)
+
+
+def _decode_pairs(data: list) -> np.ndarray | None:
+    """The [re, im] pairs of ``data`` as one float array, checked on the whole
+    list at once; None when some entry is malformed, out of range or not
+    finite. Types are tested as a set with issubclass, so a subclass passes
+    exactly when isinstance lets it (np.float64 does, np.int64 does not)."""
+    if not all(issubclass(t, list) for t in set(map(type, data))) or set(map(len, data)) - {2}:
+        return None
+    if not all(map(_is_number_type, set(map(type, chain.from_iterable(data))))):
+        return None
     try:
-        for i, entry in enumerate(data):
-            if not isinstance(entry, list) or len(entry) != 2 or not all(map(_is_number, entry)):
-                raise DocumentError(f"entry {i} must be a [re, im] pair of numbers, got {entry!r}")
-            if not (math.isfinite(entry[0]) and math.isfinite(entry[1])):
-                raise DocumentError(f"entry {i} is not finite: {entry!r}")
-            out[i] = complex(entry[0], entry[1])
+        flat = np.fromiter(chain.from_iterable(data), dtype=float, count=2 * len(data))
     except OverflowError:  # an integer too large for a float
-        raise DocumentError(f"entry {i} is out of the floating-point range") from None
-    return out.reshape(rows, cols)
+        return None
+    return flat if np.isfinite(flat).all() else None
+
+
+def _entry_error(data: list) -> DocumentError:
+    """The error naming the first entry of ``data`` that _decode_pairs refuses."""
+    for i, entry in enumerate(data):
+        if not isinstance(entry, list) or len(entry) != 2 or not all(map(_is_number, entry)):
+            return DocumentError(f"entry {i} must be a [re, im] pair of numbers, got {entry!r}")
+        try:
+            if not (math.isfinite(entry[0]) and math.isfinite(entry[1])):
+                return DocumentError(f"entry {i} is not finite: {entry!r}")
+        except OverflowError:  # an integer too large for a float
+            return DocumentError(f"entry {i} is out of the floating-point range")
+    return DocumentError("data holds an entry that does not convert to a float")
+
+
+def _is_number_type(t: type) -> bool:
+    # bool is an int subclass; JSON true/false must not pass as numbers
+    return issubclass(t, (int, float)) and not issubclass(t, bool)
 
 
 def _is_number(x) -> bool:
-    # bool is an int subclass; JSON true/false must not pass as numbers
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    return _is_number_type(type(x))
 
 
 def _read_json(path: Path):
@@ -121,6 +150,19 @@ def load_matrix(path) -> np.ndarray:
         return doc_to_matrix(doc)
     except DocumentError as exc:
         raise DocumentError(f"{p}: {exc}") from exc
+
+
+def check_shapes(kind: str, mats: dict[str, np.ndarray]) -> None:
+    """Raise DocumentError unless ``mats`` fit together as the operands of
+    ``kind``: two square matrices of one shape ("pair"), or the blocks of a
+    2x2 block matrix ("block")."""
+    try:
+        if kind == "block":
+            Block2x2(**mats)
+        else:
+            square_pair(mats["a"], mats["b"])
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from exc
 
 
 def complex_to_doc(z: complex | None):
@@ -216,4 +258,8 @@ def load_instance(directory) -> tuple[dict, dict[str, np.ndarray]]:
     if not isinstance(files, dict) or set(files) != expected:
         raise DocumentError(f"{mpath}: files must map exactly {sorted(expected)}")
     matrices = {name: load_matrix(d / fname) for name, fname in files.items()}
+    try:
+        check_shapes(kind, matrices)
+    except DocumentError as exc:
+        raise DocumentError(f"{d}: {exc}") from exc
     return manifest, matrices

@@ -138,6 +138,17 @@ class TestSumCommand:
         assert doc["result"] is None  # closure is a yes/no claim
 
 
+    @pytest.mark.parametrize("shapes", [((2, 2), (3, 3)), ((2, 3), (2, 3))])
+    def test_unfit_operand_shapes_exit_io(self, shapes, tmp_path, capsys):
+        paths = []
+        for name, shape in zip("ab", shapes):
+            paths.append(str(tmp_path / f"{name}.json"))
+            save_matrix(paths[-1], np.ones(shape, dtype=complex))
+        assert main(["sum", *paths, "--theorem", "2.4"]) == EXIT_IO
+        out = capsys.readouterr()
+        assert out.out == "" and "need square matrices of equal shape" in out.err
+
+
 class TestBlockCommand:
     def test_match(self, block_files, capsys):
         a, b, c, d = block_files
@@ -255,6 +266,14 @@ class TestGenVerify:
         code, _ = run(["verify", str(tmp_path)], capsys)
         assert code == EXIT_IO
 
+    def test_verify_mismatched_block_shapes_exit_io(self, tmp_path, capsys):
+        out = tmp_path / "inst"
+        save_instance(out, generate(CaseSpec(target="4.3", dim=4, lam=3.0, seed=1)))
+        save_matrix(out / "c.json", np.eye(3, dtype=complex))
+        assert main(["verify", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert str(out) in err and "off-diagonal blocks" in err
+
     @pytest.mark.parametrize(
         "flag", [["--dim", "1"], ["--seed", "-1"], ["--lambda", "0"]]
     )
@@ -263,6 +282,13 @@ class TestGenVerify:
         code, _ = run(argv + flag, capsys)
         assert code == EXIT_IO
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["sum", "block"])
+    def test_solve_zero_lambda_is_usage_error(self, command, pair_files, block_files, capsys):
+        paths = pair_files if command == "sum" else block_files
+        theorem = "2.4" if command == "sum" else "4.3"
+        assert main([command, *paths, "--theorem", theorem, "--lambda", "0"]) == EXIT_IO
+        assert "lambda must be nonzero" in capsys.readouterr().err
 
     def test_gen_requires_concrete_lambda(self, tmp_path, capsys):
         code, _ = run(

@@ -37,25 +37,89 @@ def test_doc_shape_and_layout():
     assert doc["data"][1] == [0.0, 2.0]  # row-major
 
 
+def _pair_fault(i):
+    return f"entry {i} must be a \\[re, im\\] pair of numbers"
+
+
 @pytest.mark.parametrize(
-    "doc",
+    "doc,match",
     [
-        "not a dict",
-        {},
-        {"rows": 2, "cols": 2},
-        {"rows": 0, "cols": 1, "data": []},
-        {"rows": True, "cols": 1, "data": [[1, 0]]},
-        {"rows": 2, "cols": 2, "data": [[1, 0]]},
-        {"rows": 1, "cols": 1, "data": [[1]]},
-        {"rows": 1, "cols": 1, "data": [[1, "x"]]},
-        {"rows": 1, "cols": 1, "data": [[True, 0.0]]},
-        {"rows": 1, "cols": 1, "data": [[float("inf"), 0.0]]},
-        {"rows": 1, "cols": 1, "data": [[0.0, 10**400]]},
+        ("not a dict", "must be an object, got str"),
+        ({}, "missing key 'rows'"),
+        ({"rows": 2, "cols": 2}, "missing key 'data'"),
+        ({"rows": 0, "cols": 1, "data": []}, "rows/cols must be positive integers"),
+        ({"rows": True, "cols": 1, "data": [[1, 0]]}, "rows/cols must be positive integers"),
+        ({"rows": 2, "cols": 2, "data": [[1, 0]]}, "rows\\*cols = 4 entries, got 1$"),
+        ({"rows": 1, "cols": 1, "data": [[1]]}, _pair_fault(0) + ", got \\[1\\]$"),
+        ({"rows": 1, "cols": 1, "data": [[1, "x"]]}, _pair_fault(0)),
+        ({"rows": 1, "cols": 1, "data": [[True, 0.0]]}, _pair_fault(0)),
+        ({"rows": 1, "cols": 1, "data": [[float("inf"), 0.0]]}, "entry 0 is not finite: \\[inf, 0.0\\]$"),
+        ({"rows": 1, "cols": 1, "data": [[0.0, 10**400]]}, "entry 0 is out of the floating-point range$"),
+        # a good entry ahead of the bad one: the message names entry 1
+        ({"rows": 1, "cols": 2, "data": [[1, 2], [0.0, float("nan")]]}, "entry 1 is not finite"),
+        ({"rows": 1, "cols": 2, "data": [[1, 2], [3, 4, 5]]}, _pair_fault(1)),
+        ({"rows": 1, "cols": 2, "data": [[1, 2], (0.0, 1.0)]}, _pair_fault(1) + ", got \\(0.0, 1.0\\)$"),
+        ({"rows": 1, "cols": 2, "data": [[1, 2], None]}, _pair_fault(1) + ", got None$"),
+        ({"rows": 1, "cols": 2, "data": [[1, 2], [[1.0], 2.0]]}, _pair_fault(1)),
+        ({"rows": 1, "cols": 2, "data": [[1, 2], [np.int64(1), 0.0]]}, _pair_fault(1)),
+        # the first bad entry wins, whatever its fault and whatever follows
+        ({"rows": 1, "cols": 3, "data": [[1, 2], [float("inf"), 10**400], [None]]}, "entry 1 is not finite"),
+        ({"rows": 1, "cols": 3, "data": [[1, 2], [10**400, float("nan")], ["x", 0]]}, "entry 1 is out of the"),
     ],
 )
-def test_doc_to_matrix_rejects_malformed(doc):
-    with pytest.raises(DocumentError):
+def test_doc_to_matrix_rejects_malformed(doc, match):
+    with pytest.raises(DocumentError, match=match):
         doc_to_matrix(doc)
+
+
+def _entrywise_decode(doc):
+    """Reference decoder: one complex(re, im) per entry."""
+    data = [complex(re, im) for re, im in doc["data"]]
+    return np.array(data, dtype=complex).reshape(doc["rows"], doc["cols"])
+
+
+def _entrywise_encode(m):
+    """Reference encoder: one [float(re), float(im)] per entry, row-major."""
+    flat = np.asarray(m, dtype=complex).reshape(-1)
+    return [[float(z.real), float(z.imag)] for z in flat]
+
+
+def test_codec_matches_entrywise_reference():
+    rng = np.random.default_rng(1)
+    m = rng.normal(size=(9, 7)) + 1j * rng.normal(size=(9, 7))
+    m[0, :4] = [complex(-0.0, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0), 1e-320 - 1e308j]
+    for view in (m, m.T, m[::2, ::-3]):  # contiguous, transposed, strided
+        doc = matrix_to_doc(view)
+        assert doc["data"] == _entrywise_encode(view)
+        assert json.dumps(doc) == json.dumps({"rows": doc["rows"], "cols": doc["cols"],
+                                              "data": _entrywise_encode(view)})
+        assert doc_to_matrix(doc).tobytes() == _entrywise_decode(doc).tobytes()
+    big = [2**53 + 1, 2**53 + 3, -(2**60) - 1, 2**1000 + 1, 7]
+    doc = {"rows": 1, "cols": 4, "data": [[big[i], big[i + 1]] for i in range(4)]}
+    assert doc_to_matrix(doc).tobytes() == _entrywise_decode(doc).tobytes()
+    assert doc_to_matrix(doc)[0, 0] == complex(2**53 + 1, 2**53 + 3)
+
+
+def test_signed_zeros_survive_save_and_load(tmp_path):
+    m = np.array([[complex(-0.0, -0.0), complex(-0.0, 0.0)], [complex(0.0, -0.0), 0j]])
+    save_matrix(tmp_path / "z.json", m)
+    back = load_matrix(tmp_path / "z.json")
+    assert np.array_equal(np.signbit(back.real), np.signbit(m.real))
+    assert np.array_equal(np.signbit(back.imag), np.signbit(m.imag))
+
+
+def test_transposed_input_encodes_row_major():
+    m = np.arange(6, dtype=complex).reshape(2, 3) * (1 + 1j)
+    t = m.T  # 3x2, column-major in memory
+    assert not t.flags.c_contiguous
+    doc = matrix_to_doc(t)
+    assert (doc["rows"], doc["cols"]) == (3, 2)
+    assert doc["data"] == [[float(v), float(v)] for v in (0, 3, 1, 4, 2, 5)]
+
+
+def test_number_subclasses_follow_isinstance():
+    doc = {"rows": 1, "cols": 2, "data": [[np.float64(1.5), 2], [-3, np.float64(-0.25)]]}
+    assert np.array_equal(doc_to_matrix(doc), np.array([[1.5 + 2j, -3 - 0.25j]]))
 
 
 def test_load_matrix_error_paths(tmp_path):
