@@ -14,10 +14,16 @@ did not converge, 4 I/O, parse, or usage errors.
 
 Thresholds: --eps-rank, --eps-check, --eps-match, --eps-tail; each falls
 back to the environment (GDZ_TOL_RANK, GDZ_TOL_CHECK, GDZ_TOL_MATCH,
-GDZ_TOL_TAIL) before the built-in defaults.
+GDZ_TOL_TAIL) before the built-in defaults. Flags and environment are read
+again on every call.
+
+Every report is one compact JSON line (pipe it through `python3 -m json.tool`
+to read it indented). main() builds the parser once per process and reuses
+it on every later call.
 """
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -108,8 +114,8 @@ def _tol_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
         parser.error(str(exc))
 
 
-def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2)
+def _emit(report: dict, out: str | None = None) -> None:
+    text = json.dumps(report)
     if out:
         Path(out).write_text(text + "\n")
         print(f"report written to {out}")
@@ -270,7 +276,7 @@ def cmd_gen(args, parser) -> int:
         out_dir=str(args.out),
         **{"lambda": complex_to_doc(complex(spec.lam))},
     )
-    print(json.dumps(report, indent=2))
+    _emit(report)  # --out names the instance directory, not a report file
     return EXIT_OK
 
 
@@ -340,7 +346,10 @@ def cmd_verify(args, parser) -> int:
     return EXIT_OK if all_ok else EXIT_MISMATCH
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The gdz parser, built on the first call and shared by every later one;
+    nothing may change it after it is built."""
     parser = _Parser(prog="gdz", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .additive import FactorCheck, square_pair
-from .blockmat import Block2x2
+from .additive import PAIR_TARGETS, FactorCheck, square_pair
+from .blockmat import RULE_IDS, Block2x2
 from .casegen import GeneratedCase
 from .errors import GDrazinError
 
@@ -243,7 +243,11 @@ def save_instance(directory, case: GeneratedCase) -> dict:
 
 
 def load_instance(directory) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a generated-instance directory back: (manifest, matrices)."""
+    """Read a generated-instance directory back: (manifest, matrices).
+
+    Raises DocumentError unless the manifest names a kind ("pair" or
+    "block"), a target of that kind and, when present, a boolean negate,
+    and its files hold matrices that fit together."""
     d = Path(directory)
     mpath = d / "instance.json"
     manifest = _read_json(mpath)
@@ -252,7 +256,14 @@ def load_instance(directory) -> tuple[dict, dict[str, np.ndarray]]:
     for key in ("schema_version", "kind", "target", "files"):
         if key not in manifest:
             raise DocumentError(f"{mpath}: manifest missing key {key!r}")
-    kind = manifest["kind"]
+    kind, target = manifest["kind"], manifest["target"]
+    if kind not in ("pair", "block"):
+        raise DocumentError(f"{mpath}: kind must be 'pair' or 'block', got {kind!r}")
+    targets = PAIR_TARGETS if kind == "pair" else RULE_IDS
+    if target not in targets:
+        raise DocumentError(f"{mpath}: target {target!r} is not a {kind} target {targets}")
+    if not isinstance(manifest.get("negate", False), bool):
+        raise DocumentError(f"{mpath}: negate must be true or false, got {manifest['negate']!r}")
     expected = {"a", "b"} if kind == "pair" else {"a", "b", "c", "d"}
     files = manifest["files"]
     if not isinstance(files, dict) or set(files) != expected:

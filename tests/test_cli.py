@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from gdrazin import CaseSpec, generate, preset
-from gdrazin.cli import EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_PRECONDITION, main
+from gdrazin.cli import EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_PRECONDITION, build_parser, main
 from gdrazin.io import load_matrix, save_instance, save_matrix
 from helpers import count_sweeps
 
@@ -275,6 +275,24 @@ class TestGenVerify:
         assert str(out) in err and "off-diagonal blocks" in err
 
     @pytest.mark.parametrize(
+        "target,edit,fault",
+        [
+            ("2.4", {"target": "9.9"}, "not a pair target"),
+            ("3.1", {"kind": "blok"}, "kind must be"),
+            ("3.1", {"kind": "block", "target": "2.4"}, "not a block target"),
+            ("2.4", {"target": ["2.4"]}, "not a pair target"),
+            ("3.1", {"negate": "yes"}, "negate must be"),
+        ],
+    )
+    def test_verify_bad_manifest_field_exits_io(self, target, edit, fault, tmp_path, capsys):
+        save_instance(tmp_path, generate(CaseSpec(target=target, dim=4, lam=0.5, seed=0)))
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+        assert main(["verify", str(tmp_path)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert str(path) in err and fault in err
+
+    @pytest.mark.parametrize(
         "flag", [["--dim", "1"], ["--seed", "-1"], ["--lambda", "0"]]
     )
     def test_gen_spec_out_of_range_is_usage_error(self, flag, tmp_path, capsys):
@@ -343,6 +361,20 @@ class TestUsageAndTolerances:
         monkeypatch.setenv("GDZ_TOL_RANK", "banana")
         assert main(["drazin", str(m)]) == EXIT_IO
 
+    def test_one_parser_serves_a_sequence_of_calls(self, pair_files, capsys, monkeypatch):
+        # the parser is shared across calls; a failed call must leave nothing
+        # behind that changes the next one
+        a, b = pair_files
+        assert build_parser() is build_parser()
+        assert main(["--help"]) == EXIT_OK
+        assert main(["sum", a]) == EXIT_IO
+        monkeypatch.setenv("GDZ_TOL_RANK", "banana")
+        assert main(["sum", a, b, "--theorem", "2.4"]) == EXIT_IO
+        monkeypatch.delenv("GDZ_TOL_RANK")
+        capsys.readouterr()
+        code, doc = run(["sum", a, b, "--theorem", "2.4", "--lambda", "1/2"], capsys)
+        assert code == EXIT_OK and doc["match"] is True
+
     def test_out_flag_writes_report_file(self, pair_files, tmp_path, capsys):
         a, b = pair_files
         report = tmp_path / "report.json"
@@ -353,6 +385,36 @@ class TestUsageAndTolerances:
         assert code == EXIT_OK
         doc = json.loads(report.read_text())
         assert doc["match"] is True
+
+
+class TestOneLineReports:
+    """Every report is one compact JSON line, on stdout or in the --out file."""
+
+    @pytest.fixture()
+    def instance(self, tmp_path):
+        save_instance(tmp_path / "inst", generate(CaseSpec(target="3.1", dim=4, lam=0.5, seed=0)))
+        return tmp_path / "inst"
+
+    @pytest.mark.parametrize("command", ["drazin", "sum", "block", "gen", "verify", "sum --out"])
+    def test_report_is_one_line(self, command, pair_files, instance, tmp_path, capsys):
+        a, b = pair_files
+        blocks = [str(instance / f"{name}.json") for name in ("a", "b", "c", "d")]
+        solve = ["sum", a, b, "--theorem", "2.4", "--lambda", "1/2"]
+        report = tmp_path / "r.json"
+        argv = {
+            "drazin": ["drazin", a],
+            "sum": solve,
+            "block": ["block", *blocks, "--theorem", "3.1", "--lambda", "1/2"],
+            "gen": ["gen", "--target", "3.2", "--dim", "4", "--out", str(tmp_path / "new")],
+            "verify": ["verify", str(instance)],
+            "sum --out": [*solve, "--out", str(report)],
+        }[command]
+        assert main(argv) == EXIT_OK
+        text = capsys.readouterr().out
+        if command.endswith("--out"):
+            text = report.read_text()
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert isinstance(json.loads(text), dict)
 
 
 class TestOracleReuse:
