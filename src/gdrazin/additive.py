@@ -11,6 +11,7 @@ scalar-fit primitive all hypothesis tests reduce to.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -280,13 +281,13 @@ def drazin_sum_nilpotent(
         require_hypothesis(check_pair_hypothesis(a, b, "2.3", tol, lam, b_dr=b_dr))
     dim = a.shape[0]
     tiny = tol.eps_tail * scale_of(a, b)
-    m_pow = PowerCache(a + b)
+    am = PowerCache(a + b, start=a)  # a m^n, m = a + b
     bd_pow = PowerCache(b_dr.d)
 
     def terms():
         n = 0
         while True:
-            yield bd_pow(n + 2) @ a @ m_pow(n)
+            yield bd_pow(n + 2) @ am(n)
             n += 1
 
     s = summed(terms(), series_cap(dim), tiny, "nilpotent-plus-b series")
@@ -348,7 +349,12 @@ def drazin_sum(
     dim = a.shape[0]
     tiny = tol.eps_tail * scale_of(a, b)
     nmax = series_cap(dim)
-    m_pow = PowerCache(a + b)
+    # Each product of the series is formed once: a m^n and a m^n b are
+    # memoized per n (the double series reads a m^j b at every n + k = j),
+    # and m^n b, read by series 2 alone, is its running product.
+    m = a + b
+    am = PowerCache(m, start=a)
+    amb = cache(lambda n: am(n) @ b)
     ad_pow = PowerCache(a_dr.d)
     bd_pow = PowerCache(b_dr.d)
     a_pi, b_pi = a_dr.pi, b_dr.pi
@@ -356,19 +362,19 @@ def drazin_sum(
     def s3_terms():
         n = 0
         while True:
-            yield bd_pow(n + 2) @ a @ m_pow(n) @ a_pi
+            yield bd_pow(n + 2) @ am(n) @ a_pi
             n += 1
 
     def s4_terms():
-        n = 0
+        n, mb = 0, b  # mb = m^n b
         while True:
-            yield b_pi @ m_pow(n) @ b @ ad_pow(n + 2)
-            n += 1
+            yield b_pi @ mb @ ad_pow(n + 2)
+            n, mb = n + 1, m @ mb
 
     def s6_terms():
         n = 0
         while True:
-            yield bd_pow(n + 2) @ a @ m_pow(n) @ b @ ad_pow(1)
+            yield bd_pow(n + 2) @ amb(n) @ ad_pow(1)
             n += 1
 
     s3 = summed(s3_terms(), nmax, tiny, "sum formula series 1")
@@ -384,7 +390,7 @@ def drazin_sum(
         def inner_terms(n=n):
             k = 0
             while True:
-                yield bd_pow(k + 1) @ a @ m_pow(n + k) @ b
+                yield bd_pow(k + 1) @ amb(n + k)
                 k += 1
 
         inner = summed(inner_terms(), nmax, tiny, "sum formula series 3 (inner)")

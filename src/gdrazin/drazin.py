@@ -6,14 +6,19 @@ in the package is validated against it, so nothing here may depend on the
 additive or block-matrix modules.
 
 Numerical strategy: the input is normalized by its largest singular value
-before any power is taken. Ranks of powers are decided with the absolute
-cutoff eps_rank (a relative cutoff would promote the rounding noise that
-powers of a conjugated nilpotent consist of to full rank), and the
-pseudoinverse of a^{2k+1} is truncated to the stationary rank found during
-index computation (a relative cutoff would invert that noise whenever the
-whole power decays). Inputs whose singular values fall too close to the
-cutoff, or whose spectral gap at the stationary rank is too thin, are
-rejected with AxiomViolation rather than guessed at.
+before any power is taken. One values-only SVD of a gives that value, and
+the same singular values divided by it are those of the first power, so the
+sweep starts its own SVDs at the second power. Ranks of powers are decided
+with the absolute cutoff eps_rank (a relative cutoff would promote the
+rounding noise that powers of a conjugated nilpotent consist of to full
+rank), and the pseudoinverse of a^{2k+1} is truncated to the stationary rank
+found during index computation (a relative cutoff would invert that noise
+whenever the whole power decays). The sweep hands back a^k and a^{k+1}: the
+oracle forms a^{2m+1} = a^m a^{m+1} (m = max(k, 1)) from them, reuses a^m on
+both sides of the pseudoinverse, and self-checks with the same two powers.
+Inputs whose singular values fall too close to the cutoff, or whose spectral
+gap at the stationary rank is too thin, are rejected with AxiomViolation
+rather than guessed at.
 """
 
 from dataclasses import dataclass
@@ -79,15 +84,19 @@ def _require_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _power_ranks(ah: np.ndarray, eps_rank: float) -> tuple[int, int]:
-    """Index and stationary rank from the rank sequence of powers of the
-    sigma_max-normalized matrix ``ah``. Absolute cutoff; ambiguity guarded."""
+def _power_ranks(
+    ah: np.ndarray, sv: np.ndarray, eps_rank: float
+) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """Index k, stationary rank, ah^k and ah^{k+1} from the rank sequence of
+    powers of the sigma_max-normalized matrix ``ah``, whose own singular
+    values are ``sv``. Absolute cutoff; ambiguity guarded at every power."""
     n = ah.shape[0]
     prev = n
-    p = np.eye(n, dtype=complex)
+    lo, hi = np.eye(n, dtype=complex), ah  # powers j - 1 and j
     for j in range(1, n + 2):
-        p = p @ ah
-        sv = np.linalg.svd(p, compute_uv=False)
+        if j > 1:
+            lo, hi = hi, hi @ ah
+            sv = np.linalg.svd(hi, compute_uv=False)
         if np.any((sv > eps_rank / AMBIGUITY_BAND) & (sv < eps_rank * AMBIGUITY_BAND)):
             raise AxiomViolation(
                 f"rank of power {j} is ambiguous: singular values too close "
@@ -95,7 +104,7 @@ def _power_ranks(ah: np.ndarray, eps_rank: float) -> tuple[int, int]:
             )
         r = int(np.count_nonzero(sv > eps_rank))
         if r == prev:
-            return j - 1, r
+            return j - 1, r, lo, hi
         prev = r
     raise AxiomViolation("rank sequence of powers failed to stabilize")
 
@@ -103,10 +112,11 @@ def _power_ranks(ah: np.ndarray, eps_rank: float) -> tuple[int, int]:
 def drazin_index(a, tol: Tolerance = DEFAULT_TOL) -> int:
     """Smallest k >= 0 with rank(a^k) = rank(a^{k+1})."""
     a = _require_square(a)
-    s = float(np.linalg.norm(a, 2))
+    sv = np.linalg.svd(a, compute_uv=False)
+    s = float(sv[0])
     if s == 0.0:
-        return 1 if a.shape[0] > 0 else 0
-    k, _ = _power_ranks(a / s, tol.eps_rank)
+        return 1
+    k, *_ = _power_ranks(a / s, sv / s, tol.eps_rank)
     return k
 
 
@@ -120,29 +130,27 @@ def drazin_oracle(a, tol: Tolerance = DEFAULT_TOL) -> DrazinResult:
     """
     a = _require_square(a)
     n = a.shape[0]
-    s = float(np.linalg.norm(a, 2))
+    sv = np.linalg.svd(a, compute_uv=False)
+    s = float(sv[0])  # sigma_max
     if s == 0.0:
-        return DrazinResult(
-            d=np.zeros_like(a), pi=np.eye(n, dtype=complex), index=1 if n else 0
-        )
+        return DrazinResult(d=np.zeros_like(a), pi=np.eye(n, dtype=complex), index=1)
     ah = a / s
-    k, r = _power_ranks(ah, tol.eps_rank)
+    k, r, ak, ak1 = _power_ranks(ah, sv / s, tol.eps_rank)
     if r == 0:
         # nilpotent: inverse 0, idempotent I
         return DrazinResult(d=np.zeros_like(a), pi=np.eye(n, dtype=complex), index=k)
-    m = max(k, 1)
-    x = np.linalg.matrix_power(ah, 2 * m + 1)
-    u, sv, vh = np.linalg.svd(x)
+    # a^m and a^{m+1} for m = max(k, 1)
+    am, am1 = (ak, ak1) if k else (ak1, ak1 @ ah)
+    u, sv, vh = np.linalg.svd(am @ am1)
     if r < sv.size and sv[r] > 0.0 and sv[r - 1] / sv[r] < GAP_MIN:
         raise AxiomViolation(
             f"spectral gap at stationary rank {r} too thin: "
             f"{sv[r - 1]:.3e} vs {sv[r]:.3e}"
         )
     x_pinv = (vh[:r].conj().T / sv[:r]) @ u[:, :r].conj().T
-    am = np.linalg.matrix_power(ah, m)
     dh = am @ x_pinv @ am
     # self-check in the normalized domain, where powers cannot overflow
-    report = check_drazin_axioms(ah, dh, tol, index=k)
+    report = _axiom_report(ah, dh, ak, ak1, tol)
     if not report.ok:
         raise AxiomViolation(
             f"oracle output fails Drazin axioms: residuals "
@@ -171,6 +179,24 @@ def is_quasinilpotent(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     return nilpotency_residual(a) <= tol.eps_check
 
 
+def _axiom_report(
+    a: np.ndarray, cand: np.ndarray, ak: np.ndarray, ak1: np.ndarray, tol: Tolerance
+) -> AxiomReport:
+    """Axiom residuals of cand for a, given a^k and a^{k+1} at its index k."""
+    r1 = fro_norm(cand @ a @ cand - cand)
+    r2 = fro_norm(a @ cand - cand @ a)
+    r3 = fro_norm(ak1 @ cand - ak)
+    na, nc = fro_norm(a), fro_norm(cand)
+    s12 = max(1.0, na, nc)
+    s3 = max(1.0, na, nc, fro_norm(ak))
+    ok = (
+        r1 <= tol.eps_match * s12
+        and r2 <= tol.eps_match * s12
+        and r3 <= tol.eps_match * s3
+    )
+    return AxiomReport(solution=r1, commute=r2, power=r3, ok=ok)
+
+
 def check_drazin_axioms(
     a, cand, tol: Tolerance = DEFAULT_TOL, index: int | None = None
 ) -> AxiomReport:
@@ -188,15 +214,4 @@ def check_drazin_axioms(
         raise ValueError(f"shape mismatch: {a.shape} vs {cand.shape}")
     k = drazin_index(a, tol) if index is None else index
     ak = mat_power(a, k)
-    r1 = fro_norm(cand @ a @ cand - cand)
-    r2 = fro_norm(a @ cand - cand @ a)
-    r3 = fro_norm(mat_power(a, k + 1) @ cand - ak)
-    na, nc = fro_norm(a), fro_norm(cand)
-    s12 = max(1.0, na, nc)
-    s3 = max(1.0, na, nc, fro_norm(ak))
-    ok = (
-        r1 <= tol.eps_match * s12
-        and r2 <= tol.eps_match * s12
-        and r3 <= tol.eps_match * s3
-    )
-    return AxiomReport(solution=r1, commute=r2, power=r3, ok=ok)
+    return _axiom_report(a, cand, ak, ak @ a, tol)

@@ -245,9 +245,10 @@ def save_instance(directory, case: GeneratedCase) -> dict:
 def load_instance(directory) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a generated-instance directory back: (manifest, matrices).
 
-    Raises DocumentError unless the manifest names a kind ("pair" or
-    "block"), a target of that kind and, when present, a boolean negate,
-    and its files hold matrices that fit together."""
+    Raises DocumentError unless the manifest's schema_version is the
+    integer SCHEMA_VERSION, it names a kind ("pair" or "block"), a target of
+    that kind and, when present, a boolean negate, and its files hold
+    matrices that fit together."""
     d = Path(directory)
     mpath = d / "instance.json"
     manifest = _read_json(mpath)
@@ -256,6 +257,11 @@ def load_instance(directory) -> tuple[dict, dict[str, np.ndarray]]:
     for key in ("schema_version", "kind", "target", "files"):
         if key not in manifest:
             raise DocumentError(f"{mpath}: manifest missing key {key!r}")
+    version = manifest["schema_version"]
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise DocumentError(
+            f"{mpath}: schema_version must be {SCHEMA_VERSION}, got {version!r}"
+        )
     kind, target = manifest["kind"], manifest["target"]
     if kind not in ("pair", "block"):
         raise DocumentError(f"{mpath}: kind must be 'pair' or 'block', got {kind!r}")

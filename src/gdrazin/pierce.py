@@ -4,8 +4,9 @@ factorization-exchange identity for products.
 Given an idempotent p, any square x splits into the four corners
 p x p, p x q, q x p, q x q with q = 1 - p. When one off-corner vanishes the
 Drazin inverse of x is assembled from the corner inverses plus a coupling
-series; that assembly is the workhorse behind the additive and block formulas
-elsewhere in this package.
+series. No other module of the package imports this one; it serves the
+acceptance gate's supporting-operations criterion (criterion 5) and
+``test_pierce``.
 """
 
 from dataclasses import dataclass

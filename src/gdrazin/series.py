@@ -22,14 +22,20 @@ def series_cap(dim: int) -> int:
 
 
 class PowerCache:
-    """Memoized nonnegative powers of a fixed square matrix."""
+    """Memoized nonnegative powers m^i of a fixed square matrix, or the
+    products start m^i when ``start`` is given; each is formed once, from
+    the one before."""
 
-    def __init__(self, m: np.ndarray):
-        self._pows = [np.eye(m.shape[0], dtype=complex), np.asarray(m, dtype=complex)]
+    def __init__(self, m: np.ndarray, start: np.ndarray | None = None):
+        self._m = np.asarray(m, dtype=complex)
+        if start is None:
+            self._pows = [np.eye(m.shape[0], dtype=complex), self._m]
+        else:
+            self._pows = [np.asarray(start, dtype=complex)]
 
     def __call__(self, i: int) -> np.ndarray:
         while len(self._pows) <= i:
-            self._pows.append(self._pows[-1] @ self._pows[1])
+            self._pows.append(self._pows[-1] @ self._m)
         return self._pows[i]
 
 

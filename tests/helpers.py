@@ -8,6 +8,10 @@ loops, no tolerance fudging.
 import numpy as np
 
 import gdrazin.drazin
+from gdrazin import AxiomViolation, ConvergenceError, DrazinResult
+from gdrazin.drazin import AMBIGUITY_BAND, GAP_MIN
+from gdrazin.linalg import DEFAULT_TOL, fro_norm, scale_of
+from gdrazin.series import PowerCache, series_cap, summed
 
 
 def unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -124,9 +128,125 @@ def count_sweeps(monkeypatch) -> list:
     sweeps = []
     original = gdrazin.drazin._power_ranks
 
-    def counting(ah, eps_rank):
+    def counting(ah, sv, eps_rank):
         sweeps.append(ah.shape[0])
-        return original(ah, eps_rank)
+        return original(ah, sv, eps_rank)
 
     monkeypatch.setattr(gdrazin.drazin, "_power_ranks", counting)
     return sweeps
+
+
+# ------------------------------------------------------------ references
+# The oracle and the sum series as they were before each power and each
+# series product was formed once: sigma_max from norm(a, 2), a sweep that
+# takes the SVD of every power from the first, x and a^m rebuilt with
+# matrix_power, a self-check that rebuilds a^k and a^{k+1}, and series
+# terms that multiply every factor out, m^0 = I included. The tests compare
+# the package against these.
+
+
+def reference_axioms_ok(a, cand, k, tol=DEFAULT_TOL) -> bool:
+    """Verdict of the Drazin-axiom check of cand for a at index k."""
+    ak = np.linalg.matrix_power(a, k)
+    r1 = fro_norm(cand @ a @ cand - cand)
+    r2 = fro_norm(a @ cand - cand @ a)
+    r3 = fro_norm(np.linalg.matrix_power(a, k + 1) @ cand - ak)
+    na, nc = fro_norm(a), fro_norm(cand)
+    s12 = max(1.0, na, nc)
+    s3 = max(1.0, na, nc, fro_norm(ak))
+    return r1 <= tol.eps_match * s12 and r2 <= tol.eps_match * s12 and r3 <= tol.eps_match * s3
+
+
+def _reference_power_ranks(ah, eps_rank):
+    n = ah.shape[0]
+    prev = n
+    p = np.eye(n, dtype=complex)
+    for j in range(1, n + 2):
+        p = p @ ah
+        sv = np.linalg.svd(p, compute_uv=False)
+        if np.any((sv > eps_rank / AMBIGUITY_BAND) & (sv < eps_rank * AMBIGUITY_BAND)):
+            raise AxiomViolation(f"rank of power {j} is ambiguous")
+        r = int(np.count_nonzero(sv > eps_rank))
+        if r == prev:
+            return j - 1, r
+        prev = r
+    raise AxiomViolation("rank sequence of powers failed to stabilize")
+
+
+def reference_oracle(a, tol=DEFAULT_TOL) -> DrazinResult:
+    """a^d = a^k (a^{2k+1})^+ a^k along the reference route; raises
+    AxiomViolation exactly where that route refused."""
+    a = np.asarray(a, dtype=complex)
+    n = a.shape[0]
+    s = float(np.linalg.norm(a, 2))
+    if s == 0.0:
+        return DrazinResult(d=np.zeros_like(a), pi=np.eye(n, dtype=complex), index=1)
+    ah = a / s
+    k, r = _reference_power_ranks(ah, tol.eps_rank)
+    if r == 0:
+        return DrazinResult(d=np.zeros_like(a), pi=np.eye(n, dtype=complex), index=k)
+    m = max(k, 1)
+    u, sv, vh = np.linalg.svd(np.linalg.matrix_power(ah, 2 * m + 1))
+    if r < sv.size and sv[r] > 0.0 and sv[r - 1] / sv[r] < GAP_MIN:
+        raise AxiomViolation(f"spectral gap at stationary rank {r} too thin")
+    x_pinv = (vh[:r].conj().T / sv[:r]) @ u[:, :r].conj().T
+    am = np.linalg.matrix_power(ah, m)
+    dh = am @ x_pinv @ am
+    if not reference_axioms_ok(ah, dh, k, tol):
+        raise AxiomViolation("oracle output fails Drazin axioms")
+    d = dh / s
+    return DrazinResult(d=d, pi=np.eye(n, dtype=complex) - a @ d, index=k)
+
+
+def reference_sum_nilpotent(a, b, b_dr, tol=DEFAULT_TOL):
+    """b^d + sum_n (b^d)^(n+2) a (a + b)^n with every factor multiplied out."""
+    tiny = tol.eps_tail * scale_of(a, b)
+    m_pow = PowerCache(a + b)
+    bd_pow = PowerCache(b_dr.d)
+
+    def terms():
+        n = 0
+        while True:
+            yield bd_pow(n + 2) @ a @ m_pow(n)
+            n += 1
+
+    return b_dr.d + summed(terms(), series_cap(a.shape[0]), tiny, "nilpotent-plus-b series")
+
+
+def reference_sum(a, b, a_dr, b_dr, tol=DEFAULT_TOL):
+    """The six-part sum formula (see gdrazin.additive.drazin_sum) with every
+    factor of every term multiplied out; no hypothesis check."""
+    tiny = tol.eps_tail * scale_of(a, b)
+    nmax = series_cap(a.shape[0])
+    m_pow = PowerCache(a + b)
+    ad_pow = PowerCache(a_dr.d)
+    bd_pow = PowerCache(b_dr.d)
+    a_pi, b_pi = a_dr.pi, b_dr.pi
+
+    def series(term):
+        def terms():
+            n = 0
+            while True:
+                yield term(n)
+                n += 1
+
+        return summed(terms(), nmax, tiny, "reference series")
+
+    s3 = series(lambda n: bd_pow(n + 2) @ a @ m_pow(n) @ a_pi)
+    s4 = series(lambda n: b_pi @ m_pow(n) @ b @ ad_pow(n + 2))
+    s6 = series(lambda n: bd_pow(n + 2) @ a @ m_pow(n) @ b @ ad_pow(1))
+    s5 = np.zeros_like(a)
+    consecutive_tiny = 0
+    last = 0.0
+    for n in range(nmax):
+        inner = series(lambda k, n=n: bd_pow(k + 1) @ a @ m_pow(n + k) @ b)
+        term = inner @ ad_pow(n + 2)
+        s5 = s5 + term
+        last = fro_norm(term)
+        consecutive_tiny = consecutive_tiny + 1 if last < tiny else 0
+        if consecutive_tiny >= 2:
+            break
+    else:
+        if last > tiny:
+            raise ConvergenceError("reference series 3: outer term still large")
+    return b_pi @ ad_pow(1) + bd_pow(1) @ a_pi + s3 + s4 - s5 - s6

@@ -42,7 +42,8 @@ def run(argv, capsys):
 def pair_files(tmp_path):
     case = generate(CaseSpec(target="2.4", dim=4, lam=0.5, seed=2))
     a, b = case.pair
-    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    (tmp_path / "pair").mkdir()
+    pa, pb = tmp_path / "pair" / "a.json", tmp_path / "pair" / "b.json"
     save_matrix(pa, a)
     save_matrix(pb, b)
     return str(pa), str(pb)
@@ -51,9 +52,10 @@ def pair_files(tmp_path):
 @pytest.fixture()
 def block_files(tmp_path):
     case = generate(CaseSpec(target="4.3", dim=4, lam=3.0, seed=1))
+    (tmp_path / "block").mkdir()
     paths = []
     for name in ("a", "b", "c", "d"):
-        p = tmp_path / f"{name}.json"
+        p = tmp_path / "block" / f"{name}.json"
         save_matrix(p, case.matrices[name])
         paths.append(str(p))
     return paths
@@ -282,6 +284,9 @@ class TestGenVerify:
             ("3.1", {"kind": "block", "target": "2.4"}, "not a block target"),
             ("2.4", {"target": ["2.4"]}, "not a pair target"),
             ("3.1", {"negate": "yes"}, "negate must be"),
+            ("3.1", {"schema_version": "banana"}, "schema_version must be"),
+            ("3.1", {"schema_version": 2}, "schema_version must be"),
+            ("3.1", {"schema_version": True}, "schema_version must be"),
         ],
     )
     def test_verify_bad_manifest_field_exits_io(self, target, edit, fault, tmp_path, capsys):

@@ -19,6 +19,7 @@ from helpers import (
     mild_similarity,
     mixture,
     nilpotent,
+    reference_oracle,
     unitary,
 )
 
@@ -93,6 +94,52 @@ def test_known_index_gives_the_same_axiom_report(monkeypatch):
     r = drazin_oracle(a)
     check_drazin_axioms(a, r.d, index=r.index)
     assert len(sweeps) == 1
+
+
+def count_svds(monkeypatch) -> list:
+    """Record the shape of every SVD from now on, whether called as
+    numpy.linalg.svd or by global name inside numpy's linalg module."""
+    impl = pytest.importorskip("numpy.linalg._linalg")
+    shapes = []
+    original = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(impl, "svd", counting)
+    return shapes
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 4])
+def test_oracle_takes_k_plus_2_svds(k, monkeypatch):
+    # index k: a nilpotent Jordan block of length k beside an invertible part
+    n = k + 3
+    j = np.zeros((n, n), dtype=complex)
+    if k:
+        j[:k, :k] = jordan_block(0.0, k)
+    j[k:, k:] = np.diag([1.0, 0.8j, -0.9])
+    u = unitary(n, np.random.default_rng(k))
+    a = u @ j @ u.conj().T
+    svds = count_svds(monkeypatch)
+    r = drazin_oracle(a)
+    assert r.index == k
+    # k + 1 values-only SVDs (sigma_max and powers 2 .. k + 1), one full SVD
+    assert len(svds) == k + 2
+    svds.clear()
+    assert reference_oracle(a).index == k
+    assert len(svds) == k + 3  # sigma_max from norm(a, 2) took one more
+    svds.clear()
+    assert drazin_index(a) == k
+    assert len(svds) == k + 1
+
+
+def test_nilpotent_oracle_takes_no_full_svd(monkeypatch):
+    a = nilpotent(5, np.random.default_rng(1))
+    svds = count_svds(monkeypatch)
+    assert drazin_oracle(a).index == 5
+    assert len(svds) == 6
 
 
 @pytest.mark.parametrize("alpha", [2.0, -3.0, 0.5j, 1.5 - 0.5j])

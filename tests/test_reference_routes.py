@@ -1,0 +1,149 @@
+"""The oracle and the sum series against their multiplied-out references.
+
+The package forms each power of the oracle and each product of the sum
+series once; ``helpers.reference_oracle``, ``reference_sum`` and
+``reference_sum_nilpotent`` multiply every factor out as the original route
+did. Verdicts (index, refusals, axiom ``ok``) must be identical and every
+matrix must agree to 1e-12 relative: regrouping may move only rounding.
+
+One exception: on the mixture sweep, a few index-3 and index-4 matrices give
+an a^{2k+1} whose pseudoinverse amplifies rounding to about 1e-12 relative
+in either route. Against the exact inverses built from those matrices'
+Jordan forms, both routes err by a median 4.8e-13 and at most 3.7e-12, and
+their mutual gap (at most 4.0e-12) never exceeds the sum of their errors.
+That sweep's inverses are therefore held to REL_ORACLE_FLOOR.
+"""
+
+import numpy as np
+import pytest
+
+import gdrazin.additive
+import gdrazin.blockmat
+from gdrazin import (
+    CaseSpec,
+    DrazinResult,
+    assemble,
+    block_drazin,
+    check_drazin_axioms,
+    drazin_oracle,
+    drazin_sum,
+    drazin_sum_nilpotent,
+    fro_norm,
+    generate,
+)
+from gdrazin.casegen import TARGETS
+from helpers import (
+    mixture,
+    nilpotent,
+    reference_axioms_ok,
+    reference_oracle,
+    reference_sum,
+    reference_sum_nilpotent,
+)
+
+LAMBDAS = (0.5, 3.0, 1j, -2.0)
+REL = 1e-12
+REL_ORACLE_FLOOR = 1e-11
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's value, or the type of the exception it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # the refusal itself is what is compared
+        return type(exc)
+
+
+def assert_close(new, ref, where, rel=REL):
+    if isinstance(ref, type) or isinstance(new, type):
+        assert new is ref, where
+        return
+    assert fro_norm(new - ref) <= rel * fro_norm(ref), where
+
+
+def assert_same_oracle(a, where, rel=REL):
+    new, ref = outcome(drazin_oracle, a), outcome(reference_oracle, a)
+    assert_close(getattr(new, "d", new), getattr(ref, "d", ref), where, rel)
+    if isinstance(ref, DrazinResult):
+        assert new.index == ref.index, where
+        ok = check_drazin_axioms(a, new.d, index=new.index).ok
+        assert ok == reference_axioms_ok(a, ref.d, ref.index), where
+
+
+def test_oracle_matches_reference_on_mixture_sweep():
+    # the matrices of the acceptance gate's oracle sweep
+    for seed in range(500):
+        a = mixture(2 + seed % 11, np.random.default_rng(seed))
+        assert_same_oracle(a, seed, REL_ORACLE_FLOOR)
+
+
+def _reference_block_drazin(monkeypatch, blocks, target, lam):
+    def sum_(a, b, tol, force, a_dr, b_dr):
+        return reference_sum(a, b, a_dr, b_dr, tol)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(gdrazin.blockmat, "drazin_oracle", reference_oracle)
+        mp.setattr(gdrazin.additive, "drazin_oracle", reference_oracle)
+        mp.setattr(gdrazin.blockmat, "drazin_sum", sum_)
+        return outcome(block_drazin, blocks, target, lam=lam)
+
+
+@pytest.mark.parametrize("target", [t for t in TARGETS if t != "2.2"])
+def test_criterion_4_corpus_matches_reference(target, monkeypatch):
+    for i in range(100):
+        lam = LAMBDAS[i % 4]
+        case = generate(CaseSpec(target, dim=2 + i % 7, lam=lam, seed=i // 4))
+        where = (target, i)
+        if case.kind == "pair":
+            a, b = case.pair
+            assert_same_oracle(a + b, where)
+            b_dr = reference_oracle(b)
+            if target == "2.3":
+                new = outcome(drazin_sum_nilpotent, a, b, lam=lam)
+                ref = outcome(reference_sum_nilpotent, a, b, b_dr)
+            else:
+                new = outcome(drazin_sum, a, b, lam=lam)
+                ref = outcome(reference_sum, a, b, reference_oracle(a), b_dr)
+        else:
+            assert_same_oracle(assemble(case.blocks), where)
+            new = outcome(block_drazin, case.blocks, target, lam=lam)
+            ref = _reference_block_drazin(monkeypatch, case.blocks, target, lam)
+        assert_close(new, ref, where)
+
+
+def test_forced_series_match_reference():
+    # Forced runs carry series terms above rounding level, which valid
+    # instances never do.
+    for target in ("2.3", "2.4"):
+        for i in range(100):
+            case = generate(
+                CaseSpec(target, dim=2 + i % 7, lam=LAMBDAS[i % 4], seed=i // 4, negate=True)
+            )
+            a, b = case.pair
+            a_dr, b_dr = reference_oracle(a), reference_oracle(b)
+            if target == "2.3":
+                new = outcome(drazin_sum_nilpotent, a, b, force=True, b_dr=b_dr)
+                ref = outcome(reference_sum_nilpotent, a, b, b_dr)
+            else:
+                new = outcome(drazin_sum, a, b, force=True, a_dr=a_dr, b_dr=b_dr)
+                ref = outcome(reference_sum, a, b, a_dr, b_dr)
+            assert_close(new, ref, (target, i))
+    # Nilpotent stand-ins for the inverses make every series run to its
+    # natural end, the double series included.
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        n = 2 + seed % 9
+        a, b = 0.5 * nilpotent(n, rng), 0.5 * nilpotent(n, rng)
+        a_dr, b_dr = (
+            DrazinResult(0.6 * nilpotent(n, rng), mixture(n, rng) / n, None) for _ in range(2)
+        )
+        assert_close(
+            drazin_sum(a, b, force=True, a_dr=a_dr, b_dr=b_dr),
+            reference_sum(a, b, a_dr, b_dr),
+            seed,
+        )
+        assert_close(
+            drazin_sum_nilpotent(a, b, force=True, b_dr=b_dr),
+            reference_sum_nilpotent(a, b, b_dr),
+            seed,
+        )

@@ -20,6 +20,11 @@ def test_power_cache():
     assert np.array_equal(pc(4), np.linalg.matrix_power(a, 4))
     # memoized object is returned, not recomputed
     assert pc(4) is pc(4)
+    # with a left factor: start a^i, start itself at i = 0
+    start = np.array([[2, 0], [1, 3]], dtype=complex)
+    sc = PowerCache(a, start=start)
+    assert sc(0) is start
+    assert np.array_equal(sc(3), start @ np.linalg.matrix_power(a, 3))
 
 
 def test_nilpotent_run_clamps_to_exact_zero():
