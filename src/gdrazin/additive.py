@@ -3,11 +3,14 @@ hypotheses of the form (left side) = lambda * (right side).
 
 The central routine is ``drazin_sum``: under a b = lambda a^pi b a b^pi the
 inverse of the sum is a finite combination of corner inverses and four
-terminating series. ``drazin_sum_nilpotent`` handles the sharper hypothesis
-with a quasinilpotent enabled; ``nilpotent_sum_closure`` decides closure of
-nilpotency under lambda-commutation. Their hypotheses live in one rule table
-(``check_pair_hypothesis``), and ``check_factor_condition`` is the shared
-scalar-fit primitive all hypothesis tests reduce to.
+terminating series. It is the only series engine for sums.
+``drazin_sum_nilpotent`` (theorem 2.3) is that result at a quasinilpotent a,
+where a^d = 0 and a^pi = I: it checks the sharper hypothesis and hands
+drazin_sum exactly that Drazin data of a. ``nilpotent_sum_closure`` decides
+closure of nilpotency under lambda-commutation. Their hypotheses live in one
+rule table (``check_pair_hypothesis``). ``check_condition_rows`` turns the
+rows of that table and of the block table into FactorChecks, and
+``check_factor_condition`` is the scalar-fit primitive those rows reduce to.
 """
 
 from dataclasses import dataclass
@@ -16,7 +19,7 @@ from functools import cache
 import numpy as np
 
 from .drazin import DrazinResult, drazin_oracle, is_quasinilpotent, nilpotency_residual
-from .errors import ConvergenceError, PreconditionViolated
+from .errors import PreconditionViolated
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, fro_norm, scale_of
 from .series import PowerCache, series_cap, summed
 
@@ -24,6 +27,7 @@ __all__ = [
     "PAIR_TARGETS",
     "FactorCheck",
     "check_factor_condition",
+    "check_condition_rows",
     "square_pair",
     "pair_oracles",
     "check_pair_hypothesis",
@@ -34,6 +38,9 @@ __all__ = [
 ]
 
 PAIR_TARGETS = ("2.2", "2.3", "2.4")
+
+# A condition row (label, lhs, rhs_base, lambda_power); see check_condition_rows.
+ConditionRow = tuple[str, np.ndarray, np.ndarray | None, int | None]
 
 
 @dataclass(frozen=True)
@@ -130,6 +137,54 @@ def check_factor_condition(
     return FactorCheck(condition, holds, lam, residual, False)
 
 
+def check_condition_rows(
+    rows: list[ConditionRow], tol: Tolerance = DEFAULT_TOL, lam: complex | None = None
+) -> list[FactorCheck]:
+    """FactorChecks of condition rows (label, lhs, rhs_base, lambda_power),
+    in row order; the pair and block hypothesis tables both go through here.
+
+    lambda_power +1 tests lhs = lambda * rhs_base and -1 tests
+    lhs = (1/lambda) * rhs_base, at ``lam`` when given, else with a fitted
+    scalar. lambda_power None marks a zero row (rhs_base the zero matrix),
+    tested with no scalar. rhs_base None marks a quasinilpotency row on lhs:
+    it carries no scalar and its residual is nilpotency_residual(lhs).
+
+    When ``lam`` is None and at least two scalar rows produced usable
+    scalars, a final "lambda consistency" row reports whether they agree,
+    each normalized to lambda (a -1 row's scalar is inverted).
+    """
+    checks: list[FactorCheck] = []
+    fitted: list[complex] = []
+    for label, lhs, rhs, power in rows:
+        if rhs is None:
+            residual = nilpotency_residual(lhs)
+            checks.append(FactorCheck(label, residual <= tol.eps_check, None, residual, False))
+            continue
+        if power is None:
+            checks.append(check_factor_condition(lhs, rhs, None, tol, condition=label))
+            continue
+        given = None
+        if lam is not None:
+            given = complex(lam) if power == 1 else 1.0 / complex(lam)
+        chk = check_factor_condition(lhs, rhs, given, tol, condition=label)
+        checks.append(chk)
+        if lam is None and chk.holds and not chk.degenerate and chk.lam is not None:
+            fitted.append(chk.lam if power == 1 else 1.0 / chk.lam)
+    if len(fitted) >= 2:
+        spread = max(abs(v - fitted[0]) for v in fitted[1:])
+        band = tol.eps_check * max(1.0, max(abs(v) for v in fitted))
+        checks.append(
+            FactorCheck(
+                condition="lambda consistency",
+                holds=spread <= band,
+                lam=None,
+                residual=spread,
+                degenerate=False,
+            )
+        )
+    return checks
+
+
 def square_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     """(a, b) as complex matrices; ValueError unless both are square of one shape."""
     a = as_matrix(a)
@@ -143,13 +198,19 @@ def _oracles(
     target: str, a: np.ndarray, b: np.ndarray, tol: Tolerance,
     a_dr: DrazinResult | None = None, b_dr: DrazinResult | None = None,
 ) -> tuple[DrazinResult | None, DrazinResult | None]:
-    """The Drazin data of a (2.4) and b (2.3, 2.4) that ``target`` reads;
-    runs the oracle only for what the caller did not supply."""
+    """The Drazin data of a and b that ``target`` reads (none for 2.2);
+    runs the oracle only for what the caller did not supply, and never on
+    the a of 2.3: that a is quasinilpotent, so a^d = 0 and a^pi = I."""
     if target not in PAIR_TARGETS:
         raise ValueError(f"unknown pair target {target!r}; valid: {', '.join(PAIR_TARGETS)}")
-    if target == "2.4" and a_dr is None:
+    if target == "2.2":
+        return a_dr, b_dr
+    if a_dr is None and target == "2.3":
+        eye = np.eye(a.shape[0], dtype=complex)
+        a_dr = DrazinResult(d=np.zeros_like(eye), pi=eye, index=None)
+    elif a_dr is None:
         a_dr = drazin_oracle(a, tol)
-    if target != "2.2" and b_dr is None:
+    if b_dr is None:
         b_dr = drazin_oracle(b, tol)
     return a_dr, b_dr
 
@@ -158,23 +219,24 @@ def pair_oracles(
     target: str, a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL
 ) -> dict[str, DrazinResult]:
     """Oracle data that the conditions and the formula of ``target`` read,
-    keyed by their parameter names: none for 2.2, "b_dr" for 2.3, "a_dr" and
-    "b_dr" for 2.4. Hand it to both, so each matrix sees the oracle once."""
+    keyed by their parameter names: none for 2.2, "a_dr" and "b_dr" for 2.3
+    and 2.4 (the a_dr of 2.3 is a^d = 0, a^pi = I, with no oracle run).
+    Hand it to both, so each matrix sees the oracle once."""
     oracles = zip(("a_dr", "b_dr"), _oracles(target, *square_pair(a, b), tol))
     return {key: dr for key, dr in oracles if dr is not None}
 
 
 def _conditions(
     target: str, a: np.ndarray, b: np.ndarray, a_dr: DrazinResult | None, b_dr: DrazinResult | None
-) -> list[tuple[str, np.ndarray, np.ndarray | None]]:
-    """Condition rows (label, lhs, rhs_base) for one pair target, in catalog
-    order. rhs_base None marks a quasinilpotency row on lhs."""
+) -> list[ConditionRow]:
+    """Condition rows for one pair target, in catalog order."""
     if target == "2.2":
-        return [("a is quasinilpotent", a, None), ("b is quasinilpotent", b, None),
-                ("a b = lambda b a", a @ b, b @ a)]
+        return [("a is quasinilpotent", a, None, None), ("b is quasinilpotent", b, None, None),
+                ("a b = lambda b a", a @ b, b @ a, 1)]
     if target == "2.3":
-        return [("a is quasinilpotent", a, None), ("a b = lambda b a b^pi", a @ b, b @ a @ b_dr.pi)]
-    return [("a b = lambda a^pi b a b^pi", a @ b, a_dr.pi @ b @ a @ b_dr.pi)]
+        return [("a is quasinilpotent", a, None, None),
+                ("a b = lambda b a b^pi", a @ b, b @ a @ b_dr.pi, 1)]
+    return [("a b = lambda a^pi b a b^pi", a @ b, a_dr.pi @ b @ a @ b_dr.pi, 1)]
 
 
 def check_pair_hypothesis(
@@ -192,14 +254,8 @@ def check_pair_hypothesis(
     instead of running the oracle. A quasinilpotency row carries no scalar;
     its residual is nilpotency_residual of the operand."""
     a, b = square_pair(a, b)
-    checks = []
-    for label, lhs, rhs in _conditions(target, a, b, *_oracles(target, a, b, tol, a_dr, b_dr)):
-        if rhs is None:
-            residual = nilpotency_residual(lhs)
-            checks.append(FactorCheck(label, residual <= tol.eps_check, None, residual, False))
-        else:
-            checks.append(check_factor_condition(lhs, rhs, lam, tol, condition=label))
-    return checks
+    rows = _conditions(target, a, b, *_oracles(target, a, b, tol, a_dr, b_dr))
+    return check_condition_rows(rows, tol, lam)
 
 
 def _refusal(c: FactorCheck) -> str:
@@ -251,6 +307,10 @@ def drazin_sum_nilpotent(
 
         (a + b)^d = b^d + sum_{n >= 0} (b^d)^(n+2) a (a + b)^n.
 
+    This is drazin_sum at a^d = 0, a^pi = I, where its hypothesis reads
+    a b = lambda b a b^pi and its formula reduces to the one above; the
+    hypothesis is checked here and the formula evaluated by drazin_sum.
+
     Parameters
     ----------
     a, b : ndarray
@@ -273,25 +333,13 @@ def drazin_sum_nilpotent(
     PreconditionViolated
         If (without force) a is not quasinilpotent or the hypothesis fails.
     ConvergenceError
-        If the series fails to terminate within 2 * dim + 2 terms.
+        If a series of drazin_sum fails to terminate within 2 * dim + 2 terms.
     """
     a, b = square_pair(a, b)
-    _, b_dr = _oracles("2.3", a, b, tol, b_dr=b_dr)
+    a_dr, b_dr = _oracles("2.3", a, b, tol, b_dr=b_dr)
     if not force:
-        require_hypothesis(check_pair_hypothesis(a, b, "2.3", tol, lam, b_dr=b_dr))
-    dim = a.shape[0]
-    tiny = tol.eps_tail * scale_of(a, b)
-    am = PowerCache(a + b, start=a)  # a m^n, m = a + b
-    bd_pow = PowerCache(b_dr.d)
-
-    def terms():
-        n = 0
-        while True:
-            yield bd_pow(n + 2) @ am(n)
-            n += 1
-
-    s = summed(terms(), series_cap(dim), tiny, "nilpotent-plus-b series")
-    return b_dr.d + s
+        require_hypothesis(check_pair_hypothesis(a, b, "2.3", tol, lam, a_dr, b_dr))
+    return drazin_sum(a, b, tol, force=True, a_dr=a_dr, b_dr=b_dr)
 
 
 def drazin_sum(
@@ -377,34 +425,21 @@ def drazin_sum(
             yield bd_pow(n + 2) @ amb(n) @ ad_pow(1)
             n += 1
 
+    def s5_inner_terms(n):
+        k = 0
+        while True:
+            yield bd_pow(k + 1) @ amb(n + k)
+            k += 1
+
+    def s5_terms():
+        n = 0
+        while True:
+            inner = summed(s5_inner_terms(n), nmax, tiny, "sum formula series 3 (inner)")
+            yield inner @ ad_pow(n + 2)
+            n += 1
+
     s3 = summed(s3_terms(), nmax, tiny, "sum formula series 1")
     s4 = summed(s4_terms(), nmax, tiny, "sum formula series 2")
     s6 = summed(s6_terms(), nmax, tiny, "sum formula series 4")
-
-    # Double series: inner sum over k at fixed n, then the outer loop obeys
-    # the same two-consecutive-tiny early exit on the inner totals.
-    s5 = np.zeros_like(a)
-    consecutive_tiny = 0
-    last = 0.0
-    for n in range(nmax):
-        def inner_terms(n=n):
-            k = 0
-            while True:
-                yield bd_pow(k + 1) @ amb(n + k)
-                k += 1
-
-        inner = summed(inner_terms(), nmax, tiny, "sum formula series 3 (inner)")
-        term = inner @ ad_pow(n + 2)
-        s5 = s5 + term
-        last = fro_norm(term)
-        consecutive_tiny = consecutive_tiny + 1 if last < tiny else 0
-        if consecutive_tiny >= 2:
-            break
-    else:
-        if last > tiny:
-            raise ConvergenceError(
-                f"sum formula series 3: outer term norm {last:.3e} still above "
-                f"{tiny:.3e} after {nmax} terms"
-            )
-
+    s5 = summed(s5_terms(), nmax, tiny, "sum formula series 3 (outer)")
     return b_pi @ ad_pow(1) + bd_pow(1) @ a_pi + s3 + s4 - s5 - s6

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .additive import FactorCheck, check_factor_condition, drazin_sum, require_hypothesis
+from .additive import ConditionRow, FactorCheck, check_condition_rows, drazin_sum, require_hypothesis
 from .drazin import DrazinResult, drazin_oracle
 from .errors import ReconciliationError
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, fro_norm, scale_of
@@ -163,16 +163,15 @@ def _conditions(
     a_dr: DrazinResult,
     d_dr: DrazinResult,
     bc_dr: DrazinResult | None,
-) -> list[tuple[str, np.ndarray, np.ndarray, int | None]]:
-    """Condition rows (label, lhs, rhs_base, lambda_power) for one rule.
-
-    lambda_power is +1 or -1 for scalar conditions, None for zero conditions
-    (whose rhs_base is the zero matrix).
+) -> list[ConditionRow]:
+    """Condition rows (label, lhs, rhs_base, lambda_power) for one rule, as
+    check_condition_rows reads them: lambda_power is +1 or -1 for scalar
+    conditions, None for zero conditions (whose rhs_base is the zero matrix).
     """
     a, b, c, d = blocks.a, blocks.b, blocks.c, blocks.d
     m, n = blocks.dims
     api, dpi = a_dr.pi, d_dr.pi
-    rows: list[tuple[str, np.ndarray, np.ndarray, int | None]] = []
+    rows: list[ConditionRow] = []
 
     if rule in _BC_RULES:
         if bc_dr is None:  # B C = 0: both idempotents are the identity
@@ -249,33 +248,7 @@ def check_hypothesis(
     """
     _validate(rule, lam)
     rows = _conditions(blocks, rule, *_oracles(blocks, rule, tol, a_dr, d_dr, bc_dr))
-    checks: list[FactorCheck] = []
-    fitted: list[complex] = []
-    for label, lhs, rhs, power in rows:
-        if power is None:
-            checks.append(check_factor_condition(lhs, rhs, None, tol, condition=label))
-            continue
-        given = None
-        if lam is not None:
-            given = complex(lam) if power == 1 else 1.0 / complex(lam)
-        chk = check_factor_condition(lhs, rhs, given, tol, condition=label)
-        checks.append(chk)
-        if lam is None and chk.holds and not chk.degenerate and chk.lam is not None:
-            # Normalize reciprocal scalars to the rule's canonical lambda.
-            fitted.append(chk.lam if power == 1 else 1.0 / chk.lam)
-    if lam is None and len(fitted) >= 2:
-        spread = max(abs(v - fitted[0]) for v in fitted[1:])
-        band = tol.eps_check * max(1.0, max(abs(v) for v in fitted))
-        checks.append(
-            FactorCheck(
-                condition="lambda consistency",
-                holds=spread <= band,
-                lam=None,
-                residual=spread,
-                degenerate=False,
-            )
-        )
-    return checks
+    return check_condition_rows(rows, tol, lam)
 
 
 def block_drazin(

@@ -323,9 +323,7 @@ def _block_window(
         beta = chain(beta0, lambda v, i: v * delta[i + g] / (lam * alpha[i]))
     else:  # 3.3, 3.4, 4.3
         beta = chain(beta0, lambda v, i: lam * v * delta[i + g] / alpha[i])
-    if target in ("3.1", "3.2"):
-        gamma = chain(gamma0, lambda v, i: v * alpha[i + g] / (lam * delta[i]))
-    elif target == "4.1":
+    if target in ("3.1", "3.2", "4.1"):
         gamma = chain(gamma0, lambda v, i: v * alpha[i + g] / (lam * delta[i]))
     elif target in ("3.3", "4.3"):
         gamma = chain(gamma0, lambda v, i: lam * v * alpha[i + g] / delta[i])

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .additive import PAIR_TARGETS, FactorCheck, drazin_sum, drazin_sum_nilpotent
+from .additive import PAIR_TARGETS, FactorCheck, drazin_sum
 from .blockmat import RULE_IDS, Block2x2, assemble, block_drazin
 from .casegen import PRESET_SPECS, TARGETS, CaseSpec, certify, generate, oracle_data
 from .drazin import AxiomReport, DrazinResult, check_drazin_axioms, drazin_oracle, is_quasinilpotent
@@ -114,7 +114,7 @@ def _tol_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
         parser.error(str(exc))
 
 
-def _emit(report: dict, out: str | None = None) -> None:
+def _emit(report: dict, out: str | None) -> None:
     text = json.dumps(report)
     if out:
         Path(out).write_text(text + "\n")
@@ -139,16 +139,12 @@ def _axioms_doc(axioms: AxiomReport) -> dict:
     return {"solution": axioms.solution, "commute": axioms.commute, "power": axioms.power}
 
 
-def cmd_drazin(args, parser) -> int:
-    tol = _tol_from_args(parser, args)
-    t0 = time.perf_counter()
+def cmd_drazin(args, parser, tol: Tolerance) -> tuple[dict, int]:
     a = load_matrix(args.matrix)
     try:
         res = drazin_oracle(a, tol)
     except AxiomViolation as exc:
-        report = _report("drazin", error=str(exc), wall_ms=(time.perf_counter() - t0) * 1e3)
-        _emit(report, args.out)
-        return EXIT_MISMATCH
+        return _report("drazin", error=str(exc)), EXIT_MISMATCH
     axioms = check_drazin_axioms(a, res.d, tol, index=res.index)
     report = _report(
         "drazin",
@@ -157,10 +153,8 @@ def cmd_drazin(args, parser) -> int:
         index=res.index,
         axiom_residuals=_axioms_doc(axioms),
         match=bool(axioms.ok),
-        wall_ms=(time.perf_counter() - t0) * 1e3,
     )
-    _emit(report, args.out)
-    return EXIT_OK if axioms.ok else EXIT_MISMATCH
+    return report, EXIT_OK if axioms.ok else EXIT_MISMATCH
 
 
 @dataclass
@@ -196,8 +190,7 @@ def _evaluate(kind: str, target: str, mats: dict, lam, tol: Tolerance, force: bo
             out.formula = block_drazin(blocks, target, tol, lam=lam, force=True, **oracles)
             out.m = assemble(blocks)
         else:
-            sum_formula = drazin_sum_nilpotent if target == "2.3" else drazin_sum
-            out.formula = sum_formula(mats["a"], mats["b"], tol, lam=lam, force=True, **oracles)
+            out.formula = drazin_sum(mats["a"], mats["b"], tol, lam=lam, force=True, **oracles)
             out.m = mats["a"] + mats["b"]
         out.oracle = drazin_oracle(out.m, tol)
     except (ConvergenceError, AxiomViolation) as exc:
@@ -208,10 +201,8 @@ def _evaluate(kind: str, target: str, mats: dict, lam, tol: Tolerance, force: bo
     return out
 
 
-def cmd_solve(args, parser) -> int:
+def cmd_solve(args, parser, tol: Tolerance) -> tuple[dict, int]:
     """``sum`` and ``block``: _evaluate, plus the axiom check of the formula."""
-    tol = _tol_from_args(parser, args)
-    t0 = time.perf_counter()
     if args.lam == 0:
         parser.error("lambda must be nonzero")
     mats = {name: load_matrix(getattr(args, name)) for name in args.names}
@@ -244,14 +235,10 @@ def cmd_solve(args, parser) -> int:
             match=bool(ok),
         )
         code = EXIT_OK if ok else EXIT_MISMATCH
-    report["wall_ms"] = (time.perf_counter() - t0) * 1e3
-    _emit(report, args.out)
-    return code
+    return report, code
 
 
-def cmd_gen(args, parser) -> int:
-    tol = _tol_from_args(parser, args)
-    t0 = time.perf_counter()
+def cmd_gen(args, parser, tol: Tolerance) -> tuple[dict, int]:
     if args.preset:
         spec = PRESET_SPECS[args.preset]
     else:
@@ -272,12 +259,10 @@ def cmd_gen(args, parser) -> int:
         theorem=spec.target,
         conditions=manifest["certificate"],
         match=True,
-        wall_ms=(time.perf_counter() - t0) * 1e3,
         out_dir=str(args.out),
         **{"lambda": complex_to_doc(complex(spec.lam))},
     )
-    _emit(report)  # --out names the instance directory, not a report file
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 def _verify_one(manifest: dict, matrices: dict, tol: Tolerance) -> tuple[bool, str]:
@@ -300,9 +285,7 @@ def _verify_one(manifest: dict, matrices: dict, tol: Tolerance) -> tuple[bool, s
     return True, f"match (gap {out.gap:.3e})"
 
 
-def cmd_verify(args, parser) -> int:
-    tol = _tol_from_args(parser, args)
-    t0 = time.perf_counter()
+def cmd_verify(args, parser, tol: Tolerance) -> tuple[dict, int]:
     root = Path(args.directory)
     if not root.is_dir():
         raise DocumentError(f"{root} is not a directory")
@@ -340,10 +323,8 @@ def cmd_verify(args, parser) -> int:
         theorem=args.theorem,
         match=all_ok,
         instances=rows,
-        wall_ms=(time.perf_counter() - t0) * 1e3,
     )
-    _emit(report, args.out)
-    return EXIT_OK if all_ok else EXIT_MISMATCH
+    return report, EXIT_OK if all_ok else EXIT_MISMATCH
 
 
 @functools.cache
@@ -402,7 +383,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args, parser)
+        tol = _tol_from_args(parser, args)
+        t0 = time.perf_counter()
+        report, code = args.func(args, parser, tol)
+        report["wall_ms"] = (time.perf_counter() - t0) * 1e3
+        # gen's --out names the instance directory; its report goes to stdout
+        _emit(report, None if args.command == "gen" else args.out)
+        return code
     except SystemExit as exc:
         # argparse --help exits 0, _Parser.error exits 4; surface both as
         # return values so in-process callers never see SystemExit.

@@ -50,8 +50,9 @@ class DrazinResult:
     """The Drazin inverse d = a^d, spectral idempotent pi = I - a a^d, and index.
 
     ``index`` is None for results assembled from other results (the corner
-    parts of the block splittings) rather than computed by the oracle; no
-    formula reads it.
+    parts of the block splittings) rather than computed by the oracle, and
+    for the a^d = 0 data of the quasinilpotent a of theorem 2.3; no formula
+    reads it.
     """
 
     d: np.ndarray

@@ -7,6 +7,7 @@ from gdrazin import (
     PAIR_TARGETS,
     CaseSpec,
     ConvergenceError,
+    DrazinResult,
     PreconditionViolated,
     certify,
     check_drazin_axioms,
@@ -96,10 +97,25 @@ class TestPairHypothesisTable:
         assert all(c.holds for c in checks)
 
     @pytest.mark.parametrize("target", PAIR_TARGETS)
-    def test_oracle_data_is_reused_and_changes_nothing(self, target):
+    def test_oracle_data_is_reused_and_changes_nothing(self, target, monkeypatch):
         case = generate(CaseSpec(target=target, dim=5, lam=1j, seed=1, negate=True))
-        oracles = pair_oracles(target, *case.pair)
-        assert set(oracles) == {"2.2": set(), "2.3": {"b_dr"}, "2.4": {"a_dr", "b_dr"}}[target]
+        a, b = case.pair
+        ran = []
+
+        def recording_oracle(m, tol):
+            ran.append(m)
+            return drazin_oracle(m, tol)
+
+        monkeypatch.setattr("gdrazin.additive.drazin_oracle", recording_oracle)
+        oracles = pair_oracles(target, a, b)
+        monkeypatch.undo()
+        assert set(oracles) == {"2.2": set(), "2.3": {"a_dr", "b_dr"}, "2.4": {"a_dr", "b_dr"}}[target]
+        # the a of 2.3 is quasinilpotent: a^d = 0 and a^pi = I, with no oracle run
+        want = {"2.2": [], "2.3": [b], "2.4": [a, b]}[target]
+        assert len(ran) == len(want) and all(map(np.array_equal, ran, want))
+        if target == "2.3":
+            assert np.array_equal(oracles["a_dr"].d, np.zeros((5, 5)))
+            assert np.array_equal(oracles["a_dr"].pi, np.eye(5))
         given = check_pair_hypothesis(*case.pair, target, lam=1j, **oracles)
         assert given == check_pair_hypothesis(*case.pair, target, lam=1j)
         assert tuple(given) == certify("pair", target, case.matrices, 1j)
@@ -229,6 +245,17 @@ class TestSumGeneral:
         # not return apparently-plausible numbers
         with pytest.raises(ConvergenceError):
             drazin_sum(np.eye(3), np.eye(3), force=True)
+
+    def test_force_runs_divergent_double_series_into_error(self):
+        # b^pi = 0, a^pi = 0 and (b^d)^2 = 0 silence series 1, 2 and 4; each
+        # inner sum of series 3 is n / 4, so its outer terms grow as 2^n n
+        eye = np.eye(3, dtype=complex)
+        n = np.zeros((3, 3), dtype=complex)
+        n[0, 2] = 1.0
+        a_dr = DrazinResult(2 * eye, np.zeros_like(eye), None)
+        b_dr = DrazinResult(n, np.zeros_like(eye), None)
+        with pytest.raises(ConvergenceError, match="sum formula series 3"):
+            drazin_sum(eye / 2, eye / 2, force=True, a_dr=a_dr, b_dr=b_dr)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
