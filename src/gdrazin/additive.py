@@ -3,7 +3,8 @@ hypotheses of the form (left side) = lambda * (right side).
 
 The central routine is ``drazin_sum``: under a b = lambda a^pi b a b^pi the
 inverse of the sum is a finite combination of corner inverses and four
-terminating series. It is the only series engine for sums.
+terminating series. It is the only series engine for sums, and at a^d = 0
+it forms only the one series that a^d does not multiply.
 ``drazin_sum_nilpotent`` (theorem 2.3) is that result at a quasinilpotent a,
 where a^d = 0 and a^pi = I: it checks the sharper hypothesis and hands
 drazin_sum exactly that Drazin data of a. ``nilpotent_sum_closure`` decides
@@ -114,16 +115,19 @@ def check_factor_condition(
         raise ValueError(f"shape mismatch: {lhs.shape} vs {rhs_base.shape}")
     if given_lambda is not None and given_lambda == 0:
         raise ValueError("lambda must be nonzero")
-    scale = scale_of(lhs, rhs_base)
-    band = tol.eps_check * scale
-    lhs_small = fro_norm(lhs) <= band
-    rhs_small = fro_norm(rhs_base) <= band
+    # each operand's norm is taken once: scale, small-side tests and the
+    # degenerate residual all read it
+    lhs_norm = float(np.linalg.norm(lhs))
+    rhs_norm = float(np.linalg.norm(rhs_base))
+    band = tol.eps_check * max(1.0, lhs_norm, rhs_norm)
+    lhs_small = lhs_norm <= band
+    rhs_small = rhs_norm <= band
 
     if lhs_small and rhs_small:
-        return FactorCheck(condition, True, None, fro_norm(lhs), True)
+        return FactorCheck(condition, True, None, lhs_norm, True)
     if rhs_small:
         # No scalar multiple of a (numerically) zero base can reach lhs.
-        return FactorCheck(condition, False, None, fro_norm(lhs), False)
+        return FactorCheck(condition, False, None, lhs_norm, False)
 
     if given_lambda is not None:
         lam = complex(given_lambda)
@@ -333,7 +337,8 @@ def drazin_sum_nilpotent(
     PreconditionViolated
         If (without force) a is not quasinilpotent or the hypothesis fails.
     ConvergenceError
-        If a series of drazin_sum fails to terminate within 2 * dim + 2 terms.
+        If the series above (the one series drazin_sum forms at a^d = 0)
+        fails to terminate within 2 * dim + 2 terms.
     """
     a, b = square_pair(a, b)
     a_dr, b_dr = _oracles("2.3", a, b, tol, b_dr=b_dr)
@@ -365,6 +370,12 @@ def drazin_sum(
     with every index running from 0. All series obey the shared truncation
     policy (cap 2 * dim + 2, early exit on two consecutive tiny terms).
 
+    When a^d is exactly zero (theorem 2.3's quasinilpotent a, or a block
+    splitting whose corner Q has Q^d = 0) the result is returned after the
+    first series: every term of the other three carries a power of a^d, so
+    they sum to exactly zero and are not formed, and cannot raise
+    ConvergenceError either.
+
     Parameters
     ----------
     a, b : ndarray
@@ -387,7 +398,7 @@ def drazin_sum(
     PreconditionViolated
         If (without force) the hypothesis fails.
     ConvergenceError
-        If a series fails to terminate within the cap.
+        If a series that is formed fails to terminate within the cap.
     """
     a, b = square_pair(a, b)
     a_dr, b_dr = _oracles("2.4", a, b, tol, a_dr, b_dr)
@@ -439,7 +450,11 @@ def drazin_sum(
             n += 1
 
     s3 = summed(s3_terms(), nmax, tiny, "sum formula series 1")
+    head = b_pi @ ad_pow(1) + bd_pow(1) @ a_pi + s3
+    if not a_dr.d.any():
+        # every term of series 2, 3 and 4 carries a power of a^d = 0
+        return head
     s4 = summed(s4_terms(), nmax, tiny, "sum formula series 2")
     s6 = summed(s6_terms(), nmax, tiny, "sum formula series 4")
     s5 = summed(s5_terms(), nmax, tiny, "sum formula series 3 (outer)")
-    return b_pi @ ad_pow(1) + bd_pow(1) @ a_pi + s3 + s4 - s5 - s6
+    return head + s4 - s5 - s6

@@ -76,9 +76,21 @@ class Block2x2:
         return self.a.shape[0], self.d.shape[0]
 
 
+def _quad(tl: np.ndarray, tr: np.ndarray, bl: np.ndarray, br: np.ndarray) -> np.ndarray:
+    """The complex matrix [[tl, tr], [bl, br]] of conforming blocks: the
+    bytes np.block gives, without its recursion over nested lists."""
+    m, k = tl.shape
+    out = np.empty((m + br.shape[0], k + br.shape[1]), dtype=complex)
+    out[:m, :k] = tl
+    out[:m, k:] = tr
+    out[m:, :k] = bl
+    out[m:, k:] = br
+    return out
+
+
 def assemble(blocks: Block2x2) -> np.ndarray:
     """The full matrix [[a, b], [c, d]]."""
-    return np.block([[blocks.a, blocks.b], [blocks.c, blocks.d]])
+    return _quad(blocks.a, blocks.b, blocks.c, blocks.d)
 
 
 def exchange(blocks: Block2x2) -> Block2x2:
@@ -299,9 +311,9 @@ def block_drazin(
 
 
 def _diag_dr(a_dr: DrazinResult, d_dr: DrazinResult, m: int, n: int) -> DrazinResult:
-    d = np.block([[a_dr.d, _zero_like(m, n)], [_zero_like(n, m), d_dr.d]])
-    pi = np.block([[a_dr.pi, _zero_like(m, n)], [_zero_like(n, m), d_dr.pi]])
-    return DrazinResult(d=d, pi=pi, index=max(a_dr.index, d_dr.index))
+    d = _quad(a_dr.d, _zero_like(m, n), _zero_like(n, m), d_dr.d)
+    pi = _quad(a_dr.pi, _zero_like(m, n), _zero_like(n, m), d_dr.pi)
+    return DrazinResult(d=d, pi=pi, index=None)
 
 
 def _antidiag_dr(blocks: Block2x2, bc_dr: DrazinResult | None) -> tuple[np.ndarray, DrazinResult]:
@@ -314,12 +326,12 @@ def _antidiag_dr(blocks: Block2x2, bc_dr: DrazinResult | None) -> tuple[np.ndarr
     """
     m, n = blocks.dims
     b, c = blocks.b, blocks.c
-    q = np.block([[_zero_like(m, m), b], [c, _zero_like(n, n)]])
+    q = _quad(_zero_like(m, m), b, c, _zero_like(n, n))
     dim = m + n
     if bc_dr is None:
         return q, DrazinResult(d=np.zeros((dim, dim), dtype=complex), pi=np.eye(dim, dtype=complex), index=None)
     cb_d = c @ bc_dr.d @ bc_dr.d @ b
-    qd = np.block([[_zero_like(m, m), b @ cb_d], [c @ bc_dr.d, _zero_like(n, n)]])
+    qd = _quad(_zero_like(m, m), b @ cb_d, c @ bc_dr.d, _zero_like(n, n))
     qpi = np.eye(dim, dtype=complex) - q @ qd
     return q, DrazinResult(d=qd, pi=qpi, index=None)
 
@@ -342,20 +354,20 @@ def _dispatch(
     if rule == "4.1":
         a, b, c, d = blocks.a, blocks.b, blocks.c, blocks.d
         ad, api = a_dr.d, a_dr.pi
-        p = np.block([[a @ api, _zero_like(m, n)], [_zero_like(n, m), d]])
-        q = np.block([[a @ a @ ad, b], [c, _zero_like(n, n)]])
+        p = _quad(a @ api, _zero_like(m, n), _zero_like(n, m), d)
+        q = _quad(a @ a @ ad, b, c, _zero_like(n, n))
         p_dr = DrazinResult(
-            d=np.block([[_zero_like(m, m), _zero_like(m, n)], [_zero_like(n, m), d_dr.d]]),
-            pi=np.block([[np.eye(m, dtype=complex), _zero_like(m, n)], [_zero_like(n, m), d_dr.pi]]),
-            index=max(1, a_dr.index, d_dr.index),
+            d=_quad(_zero_like(m, m), _zero_like(m, n), _zero_like(n, m), d_dr.d),
+            pi=_quad(np.eye(m, dtype=complex), _zero_like(m, n), _zero_like(n, m), d_dr.pi),
+            index=None,
         )
         ad2 = ad @ ad
-        qd = np.block([[ad, ad2 @ b], [c @ ad2, c @ ad2 @ ad @ b]])
+        qd = _quad(ad, ad2 @ b, c @ ad2, c @ ad2 @ ad @ b)
         qpi = np.eye(m + n, dtype=complex) - q @ qd
         q_dr = DrazinResult(d=qd, pi=qpi, index=None)
         return drazin_sum(p, q, tol=tol, force=True, a_dr=p_dr, b_dr=q_dr)
 
-    p = np.block([[blocks.a, _zero_like(m, n)], [_zero_like(n, m), blocks.d]])
+    p = _quad(blocks.a, _zero_like(m, n), _zero_like(n, m), blocks.d)
     p_dr = _diag_dr(a_dr, d_dr, m, n)
     q, q_dr = _antidiag_dr(blocks, bc_dr)
     if rule in ("3.1", "3.2"):
@@ -423,7 +435,7 @@ def closed_form_drazin(
 
     tr = ad2 @ b + summed(tr_terms(), nmax, tiny, "closed form corner series")
     br = d_dr.d + c @ ad2 @ ad @ b + summed(br_terms(), nmax, tiny, "closed form tail series")
-    closed = np.block([[ad, tr], [c @ ad2, br]])
+    closed = _quad(ad, tr, c @ ad2, br)
 
     general = _dispatch(blocks, "4.1", tol, a_dr, d_dr, None)
     gap = fro_norm(closed - general)

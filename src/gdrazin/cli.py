@@ -115,7 +115,7 @@ def _tol_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
 
 
 def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report)
+    text = json.dumps(report, check_circular=False)
     if out:
         Path(out).write_text(text + "\n")
         print(f"report written to {out}")

@@ -18,7 +18,10 @@ oracle forms a^{2m+1} = a^m a^{m+1} (m = max(k, 1)) from them, reuses a^m on
 both sides of the pseudoinverse, and self-checks with the same two powers.
 Inputs whose singular values fall too close to the cutoff, or whose spectral
 gap at the stationary rank is too thin, are rejected with AxiomViolation
-rather than guessed at.
+rather than guessed at. At each power the guard is two counts: r singular
+values above eps_rank / AMBIGUITY_BAND, and the power is refused unless
+exactly r are at least eps_rank * AMBIGUITY_BAND, so that none lies strictly
+inside the band. When it passes, r is the rank at the cutoff eps_rank too.
 """
 
 from dataclasses import dataclass
@@ -49,8 +52,8 @@ GAP_MIN = 1e4
 class DrazinResult:
     """The Drazin inverse d = a^d, spectral idempotent pi = I - a a^d, and index.
 
-    ``index`` is None for results assembled from other results (the corner
-    parts of the block splittings) rather than computed by the oracle, and
+    ``index`` is None for results assembled from other results (the parts
+    P and Q of the block splittings) rather than computed by the oracle, and
     for the a^d = 0 data of the quasinilpotent a of theorem 2.3; no formula
     reads it.
     """
@@ -93,17 +96,20 @@ def _power_ranks(
     values are ``sv``. Absolute cutoff; ambiguity guarded at every power."""
     n = ah.shape[0]
     prev = n
+    lo_edge, hi_edge = eps_rank / AMBIGUITY_BAND, eps_rank * AMBIGUITY_BAND
     lo, hi = np.eye(n, dtype=complex), ah  # powers j - 1 and j
     for j in range(1, n + 2):
         if j > 1:
             lo, hi = hi, hi @ ah
             sv = np.linalg.svd(hi, compute_uv=False)
-        if np.any((sv > eps_rank / AMBIGUITY_BAND) & (sv < eps_rank * AMBIGUITY_BAND)):
+        # no singular value strictly inside the band exactly when the two
+        # counts agree; then r is also the count above eps_rank itself
+        r = int(np.count_nonzero(sv > lo_edge))
+        if r != np.count_nonzero(sv >= hi_edge):
             raise AxiomViolation(
                 f"rank of power {j} is ambiguous: singular values too close "
                 f"to the cutoff {eps_rank:g}"
             )
-        r = int(np.count_nonzero(sv > eps_rank))
         if r == prev:
             return j - 1, r, lo, hi
         prev = r
@@ -184,8 +190,9 @@ def _axiom_report(
     a: np.ndarray, cand: np.ndarray, ak: np.ndarray, ak1: np.ndarray, tol: Tolerance
 ) -> AxiomReport:
     """Axiom residuals of cand for a, given a^k and a^{k+1} at its index k."""
-    r1 = fro_norm(cand @ a @ cand - cand)
-    r2 = fro_norm(a @ cand - cand @ a)
+    ca = cand @ a
+    r1 = fro_norm(ca @ cand - cand)
+    r2 = fro_norm(a @ cand - ca)
     r3 = fro_norm(ak1 @ cand - ak)
     na, nc = fro_norm(a), fro_norm(cand)
     s12 = max(1.0, na, nc)

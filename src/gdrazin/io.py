@@ -140,7 +140,7 @@ def _read_json(path: Path):
 
 
 def save_matrix(path, m: np.ndarray) -> None:
-    Path(path).write_text(json.dumps(matrix_to_doc(m)) + "\n")
+    Path(path).write_text(json.dumps(matrix_to_doc(m), check_circular=False) + "\n")
 
 
 def load_matrix(path) -> np.ndarray:
@@ -238,7 +238,7 @@ def save_instance(directory, case: GeneratedCase) -> dict:
         "files": files,
         "certificate": [factor_check_to_doc(c) for c in case.certificate],
     }
-    (d / "instance.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    (d / "instance.json").write_text(json.dumps(manifest, indent=2, check_circular=False) + "\n")
     return manifest
 
 

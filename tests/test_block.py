@@ -7,6 +7,7 @@ from gdrazin import (
     RULE_IDS,
     Block2x2,
     CaseSpec,
+    DrazinResult,
     PreconditionViolated,
     assemble,
     block_drazin,
@@ -18,7 +19,7 @@ from gdrazin import (
     generate,
     preset,
 )
-from gdrazin.blockmat import _exchange_permutation
+from gdrazin.blockmat import _exchange_permutation, _quad, block_oracles
 from gdrazin.linalg import scale_of
 from helpers import count_sweeps
 
@@ -56,6 +57,25 @@ class TestBlock2x2:
         assert np.array_equal(m[:2, 2:], np.full((2, 3), 2.0))
         assert np.array_equal(m[2:, :2], np.full((3, 2), 3.0))
         assert blocks.dims == (2, 3)
+
+    def test_assembly_has_the_bytes_of_np_block(self):
+        # m != n, signed zeros and non-square corner products included, as
+        # the splittings build them
+        rng = np.random.default_rng(5)
+
+        def z(rows, cols):
+            x = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+            x[0, 0] = complex(-0.0, 0.0)
+            x[-1, -1] = complex(0.0, -0.0)
+            return x
+
+        for m, n in ((1, 4), (3, 2), (2, 5)):
+            tl, tr, bl, br = z(m, m), z(m, n), z(n, m), z(n, n)
+            want = np.block([[tl, tr], [bl, br]])
+            for got in (assemble(Block2x2(a=tl, b=tr, c=bl, d=br)), _quad(tl, tr, bl, br)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes()
 
     def test_exchange_is_an_involution_and_a_similarity(self):
         rng = np.random.default_rng(0)
@@ -142,6 +162,15 @@ class TestBlockDrazin:
         with pytest.raises(PreconditionViolated) as err:
             block_drazin(case.blocks, rule, lam=3.0)
         assert case.broken in str(err.value)
+
+    @pytest.mark.parametrize("rule", RULE_IDS)
+    def test_oracle_data_without_index(self, rule):
+        # DrazinResult.index may be None, and no splitting reads it
+        case = _case(rule, 4, 3.0, 0)
+        oracles = block_oracles(case.blocks, rule)
+        bare = {k: dr and DrazinResult(dr.d, dr.pi, None) for k, dr in oracles.items()}
+        got = block_drazin(case.blocks, rule, lam=3.0, **bare)
+        assert np.array_equal(got, block_drazin(case.blocks, rule, lam=3.0, **oracles))
 
     def test_bc_inverse_is_computed_once(self, monkeypatch):
         # rule 3.1 reads (B C)^d in its conditions and in its splitting

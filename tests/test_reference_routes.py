@@ -21,6 +21,7 @@ import gdrazin.additive
 import gdrazin.blockmat
 from gdrazin import (
     CaseSpec,
+    ConvergenceError,
     DrazinResult,
     assemble,
     block_drazin,
@@ -147,3 +148,56 @@ def test_forced_series_match_reference():
             reference_sum_nilpotent(a, b, b_dr),
             seed,
         )
+
+
+def test_zero_a_drazin_return_matches_reference(monkeypatch):
+    # At a^d = 0 drazin_sum returns after series 1; the reference still sums
+    # all four series, whose other three then vanish exactly. Theorem 2.3
+    # always has a^d = 0, the splittings of rules 3.1 and 3.2 whenever
+    # Q^d = 0.
+    hits = {"3.1": 0, "3.2": 0}
+    real_sum = gdrazin.blockmat.drazin_sum
+
+    def spy(a, b, tol, force, a_dr, b_dr):
+        new = outcome(real_sum, a, b, tol=tol, force=force, a_dr=a_dr, b_dr=b_dr)
+        if not a_dr.d.any():
+            hits[where[0]] += 1
+            assert_close(new, outcome(reference_sum, a, b, a_dr, b_dr, tol), where)
+        return new
+
+    monkeypatch.setattr(gdrazin.blockmat, "drazin_sum", spy)
+    for negate in (False, True):
+        for i in range(40):
+            spec = dict(dim=2 + i % 7, lam=LAMBDAS[i % 4], seed=i // 4, negate=negate)
+            where = ("2.3", negate, i)
+            a, b = generate(CaseSpec("2.3", **spec)).pair
+            b_dr = reference_oracle(b)
+            eye = np.eye(a.shape[0], dtype=complex)
+            zero = DrazinResult(np.zeros_like(eye), eye, None)
+            assert_close(
+                outcome(drazin_sum_nilpotent, a, b, lam=spec["lam"], force=negate, b_dr=b_dr),
+                outcome(reference_sum, a, b, zero, b_dr),
+                where,
+            )
+            # B C = 0 makes Q^d = 0; rule 3.2 instances satisfy rule 3.1 too
+            blocks = generate(CaseSpec("3.2", **spec)).blocks
+            for target in ("3.1", "3.2"):
+                where = (target, negate, i)
+                block_drazin(blocks, target, lam=spec["lam"], force=negate)
+    assert hits == {"3.1": 80, "3.2": 80}
+
+
+def test_zero_a_drazin_skips_series_that_cannot_terminate():
+    # A valid 2.3 instance scaled by 1e5: an inner sum of the double series
+    # stays above the tail bound at the cap (it grows as s^2 against a bound
+    # linear in s), so the four-series evaluation raises. That sum is then
+    # multiplied by (a^d)^2 = 0, and drazin_sum no longer forms it.
+    case = generate(CaseSpec("2.3", dim=4, lam=1j, seed=0))
+    a, b = (1e5 * x for x in case.pair)
+    b_dr = reference_oracle(b)
+    eye = np.eye(4, dtype=complex)
+    with pytest.raises(ConvergenceError, match="reference series"):
+        reference_sum(a, b, DrazinResult(np.zeros_like(eye), eye, None), b_dr)
+    got = drazin_sum_nilpotent(a, b, lam=1j, b_dr=b_dr)
+    assert_close(got, reference_sum_nilpotent(a, b, b_dr), "scaled 2.3")
+    assert_close(got, drazin_oracle(a + b).d, "scaled 2.3", rel=1e-8)
