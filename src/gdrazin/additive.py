@@ -14,7 +14,7 @@ rows of that table and of the block table into FactorChecks, and
 ``check_factor_condition`` is the scalar-fit primitive those rows reduce to.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
@@ -57,7 +57,8 @@ class FactorCheck:
     lam : complex or None
         The lambda used: the given value, or the least-squares fit. None when
         the check is degenerate (both sides vanish, any lambda works) or when
-        no usable scalar exists.
+        no usable scalar exists. check_condition_rows reports the hypothesis'
+        lambda here on every scalar row, (1/lambda) rows included.
     residual : float
         Frobenius norm of lhs - lambda * rhs_base (of lhs alone when no
         scalar applies).
@@ -149,13 +150,14 @@ def check_condition_rows(
 
     lambda_power +1 tests lhs = lambda * rhs_base and -1 tests
     lhs = (1/lambda) * rhs_base, at ``lam`` when given, else with a fitted
-    scalar. lambda_power None marks a zero row (rhs_base the zero matrix),
-    tested with no scalar. rhs_base None marks a quasinilpotency row on lhs:
-    it carries no scalar and its residual is nilpotency_residual(lhs).
+    scalar. Either way the row's ``lam`` is lambda: a -1 row's scalar is
+    inverted here, once. lambda_power None marks a zero row (rhs_base the
+    zero matrix), tested with no scalar. rhs_base None marks a
+    quasinilpotency row on lhs: it carries no scalar and its residual is
+    nilpotency_residual(lhs).
 
     When ``lam`` is None and at least two scalar rows produced usable
-    scalars, a final "lambda consistency" row reports whether they agree,
-    each normalized to lambda (a -1 row's scalar is inverted).
+    scalars, a final "lambda consistency" row reports whether they agree.
     """
     checks: list[FactorCheck] = []
     fitted: list[complex] = []
@@ -171,9 +173,11 @@ def check_condition_rows(
         if lam is not None:
             given = complex(lam) if power == 1 else 1.0 / complex(lam)
         chk = check_factor_condition(lhs, rhs, given, tol, condition=label)
+        if power == -1 and chk.lam is not None:
+            chk = replace(chk, lam=complex(lam) if lam is not None else 1.0 / chk.lam)
         checks.append(chk)
         if lam is None and chk.holds and not chk.degenerate and chk.lam is not None:
-            fitted.append(chk.lam if power == 1 else 1.0 / chk.lam)
+            fitted.append(chk.lam)
     if len(fitted) >= 2:
         spread = max(abs(v - fitted[0]) for v in fitted[1:])
         band = tol.eps_check * max(1.0, max(abs(v) for v in fitted))

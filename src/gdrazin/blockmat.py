@@ -17,7 +17,8 @@ Rule catalog (lambda is one nonzero complex scalar per rule):
     4.3   A B = lambda A^pi B D,   D C = lambda D^pi C A,   B C = 0
 
 Rules 4.1 and 4.2 pair their two scalars reciprocally; all other two-scalar
-rules share a single value. 4.2 is the block-exchange image of 4.1.
+rules share a single value. 4.2 is the block-exchange image of 4.1, and is
+computed as 4.1 on the exchanged blocks with the result's quadrants swapped.
 """
 
 from dataclasses import dataclass
@@ -98,20 +99,18 @@ def exchange(blocks: Block2x2) -> Block2x2:
 
     The assembled exchange image is similar to the original matrix by the
     permutation that swaps the two index ranges, so Drazin inverses transfer
-    by conjugation with that permutation.
+    by that similarity: swap the quadrants of the image's inverse.
     """
     return Block2x2(a=blocks.d, b=blocks.c, c=blocks.b, d=blocks.a)
 
 
-def _exchange_permutation(m: int, n: int) -> np.ndarray:
-    """Permutation p with assemble(blocks) = p @ assemble(exchange(blocks)) @ p.T."""
-    top = np.hstack([np.zeros((m, n)), np.eye(m)])
-    bot = np.hstack([np.eye(n), np.zeros((n, m))])
-    return np.vstack([top, bot]).astype(complex)
-
-
 def _zero_like(rows: int, cols: int) -> np.ndarray:
     return np.zeros((rows, cols), dtype=complex)
+
+
+def _nilpotent_dr(size: int) -> DrazinResult:
+    """The Drazin data (0, I) of a nilpotent size x size matrix."""
+    return DrazinResult(d=_zero_like(size, size), pi=np.eye(size, dtype=complex), index=None)
 
 
 def _validate(rule: str, lam: complex | None = None) -> None:
@@ -237,8 +236,8 @@ def check_hypothesis(
     With ``lam`` each scalar condition is tested at that value (reciprocal
     conditions at 1/lam). Without it each scalar is fitted independently and,
     when at least two conditions produced usable scalars, a final
-    "lambda consistency" row reports whether they agree (or multiply to one
-    for the reciprocal pairs of rules 4.1 and 4.2).
+    "lambda consistency" row reports whether they agree. Every scalar row
+    reports lambda itself, the (1/lambda) rows of 4.1 and 4.2 included.
 
     Parameters
     ----------
@@ -329,7 +328,7 @@ def _antidiag_dr(blocks: Block2x2, bc_dr: DrazinResult | None) -> tuple[np.ndarr
     q = _quad(_zero_like(m, m), b, c, _zero_like(n, n))
     dim = m + n
     if bc_dr is None:
-        return q, DrazinResult(d=np.zeros((dim, dim), dtype=complex), pi=np.eye(dim, dtype=complex), index=None)
+        return q, _nilpotent_dr(dim)
     cb_d = c @ bc_dr.d @ bc_dr.d @ b
     qd = _quad(_zero_like(m, m), b @ cb_d, c @ bc_dr.d, _zero_like(n, n))
     qpi = np.eye(dim, dtype=complex) - q @ qd
@@ -346,21 +345,16 @@ def _dispatch(
 ) -> np.ndarray:
     m, n = blocks.dims
     if rule == "4.2":
-        ex = exchange(blocks)
-        inner = _dispatch(ex, "4.1", tol, d_dr, a_dr, None)
-        perm = _exchange_permutation(m, n)
-        return perm @ inner @ perm.T
+        # 4.1 on the exchanged blocks, then the exchange similarity undone
+        inner = _dispatch(exchange(blocks), "4.1", tol, d_dr, a_dr, None)
+        return _quad(inner[n:, n:], inner[n:, :n], inner[:n, n:], inner[:n, :n])
 
     if rule == "4.1":
         a, b, c, d = blocks.a, blocks.b, blocks.c, blocks.d
         ad, api = a_dr.d, a_dr.pi
         p = _quad(a @ api, _zero_like(m, n), _zero_like(n, m), d)
         q = _quad(a @ a @ ad, b, c, _zero_like(n, n))
-        p_dr = DrazinResult(
-            d=_quad(_zero_like(m, m), _zero_like(m, n), _zero_like(n, m), d_dr.d),
-            pi=_quad(np.eye(m, dtype=complex), _zero_like(m, n), _zero_like(n, m), d_dr.pi),
-            index=None,
-        )
+        p_dr = _diag_dr(_nilpotent_dr(m), d_dr, m, n)  # A A^pi is nilpotent
         ad2 = ad @ ad
         qd = _quad(ad, ad2 @ b, c @ ad2, c @ ad2 @ ad @ b)
         qpi = np.eye(m + n, dtype=complex) - q @ qd

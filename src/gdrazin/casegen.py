@@ -18,6 +18,7 @@ every candidate is re-verified before it is returned.
 Every instance is a deterministic function of its CaseSpec.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -59,7 +60,7 @@ class CaseSpec:
     dim : int
         Matrix size for pair targets; per-side block size for block targets.
     lam : complex
-        The nonzero scalar the instance is built for.
+        The nonzero finite scalar the instance is built for.
     seed : int
         RNG seed; the instance is a pure function of the full spec.
     negate : bool
@@ -80,6 +81,8 @@ class CaseSpec:
             raise ValueError(f"dim must be an integer >= 2, got {self.dim!r}")
         if complex(self.lam) == 0:
             raise ValueError("lambda must be nonzero")
+        if not cmath.isfinite(complex(self.lam)):
+            raise ValueError(f"lambda must be finite, got {self.lam!r}")
         if int(self.seed) != self.seed or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 

@@ -10,6 +10,7 @@ A generated-instance directory holds one matrix document per block plus an
 verification certificate.
 """
 
+import cmath
 import json
 import math
 from itertools import chain
@@ -198,23 +199,20 @@ def factor_check_to_doc(chk: FactorCheck) -> dict:
 
 def parse_scalar(text: str) -> complex | None:
     """Parse a scalar argument: 'auto' for fitted, fractions like '1/2',
-    and complex literals with either 'i' or 'j' ('3i', '1+2j', '-i')."""
+    and complex literals with either 'i' or 'j' ('3i', '1+2j', '-i').
+    ValueError for anything else, and for a value that is not finite
+    ('nan', '1e999', '1e308/1e-308')."""
     t = text.strip().lower()
-    if not t:
-        raise ValueError("empty scalar")
     if t == "auto":
         return None
-    if "/" in t:
-        num, _, den = t.partition("/")
-        try:
-            return complex(float(num) / float(den))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"bad fraction {text!r}") from exc
-    u = t.replace("i", "j")
+    num, slash, den = t.partition("/")
     try:
-        return complex(u)
-    except ValueError as exc:
+        z = complex(float(num) / float(den)) if slash else complex(t.replace("i", "j"))
+    except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad scalar {text!r}") from exc
+    if not cmath.isfinite(z):
+        raise ValueError(f"scalar {text!r} is not finite")
+    return z
 
 
 def save_instance(directory, case: GeneratedCase) -> dict:
@@ -247,8 +245,9 @@ def load_instance(directory) -> tuple[dict, dict[str, np.ndarray]]:
 
     Raises DocumentError unless the manifest's schema_version is the
     integer SCHEMA_VERSION, it names a kind ("pair" or "block"), a target of
-    that kind and, when present, a boolean negate, and its files hold
-    matrices that fit together."""
+    that kind and, when present, a boolean negate and a lambda that is null
+    or a finite nonzero [re, im] pair, and its files hold matrices that fit
+    together."""
     d = Path(directory)
     mpath = d / "instance.json"
     manifest = _read_json(mpath)
@@ -270,6 +269,12 @@ def load_instance(directory) -> tuple[dict, dict[str, np.ndarray]]:
         raise DocumentError(f"{mpath}: target {target!r} is not a {kind} target {targets}")
     if not isinstance(manifest.get("negate", False), bool):
         raise DocumentError(f"{mpath}: negate must be true or false, got {manifest['negate']!r}")
+    try:
+        lam = doc_to_complex(manifest.get("lambda"))
+    except DocumentError as exc:
+        raise DocumentError(f"{mpath}: lambda: {exc}") from exc
+    if lam == 0:
+        raise DocumentError(f"{mpath}: lambda must be nonzero")
     expected = {"a", "b"} if kind == "pair" else {"a", "b", "c", "d"}
     files = manifest["files"]
     if not isinstance(files, dict) or set(files) != expected:

@@ -10,10 +10,11 @@ acceptance gate's supporting-operations criterion (criterion 5) and
 """
 
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
-from .drazin import DrazinResult, drazin_oracle
+from .drazin import drazin_oracle
 from .errors import NotIdempotent, NotTriangular
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, fro_norm, scale_of
 from .series import NilpotentRun, PowerCache, series_cap, summed
@@ -123,41 +124,23 @@ def triangular_drazin(
 
     a_dr = drazin_oracle(a, tol)
     b_dr = drazin_oracle(b, tol)
-    return _triangular_assemble(a, a_dr, b, b_dr, c, x.shape[0], tol, scale)
-
-
-def _triangular_assemble(
-    a: np.ndarray,
-    a_dr: DrazinResult,
-    b: np.ndarray,
-    b_dr: DrazinResult,
-    c: np.ndarray,
-    dim: int,
-    tol: Tolerance,
-    scale: float,
-) -> np.ndarray:
-    """z-series assembly shared by both orientations."""
     tiny = tol.eps_tail * scale
-    nmax = series_cap(dim)
+    nmax = series_cap(x.shape[0])
     ad_pow = PowerCache(a_dr.d)
     bd_pow = PowerCache(b_dr.d)
     # Running (a a^pi)^i a^pi and (b b^pi)^i b^pi, from i = 0.
-    a_run = NilpotentRun(a_dr.pi, a @ a_dr.pi, tiny, left=True)
-    b_run = NilpotentRun(b_dr.pi, b @ b_dr.pi, tiny, left=True)
+    a_run = NilpotentRun(a_dr.pi, a @ a_dr.pi, tiny)
+    b_run = NilpotentRun(b_dr.pi, b @ b_dr.pi, tiny)
 
     def left_terms():
-        i = 0
-        while True:
+        for i in count():
             yield bd_pow(i + 2) @ c @ a_run.value
             a_run.advance()
-            i += 1
 
     def right_terms():
-        i = 0
-        while True:
+        for i in count():
             yield b_run.value @ c @ ad_pow(i + 2)
             b_run.advance()
-            i += 1
 
     s1 = summed(left_terms(), nmax, tiny, "triangular coupling series (left)")
     s2 = summed(right_terms(), nmax, tiny, "triangular coupling series (right)")

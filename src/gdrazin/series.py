@@ -6,6 +6,10 @@ applied uniformly: cap at N_max = 2*dim + 2 terms, exit early once two
 consecutive terms fall below eps_tail * scale, and raise ConvergenceError if
 the final term at the cap is still above that threshold (reachable only when
 a formula is forced outside its hypothesis).
+
+The sum, block and closed-form series stop through summed's early exit
+alone. NilpotentRun, which also clamps a running factor to exact zero,
+serves triangular_drazin only.
 """
 
 from typing import Iterable, Iterator
@@ -40,21 +44,21 @@ class PowerCache:
 
 
 class NilpotentRun:
-    """Running power of a (numerically) nilpotent factor, clamped to exact
-    zero once its norm drops below the tail threshold so that later terms
-    vanish identically instead of re-growing from rounding noise."""
+    """Running power step^i start of a (numerically) nilpotent factor step,
+    clamped to exact zero once its norm drops below the tail threshold so
+    that later terms vanish identically instead of re-growing from rounding
+    noise."""
 
-    def __init__(self, start: np.ndarray, step: np.ndarray, tiny: float, left: bool = True):
+    def __init__(self, start: np.ndarray, step: np.ndarray, tiny: float):
         self.value = np.asarray(start, dtype=complex)
         self._step = np.asarray(step, dtype=complex)
         self._tiny = tiny
-        self._left = left
         self._dead = False
 
     def advance(self) -> None:
         if self._dead:
             return
-        self.value = (self._step @ self.value) if self._left else (self.value @ self._step)
+        self.value = self._step @ self.value
         if float(np.linalg.norm(self.value)) <= self._tiny:
             self.value = np.zeros_like(self.value)
             self._dead = True

@@ -2,8 +2,10 @@
 line with its headline numbers and wall time (visible under ``pytest -s``).
 
 Every check here runs against the public API or the CLI entry point; nothing
-reaches into module internals except the exchange permutation helper already
-covered by the unit suite.
+reaches into module internals. ``_evaluate`` calls each library route itself
+(``nilpotent_sum_closure``, ``drazin_sum_nilpotent``, ``drazin_sum``,
+``block_drazin``) rather than going through the CLI's evaluation path: the
+CLI never calls the first two, so without it no gate would exercise them.
 """
 
 import json

@@ -27,6 +27,9 @@ class TestCaseSpec:
             CaseSpec(target="2.4", dim=1)
         with pytest.raises(ValueError, match="nonzero"):
             CaseSpec(target="2.4", dim=4, lam=0)
+        for lam in (float("nan"), complex(0, float("inf"))):
+            with pytest.raises(ValueError, match="finite"):
+                CaseSpec(target="2.4", dim=4, lam=lam)
         with pytest.raises(ValueError, match="seed"):
             CaseSpec(target="2.4", dim=4, seed=-1)
 

@@ -198,6 +198,25 @@ class TestBlockCommand:
         assert code == EXIT_MISMATCH
         assert doc["match"] is False
 
+    def test_reciprocal_row_reports_lambda(self, tmp_path, capsys):
+        # 4.1 holds here only at lambda = 2: B = 0 makes the first scalar row
+        # degenerate, so the (1/lambda) row alone fixes the scalar
+        shift = np.array([[0, 1], [0, 0]], dtype=complex)
+        mats = {"a": shift, "b": np.zeros((2, 2)), "c": np.diag([1, 0.5]), "d": shift}
+        paths = []
+        for name, m in mats.items():
+            paths.append(str(tmp_path / f"{name}.json"))
+            save_matrix(paths[-1], m)
+        code, doc = run(["block", *paths, "--theorem", "4.1"], capsys)
+        assert code == EXIT_OK
+        assert doc["lambda"] == [2.0, 0.0]
+        code, doc = run(["block", *paths, "--theorem", "4.1", "--lambda", "2"], capsys)
+        assert code == EXIT_OK
+        row = next(c for c in doc["conditions"] if "(1/lambda)" in c["condition"])
+        assert row["lambda"] == [2.0, 0.0]
+        code, _ = run(["block", *paths, "--theorem", "4.1", "--lambda", "1/2"], capsys)
+        assert code == EXIT_PRECONDITION
+
     def test_forced_divergence_is_flagged(self, tmp_path, capsys):
         # identity blocks violate every hypothesis; the forced series blows up
         # and the run must end in the mismatch family, not in fake numbers
@@ -287,6 +306,9 @@ class TestGenVerify:
             ("3.1", {"schema_version": "banana"}, "schema_version must be"),
             ("3.1", {"schema_version": 2}, "schema_version must be"),
             ("3.1", {"schema_version": True}, "schema_version must be"),
+            ("2.4", {"lambda": [0, 0]}, "lambda must be nonzero"),
+            ("4.3", {"lambda": [0.0, 0.0]}, "lambda must be nonzero"),
+            ("4.3", {"lambda": [float("nan"), 0.0]}, "lambda: scalar is not a finite"),
         ],
     )
     def test_verify_bad_manifest_field_exits_io(self, target, edit, fault, tmp_path, capsys):
@@ -298,7 +320,7 @@ class TestGenVerify:
         assert str(path) in err and fault in err
 
     @pytest.mark.parametrize(
-        "flag", [["--dim", "1"], ["--seed", "-1"], ["--lambda", "0"]]
+        "flag", [["--dim", "1"], ["--seed", "-1"], ["--lambda", "0"], ["--lambda", "nan"]]
     )
     def test_gen_spec_out_of_range_is_usage_error(self, flag, tmp_path, capsys):
         argv = ["gen", "--target", "2.4", "--dim", "4", "--out", str(tmp_path / "x")]

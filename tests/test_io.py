@@ -168,7 +168,9 @@ def test_parse_scalar(text, expected):
     assert parse_scalar(text) == expected
 
 
-@pytest.mark.parametrize("text", ["", "x", "1/0", "1//2", "++2"])
+@pytest.mark.parametrize(
+    "text", ["", "x", "1/0", "1//2", "++2", "nan", "-nan", "nanj", "1e999", "1e308/1e-308"]
+)
 def test_parse_scalar_rejects(text):
     with pytest.raises(ValueError):
         parse_scalar(text)

@@ -29,7 +29,7 @@ def test_power_cache():
 
 def test_nilpotent_run_clamps_to_exact_zero():
     shift = np.diag(np.ones(2), k=1).astype(complex)  # 3x3, cube is 0
-    run = NilpotentRun(np.eye(3, dtype=complex), shift, tiny=1e-12, left=True)
+    run = NilpotentRun(np.eye(3, dtype=complex), shift, tiny=1e-12)
     assert np.array_equal(run.value, np.eye(3))
     run.advance()
     assert np.array_equal(run.value, shift)
@@ -44,12 +44,9 @@ def test_nilpotent_run_clamps_to_exact_zero():
 def test_nilpotent_run_side():
     start = np.array([[0, 1], [0, 0]], dtype=complex)
     step = np.array([[2, 0], [0, 3]], dtype=complex)
-    left = NilpotentRun(start, step, tiny=0.0, left=True)
-    right = NilpotentRun(start, step, tiny=0.0, left=False)
-    left.advance()
-    right.advance()
-    assert np.array_equal(left.value, step @ start)
-    assert np.array_equal(right.value, start @ step)
+    run = NilpotentRun(start, step, tiny=0.0)
+    run.advance()
+    assert np.array_equal(run.value, step @ start)
 
 
 def test_summed_early_exit_counts_terms():
