@@ -14,6 +14,7 @@ rows of that table and of the block table into FactorChecks, and
 ``check_factor_condition`` is the scalar-fit primitive those rows reduce to.
 """
 
+import cmath
 from dataclasses import dataclass, replace
 from functools import cache
 
@@ -27,6 +28,7 @@ from .series import PowerCache, series_cap, summed
 __all__ = [
     "PAIR_TARGETS",
     "FactorCheck",
+    "require_lambda",
     "check_factor_condition",
     "check_condition_rows",
     "square_pair",
@@ -74,6 +76,18 @@ class FactorCheck:
     degenerate: bool
 
 
+def require_lambda(lam: complex | None) -> None:
+    """ValueError unless ``lam`` is None (fit the scalar) or a finite nonzero
+    scalar: the hypotheses hold for nonzero lambda, and a NaN or infinite
+    one makes every residual NaN or infinite."""
+    if lam is None:
+        return
+    if lam == 0:
+        raise ValueError("lambda must be nonzero")
+    if not cmath.isfinite(complex(lam)):
+        raise ValueError(f"lambda must be finite, got {lam!r}")
+
+
 def check_factor_condition(
     lhs: np.ndarray,
     rhs_base: np.ndarray,
@@ -101,7 +115,7 @@ def check_factor_condition(
     lhs, rhs_base : ndarray
         Same-shape matrices.
     given_lambda : complex, optional
-        Fixed nonzero scalar to test at. None fits the scalar instead.
+        Fixed finite nonzero scalar to test at. None fits the scalar instead.
     tol : Tolerance
     condition : str
         Label copied into the result.
@@ -114,8 +128,7 @@ def check_factor_condition(
     rhs_base = as_matrix(rhs_base)
     if lhs.shape != rhs_base.shape:
         raise ValueError(f"shape mismatch: {lhs.shape} vs {rhs_base.shape}")
-    if given_lambda is not None and given_lambda == 0:
-        raise ValueError("lambda must be nonzero")
+    require_lambda(given_lambda)
     # each operand's norm is taken once: scale, small-side tests and the
     # degenerate residual all read it
     lhs_norm = float(np.linalg.norm(lhs))
@@ -159,6 +172,7 @@ def check_condition_rows(
     When ``lam`` is None and at least two scalar rows produced usable
     scalars, a final "lambda consistency" row reports whether they agree.
     """
+    require_lambda(lam)
     checks: list[FactorCheck] = []
     fitted: list[complex] = []
     for label, lhs, rhs, power in rows:

@@ -25,7 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .additive import ConditionRow, FactorCheck, check_condition_rows, drazin_sum, require_hypothesis
+from .additive import (
+    ConditionRow,
+    FactorCheck,
+    check_condition_rows,
+    drazin_sum,
+    require_hypothesis,
+    require_lambda,
+)
 from .drazin import DrazinResult, drazin_oracle
 from .errors import ReconciliationError
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, fro_norm, scale_of
@@ -116,8 +123,7 @@ def _nilpotent_dr(size: int) -> DrazinResult:
 def _validate(rule: str, lam: complex | None = None) -> None:
     if rule not in RULE_IDS:
         raise ValueError(f"unknown rule {rule!r}; valid ids: {', '.join(RULE_IDS)}")
-    if lam is not None and lam == 0:
-        raise ValueError("lambda must be nonzero")
+    require_lambda(lam)
 
 
 def _bc_drazin(blocks: Block2x2, tol: Tolerance) -> DrazinResult | None:

@@ -18,13 +18,12 @@ every candidate is re-verified before it is returned.
 Every instance is a deterministic function of its CaseSpec.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .additive import PAIR_TARGETS, FactorCheck, check_pair_hypothesis, pair_oracles
+from .additive import PAIR_TARGETS, FactorCheck, check_pair_hypothesis, pair_oracles, require_lambda
 from .blockmat import RULE_IDS, Block2x2, block_oracles, check_hypothesis
 from .drazin import DrazinResult
 from .errors import AxiomViolation, GenerationFailed
@@ -79,10 +78,7 @@ class CaseSpec:
             raise ValueError(f"unknown target {self.target!r}; valid: {', '.join(TARGETS)}")
         if int(self.dim) != self.dim or self.dim < 2:
             raise ValueError(f"dim must be an integer >= 2, got {self.dim!r}")
-        if complex(self.lam) == 0:
-            raise ValueError("lambda must be nonzero")
-        if not cmath.isfinite(complex(self.lam)):
-            raise ValueError(f"lambda must be finite, got {self.lam!r}")
+        require_lambda(complex(self.lam))
         if int(self.seed) != self.seed or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 

@@ -17,14 +17,14 @@ back to the environment (GDZ_TOL_RANK, GDZ_TOL_CHECK, GDZ_TOL_MATCH,
 GDZ_TOL_TAIL) before the built-in defaults. Flags and environment are read
 again on every call.
 
-Every report is one compact JSON line (pipe it through `python3 -m json.tool`
-to read it indented). main() builds the parser once per process and reuses
-it on every later call.
+Every report is one compact JSON line written by orjson (pipe it through
+`python3 -m json.tool` to read it indented); a number in it that is not
+finite, such as a residual that overflowed, is written as null. main()
+builds the parser once per process and reuses it on every later call.
 """
 
 import argparse
 import functools
-import json
 import os
 import re
 import sys
@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .additive import PAIR_TARGETS, FactorCheck, drazin_sum
 from .blockmat import RULE_IDS, Block2x2, assemble, block_drazin
@@ -115,7 +116,7 @@ def _tol_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
 
 
 def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, check_circular=False)
+    text = orjson.dumps(report).decode()
     if out:
         Path(out).write_text(text + "\n")
         print(f"report written to {out}")

@@ -1,9 +1,14 @@
 """JSON persistence for matrices, generated instances, and report fields.
 
 A matrix document is ``{"rows": r, "cols": c, "data": [[re, im], ...]}`` with
-entries row-major. Serialization uses Python's shortest-roundtrip float
-formatting, so save followed by load reproduces the exact same matrix, bit
-for bit.
+entries row-major. Every document is encoded and decoded with orjson, the
+package's only JSON codec. Its encoder writes each float as the shortest
+text that reads back to the same float64, and its decoder rounds decimal
+text to the nearest float64, so save followed by load reproduces the exact
+same matrix, bit for bit. The text is RFC 8259 JSON: a file whose numbers
+are spelled another way (``1e-05``, ``1e+16``, integers) loads to the same
+values, and the literals ``NaN`` and ``Infinity`` are refused as not valid
+JSON.
 
 A generated-instance directory holds one matrix document per block plus an
 ``instance.json`` manifest recording the spec, the file map, and the
@@ -11,12 +16,12 @@ verification certificate.
 """
 
 import cmath
-import json
 import math
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .additive import PAIR_TARGETS, FactorCheck, square_pair
 from .blockmat import RULE_IDS, Block2x2
@@ -131,17 +136,13 @@ def _read_json(path: Path):
     except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return orjson.loads(text)
+    except orjson.JSONDecodeError as exc:
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
-    except ValueError as exc:
-        # json raises a plain ValueError for an integer literal beyond the
-        # interpreter's digit limit
-        raise DocumentError(f"{path} holds an unreadable number: {exc}") from exc
 
 
 def save_matrix(path, m: np.ndarray) -> None:
-    Path(path).write_text(json.dumps(matrix_to_doc(m), check_circular=False) + "\n")
+    Path(path).write_bytes(orjson.dumps(matrix_to_doc(m), option=orjson.OPT_APPEND_NEWLINE))
 
 
 def load_matrix(path) -> np.ndarray:
@@ -236,7 +237,9 @@ def save_instance(directory, case: GeneratedCase) -> dict:
         "files": files,
         "certificate": [factor_check_to_doc(c) for c in case.certificate],
     }
-    (d / "instance.json").write_text(json.dumps(manifest, indent=2, check_circular=False) + "\n")
+    (d / "instance.json").write_bytes(
+        orjson.dumps(manifest, option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE)
+    )
     return manifest
 
 

@@ -23,6 +23,8 @@ from gdrazin.additive import check_pair_hypothesis, pair_oracles
 
 LAMBDAS = (0.5, 3.0, 1j, -2.0)
 
+NON_FINITE = (float("nan"), complex("inf"), complex(0, float("-inf")))
+
 # The public entry point that refuses on each pair target's hypothesis.
 PAIR_FORMULAS = {"2.2": nilpotent_sum_closure, "2.3": drazin_sum_nilpotent, "2.4": drazin_sum}
 
@@ -65,6 +67,13 @@ class TestFactorCheck:
     def test_zero_given_lambda_is_an_error(self):
         with pytest.raises(ValueError):
             check_factor_condition(np.eye(2), np.eye(2), given_lambda=0)
+
+    @pytest.mark.parametrize("lam", NON_FINITE)
+    def test_non_finite_given_lambda_is_an_error(self, lam):
+        # the degenerate zero pair would otherwise hold at any scalar
+        z = np.zeros((2, 2))
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            check_factor_condition(z, z, given_lambda=lam)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -206,6 +215,12 @@ class TestSumGeneral:
         want = drazin_oracle(a + b).d
         scale = max(1.0, np.linalg.norm(a), np.linalg.norm(b))
         assert np.linalg.norm(got - want) < 1e-8 * scale
+
+    @pytest.mark.parametrize("lam", NON_FINITE)
+    def test_non_finite_lambda_is_an_error(self, lam):
+        a, b = preset("example-2.5").pair
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            drazin_sum(a, b, lam=lam)
 
     def test_canonical_pair_sums_to_zero(self):
         case = preset("example-2.5")

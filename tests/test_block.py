@@ -147,6 +147,16 @@ class TestHypothesisChecks:
         with pytest.raises(ValueError):
             check_hypothesis(case.blocks, "3.1", lam=0)
 
+    @pytest.mark.parametrize("lam", [float("nan"), complex("inf")])
+    @pytest.mark.parametrize("route", [check_hypothesis, block_drazin])
+    def test_non_finite_lambda_rejected(self, route, lam):
+        # every row of 4.3 is degenerate on these blocks, so a NaN or
+        # infinite scalar would pass them all
+        z = np.zeros((2, 2))
+        blocks = Block2x2(a=np.array([[0, 1], [0, 0]]), b=z, c=z, d=np.eye(2))
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            route(blocks, "4.3", lam=lam)
+
 
 class TestBlockDrazin:
     @pytest.mark.parametrize("rule", RULE_IDS)

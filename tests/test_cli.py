@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from gdrazin import CaseSpec, generate, preset
-from gdrazin.cli import EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_PRECONDITION, build_parser, main
+from gdrazin.cli import EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_PRECONDITION, _emit, build_parser, main
 from gdrazin.io import load_matrix, save_instance, save_matrix
 from helpers import count_sweeps
 
@@ -86,6 +86,14 @@ class TestDrazinCommand:
     def test_missing_file_exits_io(self, tmp_path, capsys):
         code, _ = run(["drazin", str(tmp_path / "nope.json")], capsys)
         assert code == EXIT_IO
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literal_exits_io(self, literal, tmp_path, capsys):
+        m = tmp_path / "m.json"
+        m.write_text(f'{{"rows": 1, "cols": 1, "data": [[{literal}, 0.0]]}}')
+        assert main(["drazin", str(m)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert str(m) in err and "not valid JSON" in err
 
     def test_non_utf8_file_exits_io(self, tmp_path, capsys):
         m = tmp_path / "m.json"
@@ -308,7 +316,8 @@ class TestGenVerify:
             ("3.1", {"schema_version": True}, "schema_version must be"),
             ("2.4", {"lambda": [0, 0]}, "lambda must be nonzero"),
             ("4.3", {"lambda": [0.0, 0.0]}, "lambda must be nonzero"),
-            ("4.3", {"lambda": [float("nan"), 0.0]}, "lambda: scalar is not a finite"),
+            # the stdlib encoder writes NaN, which is not JSON
+            ("4.3", {"lambda": [float("nan"), 0.0]}, "not valid JSON"),
         ],
     )
     def test_verify_bad_manifest_field_exits_io(self, target, edit, fault, tmp_path, capsys):
@@ -442,6 +451,10 @@ class TestOneLineReports:
             text = report.read_text()
         assert text.endswith("\n") and text.count("\n") == 1
         assert isinstance(json.loads(text), dict)
+
+    def test_non_finite_number_is_written_as_null(self, capsys):
+        _emit({"residual": float("inf"), "gap": float("nan"), "index": 2}, None)
+        assert capsys.readouterr().out == '{"residual":null,"gap":null,"index":2}\n'
 
 
 class TestOracleReuse:

@@ -140,6 +140,39 @@ def test_load_matrix_error_paths(tmp_path):
         load_matrix(utf16)
 
 
+def _stdlib_matrix(text: str) -> np.ndarray:
+    """A matrix document parsed by the stdlib json module, entry by entry."""
+    doc = json.loads(text)
+    data = [complex(re, im) for re, im in doc["data"]]
+    return np.array(data, dtype=complex).reshape(doc["rows"], doc["cols"])
+
+
+def test_stdlib_spellings_load_bit_identically(tmp_path):
+    # exponents as the stdlib encoder writes them, integers, signed zero and
+    # the smallest subnormal
+    text = (
+        '{"rows": 2, "cols": 3, "data": [[1e-05, 1e+16], [3, -7], [-0.0, 5e-324], '
+        '[0.1, -2.5e-308], [1.7976931348623157e+308, 0], [-5e-324, -0.0]]}\n'
+    )
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    back = load_matrix(path)
+    assert back.tobytes() == _stdlib_matrix(text).tobytes()
+    assert back[0, 0] == 1e-05 + 1e16j and np.signbit(back[0, 2].real)
+
+
+def test_saved_document_reads_back_under_stdlib_json(tmp_path):
+    rng = np.random.default_rng(3)
+    bits = rng.integers(0, 2**64, size=2 * 48, dtype=np.uint64)
+    m = bits.view(float).copy()
+    m[~np.isfinite(m)] = 0.0  # random bit patterns: subnormals, extremes, both signs
+    m[:6] = [-0.0, 5e-324, -5e-324, 1e-05, 1e16, np.finfo(float).max]
+    m = m.view(complex).reshape(6, 8)
+    path = tmp_path / "m.json"
+    save_matrix(path, m)
+    assert _stdlib_matrix(path.read_text()).tobytes() == m.tobytes()
+
+
 def test_complex_doc_roundtrip():
     assert complex_to_doc(None) is None
     assert doc_to_complex(None) is None
