@@ -48,13 +48,15 @@ for row in report["instances"]:
 print("verify exit code:", out.returncode)
 
 # Tampering flips the exit code to 3: copy the valid instance and damage
-# one matrix entry.
+# one matrix entry. A matrix file lists the entries row-major as one flat
+# run of numbers, [re0, im0, re1, im1, ...], so data[0] is the real part
+# of entry (0, 0).
 tampered = work / "tampered"
 tampered.mkdir()
 for p in (work / "valid").iterdir():
     (tampered / p.name).write_text(p.read_text())
 doc = json.loads((tampered / "a.json").read_text())
-doc["data"][0][0] += 1.0
+doc["data"][0] += 1.0
 (tampered / "a.json").write_text(json.dumps(doc))
 out = subprocess.run([*gdz, "verify", str(tampered)], capture_output=True, text=True)
 print("tampered verify exit code:", out.returncode)

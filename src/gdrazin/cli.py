@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import orjson
 
 from .additive import PAIR_TARGETS, FactorCheck, drazin_sum
 from .blockmat import RULE_IDS, Block2x2, assemble, block_drazin
@@ -52,6 +51,7 @@ from .io import (
     check_shapes,
     complex_to_doc,
     doc_to_complex,
+    dumps,
     factor_check_to_doc,
     load_instance,
     load_matrix,
@@ -116,12 +116,12 @@ def _tol_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
 
 
 def _emit(report: dict, out: str | None) -> None:
-    text = orjson.dumps(report).decode()
+    text = dumps(report)
     if out:
-        Path(out).write_text(text + "\n")
+        Path(out).write_bytes(text)
         print(f"report written to {out}")
     else:
-        print(text)
+        sys.stdout.write(text.decode())
 
 
 _REPORT_FIELDS = (

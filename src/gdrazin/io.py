@@ -1,18 +1,26 @@
 """JSON persistence for matrices, generated instances, and report fields.
 
-A matrix document is ``{"rows": r, "cols": c, "data": [[re, im], ...]}`` with
-entries row-major. Every document is encoded and decoded with orjson, the
-package's only JSON codec. Its encoder writes each float as the shortest
-text that reads back to the same float64, and its decoder rounds decimal
-text to the nearest float64, so save followed by load reproduces the exact
-same matrix, bit for bit. The text is RFC 8259 JSON: a file whose numbers
-are spelled another way (``1e-05``, ``1e+16``, integers) loads to the same
-values, and the literals ``NaN`` and ``Infinity`` are refused as not valid
-JSON.
+A matrix document is ``{"rows": r, "cols": c, "data": [re0, im0, re1, im1,
+...]}``: the entries row-major, each as its real then its imaginary part, so
+``data`` holds ``2*r*c`` numbers. ``matrix_to_doc`` puts the float64 view of
+the array in ``data`` and ``dumps`` writes it with orjson's numpy path, which
+spells every number as orjson spells a Python float. ``doc_to_matrix`` checks
+the types of the whole list as one set, reads it with one ``np.fromiter`` and
+checks that every number is finite. It also reads the schema-1 form, a list of
+``r*c`` ``[re, im]`` pairs, as hand-written files may use it; a ``data``
+length that is neither is refused.
+
+Every document is encoded and decoded with orjson, the package's only JSON
+codec. Its encoder writes each float as the shortest text that reads back to
+the same float64, and its decoder rounds decimal text to the nearest float64,
+so save followed by load reproduces the exact same matrix, bit for bit. The
+text is RFC 8259 JSON: a file whose numbers are spelled another way
+(``1e-05``, ``1e+16``, integers) loads to the same values, and the literals
+``NaN`` and ``Infinity`` are refused as not valid JSON.
 
 A generated-instance directory holds one matrix document per block plus an
 ``instance.json`` manifest recording the spec, the file map, and the
-verification certificate.
+verification certificate. ``load_instance`` reads schema 1 and 2 manifests.
 """
 
 import cmath
@@ -32,6 +40,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "DocumentError",
     "matrix_to_doc",
+    "dumps",
     "doc_to_matrix",
     "save_matrix",
     "load_matrix",
@@ -44,7 +53,10 @@ __all__ = [
     "load_instance",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+# manifests of schema 1 differ only in writing matrix data as [re, im] pairs,
+# which doc_to_matrix still reads
+READABLE_SCHEMA_VERSIONS = (1, 2)
 
 
 class DocumentError(GDrazinError):
@@ -52,16 +64,31 @@ class DocumentError(GDrazinError):
 
 
 def matrix_to_doc(m: np.ndarray) -> dict:
+    """The matrix document of ``m``. Its ``data`` is the float64 view of the
+    row-major entries, ``[re0, im0, re1, im1, ...]`` (a view of ``m`` itself
+    when ``m`` is C-contiguous complex128); ``dumps`` writes it as a flat
+    JSON list."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"need a 2-D array, got ndim {m.ndim}")
     rows, cols = m.shape
-    flat = m.reshape(-1)  # row-major whatever the memory layout of m
     return {
         "rows": int(rows),
         "cols": int(cols),
-        "data": np.stack((flat.real, flat.imag), axis=1).tolist(),
+        # row-major whatever the memory layout of m
+        "data": np.ascontiguousarray(m).reshape(-1).view(np.float64),
     }
+
+
+def dumps(doc, *, indent: bool = False) -> bytes:
+    """``doc`` as one line of JSON text, or indented by two spaces, ending in
+    a newline. A ``data`` array from ``matrix_to_doc`` is written as a list
+    of numbers, each spelled as orjson spells the same Python float (a NaN
+    or an infinity as null)."""
+    option = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
+    if indent:
+        option |= orjson.OPT_INDENT_2
+    return orjson.dumps(doc, option=option)
 
 
 def doc_to_matrix(doc) -> np.ndarray:
@@ -81,43 +108,53 @@ def doc_to_matrix(doc) -> np.ndarray:
         or cols < 1
     ):
         raise DocumentError(f"rows/cols must be positive integers, got {rows!r}/{cols!r}")
-    if not isinstance(data, list) or len(data) != rows * cols:
+    n = rows * cols
+    if not isinstance(data, list) or len(data) not in (n, 2 * n):
         raise DocumentError(
-            f"data must list rows*cols = {rows * cols} entries, got "
-            f"{len(data) if isinstance(data, list) else type(data).__name__}"
+            f"data must list 2*rows*cols = {2 * n} numbers, or in the pair form rows*cols = "
+            f"{n} entries, got {len(data) if isinstance(data, list) else type(data).__name__}"
         )
-    flat = _decode_pairs(data)
+    pairs = len(data) == n
+    flat = _decode(data, pairs)
     if flat is None:
-        raise _entry_error(data)
+        raise _entry_error(data, pairs)
     return flat.view(complex).reshape(rows, cols)
 
 
-def _decode_pairs(data: list) -> np.ndarray | None:
-    """The [re, im] pairs of ``data`` as one float array, checked on the whole
-    list at once; None when some entry is malformed, out of range or not
-    finite. Types are tested as a set with issubclass, so a subclass passes
-    exactly when isinstance lets it (np.float64 does, np.int64 does not)."""
-    if not all(issubclass(t, list) for t in set(map(type, data))) or set(map(len, data)) - {2}:
-        return None
-    if not all(map(_is_number_type, set(map(type, chain.from_iterable(data))))):
+def _decode(data: list, pairs: bool) -> np.ndarray | None:
+    """The numbers of ``data`` (``[re, im]`` pairs, or the flat form) as one
+    float array, checked on the whole list at once; None when some entry is
+    malformed, out of range or not finite. Types are tested as a set with
+    issubclass, so a subclass passes exactly when isinstance lets it
+    (np.float64 does, np.int64 does not)."""
+    if pairs:
+        if not all(issubclass(t, list) for t in set(map(type, data))) or set(map(len, data)) - {2}:
+            return None
+        data = list(chain.from_iterable(data))
+    if not all(map(_is_number_type, set(map(type, data)))):
         return None
     try:
-        flat = np.fromiter(chain.from_iterable(data), dtype=float, count=2 * len(data))
+        flat = np.fromiter(data, dtype=float, count=len(data))
     except OverflowError:  # an integer too large for a float
         return None
     return flat if np.isfinite(flat).all() else None
 
 
-def _entry_error(data: list) -> DocumentError:
-    """The error naming the first entry of ``data`` that _decode_pairs refuses."""
+def _entry_error(data: list, pairs: bool) -> DocumentError:
+    """The error naming the first entry of ``data`` that _decode refuses."""
     for i, entry in enumerate(data):
-        if not isinstance(entry, list) or len(entry) != 2 or not all(map(_is_number, entry)):
-            return DocumentError(f"entry {i} must be a [re, im] pair of numbers, got {entry!r}")
+        if pairs:
+            name, want, numbers = f"entry {i}", "a [re, im] pair of numbers", entry
+            shaped = isinstance(entry, list) and len(entry) == 2
+        else:
+            name, want, numbers, shaped = f"data[{i}]", "a number", [entry], True
+        if not shaped or not all(map(_is_number, numbers)):
+            return DocumentError(f"{name} must be {want}, got {entry!r}")
         try:
-            if not (math.isfinite(entry[0]) and math.isfinite(entry[1])):
-                return DocumentError(f"entry {i} is not finite: {entry!r}")
+            if not all(map(math.isfinite, numbers)):
+                return DocumentError(f"{name} is not finite: {entry!r}")
         except OverflowError:  # an integer too large for a float
-            return DocumentError(f"entry {i} is out of the floating-point range")
+            return DocumentError(f"{name} is out of the floating-point range")
     return DocumentError("data holds an entry that does not convert to a float")
 
 
@@ -133,7 +170,7 @@ def _is_number(x) -> bool:
 def _read_json(path: Path):
     try:
         text = path.read_text(encoding="utf-8")  # JSON text is UTF-8 (RFC 8259)
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the name
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     try:
         return orjson.loads(text)
@@ -142,7 +179,7 @@ def _read_json(path: Path):
 
 
 def save_matrix(path, m: np.ndarray) -> None:
-    Path(path).write_bytes(orjson.dumps(matrix_to_doc(m), option=orjson.OPT_APPEND_NEWLINE))
+    Path(path).write_bytes(dumps(matrix_to_doc(m)))
 
 
 def load_matrix(path) -> np.ndarray:
@@ -237,20 +274,19 @@ def save_instance(directory, case: GeneratedCase) -> dict:
         "files": files,
         "certificate": [factor_check_to_doc(c) for c in case.certificate],
     }
-    (d / "instance.json").write_bytes(
-        orjson.dumps(manifest, option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE)
-    )
+    (d / "instance.json").write_bytes(dumps(manifest, indent=True))
     return manifest
 
 
 def load_instance(directory) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a generated-instance directory back: (manifest, matrices).
 
-    Raises DocumentError unless the manifest's schema_version is the
-    integer SCHEMA_VERSION, it names a kind ("pair" or "block"), a target of
-    that kind and, when present, a boolean negate and a lambda that is null
-    or a finite nonzero [re, im] pair, and its files hold matrices that fit
-    together."""
+    Raises DocumentError unless the manifest's schema_version is an integer
+    in READABLE_SCHEMA_VERSIONS, it names a kind ("pair" or "block") and a
+    target of that kind, a negate (when present) is a boolean, a lambda (when
+    present) is null or a finite nonzero [re, im] pair, and its files map
+    each block name to the file name of a matrix document, the matrices
+    fitting together."""
     d = Path(directory)
     mpath = d / "instance.json"
     manifest = _read_json(mpath)
@@ -260,9 +296,9 @@ def load_instance(directory) -> tuple[dict, dict[str, np.ndarray]]:
         if key not in manifest:
             raise DocumentError(f"{mpath}: manifest missing key {key!r}")
     version = manifest["schema_version"]
-    if type(version) is not int or version != SCHEMA_VERSION:
+    if type(version) is not int or version not in READABLE_SCHEMA_VERSIONS:
         raise DocumentError(
-            f"{mpath}: schema_version must be {SCHEMA_VERSION}, got {version!r}"
+            f"{mpath}: schema_version must be one of {READABLE_SCHEMA_VERSIONS}, got {version!r}"
         )
     kind, target = manifest["kind"], manifest["target"]
     if kind not in ("pair", "block"):
@@ -280,8 +316,12 @@ def load_instance(directory) -> tuple[dict, dict[str, np.ndarray]]:
         raise DocumentError(f"{mpath}: lambda must be nonzero")
     expected = {"a", "b"} if kind == "pair" else {"a", "b", "c", "d"}
     files = manifest["files"]
-    if not isinstance(files, dict) or set(files) != expected:
-        raise DocumentError(f"{mpath}: files must map exactly {sorted(expected)}")
+    if (
+        not isinstance(files, dict)
+        or set(files) != expected
+        or not all(isinstance(f, str) for f in files.values())
+    ):
+        raise DocumentError(f"{mpath}: files must map exactly {sorted(expected)} to file names")
     matrices = {name: load_matrix(d / fname) for name, fname in files.items()}
     try:
         check_shapes(kind, matrices)

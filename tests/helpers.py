@@ -1,9 +1,11 @@
-"""Seeded matrix builders shared across the test modules.
+"""Seeded matrix builders and file fixtures shared across the test modules.
 
 Constructions keep eigenvalue moduli and conditioning inside the ranges the
 oracle's ambiguity guard tolerates, so sweeps are deterministic: no retry
 loops, no tolerance fudging.
 """
+
+import json
 
 import numpy as np
 
@@ -250,3 +252,14 @@ def reference_sum(a, b, a_dr, b_dr, tol=DEFAULT_TOL):
         if last > tiny:
             raise ConvergenceError("reference series 3: outer term still large")
     return b_pi @ ad_pow(1) + bd_pow(1) @ a_pi + s3 + s4 - s5 - s6
+
+
+def write_schema_1(directory) -> None:
+    """Rewrite a saved instance as schema 1 wrote it: [re, im] pair lists,
+    by the stdlib encoder."""
+    manifest = json.loads((directory / "instance.json").read_text())
+    for fname in manifest["files"].values():
+        doc = json.loads((directory / fname).read_text())
+        doc["data"] = [doc["data"][i:i + 2] for i in range(0, len(doc["data"]), 2)]
+        (directory / fname).write_text(json.dumps(doc))
+    (directory / "instance.json").write_text(json.dumps({**manifest, "schema_version": 1}, indent=2))

@@ -14,7 +14,7 @@ import pytest
 from gdrazin import CaseSpec, generate, preset
 from gdrazin.cli import EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_PRECONDITION, _emit, build_parser, main
 from gdrazin.io import load_matrix, save_instance, save_matrix
-from helpers import count_sweeps
+from helpers import count_sweeps, write_schema_1
 
 REPORT_KEYS = {
     "schema_version",
@@ -68,7 +68,7 @@ class TestDrazinCommand:
         code, doc = run(["drazin", str(m)], capsys)
         assert code == EXIT_OK
         assert REPORT_KEYS <= set(doc)
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["command"] == "drazin"
         assert doc["match"] is True
         assert doc["index"] == 2
@@ -291,6 +291,16 @@ class TestGenVerify:
         assert code == EXIT_MISMATCH
         assert not doc["instances"][0]["ok"]
 
+    def test_verify_reads_schema_1_pair_form(self, tmp_path, capsys):
+        save_instance(tmp_path / "valid", generate(CaseSpec(target="2.4", dim=5, lam=3.0, seed=2)))
+        neg = generate(CaseSpec(target="4.1", dim=4, lam=0.5, seed=1, negate=True))
+        save_instance(tmp_path / "negated", neg)
+        for name in ("valid", "negated"):
+            write_schema_1(tmp_path / name)
+        code, doc = run(["verify", str(tmp_path)], capsys)
+        assert code == EXIT_OK
+        assert [row["ok"] for row in doc["instances"]] == [True, True]
+
     def test_verify_empty_directory_exits_io(self, tmp_path, capsys):
         code, _ = run(["verify", str(tmp_path)], capsys)
         assert code == EXIT_IO
@@ -312,12 +322,14 @@ class TestGenVerify:
             ("2.4", {"target": ["2.4"]}, "not a pair target"),
             ("3.1", {"negate": "yes"}, "negate must be"),
             ("3.1", {"schema_version": "banana"}, "schema_version must be"),
-            ("3.1", {"schema_version": 2}, "schema_version must be"),
+            ("3.1", {"schema_version": 3}, "schema_version must be"),
             ("3.1", {"schema_version": True}, "schema_version must be"),
             ("2.4", {"lambda": [0, 0]}, "lambda must be nonzero"),
             ("4.3", {"lambda": [0.0, 0.0]}, "lambda must be nonzero"),
             # the stdlib encoder writes NaN, which is not JSON
             ("4.3", {"lambda": [float("nan"), 0.0]}, "not valid JSON"),
+            ("2.4", {"files": {"a": 1, "b": "b.json"}}, "files must map exactly"),
+            ("2.4", {"files": {"a": "a.json", "b": None}}, "files must map exactly"),
         ],
     )
     def test_verify_bad_manifest_field_exits_io(self, target, edit, fault, tmp_path, capsys):

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import orjson
 import pytest
 
 from gdrazin import CaseSpec, generate
@@ -12,6 +13,7 @@ from gdrazin.io import (
     complex_to_doc,
     doc_to_complex,
     doc_to_matrix,
+    dumps,
     load_instance,
     load_matrix,
     matrix_to_doc,
@@ -19,6 +21,7 @@ from gdrazin.io import (
     save_instance,
     save_matrix,
 )
+from helpers import write_schema_1
 
 
 def test_matrix_roundtrip_is_bit_identical(tmp_path):
@@ -34,7 +37,9 @@ def test_matrix_roundtrip_is_bit_identical(tmp_path):
 def test_doc_shape_and_layout():
     doc = matrix_to_doc(np.array([[1, 2j], [3, 4]], dtype=complex))
     assert doc["rows"] == 2 and doc["cols"] == 2
-    assert doc["data"][1] == [0.0, 2.0]  # row-major
+    # flat and row-major: re, im of entry (0, 0), then of entry (0, 1), ...
+    assert doc["data"].tolist() == [1.0, 0.0, 0.0, 2.0, 3.0, 0.0, 4.0, 0.0]
+    assert orjson.loads(dumps(doc)) == {"rows": 2, "cols": 2, "data": [1, 0, 0, 2, 3, 0, 4, 0]}
 
 
 def _pair_fault(i):
@@ -65,6 +70,18 @@ def _pair_fault(i):
         # the first bad entry wins, whatever its fault and whatever follows
         ({"rows": 1, "cols": 3, "data": [[1, 2], [float("inf"), 10**400], [None]]}, "entry 1 is not finite"),
         ({"rows": 1, "cols": 3, "data": [[1, 2], [10**400, float("nan")], ["x", 0]]}, "entry 1 is out of the"),
+        # the flat form: 2*rows*cols numbers, faults named by their index in data
+        ({"rows": 1, "cols": 2, "data": [1, 2, 3]}, "2\\*rows\\*cols = 4 numbers, .* = 2 entries, got 3$"),
+        ({"rows": 1, "cols": 1, "data": [1.0, True]}, "data\\[1\\] must be a number, got True$"),
+        ({"rows": 1, "cols": 2, "data": [1, 2, "3", 4]}, "data\\[2\\] must be a number, got '3'$"),
+        ({"rows": 1, "cols": 2, "data": [1, 2, 3, None]}, "data\\[3\\] must be a number, got None$"),
+        ({"rows": 1, "cols": 2, "data": [1, [2], 3, 4]}, "data\\[1\\] must be a number, got \\[2\\]$"),
+        ({"rows": 1, "cols": 2, "data": [1, 2, 10**400, 4]}, "data\\[2\\] is out of the floating-point range$"),
+        ({"rows": 1, "cols": 2, "data": [1, 2, 3, float("-inf")]}, "data\\[3\\] is not finite: -inf$"),
+        ({"rows": 1, "cols": 1, "data": [float("nan"), 0.0]}, "data\\[0\\] is not finite: nan$"),
+        ({"rows": 1, "cols": 1, "data": [0.0, np.int64(1)]}, "data\\[1\\] must be a number"),
+        # a pair in a list of the flat length is not a number
+        ({"rows": 1, "cols": 1, "data": [[1, 2], [3, 4]]}, "data\\[0\\] must be a number, got \\[1, 2\\]$"),
     ],
 )
 def test_doc_to_matrix_rejects_malformed(doc, match):
@@ -73,31 +90,41 @@ def test_doc_to_matrix_rejects_malformed(doc, match):
 
 
 def _entrywise_decode(doc):
-    """Reference decoder: one complex(re, im) per entry."""
-    data = [complex(re, im) for re, im in doc["data"]]
-    return np.array(data, dtype=complex).reshape(doc["rows"], doc["cols"])
+    """Reference decoder: one complex(re, im) per entry, in either form."""
+    data = doc["data"]
+    if len(data) == doc["rows"] * doc["cols"]:
+        data = [x for pair in data for x in pair]
+    entries = [complex(data[i], data[i + 1]) for i in range(0, len(data), 2)]
+    return np.array(entries, dtype=complex).reshape(doc["rows"], doc["cols"])
 
 
 def _entrywise_encode(m):
-    """Reference encoder: one [float(re), float(im)] per entry, row-major."""
+    """Reference encoder: float(re), float(im) of each entry, row-major."""
     flat = np.asarray(m, dtype=complex).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in flat]
+    return [x for z in flat for x in (float(z.real), float(z.imag))]
 
 
 def test_codec_matches_entrywise_reference():
     rng = np.random.default_rng(1)
     m = rng.normal(size=(9, 7)) + 1j * rng.normal(size=(9, 7))
     m[0, :4] = [complex(-0.0, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0), 1e-320 - 1e308j]
+    m[1, :2] = [5e-324 - 5e-324j, np.finfo(float).max + 2.2250738585072014e-308j]
     for view in (m, m.T, m[::2, ::-3]):  # contiguous, transposed, strided
         doc = matrix_to_doc(view)
-        assert doc["data"] == _entrywise_encode(view)
-        assert json.dumps(doc) == json.dumps({"rows": doc["rows"], "cols": doc["cols"],
-                                              "data": _entrywise_encode(view)})
-        assert doc_to_matrix(doc).tobytes() == _entrywise_decode(doc).tobytes()
+        reference = {"rows": doc["rows"], "cols": doc["cols"], "data": _entrywise_encode(view)}
+        text = dumps(doc)
+        assert text == orjson.dumps(reference) + b"\n"
+        parsed = orjson.loads(text)
+        assert doc_to_matrix(parsed).tobytes() == _entrywise_decode(parsed).tobytes()
+        assert doc_to_matrix(parsed).tobytes() == np.ascontiguousarray(view).tobytes()
+        pairs = {**parsed, "data": [parsed["data"][i:i + 2] for i in range(0, len(parsed["data"]), 2)]}
+        assert doc_to_matrix(pairs).tobytes() == doc_to_matrix(parsed).tobytes()
     big = [2**53 + 1, 2**53 + 3, -(2**60) - 1, 2**1000 + 1, 7]
     doc = {"rows": 1, "cols": 4, "data": [[big[i], big[i + 1]] for i in range(4)]}
     assert doc_to_matrix(doc).tobytes() == _entrywise_decode(doc).tobytes()
     assert doc_to_matrix(doc)[0, 0] == complex(2**53 + 1, 2**53 + 3)
+    flat = {"rows": 1, "cols": 4, "data": [x for pair in doc["data"] for x in pair]}
+    assert doc_to_matrix(flat).tobytes() == _entrywise_decode(flat).tobytes()
 
 
 def test_signed_zeros_survive_save_and_load(tmp_path):
@@ -114,12 +141,14 @@ def test_transposed_input_encodes_row_major():
     assert not t.flags.c_contiguous
     doc = matrix_to_doc(t)
     assert (doc["rows"], doc["cols"]) == (3, 2)
-    assert doc["data"] == [[float(v), float(v)] for v in (0, 3, 1, 4, 2, 5)]
+    assert doc["data"].tolist() == [float(v) for v in (0, 3, 1, 4, 2, 5) for _ in "ri"]
 
 
 def test_number_subclasses_follow_isinstance():
     doc = {"rows": 1, "cols": 2, "data": [[np.float64(1.5), 2], [-3, np.float64(-0.25)]]}
     assert np.array_equal(doc_to_matrix(doc), np.array([[1.5 + 2j, -3 - 0.25j]]))
+    flat = {"rows": 1, "cols": 2, "data": [np.float64(1.5), 2, -3, np.float64(-0.25)]}
+    assert np.array_equal(doc_to_matrix(flat), np.array([[1.5 + 2j, -3 - 0.25j]]))
 
 
 def test_load_matrix_error_paths(tmp_path):
@@ -138,13 +167,17 @@ def test_load_matrix_error_paths(tmp_path):
     utf16.write_bytes(b"\xff\xfe{\x00}\x00")  # a UTF-16 byte-order mark is not UTF-8
     with pytest.raises(DocumentError, match="cannot read"):
         load_matrix(utf16)
+    with pytest.raises(DocumentError, match="cannot read"):
+        load_matrix(tmp_path / "nul\x00.json")
+    nan = tmp_path / "nan.json"  # the stdlib encoder writes NaN, which is not JSON
+    nan.write_text(json.dumps({"rows": 1, "cols": 1, "data": [float("nan"), 0.0]}))
+    with pytest.raises(DocumentError, match="not valid JSON"):
+        load_matrix(nan)
 
 
 def _stdlib_matrix(text: str) -> np.ndarray:
     """A matrix document parsed by the stdlib json module, entry by entry."""
-    doc = json.loads(text)
-    data = [complex(re, im) for re, im in doc["data"]]
-    return np.array(data, dtype=complex).reshape(doc["rows"], doc["cols"])
+    return _entrywise_decode(json.loads(text))
 
 
 def test_stdlib_spellings_load_bit_identically(tmp_path):
@@ -159,6 +192,9 @@ def test_stdlib_spellings_load_bit_identically(tmp_path):
     back = load_matrix(path)
     assert back.tobytes() == _stdlib_matrix(text).tobytes()
     assert back[0, 0] == 1e-05 + 1e16j and np.signbit(back[0, 2].real)
+    flat = text.replace("[[", "[").replace("]]", "]").replace("], [", ", ")
+    path.write_text(flat)
+    assert load_matrix(path).tobytes() == _stdlib_matrix(flat).tobytes() == back.tobytes()
 
 
 def test_saved_document_reads_back_under_stdlib_json(tmp_path):
@@ -170,6 +206,8 @@ def test_saved_document_reads_back_under_stdlib_json(tmp_path):
     m = m.view(complex).reshape(6, 8)
     path = tmp_path / "m.json"
     save_matrix(path, m)
+    doc = json.loads(path.read_text())
+    assert len(doc["data"]) == 2 * 48 and all(type(x) is float for x in doc["data"])
     assert _stdlib_matrix(path.read_text()).tobytes() == m.tobytes()
 
 
@@ -229,6 +267,17 @@ def test_instance_roundtrip_pair_kind(tmp_path):
     assert manifest["negate"] is True
     assert manifest["broken"] == case.broken
     assert set(matrices) == {"a", "b"}
+
+
+def test_schema_1_instance_loads_bit_for_bit(tmp_path):
+    case = generate(CaseSpec(target="4.3", dim=6, lam=3.0, seed=2))
+    save_instance(tmp_path, case)
+    write_schema_1(tmp_path)
+    assert isinstance(json.loads((tmp_path / "a.json").read_text())["data"][0], list)
+    manifest, matrices = load_instance(tmp_path)
+    assert manifest["schema_version"] == 1
+    for name, m in matrices.items():
+        assert m.tobytes() == case.matrices[name].tobytes()
 
 
 def test_load_instance_validates_manifest(tmp_path):
