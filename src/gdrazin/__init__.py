@@ -49,6 +49,7 @@ from .errors import (
     PreconditionViolated,
     ReconciliationError,
 )
+from .evaluation import Outcome, evaluate
 from .linalg import DEFAULT_TOL, Tolerance, fro_norm, scale_of
 from .pierce import PierceSplit, cline_drazin, pierce_split, triangular_drazin
 
@@ -69,6 +70,7 @@ __all__ = [
     "GenerationFailed",
     "NotIdempotent",
     "NotTriangular",
+    "Outcome",
     "PAIR_TARGETS",
     "PRESET_SPECS",
     "PierceSplit",
@@ -89,6 +91,7 @@ __all__ = [
     "drazin_oracle",
     "drazin_sum",
     "drazin_sum_nilpotent",
+    "evaluate",
     "exchange",
     "fro_norm",
     "generate",

@@ -3,8 +3,9 @@ hypotheses of the form (left side) = lambda * (right side).
 
 The central routine is ``drazin_sum``: under a b = lambda a^pi b a b^pi the
 inverse of the sum is a finite combination of corner inverses and four
-terminating series. It is the only series engine for sums, and at a^d = 0
-it forms only the one series that a^d does not multiply.
+terminating series. It is the only series engine for sums; at a^d = 0 it
+forms only the one series that a^d does not multiply, and at b^d = 0 only
+the one that b^d does not multiply.
 ``drazin_sum_nilpotent`` (theorem 2.3) is that result at a quasinilpotent a,
 where a^d = 0 and a^pi = I: it checks the sharper hypothesis and hands
 drazin_sum exactly that Drazin data of a. ``nilpotent_sum_closure`` decides
@@ -388,11 +389,13 @@ def drazin_sum(
     with every index running from 0. All series obey the shared truncation
     policy (cap 2 * dim + 2, early exit on two consecutive tiny terms).
 
-    When a^d is exactly zero (theorem 2.3's quasinilpotent a, or a block
-    splitting whose corner Q has Q^d = 0) the result is returned after the
-    first series: every term of the other three carries a power of a^d, so
-    they sum to exactly zero and are not formed, and cannot raise
-    ConvergenceError either.
+    When a^d is exactly zero (theorem 2.3's quasinilpotent a, or a rule
+    3.1/3.2 splitting whose corner Q has Q^d = 0) only the first series is
+    formed: every term of the other three carries a power of a^d, so they
+    sum to exactly zero and are not formed, and cannot raise
+    ConvergenceError either. Likewise, when b^d is exactly zero (a rule
+    3.3/3.4/4.3 splitting whose Q^d = 0) only the second series is formed.
+    The a^d = 0 test comes first.
 
     Parameters
     ----------
@@ -467,12 +470,15 @@ def drazin_sum(
             yield inner @ ad_pow(n + 2)
             n += 1
 
-    s3 = summed(s3_terms(), nmax, tiny, "sum formula series 1")
-    head = b_pi @ ad_pow(1) + bd_pow(1) @ a_pi + s3
+    head = b_pi @ ad_pow(1) + bd_pow(1) @ a_pi
     if not a_dr.d.any():
         # every term of series 2, 3 and 4 carries a power of a^d = 0
-        return head
+        return head + summed(s3_terms(), nmax, tiny, "sum formula series 1")
+    if not b_dr.d.any():
+        # every term of series 1, 3 and 4 carries a power of b^d = 0
+        return head + summed(s4_terms(), nmax, tiny, "sum formula series 2")
+    s3 = summed(s3_terms(), nmax, tiny, "sum formula series 1")
     s4 = summed(s4_terms(), nmax, tiny, "sum formula series 2")
     s6 = summed(s6_terms(), nmax, tiny, "sum formula series 4")
     s5 = summed(s5_terms(), nmax, tiny, "sum formula series 3 (outer)")
-    return head + s4 - s5 - s6
+    return head + s3 + s4 - s5 - s6

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .additive import PAIR_TARGETS, FactorCheck, check_pair_hypothesis, pair_oracles, require_lambda
-from .blockmat import RULE_IDS, Block2x2, block_oracles, check_hypothesis
+from .additive import PAIR_TARGETS, FactorCheck, check_pair_hypothesis, require_lambda
+from .blockmat import RULE_IDS, Block2x2, check_hypothesis
 from .drazin import DrazinResult
 from .errors import AxiomViolation, GenerationFailed
 from .linalg import DEFAULT_TOL, Tolerance
@@ -36,7 +36,6 @@ __all__ = [
     "PRESET_SPECS",
     "CaseSpec",
     "GeneratedCase",
-    "oracle_data",
     "certify",
     "generate",
     "preset",
@@ -433,21 +432,6 @@ def _rng_clone(rng: np.random.Generator) -> np.random.Generator:
 
 # ------------------------------------------------------------- certificates
 
-def oracle_data(
-    kind: str,
-    target: str,
-    mats: dict[str, np.ndarray],
-    tol: Tolerance = DEFAULT_TOL,
-) -> dict[str, DrazinResult | None]:
-    """pair_oracles or block_oracles of the target: the oracle data its
-    conditions and formula read, keyed by the formula's parameters. Hand it
-    to ``certify`` and then to the formula, so neither runs the oracle again.
-    """
-    if kind == "block":
-        return block_oracles(Block2x2(**mats), target, tol)
-    return pair_oracles(target, mats["a"], mats["b"], tol)
-
-
 def certify(
     kind: str,
     target: str,
@@ -461,9 +445,10 @@ def certify(
     check_hypothesis ("block", {"a", "b", "c", "d"}).
 
     ``lam`` fixes the scalar; None fits it per condition. ``oracles`` is the
-    result of ``oracle_data`` on the same matrices; None computes it. The
-    generator certificates and the command line use this same check, so a
-    certificate can be reproduced from the saved matrices alone.
+    result of ``pair_oracles`` or ``block_oracles`` on the same matrices;
+    None computes it. The generator certificates and ``evaluation.evaluate``
+    use this same check, so a certificate can be reproduced from the saved
+    matrices alone.
     """
     oracles = oracles or {}
     if kind == "block":

@@ -29,15 +29,12 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .additive import PAIR_TARGETS, FactorCheck, drazin_sum
-from .blockmat import RULE_IDS, Block2x2, assemble, block_drazin
-from .casegen import PRESET_SPECS, TARGETS, CaseSpec, certify, generate, oracle_data
-from .drazin import AxiomReport, DrazinResult, check_drazin_axioms, drazin_oracle, is_quasinilpotent
+from .additive import PAIR_TARGETS
+from .blockmat import RULE_IDS
+from .casegen import PRESET_SPECS, TARGETS, CaseSpec, generate
+from .drazin import AxiomReport, check_drazin_axioms, drazin_oracle
 from .errors import (
     AxiomViolation,
     ConvergenceError,
@@ -45,6 +42,7 @@ from .errors import (
     PreconditionViolated,
     ReconciliationError,
 )
+from .evaluation import evaluate
 from .io import (
     SCHEMA_VERSION,
     DocumentError,
@@ -59,7 +57,7 @@ from .io import (
     parse_scalar,
     save_instance,
 )
-from .linalg import Tolerance, fro_norm, scale_of
+from .linalg import Tolerance
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -158,57 +156,13 @@ def cmd_drazin(args, parser, tol: Tolerance) -> tuple[dict, int]:
     return report, EXIT_OK if axioms.ok else EXIT_MISMATCH
 
 
-@dataclass
-class _Outcome:
-    """What _evaluate found; the fields past ``failing`` stay None where it stopped."""
-
-    conditions: tuple[FactorCheck, ...]
-    failing: list[FactorCheck]
-    closed: bool | None = None
-    formula: np.ndarray | None = None
-    m: np.ndarray | None = None
-    oracle: DrazinResult | None = None
-    gap: float | None = None
-    bound: float | None = None
-    error: str | None = None
-
-
-def _evaluate(kind: str, target: str, mats: dict, lam, tol: Tolerance, force: bool) -> _Outcome:
-    """Conditions, then closure (2.2) or formula, oracle and gap, with the
-    oracle data of ``oracle_data`` fed to both the conditions and the formula."""
-    oracles = oracle_data(kind, target, mats, tol)
-    conditions = certify(kind, target, mats, lam, tol, oracles)
-    out = _Outcome(conditions, [c for c in conditions if not c.holds])
-    if out.failing and not force:
-        return out
-    if target == "2.2":
-        # certify has checked every condition of the closure theorem
-        out.closed = not out.failing and is_quasinilpotent(mats["a"] + mats["b"], tol)
-        return out
-    try:
-        if kind == "block":
-            blocks = Block2x2(**mats)
-            out.formula = block_drazin(blocks, target, tol, lam=lam, force=True, **oracles)
-            out.m = assemble(blocks)
-        else:
-            out.formula = drazin_sum(mats["a"], mats["b"], tol, lam=lam, force=True, **oracles)
-            out.m = mats["a"] + mats["b"]
-        out.oracle = drazin_oracle(out.m, tol)
-    except (ConvergenceError, AxiomViolation) as exc:
-        out.error = str(exc)
-        return out
-    out.gap = fro_norm(out.formula - out.oracle.d)
-    out.bound = tol.eps_match * scale_of(*mats.values())
-    return out
-
-
 def cmd_solve(args, parser, tol: Tolerance) -> tuple[dict, int]:
-    """``sum`` and ``block``: _evaluate, plus the axiom check of the formula."""
+    """``sum`` and ``block``: evaluate, plus the axiom check of the formula."""
     if args.lam == 0:
         parser.error("lambda must be nonzero")
     mats = {name: load_matrix(getattr(args, name)) for name in args.names}
     check_shapes(args.kind, mats)
-    out = _evaluate(args.kind, args.theorem, mats, args.lam, tol, args.force)
+    out = evaluate(args.kind, args.theorem, mats, args.lam, tol, args.force)
     fitted = next((c.lam for c in out.conditions if c.lam is not None), None)
     report = _report(
         args.command,
@@ -270,7 +224,7 @@ def _verify_one(manifest: dict, matrices: dict, tol: Tolerance) -> tuple[bool, s
     """Contract check for one instance: valid instances must evaluate and
     match the oracle; negated instances must trip the precondition."""
     lam = doc_to_complex(manifest.get("lambda"))
-    out = _evaluate(manifest["kind"], manifest["target"], matrices, lam, tol, force=False)
+    out = evaluate(manifest["kind"], manifest["target"], matrices, lam, tol, force=False)
     if manifest.get("negate", False):
         if not out.failing:
             return False, "negated instance was accepted (no condition failed)"

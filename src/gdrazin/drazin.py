@@ -93,7 +93,8 @@ def _power_ranks(
 ) -> tuple[int, int, np.ndarray, np.ndarray]:
     """Index k, stationary rank, ah^k and ah^{k+1} from the rank sequence of
     powers of the sigma_max-normalized matrix ``ah``, whose own singular
-    values are ``sv``. Absolute cutoff; ambiguity guarded at every power."""
+    values are ``sv``. Absolute cutoff; ambiguity guarded at every power.
+    The sweep stops at the first power of rank 0 (a nilpotent ``ah``)."""
     n = ah.shape[0]
     prev = n
     lo_edge, hi_edge = eps_rank / AMBIGUITY_BAND, eps_rank * AMBIGUITY_BAND
@@ -112,6 +113,10 @@ def _power_ranks(
             )
         if r == prev:
             return j - 1, r, lo, hi
+        if r == 0:
+            # a power of rank 0 has norm at most eps_rank / AMBIGUITY_BAND, so
+            # the next one has rank 0 too; no SVD is spent confirming it
+            return j, 0, hi, hi @ ah
         prev = r
     raise AxiomViolation("rank sequence of powers failed to stabilize")
 

@@ -285,8 +285,8 @@ def load_instance(directory) -> tuple[dict, dict[str, np.ndarray]]:
     in READABLE_SCHEMA_VERSIONS, it names a kind ("pair" or "block") and a
     target of that kind, a negate (when present) is a boolean, a lambda (when
     present) is null or a finite nonzero [re, im] pair, and its files map
-    each block name to the file name of a matrix document, the matrices
-    fitting together."""
+    each block name to the plain name of a matrix document in the directory
+    (no path separator, not "." or ".."), the matrices fitting together."""
     d = Path(directory)
     mpath = d / "instance.json"
     manifest = _read_json(mpath)
@@ -322,6 +322,9 @@ def load_instance(directory) -> tuple[dict, dict[str, np.ndarray]]:
         or not all(isinstance(f, str) for f in files.values())
     ):
         raise DocumentError(f"{mpath}: files must map exactly {sorted(expected)} to file names")
+    for fname in files.values():
+        if fname in ("", ".", "..") or Path(fname).name != fname:
+            raise DocumentError(f"{mpath}: file name {fname!r} is not a plain name in {d}")
     matrices = {name: load_matrix(d / fname) for name, fname in files.items()}
     try:
         check_shapes(kind, matrices)

@@ -2,10 +2,9 @@
 line with its headline numbers and wall time (visible under ``pytest -s``).
 
 Every check here runs against the public API or the CLI entry point; nothing
-reaches into module internals. ``_evaluate`` calls each library route itself
-(``nilpotent_sum_closure``, ``drazin_sum_nilpotent``, ``drazin_sum``,
-``block_drazin``) rather than going through the CLI's evaluation path: the
-CLI never calls the first two, so without it no gate would exercise them.
+reaches into module internals. Criteria 4 and 7 judge their instances with
+``evaluate``, the route ``gdz sum``, ``gdz block`` and ``gdz verify`` run,
+so the gate checks the path users run.
 """
 
 import json
@@ -13,13 +12,11 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from helpers import mild_similarity, mixture, rectangular_pair, triangular_instance
 
 from gdrazin import (
     CaseSpec,
-    PreconditionViolated,
     assemble,
     block_drazin,
     check_drazin_axioms,
@@ -29,7 +26,7 @@ from gdrazin import (
     closed_form_drazin,
     drazin_oracle,
     drazin_sum,
-    drazin_sum_nilpotent,
+    evaluate,
     fro_norm,
     generate,
     is_quasinilpotent,
@@ -55,20 +52,6 @@ def _pass(n, detail, t0):
 def _projector(m):
     dr = drazin_oracle(m)
     return dr, np.eye(m.shape[0], dtype=complex) - m @ dr.d
-
-
-def _evaluate(case, lam):
-    """Formula output for a generated case, forced or not per caller."""
-    target = case.spec.target
-    if target == "2.2":
-        return nilpotent_sum_closure(*case.pair, lam=lam)
-    if target == "2.3":
-        a, b = case.pair
-        return drazin_sum_nilpotent(a, b, lam=lam)
-    if target == "2.4":
-        a, b = case.pair
-        return drazin_sum(a, b, lam=lam)
-    return block_drazin(case.blocks, target, lam=lam)
 
 
 def test_criterion_1_canonical_pair_regression():
@@ -167,13 +150,12 @@ def test_criterion_4_formula_oracle_equivalence_sweep():
         for i in range(100):
             lam = LAMBDAS[i % 4]
             case = generate(CaseSpec(target, dim=2 + i % 7, lam=lam, seed=i // 4))
-            if case.kind == "pair":
-                m = case.pair[0] + case.pair[1]
-            else:
-                m = assemble(case.blocks)
-            formula = _evaluate(case, lam)
-            gap = fro_norm(formula - drazin_oracle(m).d)
-            limit = 1e-8 * scale_of(m)
+            out = evaluate(case.kind, target, case.matrices, lam)
+            if out.gap is None:  # refused, or the formula or the oracle raised
+                failures.append((target, i, out.error))
+                continue
+            gap = fro_norm(out.formula - out.oracle.d)
+            limit = 1e-8 * scale_of(out.m)
             worst = max(worst, gap / limit)
             if gap > limit:
                 failures.append((target, i))
@@ -295,8 +277,9 @@ def test_criterion_7_negative_paths(tmp_path, capsys):
         for i in range(50):
             lam = LAMBDAS[i % 4]
             case = generate(CaseSpec(target, dim=2 + i % 7, lam=lam, seed=i, negate=True))
-            with pytest.raises(PreconditionViolated):
-                _evaluate(case, lam)
+            out = evaluate(case.kind, target, case.matrices, lam)
+            assert [c.condition for c in out.failing] == [case.broken]
+            assert out.formula is None and out.closed is None
             refusals += 1
 
             # the same instance through the CLI, forced: a failing result

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import gdrazin.additive
 from gdrazin import (
     RULE_IDS,
     Block2x2,
@@ -193,6 +194,30 @@ class TestBlockDrazin:
         sweeps = count_sweeps(monkeypatch)
         block_drazin(case.blocks, "3.1", lam=0.5)
         assert sorted(sweeps) == [6, 6, 6]  # A, D, B C
+
+    @pytest.mark.parametrize("rule", ["3.4", "4.3"])
+    def test_zero_q_drazin_forms_one_series(self, rule, monkeypatch):
+        # B C = 0 makes Q^d = 0, and Q is the b of the splitting's sum, so
+        # drazin_sum forms series 2 alone: the others carry powers of b^d.
+        # From dim 5 on A and D have an invertible core, so P^d != 0 and the
+        # a^d = 0 return (series 1 alone) is not the one taken.
+        labels = []
+        real_summed = gdrazin.additive.summed
+
+        def counting(terms, nmax, tiny, label):
+            labels.append(label)
+            return real_summed(terms, nmax, tiny, label)
+
+        monkeypatch.setattr(gdrazin.additive, "summed", counting)
+        for i in range(12):
+            lam = LAMBDAS[i % 4]
+            case = _case(rule, 5 + i % 4, lam, i)
+            labels.clear()
+            got = block_drazin(case.blocks, rule, lam=lam)
+            assert labels == ["sum formula series 2"], (rule, i)
+            m = assemble(case.blocks)
+            scale = scale_of(*case.matrices.values())
+            assert np.linalg.norm(got - drazin_oracle(m).d) < 1e-8 * scale, (rule, i)
 
     def test_zero_product_subsumption(self):
         # an instance of the zero-coupling rule also satisfies the projector

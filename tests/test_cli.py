@@ -330,6 +330,11 @@ class TestGenVerify:
             ("4.3", {"lambda": [float("nan"), 0.0]}, "not valid JSON"),
             ("2.4", {"files": {"a": 1, "b": "b.json"}}, "files must map exactly"),
             ("2.4", {"files": {"a": "a.json", "b": None}}, "files must map exactly"),
+            # a file name must be a plain name inside the instance directory
+            ("2.4", {"files": {"a": "/tmp/x/a.json", "b": "b.json"}}, "not a plain name"),
+            ("2.4", {"files": {"a": "a.json", "b": "../x/b.json"}}, "not a plain name"),
+            ("2.4", {"files": {"a": "sub/a.json", "b": "b.json"}}, "not a plain name"),
+            ("2.4", {"files": {"a": "a.json", "b": ".."}}, "not a plain name"),
         ],
     )
     def test_verify_bad_manifest_field_exits_io(self, target, edit, fault, tmp_path, capsys):
