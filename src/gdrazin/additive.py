@@ -23,7 +23,7 @@ import numpy as np
 
 from .drazin import DrazinResult, drazin_oracle, is_quasinilpotent, nilpotency_residual
 from .errors import PreconditionViolated
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, fro_norm, scale_of
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix, checked_norm, fro_norm
 from .series import PowerCache, series_cap, summed
 
 __all__ = [
@@ -111,6 +111,11 @@ def check_factor_condition(
     When both sides are below eps_check * scale the check is degenerate: it
     holds for every lambda and ``lam`` is reported as None.
 
+    Each operand is checked as as_matrix checks it, by the finite-norm rule
+    (see ``linalg``): the Frobenius norm the scale needs proves its entries
+    finite, and only a non-finite norm gets the full scan and its
+    ValueError.
+
     Parameters
     ----------
     lhs, rhs_base : ndarray
@@ -125,15 +130,13 @@ def check_factor_condition(
     -------
     FactorCheck
     """
-    lhs = as_matrix(lhs)
-    rhs_base = as_matrix(rhs_base)
+    # each operand's norm is taken once: it checks the operand, and the
+    # scale, small-side tests and degenerate residual read it
+    lhs, lhs_norm = checked_norm(lhs)
+    rhs_base, rhs_norm = checked_norm(rhs_base)
     if lhs.shape != rhs_base.shape:
         raise ValueError(f"shape mismatch: {lhs.shape} vs {rhs_base.shape}")
     require_lambda(given_lambda)
-    # each operand's norm is taken once: scale, small-side tests and the
-    # degenerate residual all read it
-    lhs_norm = float(np.linalg.norm(lhs))
-    rhs_norm = float(np.linalg.norm(rhs_base))
     band = tol.eps_check * max(1.0, lhs_norm, rhs_norm)
     lhs_small = lhs_norm <= band
     rhs_small = rhs_norm <= band
@@ -210,8 +213,10 @@ def check_condition_rows(
 
 def square_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     """(a, b) as complex matrices; ValueError unless both are square of one shape."""
-    a = as_matrix(a)
-    b = as_matrix(b)
+    return _same_square(as_matrix(a), as_matrix(b))
+
+
+def _same_square(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ValueError(f"need square matrices of equal shape, got {a.shape} and {b.shape}")
     return a, b
@@ -397,6 +402,10 @@ def drazin_sum(
     3.3/3.4/4.3 splitting whose Q^d = 0) only the second series is formed.
     The a^d = 0 test comes first.
 
+    a and b are checked as square_pair checks them, with finiteness read off
+    the norms that the tail bound eps_tail * max(1, ||a||, ||b||) needs (the
+    finite-norm rule of ``linalg``).
+
     Parameters
     ----------
     a, b : ndarray
@@ -421,13 +430,14 @@ def drazin_sum(
     ConvergenceError
         If a series that is formed fails to terminate within the cap.
     """
-    a, b = square_pair(a, b)
+    (a, a_norm), (b, b_norm) = checked_norm(a), checked_norm(b)
+    _same_square(a, b)
     a_dr, b_dr = _oracles("2.4", a, b, tol, a_dr, b_dr)
     if not force:
         require_hypothesis(check_pair_hypothesis(a, b, "2.4", tol, lam, a_dr, b_dr))
 
     dim = a.shape[0]
-    tiny = tol.eps_tail * scale_of(a, b)
+    tiny = tol.eps_tail * max(1.0, a_norm, b_norm)  # scale_of(a, b)
     nmax = series_cap(dim)
     # Each product of the series is formed once: a m^n and a m^n b are
     # memoized per n (the double series reads a m^j b at every n + k = j),

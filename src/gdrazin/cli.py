@@ -29,7 +29,6 @@ import os
 import re
 import sys
 import time
-from pathlib import Path
 
 from .additive import PAIR_TARGETS
 from .blockmat import RULE_IDS
@@ -51,11 +50,14 @@ from .io import (
     doc_to_complex,
     dumps,
     factor_check_to_doc,
+    join_path,
     load_instance,
     load_matrix,
     matrix_to_doc,
+    norm_path,
     parse_scalar,
     save_instance,
+    write_bytes,
 )
 from .linalg import Tolerance
 
@@ -116,7 +118,7 @@ def _tol_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
 def _emit(report: dict, out: str | None) -> None:
     text = dumps(report)
     if out:
-        Path(out).write_bytes(text)
+        write_bytes(out, text)
         print(f"report written to {out}")
     else:
         sys.stdout.write(text.decode())
@@ -241,13 +243,16 @@ def _verify_one(manifest: dict, matrices: dict, tol: Tolerance) -> tuple[bool, s
 
 
 def cmd_verify(args, parser, tol: Tolerance) -> tuple[dict, int]:
-    root = Path(args.directory)
-    if not root.is_dir():
+    root = norm_path(args.directory)
+    if not os.path.isdir(root):
         raise DocumentError(f"{root} is not a directory")
-    if (root / "instance.json").exists():
+    if os.path.exists(join_path(root, "instance.json")):
         dirs = [root]
     else:
-        dirs = sorted(p for p in root.iterdir() if p.is_dir() and (p / "instance.json").exists())
+        children = (join_path(root, name) for name in os.listdir(root))
+        dirs = sorted(
+            p for p in children if os.path.isdir(p) and os.path.exists(join_path(p, "instance.json"))
+        )
     if not dirs:
         raise DocumentError(f"no instances under {root}")
 
@@ -262,7 +267,7 @@ def cmd_verify(args, parser, tol: Tolerance) -> tuple[dict, int]:
             ok, detail = False, str(exc)
         rows.append(
             {
-                "dir": str(d),
+                "dir": d,
                 "target": manifest["target"],
                 "negate": bool(manifest.get("negate", False)),
                 "ok": ok,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AxiomViolation
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, fro_norm, mat_power
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix, checked_norm, fro_norm, mat_power
 
 __all__ = [
     "DrazinResult",
@@ -82,7 +82,7 @@ class AxiomReport:
 
 
 def _require_square(a: np.ndarray) -> np.ndarray:
-    a = as_matrix(a)
+    """``a``, checked by as_matrix already, unless it is not square."""
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got {a.shape}")
     return a
@@ -123,7 +123,7 @@ def _power_ranks(
 
 def drazin_index(a, tol: Tolerance = DEFAULT_TOL) -> int:
     """Smallest k >= 0 with rank(a^k) = rank(a^{k+1})."""
-    a = _require_square(a)
+    a = _require_square(as_matrix(a))
     sv = np.linalg.svd(a, compute_uv=False)
     s = float(sv[0])
     if s == 0.0:
@@ -140,7 +140,7 @@ def drazin_oracle(a, tol: Tolerance = DEFAULT_TOL) -> DrazinResult:
     fails any Drazin axiom beyond eps_match, or if the input's rank structure
     is numerically ambiguous.
     """
-    a = _require_square(a)
+    a = _require_square(as_matrix(a))
     n = a.shape[0]
     sv = np.linalg.svd(a, compute_uv=False)
     s = float(sv[0])  # sigma_max
@@ -178,11 +178,11 @@ def nilpotency_residual(a) -> float:
 
     Normalizing first makes the residual independent of the scale of a.
     """
-    a = _require_square(a)
-    s = fro_norm(a)
+    a, s = checked_norm(a)
+    _require_square(a)
     if s == 0.0:
         return 0.0
-    return fro_norm(mat_power(a / s, a.shape[0]))
+    return fro_norm(np.linalg.matrix_power(a / s, a.shape[0]))
 
 
 def is_quasinilpotent(a, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -221,8 +221,8 @@ def check_drazin_axioms(
     Verdict: every residual <= eps_match * scale, where scale is max(1,
     largest operand norm) of the corresponding identity.
     """
-    a = _require_square(a)
-    cand = _require_square(cand)
+    a = _require_square(as_matrix(a))
+    cand = _require_square(as_matrix(cand))
     if a.shape != cand.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {cand.shape}")
     k = drazin_index(a, tol) if index is None else index

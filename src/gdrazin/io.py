@@ -21,10 +21,17 @@ text is RFC 8259 JSON: a file whose numbers are spelled another way
 A generated-instance directory holds one matrix document per block plus an
 ``instance.json`` manifest recording the spec, the file map, and the
 verification certificate. ``load_instance`` reads schema 1 and 2 manifests.
+
+Paths are handled as strings. ``norm_path`` spells a path as pathlib would
+(so messages and report fields name files exactly as ``str(Path(p))`` did)
+and builds a ``Path`` only for a path not already in that form; ``join_path``
+is pathlib's ``/`` for a plain file name. Every document is one binary read
+whose UTF-8 text goes to orjson, and one binary write.
 """
 
 import cmath
 import math
+import os
 from itertools import chain
 from pathlib import Path
 
@@ -42,6 +49,9 @@ __all__ = [
     "matrix_to_doc",
     "dumps",
     "doc_to_matrix",
+    "norm_path",
+    "join_path",
+    "write_bytes",
     "save_matrix",
     "load_matrix",
     "check_shapes",
@@ -167,23 +177,54 @@ def _is_number(x) -> bool:
     return _is_number_type(type(x))
 
 
-def _read_json(path: Path):
+def norm_path(path) -> str:
+    """``str(Path(path))``: no empty or "." part and no trailing slash. A
+    path already spelled that way is returned as it is, with no Path built."""
+    p = os.fspath(path)
+    if p and "//" not in p and "/./" not in p and not p.startswith("./") and not p.endswith(("/", "/.")):
+        return p
+    return str(Path(p))
+
+
+def join_path(directory: str, name: str) -> str:
+    """``str(Path(directory) / name)`` for a ``norm_path`` directory and a
+    plain file name."""
+    return name if directory == "." else os.path.join(directory, name)
+
+
+def _read_json(path: str):
+    """The JSON document at ``path`` (a norm_path string), read as bytes and
+    decoded as UTF-8 (RFC 8259)."""
     try:
-        text = path.read_text(encoding="utf-8")  # JSON text is UTF-8 (RFC 8259)
+        with open(path, "rb", buffering=0) as f:
+            text = f.read().decode()
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the name
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     try:
         return orjson.loads(text)
     except orjson.JSONDecodeError as exc:
+        if "\r" in text:
+            # report the position in the text as a text-mode read sees it,
+            # each "\r\n" and "\r" as one "\n"; the verdict is the same
+            try:
+                orjson.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
+            except orjson.JSONDecodeError as translated:
+                exc = translated
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def write_bytes(path, data: bytes) -> None:
+    """Write ``data`` to the file at ``path``, as ``Path(path).write_bytes``."""
+    with open(norm_path(path), "wb") as f:
+        f.write(data)
+
+
 def save_matrix(path, m: np.ndarray) -> None:
-    Path(path).write_bytes(dumps(matrix_to_doc(m)))
+    write_bytes(path, dumps(matrix_to_doc(m)))
 
 
 def load_matrix(path) -> np.ndarray:
-    p = Path(path)
+    p = norm_path(path)
     doc = _read_json(p)
     try:
         return doc_to_matrix(doc)
@@ -255,12 +296,12 @@ def parse_scalar(text: str) -> complex | None:
 
 def save_instance(directory, case: GeneratedCase) -> dict:
     """Write one generated instance into a directory; returns the manifest."""
-    d = Path(directory)
-    d.mkdir(parents=True, exist_ok=True)
+    d = norm_path(directory)
+    os.makedirs(d, exist_ok=True)
     files = {}
     for name, m in sorted(case.matrices.items()):
         fname = f"{name}.json"
-        save_matrix(d / fname, m)
+        save_matrix(join_path(d, fname), m)
         files[name] = fname
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -274,7 +315,7 @@ def save_instance(directory, case: GeneratedCase) -> dict:
         "files": files,
         "certificate": [factor_check_to_doc(c) for c in case.certificate],
     }
-    (d / "instance.json").write_bytes(dumps(manifest, indent=True))
+    write_bytes(join_path(d, "instance.json"), dumps(manifest, indent=True))
     return manifest
 
 
@@ -287,8 +328,8 @@ def load_instance(directory) -> tuple[dict, dict[str, np.ndarray]]:
     present) is null or a finite nonzero [re, im] pair, and its files map
     each block name to the plain name of a matrix document in the directory
     (no path separator, not "." or ".."), the matrices fitting together."""
-    d = Path(directory)
-    mpath = d / "instance.json"
+    d = norm_path(directory)
+    mpath = join_path(d, "instance.json")
     manifest = _read_json(mpath)
     if not isinstance(manifest, dict):
         raise DocumentError(f"{mpath}: manifest must be an object")
@@ -323,9 +364,9 @@ def load_instance(directory) -> tuple[dict, dict[str, np.ndarray]]:
     ):
         raise DocumentError(f"{mpath}: files must map exactly {sorted(expected)} to file names")
     for fname in files.values():
-        if fname in ("", ".", "..") or Path(fname).name != fname:
+        if fname in ("", ".", "..") or "/" in fname:
             raise DocumentError(f"{mpath}: file name {fname!r} is not a plain name in {d}")
-    matrices = {name: load_matrix(d / fname) for name, fname in files.items()}
+    matrices = {name: load_matrix(join_path(d, fname)) for name, fname in files.items()}
     try:
         check_shapes(kind, matrices)
     except DocumentError as exc:

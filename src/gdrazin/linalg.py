@@ -1,10 +1,18 @@
 """Dense complex-matrix primitives: coercion, powers, norms.
 
-All matrices are 2-D numpy arrays of complex128. ``as_matrix`` is the single
-entry point that coerces and validates; everything downstream assumes its
-output.
+All matrices are 2-D numpy arrays of complex128. ``as_matrix`` coerces and
+validates; everything downstream assumes its output.
+
+Finite-norm rule: a Frobenius norm that is finite proves every entry finite,
+since a NaN or an infinity in the matrix makes the sum of squares NaN or
+infinite. So ``checked_norm`` and ``fro_norm`` validate an operand by the
+norm they compute anyway, with no separate non-finite scan. Only a
+non-finite norm (a non-finite entry, or a sum of squares that overflows)
+gets the full ``as_matrix`` scan, which raises the same ValueError as before
+when an entry is not finite and otherwise lets the infinite norm through.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +21,7 @@ __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
     "as_matrix",
+    "checked_norm",
     "mat_power",
     "fro_norm",
     "scale_of",
@@ -44,16 +53,36 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-D complex128 array and reject non-finite entries."""
+def _coerce(a) -> np.ndarray:
+    """``a`` as a 2-D complex128 array with positive dimensions (``a``
+    itself when it is one); its entries are not looked at."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"matrix dimensions must be positive, got {m.shape}")
+    return m
+
+
+def as_matrix(a) -> np.ndarray:
+    """Coerce to a 2-D complex128 array and reject non-finite entries; an
+    array that already is one is returned as it is."""
+    m = _coerce(a)
     if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
     return m
+
+
+def checked_norm(a) -> tuple[np.ndarray, float]:
+    """``(as_matrix(a), its Frobenius norm)``, with finiteness read off the
+    norm (the finite-norm rule of the module docstring): the same checks and
+    the same ValueError as as_matrix, without its scan when the norm is
+    finite."""
+    m = _coerce(a)
+    norm = float(np.linalg.norm(m))
+    if not math.isfinite(norm):
+        as_matrix(m)
+    return m, norm
 
 
 def mat_power(a, n: int) -> np.ndarray:
@@ -67,7 +96,8 @@ def mat_power(a, n: int) -> np.ndarray:
 
 
 def fro_norm(a) -> float:
-    return float(np.linalg.norm(as_matrix(a)))
+    """Frobenius norm of ``as_matrix(a)``; see checked_norm."""
+    return checked_norm(a)[1]
 
 
 def scale_of(*mats) -> float:

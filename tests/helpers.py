@@ -138,6 +138,21 @@ def count_sweeps(monkeypatch) -> list:
     return sweeps
 
 
+def count_finite_scans(monkeypatch) -> list:
+    """Record each full non-finite scan (np.isfinite over a whole matrix, as
+    as_matrix and the document decoder make it) from now on; returns the
+    list of scanned shapes."""
+    scans = []
+    original = np.isfinite
+
+    def counting(x, *args, **kwargs):
+        scans.append(np.shape(x))
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    return scans
+
+
 # ------------------------------------------------------------ references
 # The oracle and the sum series as they were before each power and each
 # series product was formed once: sigma_max from norm(a, 2), a sweep that

@@ -7,6 +7,7 @@ check of the installed console script.
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from gdrazin import CaseSpec, generate, preset
 from gdrazin.cli import EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_PRECONDITION, _emit, build_parser, main
 from gdrazin.io import load_matrix, save_instance, save_matrix
-from helpers import count_sweeps, write_schema_1
+from helpers import count_finite_scans, count_sweeps, write_schema_1
 
 REPORT_KEYS = {
     "schema_version",
@@ -499,6 +500,83 @@ class TestOracleReuse:
         code, doc = run(argv, capsys)
         assert code == EXIT_OK and doc["match"] is True
         assert len(counted) == sweeps
+
+
+class TestValidationCount:
+    """Each matrix is scanned for non-finite entries where a check owns it:
+    its document decode, check_shapes, evaluate's operand check, certify's,
+    and each oracle input. Every norm the code takes anyway checks the rest
+    (fro_norm, check_factor_condition, drazin_sum's tail scale)."""
+
+    @pytest.mark.parametrize(
+        "target,lam,scans",
+        [
+            # 4 each: decode, check_shapes, Block2x2 in evaluate and in
+            # certify; 1 each: oracle on A, D, B C and M
+            ("3.1", 0.5, 20),
+            # 2 each: decode, check_shapes, pair_oracles, certify; 1 each:
+            # oracle on a, b and a + b
+            ("2.4", 0.5, 11),
+        ],
+    )
+    def test_scans_per_verify(self, target, lam, scans, tmp_path, capsys, monkeypatch):
+        save_instance(tmp_path, generate(CaseSpec(target=target, dim=32, lam=lam, seed=0)))
+        counted = count_finite_scans(monkeypatch)
+        code, doc = run(["verify", str(tmp_path)], capsys)
+        assert code == EXIT_OK and doc["match"] is True
+        assert len(counted) == scans
+
+
+class TestPathSpellings:
+    """Paths are strings spelled as pathlib spells them: report dirs and
+    messages read as str(Path(p)) whatever the spelling on the command line."""
+
+    @pytest.fixture()
+    def workdir(self, tmp_path, monkeypatch):
+        save_instance(tmp_path / "inst", preset("example-2.5"))
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    @pytest.mark.parametrize("spelling", ["inst", "inst/", "./inst", "inst//", "./inst/."])
+    def test_verify_reports_the_pathlib_spelling(self, spelling, workdir, capsys):
+        code = main(["verify", spelling])
+        out, err = capsys.readouterr()
+        assert (code, err) == (EXIT_OK, "")
+        assert [row["dir"] for row in json.loads(out)["instances"]] == ["inst"] == [str(Path(spelling))]
+
+    def test_verify_dot_inside_the_instance(self, workdir, capsys, monkeypatch):
+        monkeypatch.chdir(workdir / "inst")
+        code, doc = run(["verify", "."], capsys)
+        assert code == EXIT_OK and [row["dir"] for row in doc["instances"]] == ["."]
+
+    def test_verify_dot_above_the_instances(self, workdir, capsys):
+        save_instance(workdir / "other", preset("example-2.5"))
+        code, doc = run(["verify", "./"], capsys)
+        assert code == EXIT_OK and [row["dir"] for row in doc["instances"]] == ["inst", "other"]
+
+    @pytest.mark.parametrize("spelling", ["inst/a.json", "inst//a.json", "./inst/./a.json"])
+    def test_drazin_on_relative_paths(self, spelling, workdir, capsys):
+        code, doc = run(["drazin", spelling], capsys)
+        assert code == EXIT_OK and doc["match"] is True
+
+    def test_missing_file_is_named_as_pathlib_names_it(self, workdir, capsys):
+        assert main(["drazin", "inst//m.json"]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            "gdz: cannot read inst/m.json: [Errno 2] No such file or directory: 'inst/m.json'\n"
+        )
+
+    def test_verify_not_a_directory(self, workdir, capsys):
+        assert main(["verify", "./nope/"]) == EXIT_IO
+        assert capsys.readouterr().err == "gdz: nope is not a directory\n"
+
+    def test_crlf_document_error_counts_text_mode_positions(self, workdir, capsys):
+        # a text-mode read sees each "\r\n" as one "\n", so the error sits
+        # at char 44, not 46
+        (workdir / "crlf.json").write_bytes(b'{"rows": 1,\r\n "cols": 1,\r\n "data": [1.0, 0.0,]}')
+        assert main(["drazin", "crlf.json"]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            "gdz: crlf.json is not valid JSON: trailing comma is not allowed: line 3 column 21 (char 44)\n"
+        )
 
 
 def test_subprocess_real_exit_code(tmp_path):

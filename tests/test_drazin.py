@@ -237,7 +237,7 @@ def test_is_quasinilpotent():
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="known silent wrong answer, ROADMAP item 3: the a/||a||_F test calls every n >= 16 "
+    reason="known silent wrong answer, ROADMAP item 1: the a/||a||_F test calls every n >= 16 "
     "matrix whose eigenvalues share one modulus nilpotent; remove this marker with the fix",
 )
 def test_large_identity_is_not_quasinilpotent():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gdrazin import Tolerance, fro_norm, scale_of
-from gdrazin.linalg import DEFAULT_TOL, as_matrix, mat_power
+from gdrazin.linalg import DEFAULT_TOL, as_matrix, checked_norm, mat_power
 
 
 def test_tolerance_defaults():
@@ -46,6 +46,36 @@ def test_as_matrix_rejects_non_finite():
 def test_fro_norm_matches_numpy():
     a = np.array([[3, 4j], [0, 0]], dtype=complex)
     assert fro_norm(a) == pytest.approx(np.linalg.norm(a))
+
+
+def test_checked_norm_is_as_matrix_and_its_norm():
+    a = np.array([[3, 4j], [0, 1]], dtype=complex)
+    m, norm = checked_norm(a)
+    assert m is a and norm == float(np.linalg.norm(a))
+    m, norm = checked_norm([[1, 2], [3, 4]])
+    assert m.dtype == np.complex128 and norm == float(np.linalg.norm(np.array([[1, 2], [3, 4]])))
+
+
+@pytest.mark.parametrize("fn", [checked_norm, fro_norm])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
+def test_non_finite_entry_fails_the_norm_check(fn, bad):
+    m = np.eye(3, dtype=complex)
+    m[1, 2] = bad
+    with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+        fn(m)
+
+
+@pytest.mark.parametrize("fn", [checked_norm, fro_norm])
+@pytest.mark.parametrize("bad", [np.zeros(3), np.zeros((2, 2, 2)), np.zeros((0, 2))])
+def test_norm_check_keeps_the_shape_checks(fn, bad):
+    with pytest.raises(ValueError, match="2-D|positive"):
+        fn(bad)
+
+
+def test_overflowing_norm_of_finite_entries_is_infinite():
+    # the non-finite norm gets the full scan, which finds every entry finite
+    with np.errstate(over="ignore"):
+        assert fro_norm(np.full((2, 2), 1e200)) == np.inf
 
 
 def test_scale_of_is_at_least_one():
