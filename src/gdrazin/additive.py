@@ -248,9 +248,10 @@ def pair_oracles(
 ) -> dict[str, DrazinResult]:
     """Oracle data that the conditions and the formula of ``target`` read,
     keyed by their parameter names: none for 2.2, "a_dr" and "b_dr" for 2.3
-    and 2.4 (the a_dr of 2.3 is a^d = 0, a^pi = I, with no oracle run).
-    Hand it to both, so each matrix sees the oracle once."""
-    oracles = zip(("a_dr", "b_dr"), _oracles(target, *square_pair(a, b), tol))
+    and 2.4 (the a_dr of 2.3 is a^d = 0, a^pi = I, with no oracle run), on
+    a and b as square_pair returns them. Hand it to both, so each matrix
+    sees the oracle once."""
+    oracles = zip(("a_dr", "b_dr"), _oracles(target, a, b, tol))
     return {key: dr for key, dr in oracles if dr is not None}
 
 
@@ -277,11 +278,11 @@ def check_pair_hypothesis(
     b_dr: DrazinResult | None = None,
 ) -> list[FactorCheck]:
     """Every hypothesis condition of a pair target (one of PAIR_TARGETS),
-    checked on (a, b), in catalog order. ``lam`` fixes the scalar; None fits
-    it. ``a_dr``/``b_dr`` are oracle data as pair_oracles returns it, used
-    instead of running the oracle. A quasinilpotency row carries no scalar;
-    its residual is nilpotency_residual of the operand."""
-    a, b = square_pair(a, b)
+    checked on (a, b) as square_pair returns them, in catalog order: the
+    entries that call it check their operands first. ``lam`` fixes the
+    scalar; None fits it. ``a_dr``/``b_dr`` are oracle data as pair_oracles
+    returns it, used instead of running the oracle. A quasinilpotency row
+    carries no scalar; its residual is nilpotency_residual of the operand."""
     rows = _conditions(target, a, b, *_oracles(target, a, b, tol, a_dr, b_dr))
     return check_condition_rows(rows, tol, lam)
 

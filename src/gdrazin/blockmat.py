@@ -69,19 +69,24 @@ class Block2x2:
         object.__setattr__(self, "b", as_matrix(self.b))
         object.__setattr__(self, "c", as_matrix(self.c))
         object.__setattr__(self, "d", as_matrix(self.d))
-        m, m2 = self.a.shape
-        n, n2 = self.d.shape
-        if m != m2 or n != n2:
-            raise ValueError(f"diagonal blocks must be square, got {self.a.shape} and {self.d.shape}")
-        if self.b.shape != (m, n) or self.c.shape != (n, m):
-            raise ValueError(
-                f"off-diagonal blocks must be {m}x{n} and {n}x{m}, "
-                f"got {self.b.shape} and {self.c.shape}"
-            )
+        _block_shapes(self.a, self.b, self.c, self.d)
 
     @property
     def dims(self) -> tuple[int, int]:
         return self.a.shape[0], self.d.shape[0]
+
+
+def _block_shapes(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> None:
+    """Block2x2's shape rule on 2-D arrays: a and d square, b and c conforming."""
+    m, m2 = a.shape
+    n, n2 = d.shape
+    if m != m2 or n != n2:
+        raise ValueError(f"diagonal blocks must be square, got {a.shape} and {d.shape}")
+    if b.shape != (m, n) or c.shape != (n, m):
+        raise ValueError(
+            f"off-diagonal blocks must be {m}x{n} and {n}x{m}, "
+            f"got {b.shape} and {c.shape}"
+        )
 
 
 def _quad(tl: np.ndarray, tr: np.ndarray, bl: np.ndarray, br: np.ndarray) -> np.ndarray:
@@ -350,13 +355,13 @@ def _dispatch(
     bc_dr: DrazinResult | None,
 ) -> np.ndarray:
     m, n = blocks.dims
+    a, b, c, d = blocks.a, blocks.b, blocks.c, blocks.d
     if rule == "4.2":
-        # 4.1 on the exchanged blocks, then the exchange similarity undone
-        inner = _dispatch(exchange(blocks), "4.1", tol, d_dr, a_dr, None)
-        return _quad(inner[n:, n:], inner[n:, :n], inner[:n, n:], inner[:n, :n])
+        # 4.1's splitting of the exchanged blocks [[d, c], [b, a]], on the
+        # same arrays; the quadrant swap below undoes the exchange similarity
+        a, b, c, d, a_dr, d_dr, m, n = d, c, b, a, d_dr, a_dr, n, m
 
-    if rule == "4.1":
-        a, b, c, d = blocks.a, blocks.b, blocks.c, blocks.d
+    if rule in ("4.1", "4.2"):
         ad, api = a_dr.d, a_dr.pi
         p = _quad(a @ api, _zero_like(m, n), _zero_like(n, m), d)
         q = _quad(a @ a @ ad, b, c, _zero_like(n, n))
@@ -365,9 +370,10 @@ def _dispatch(
         qd = _quad(ad, ad2 @ b, c @ ad2, c @ ad2 @ ad @ b)
         qpi = np.eye(m + n, dtype=complex) - q @ qd
         q_dr = DrazinResult(d=qd, pi=qpi, index=None)
-        return drazin_sum(p, q, tol=tol, force=True, a_dr=p_dr, b_dr=q_dr)
+        x = drazin_sum(p, q, tol=tol, force=True, a_dr=p_dr, b_dr=q_dr)
+        return x if rule == "4.1" else _quad(x[m:, m:], x[m:, :m], x[:m, m:], x[:m, :m])
 
-    p = _quad(blocks.a, _zero_like(m, n), _zero_like(n, m), blocks.d)
+    p = _quad(a, _zero_like(m, n), _zero_like(n, m), d)
     p_dr = _diag_dr(a_dr, d_dr, m, n)
     q, q_dr = _antidiag_dr(blocks, bc_dr)
     if rule in ("3.1", "3.2"):

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .additive import PAIR_TARGETS, FactorCheck, check_pair_hypothesis, require_lambda
-from .blockmat import RULE_IDS, Block2x2, check_hypothesis
-from .drazin import DrazinResult
+from .additive import PAIR_TARGETS, FactorCheck, require_lambda
+from .blockmat import RULE_IDS, Block2x2
 from .errors import AxiomViolation, GenerationFailed
+from .evaluation import certify, target_kind
 from .linalg import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -93,10 +93,14 @@ class GeneratedCase:
     """
 
     spec: CaseSpec
-    kind: str
     matrices: dict[str, np.ndarray]
     certificate: tuple[FactorCheck, ...]
     broken: str | None = None
+
+    @property
+    def kind(self) -> str:
+        """"pair" or "block", as the target says (``target_kind``)."""
+        return target_kind(self.spec.target)
 
     @property
     def pair(self) -> tuple[np.ndarray, np.ndarray]:
@@ -204,11 +208,16 @@ def _build_23(dim: int, lam: complex, rng: np.random.Generator) -> dict[str, np.
     return {"a": a, "b": b}
 
 
-def _build_24(dim: int, lam: complex, rng: np.random.Generator) -> dict[str, np.ndarray]:
+def _layout_24(dim: int) -> tuple[int, int, int]:
+    """Zone sizes of a 2.4 pair: the shift window u and the cores r of a and
+    t of b."""
     u = min(max(dim - 2, 0), 6)
-    rest = dim - u
-    r = (rest + 1) // 2
-    t = rest - r
+    r = (dim - u + 1) // 2
+    return u, r, dim - u - r
+
+
+def _build_24(dim: int, lam: complex, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    u, r, t = _layout_24(dim)
     z, wv = _shift_pair_weights(rng, max(u - 1, 0), lam)
     a = _embed(dim, r + t, _band(u, 1, z))
     b = _embed(dim, r + t, _band(u, 1, wv))
@@ -224,6 +233,16 @@ def _pair_valid(target: str, dim: int, lam: complex, rng: np.random.Generator) -
     return {k: un @ m @ un.conj().T for k, m in mats.items()}
 
 
+def _with_last_band_doubled(mats: dict[str, np.ndarray], key: str) -> list[dict[str, np.ndarray]]:
+    """[mats] with the last off-diagonal nonzero entry of mats[key] (row-major
+    order) doubled, or [] when mats[key] has none."""
+    rows, cols = np.nonzero(mats[key] - np.diag(np.diag(mats[key])))
+    if not rows.size:
+        return []
+    mats[key][rows[-1], cols[-1]] *= 2.0
+    return [mats]
+
+
 def _pair_negates(
     target: str, dim: int, lam: complex, rng: np.random.Generator
 ) -> list[dict[str, np.ndarray]]:
@@ -233,10 +252,7 @@ def _pair_negates(
 
     if target == "2.2":
         if dim >= 3:
-            mats = _build_22(dim, lam, rng)
-            rows, cols = np.nonzero(mats["b"])
-            mats["b"][rows[-1], cols[-1]] *= 2.0
-            candidates.append(mats)
+            candidates += _with_last_band_doubled(_build_22(dim, lam, rng), "b")
         # Nilpotency break: an invertible slot appended to b in a zone
         # where a vanishes, so the scalar condition is untouched.
         sub = _build_22(dim - 1, lam, rng) if dim >= 3 else {"a": np.zeros((1, 1), complex), "b": np.zeros((1, 1), complex)}
@@ -253,11 +269,7 @@ def _pair_negates(
         mats["a"][0, 1] = e
         candidates.append(mats)
         if dim >= 4:
-            mats2 = _build_23(dim, lam, rng)
-            rows, cols = np.nonzero(mats2["b"] - np.diag(np.diag(mats2["b"])))
-            if rows.size:
-                mats2["b"][rows[-1], cols[-1]] *= 2.0
-                candidates.append(mats2)
+            candidates += _with_last_band_doubled(_build_23(dim, lam, rng), "b")
 
     elif target == "2.4":
         if dim == 2:
@@ -265,20 +277,13 @@ def _pair_negates(
             b = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
             candidates.append({"a": a, "b": b})
         else:
-            u = min(max(dim - 2, 0), 6)
-            rest = dim - u
-            r = (rest + 1) // 2
-            t = rest - r
+            u, r, t = _layout_24(dim)
             if t >= 1 and u >= 1:
                 mats = _build_24(dim, lam, rng)
                 mats["a"][r, r + t] = e
                 candidates.append(mats)
             if u >= 3:
-                mats2 = _build_24(dim, lam, rng)
-                rows, cols = np.nonzero(mats2["b"] - np.diag(np.diag(mats2["b"])))
-                if rows.size:
-                    mats2["b"][rows[-1], cols[-1]] *= 2.0
-                    candidates.append(mats2)
+                candidates += _with_last_band_doubled(_build_24(dim, lam, rng), "b")
 
     un = _unitary(rng, dim)
     return [{k: un @ m @ un.conj().T for k, m in mats.items()} for mats in candidates]
@@ -359,6 +364,10 @@ def _build_block(target: str, dim: int, lam: complex, rng: np.random.Generator) 
     return mats
 
 
+def _block_valid(target: str, dim: int, lam: complex, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    return _conjugate_block(_build_block(target, dim, lam, rng), rng)
+
+
 def _conjugate_block(mats: dict[str, np.ndarray], rng: np.random.Generator) -> dict[str, np.ndarray]:
     dim = mats["a"].shape[0]
     um = _unitary(rng, dim)
@@ -385,20 +394,9 @@ def _block_negates(
     def fresh() -> dict[str, np.ndarray]:
         return _build_block(target, dim, lam, _rng_clone(rng))
 
-    def double_last_band(key: str) -> dict[str, np.ndarray] | None:
-        mats = fresh()
-        off = mats[key] - np.diag(np.diag(mats[key]))
-        rows, cols = np.nonzero(off)
-        if not rows.size:
-            return None
-        mats[key][rows[-1], cols[-1]] *= 2.0
-        return mats
-
     if w - g >= 2:
         for key in ("b", "c"):
-            cand = double_last_band(key)
-            if cand is not None:
-                candidates.append(cand)
+            candidates += _with_last_band_doubled(fresh(), key)
 
     # Core injection: couple the invertible diagonal zone through b (or c).
     # Falls back to a rebuilt layout with one core slot when the default
@@ -428,32 +426,6 @@ def _block_negates(
 
 def _rng_clone(rng: np.random.Generator) -> np.random.Generator:
     return np.random.default_rng(rng.integers(0, 2**63 - 1))
-
-
-# ------------------------------------------------------------- certificates
-
-def certify(
-    kind: str,
-    target: str,
-    mats: dict[str, np.ndarray],
-    lam: complex | None,
-    tol: Tolerance = DEFAULT_TOL,
-    oracles: dict[str, DrazinResult | None] | None = None,
-) -> tuple[FactorCheck, ...]:
-    """Every hypothesis condition of a target, checked on explicit matrices
-    by check_pair_hypothesis ("pair" kind, matrices {"a", "b"}) or
-    check_hypothesis ("block", {"a", "b", "c", "d"}).
-
-    ``lam`` fixes the scalar; None fits it per condition. ``oracles`` is the
-    result of ``pair_oracles`` or ``block_oracles`` on the same matrices;
-    None computes it. The generator certificates and ``evaluation.evaluate``
-    use this same check, so a certificate can be reproduced from the saved
-    matrices alone.
-    """
-    oracles = oracles or {}
-    if kind == "block":
-        return tuple(check_hypothesis(Block2x2(**mats), target, tol, lam, **oracles))
-    return tuple(check_pair_hypothesis(mats["a"], mats["b"], target, tol, lam, **oracles))
 
 
 # ---------------------------------------------------------------- generate
@@ -501,54 +473,37 @@ def generate(spec: CaseSpec, tol: Tolerance = DEFAULT_TOL) -> GeneratedCase:
         budget (negated targets with no applicable break recipe at this
         dimension, for example).
     """
-    kind = "pair" if spec.target in PAIR_TARGETS else "block"
     lam = complex(spec.lam)
 
     canonical = _canonical(spec)
     if canonical is not None:
-        cert = certify(kind, spec.target, canonical, lam, tol)
+        cert = certify(spec.target, canonical, lam, tol)
         if not all(c.holds for c in cert):
             raise GenerationFailed("canonical instance failed its own certificate")
-        return GeneratedCase(spec=spec, kind=kind, matrices=canonical, certificate=cert)
+        return GeneratedCase(spec=spec, matrices=canonical, certificate=cert)
 
+    pair = target_kind(spec.target) == "pair"
+    valid, negates = (_pair_valid, _pair_negates) if pair else (_block_valid, _block_negates)
     for attempt in range(_RETRIES):
         rng = _rng_for(spec, attempt)
-        if not spec.negate:
-            if kind == "pair":
-                mats = _pair_valid(spec.target, spec.dim, lam, rng)
-            else:
-                mats = _conjugate_block(_build_block(spec.target, spec.dim, lam, rng), rng)
-            try:
-                cert = certify(kind, spec.target, mats, lam, tol)
-            except AxiomViolation:
-                continue
-            if all(c.holds for c in cert):
-                return GeneratedCase(spec=spec, kind=kind, matrices=mats, certificate=cert)
-            continue
-
-        if kind == "pair":
-            candidates = _pair_negates(spec.target, spec.dim, lam, rng)
+        if spec.negate:
+            candidates = negates(spec.target, spec.dim, lam, rng)
         else:
-            candidates = _block_negates(spec.target, spec.dim, lam, rng)
+            candidates = [valid(spec.target, spec.dim, lam, rng)]
         if candidates:
             rot = spec.seed % len(candidates)
             candidates = candidates[rot:] + candidates[:rot]
         for mats in candidates:
             try:
-                cert = certify(kind, spec.target, mats, lam, tol)
+                cert = certify(spec.target, mats, lam, tol)
             except AxiomViolation:
                 # Near-cutoff singular values make the certificate unreliable;
                 # discard this candidate rather than certify ambiguously.
                 continue
-            failing = [c for c in cert if not c.holds]
-            if len(failing) == 1:
-                return GeneratedCase(
-                    spec=spec,
-                    kind=kind,
-                    matrices=mats,
-                    certificate=cert,
-                    broken=failing[0].condition,
-                )
+            failing = [c.condition for c in cert if not c.holds]
+            # a valid instance fails no condition, a negated one exactly one
+            if len(failing) == spec.negate:
+                return GeneratedCase(spec, mats, cert, broken=failing[0] if failing else None)
 
     raise GenerationFailed(
         f"no admissible instance for {spec.target} (dim {spec.dim}, "

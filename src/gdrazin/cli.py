@@ -163,8 +163,8 @@ def cmd_solve(args, parser, tol: Tolerance) -> tuple[dict, int]:
     if args.lam == 0:
         parser.error("lambda must be nonzero")
     mats = {name: load_matrix(getattr(args, name)) for name in args.names}
-    check_shapes(args.kind, mats)
-    out = evaluate(args.kind, args.theorem, mats, args.lam, tol, args.force)
+    check_shapes(args.theorem, mats)
+    out = evaluate(args.theorem, mats, args.lam, tol, args.force)
     fitted = next((c.lam for c in out.conditions if c.lam is not None), None)
     report = _report(
         args.command,
@@ -226,7 +226,7 @@ def _verify_one(manifest: dict, matrices: dict, tol: Tolerance) -> tuple[bool, s
     """Contract check for one instance: valid instances must evaluate and
     match the oracle; negated instances must trip the precondition."""
     lam = doc_to_complex(manifest.get("lambda"))
-    out = evaluate(manifest["kind"], manifest["target"], matrices, lam, tol, force=False)
+    out = evaluate(manifest["target"], matrices, lam, tol, force=False)
     if manifest.get("negate", False):
         if not out.failing:
             return False, "negated instance was accepted (no condition failed)"
@@ -300,9 +300,9 @@ def build_parser() -> _Parser:
     _add_tol_flags(p)
     p.set_defaults(func=cmd_drazin)
 
-    for command, kind, names, theorems, text in (
-        ("sum", "pair", ("a", "b"), PAIR_TARGETS, "additive formulas for a + b"),
-        ("block", "block", ("a", "b", "c", "d"), RULE_IDS, "block-matrix formulas for [[A,B],[C,D]]"),
+    for command, names, theorems, text in (
+        ("sum", ("a", "b"), PAIR_TARGETS, "additive formulas for a + b"),
+        ("block", ("a", "b", "c", "d"), RULE_IDS, "block-matrix formulas for [[A,B],[C,D]]"),
     ):
         p = sub.add_parser(command, help=text)
         for name in names:
@@ -313,7 +313,7 @@ def build_parser() -> _Parser:
         p.add_argument("--force", action="store_true", help="evaluate even if the hypothesis fails")
         p.add_argument("--out", default=None)
         _add_tol_flags(p)
-        p.set_defaults(func=cmd_solve, kind=kind, names=names)
+        p.set_defaults(func=cmd_solve, names=names)
 
     p = sub.add_parser("gen", help="write a generated instance directory")
     p.add_argument("--target", choices=list(TARGETS), default=None)
@@ -354,7 +354,7 @@ def main(argv=None) -> int:
         # argparse --help exits 0, _Parser.error exits 4; surface both as
         # return values so in-process callers never see SystemExit.
         return int(exc.code or 0)
-    except DocumentError as exc:
+    except (DocumentError, OSError) as exc:  # OSError: writing a report or an instance
         print(f"gdz: {exc}", file=sys.stderr)
         return EXIT_IO
     except PreconditionViolated as exc:

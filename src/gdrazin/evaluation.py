@@ -1,25 +1,35 @@
 """One evaluation route for an instance of a pair or block target.
 
-``evaluate`` judges an instance two ways, in order: the hypothesis rows of
-the target (``certify``), then either the closure verdict (2.2) or the
-formula against the SVD oracle on the assembled matrix. The oracle data of
-the operands is computed once and read by both the rows and the formula.
-``gdz sum``, ``gdz block`` and ``gdz verify`` call it and only report what
-it found.
+The target says which operands an instance has (``target_kind``). ``evaluate``
+checks them once (``square_pair`` or ``Block2x2``) and judges the instance two
+ways, in order: the hypothesis rows of the target, then either the closure
+verdict (2.2) or the formula against the SVD oracle on the assembled matrix.
+The oracles, the rows and the formula share one set of oracle data and take
+the checked operands as they are. ``gdz sum``, ``gdz block`` and ``gdz
+verify`` call it and only report what it found.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .additive import FactorCheck, drazin_sum, pair_oracles
-from .blockmat import Block2x2, assemble, block_drazin, block_oracles
-from .casegen import certify
+from .additive import (
+    PAIR_TARGETS, FactorCheck, check_pair_hypothesis, drazin_sum, pair_oracles, square_pair
+)
+from .blockmat import RULE_IDS, Block2x2, assemble, block_drazin, block_oracles, check_hypothesis
 from .drazin import DrazinResult, drazin_oracle, is_quasinilpotent
 from .errors import AxiomViolation, ConvergenceError
 from .linalg import DEFAULT_TOL, Tolerance, fro_norm, scale_of
 
-__all__ = ["Outcome", "evaluate"]
+__all__ = ["Outcome", "target_kind", "certify", "evaluate"]
+
+
+def target_kind(target: str) -> str:
+    """"pair" for a pair target (PAIR_TARGETS), "block" for a block rule
+    (RULE_IDS); ValueError for any other id."""
+    if target not in PAIR_TARGETS + RULE_IDS:
+        raise ValueError(f"unknown target {target!r}; valid: {', '.join(PAIR_TARGETS + RULE_IDS)}")
+    return "pair" if target in PAIR_TARGETS else "block"
 
 
 @dataclass
@@ -62,8 +72,39 @@ class Outcome:
     error: str | None = None
 
 
+def _judge(
+    target: str, mats: dict[str, np.ndarray], lam: complex | None, tol: Tolerance,
+    oracles: dict[str, DrazinResult | None] | None = None,
+) -> tuple[Block2x2 | tuple[np.ndarray, np.ndarray], dict, tuple[FactorCheck, ...]]:
+    """The checked operands of a request, their oracle data (computed when
+    ``oracles`` is None or empty) and the hypothesis rows of ``target``."""
+    if target_kind(target) == "block":
+        ops = Block2x2(**mats)
+        oracles = oracles or block_oracles(ops, target, tol)
+        return ops, oracles, tuple(check_hypothesis(ops, target, tol, lam, **oracles))
+    ops = square_pair(mats["a"], mats["b"])
+    oracles = oracles or pair_oracles(target, *ops, tol)
+    return ops, oracles, tuple(check_pair_hypothesis(*ops, target, tol, lam, **oracles))
+
+
+def certify(
+    target: str,
+    mats: dict[str, np.ndarray],
+    lam: complex | None,
+    tol: Tolerance = DEFAULT_TOL,
+    oracles: dict[str, DrazinResult | None] | None = None,
+) -> tuple[FactorCheck, ...]:
+    """Every hypothesis condition of a target, checked on explicit matrices.
+
+    ``lam`` fixes the scalar; None fits it per condition. ``oracles`` is the
+    result of ``pair_oracles`` or ``block_oracles`` on the same matrices;
+    None computes it. ``evaluate`` judges by these same rows, so a generator
+    certificate can be reproduced from the saved matrices alone.
+    """
+    return _judge(target, mats, lam, tol, oracles)[2]
+
+
 def evaluate(
-    kind: str,
     target: str,
     mats: dict[str, np.ndarray],
     lam: complex | None = None,
@@ -72,33 +113,28 @@ def evaluate(
 ) -> Outcome:
     """Conditions, then closure (2.2) or formula, oracle and gap.
 
-    ``kind`` is "pair" (matrices {"a", "b"}, targets 2.2-2.4) or "block"
-    ({"a", "b", "c", "d"}, the block rules). ``lam`` fixes the scalar of the
-    conditions and the formula; None fits it. Without ``force`` the outcome
-    stops after the conditions when one fails. An AxiomViolation of the
-    oracle on an operand propagates; one raised on ``m``, and a
-    ConvergenceError of the formula, end up in ``error``.
+    ``mats`` holds the operands the target reads (see ``target_kind``).
+    ``lam`` fixes the scalar of the conditions and the formula; None fits
+    it. Without ``force`` the outcome stops after the conditions when one
+    fails. ValueError for an unknown target or operands that do not fit it.
+    An AxiomViolation of the oracle on an operand propagates; one raised on
+    ``m``, and a ConvergenceError of the formula, end up in ``error``.
     """
-    if kind == "block":
-        blocks = Block2x2(**mats)
-        oracles = block_oracles(blocks, target, tol)
-    else:
-        oracles = pair_oracles(target, mats["a"], mats["b"], tol)
-    conditions = certify(kind, target, mats, lam, tol, oracles)
+    ops, oracles, conditions = _judge(target, mats, lam, tol)
     out = Outcome(conditions, [c for c in conditions if not c.holds])
     if out.failing and not force:
         return out
     if target == "2.2":
-        # certify has checked every condition of the closure theorem
-        out.closed = not out.failing and is_quasinilpotent(mats["a"] + mats["b"], tol)
+        # the rows have checked every condition of the closure theorem
+        out.closed = not out.failing and is_quasinilpotent(ops[0] + ops[1], tol)
         return out
     try:
-        if kind == "block":
-            out.formula = block_drazin(blocks, target, tol, lam=lam, force=True, **oracles)
-            out.m = assemble(blocks)
+        if isinstance(ops, Block2x2):
+            out.formula = block_drazin(ops, target, tol, lam=lam, force=True, **oracles)
+            out.m = assemble(ops)
         else:
-            out.formula = drazin_sum(mats["a"], mats["b"], tol, lam=lam, force=True, **oracles)
-            out.m = mats["a"] + mats["b"]
+            out.formula = drazin_sum(*ops, tol, lam=lam, force=True, **oracles)
+            out.m = ops[0] + ops[1]
         out.oracle = drazin_oracle(out.m, tol)
     except (ConvergenceError, AxiomViolation) as exc:
         out.error = str(exc)

@@ -38,10 +38,11 @@ from pathlib import Path
 import numpy as np
 import orjson
 
-from .additive import PAIR_TARGETS, FactorCheck, square_pair
-from .blockmat import RULE_IDS, Block2x2
+from .additive import PAIR_TARGETS, FactorCheck, _same_square
+from .blockmat import RULE_IDS, _block_shapes
 from .casegen import GeneratedCase
 from .errors import GDrazinError
+from .evaluation import target_kind
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -232,15 +233,15 @@ def load_matrix(path) -> np.ndarray:
         raise DocumentError(f"{p}: {exc}") from exc
 
 
-def check_shapes(kind: str, mats: dict[str, np.ndarray]) -> None:
-    """Raise DocumentError unless ``mats`` fit together as the operands of
-    ``kind``: two square matrices of one shape ("pair"), or the blocks of a
-    2x2 block matrix ("block")."""
+def check_shapes(target: str, mats: dict[str, np.ndarray]) -> None:
+    """Raise DocumentError unless the shapes of the decoded ``mats`` fit the
+    operands of ``target``: two square matrices of one shape, or the blocks
+    of a 2x2 block matrix (the decode has proved every entry finite)."""
     try:
-        if kind == "block":
-            Block2x2(**mats)
+        if target_kind(target) == "block":
+            _block_shapes(**mats)
         else:
-            square_pair(mats["a"], mats["b"])
+            _same_square(mats["a"], mats["b"])
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
 
@@ -368,7 +369,7 @@ def load_instance(directory) -> tuple[dict, dict[str, np.ndarray]]:
             raise DocumentError(f"{mpath}: file name {fname!r} is not a plain name in {d}")
     matrices = {name: load_matrix(join_path(d, fname)) for name, fname in files.items()}
     try:
-        check_shapes(kind, matrices)
+        check_shapes(target, matrices)
     except DocumentError as exc:
         raise DocumentError(f"{d}: {exc}") from exc
     return manifest, matrices

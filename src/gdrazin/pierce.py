@@ -17,7 +17,7 @@ import numpy as np
 from .drazin import drazin_oracle
 from .errors import NotIdempotent, NotTriangular
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, fro_norm, scale_of
-from .series import NilpotentRun, PowerCache, series_cap, summed
+from .series import PowerCache, series_cap, summed
 
 __all__ = ["PierceSplit", "pierce_split", "triangular_drazin", "cline_drazin"]
 
@@ -81,8 +81,9 @@ def triangular_drazin(
           - b^d c a^d.
 
     Both series terminate: a a^pi and b b^pi are nilpotent, so terms past the
-    matrix dimension are identically zero. The running nilpotent powers are
-    clamped to exact zero once below eps_tail * scale.
+    matrix dimension vanish up to rounding, and the series stop by the shared
+    early exit. a^pi commutes with a, so the running factors are formed as
+    a^pi (a a^pi)^i and b^pi (b b^pi)^i.
 
     Parameters
     ----------
@@ -128,19 +129,16 @@ def triangular_drazin(
     nmax = series_cap(x.shape[0])
     ad_pow = PowerCache(a_dr.d)
     bd_pow = PowerCache(b_dr.d)
-    # Running (a a^pi)^i a^pi and (b b^pi)^i b^pi, from i = 0.
-    a_run = NilpotentRun(a_dr.pi, a @ a_dr.pi, tiny)
-    b_run = NilpotentRun(b_dr.pi, b @ b_dr.pi, tiny)
+    a_run = PowerCache(a @ a_dr.pi, start=a_dr.pi)
+    b_run = PowerCache(b @ b_dr.pi, start=b_dr.pi)
 
     def left_terms():
         for i in count():
-            yield bd_pow(i + 2) @ c @ a_run.value
-            a_run.advance()
+            yield bd_pow(i + 2) @ c @ a_run(i)
 
     def right_terms():
         for i in count():
-            yield b_run.value @ c @ ad_pow(i + 2)
-            b_run.advance()
+            yield b_run(i) @ c @ ad_pow(i + 2)
 
     s1 = summed(left_terms(), nmax, tiny, "triangular coupling series (left)")
     s2 = summed(right_terms(), nmax, tiny, "triangular coupling series (right)")

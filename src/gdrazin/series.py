@@ -7,9 +7,8 @@ consecutive terms fall below eps_tail * scale, and raise ConvergenceError if
 the final term at the cap is still above that threshold (reachable only when
 a formula is forced outside its hypothesis).
 
-The sum, block and closed-form series stop through summed's early exit
-alone. NilpotentRun, which also clamps a running factor to exact zero,
-serves triangular_drazin only.
+Every series stops through summed's early exit alone; its running factors
+are PowerCache products.
 """
 
 from typing import Iterable, Iterator
@@ -18,7 +17,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 
-__all__ = ["PowerCache", "series_cap", "summed", "NilpotentRun"]
+__all__ = ["PowerCache", "series_cap", "summed"]
 
 
 def series_cap(dim: int) -> int:
@@ -41,27 +40,6 @@ class PowerCache:
         while len(self._pows) <= i:
             self._pows.append(self._pows[-1] @ self._m)
         return self._pows[i]
-
-
-class NilpotentRun:
-    """Running power step^i start of a (numerically) nilpotent factor step,
-    clamped to exact zero once its norm drops below the tail threshold so
-    that later terms vanish identically instead of re-growing from rounding
-    noise."""
-
-    def __init__(self, start: np.ndarray, step: np.ndarray, tiny: float):
-        self.value = np.asarray(start, dtype=complex)
-        self._step = np.asarray(step, dtype=complex)
-        self._tiny = tiny
-        self._dead = False
-
-    def advance(self) -> None:
-        if self._dead:
-            return
-        self.value = self._step @ self.value
-        if float(np.linalg.norm(self.value)) <= self._tiny:
-            self.value = np.zeros_like(self.value)
-            self._dead = True
 
 
 def summed(

@@ -150,7 +150,7 @@ def test_criterion_4_formula_oracle_equivalence_sweep():
         for i in range(100):
             lam = LAMBDAS[i % 4]
             case = generate(CaseSpec(target, dim=2 + i % 7, lam=lam, seed=i // 4))
-            out = evaluate(case.kind, target, case.matrices, lam)
+            out = evaluate(target, case.matrices, lam)
             if out.gap is None:  # refused, or the formula or the oracle raised
                 failures.append((target, i, out.error))
                 continue
@@ -277,7 +277,7 @@ def test_criterion_7_negative_paths(tmp_path, capsys):
         for i in range(50):
             lam = LAMBDAS[i % 4]
             case = generate(CaseSpec(target, dim=2 + i % 7, lam=lam, seed=i, negate=True))
-            out = evaluate(case.kind, target, case.matrices, lam)
+            out = evaluate(target, case.matrices, lam)
             assert [c.condition for c in out.failing] == [case.broken]
             assert out.formula is None and out.closed is None
             refusals += 1

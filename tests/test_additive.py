@@ -145,7 +145,7 @@ class TestPairHypothesisTable:
             assert np.array_equal(oracles["a_dr"].pi, np.eye(5))
         given = check_pair_hypothesis(*case.pair, target, lam=1j, **oracles)
         assert given == check_pair_hypothesis(*case.pair, target, lam=1j)
-        assert tuple(given) == certify("pair", target, case.matrices, 1j)
+        assert tuple(given) == certify(target, case.matrices, 1j)
 
     def test_unknown_target(self):
         with pytest.raises(ValueError, match="unknown pair target"):

@@ -77,7 +77,7 @@ class TestValidInstances:
 
     def test_certify_is_reusable(self):
         case = generate(CaseSpec(target="4.3", dim=5, lam=-2.0, seed=2))
-        again = certify("block", "4.3", case.matrices, -2.0)
+        again = certify("4.3", case.matrices, -2.0)
         assert [c.condition for c in again] == [c.condition for c in case.certificate]
         assert all(c.holds for c in again)
 

@@ -440,6 +440,23 @@ class TestUsageAndTolerances:
         doc = json.loads(report.read_text())
         assert doc["match"] is True
 
+    def test_unwritable_report_exits_io(self, tmp_path, capsys):
+        m = tmp_path / "m.json"
+        save_matrix(m, np.eye(2, dtype=complex))
+        out = tmp_path / "missing" / "r.json"
+        assert main(["drazin", str(m), "--out", str(out)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == f"gdz: [Errno 2] No such file or directory: '{out}'\n"
+
+    def test_gen_onto_an_existing_file_exits_io(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("keep")
+        assert main(["gen", "--preset", "example-2.5", "--out", str(out)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == "" and out.read_text() == "keep"
+        assert captured.err == f"gdz: [Errno 17] File exists: '{out}'\n"
+
 
 class TestOneLineReports:
     """Every report is one compact JSON line, on stdout or in the --out file."""
@@ -504,19 +521,23 @@ class TestOracleReuse:
 
 class TestValidationCount:
     """Each matrix is scanned for non-finite entries where a check owns it:
-    its document decode, check_shapes, evaluate's operand check, certify's,
-    and each oracle input. Every norm the code takes anyway checks the rest
-    (fro_norm, check_factor_condition, drazin_sum's tail scale)."""
+    its document decode, evaluate's one operand check, and each oracle
+    input. check_shapes reads shapes only, and every norm the code takes
+    anyway checks the rest (fro_norm, check_factor_condition, drazin_sum's
+    tail scale)."""
 
     @pytest.mark.parametrize(
         "target,lam,scans",
         [
-            # 4 each: decode, check_shapes, Block2x2 in evaluate and in
-            # certify; 1 each: oracle on A, D, B C and M
-            ("3.1", 0.5, 20),
-            # 2 each: decode, check_shapes, pair_oracles, certify; 1 each:
-            # oracle on a, b and a + b
-            ("2.4", 0.5, 11),
+            # 2 each: decode, Block2x2 in evaluate; 1 each: oracle on A, D,
+            # B C and M
+            ("3.1", 0.5, 12),
+            # 2 each: decode, square_pair in evaluate; 1 each: oracle on a,
+            # b and a + b
+            ("2.4", 0.5, 7),
+            # 2 each: decode, Block2x2 in evaluate; 1 each: oracle on A, D
+            # and M (4.1's splitting runs on the swapped arrays)
+            ("4.2", 0.5, 11),
         ],
     )
     def test_scans_per_verify(self, target, lam, scans, tmp_path, capsys, monkeypatch):

@@ -1,10 +1,10 @@
-"""Series policy: cap, early exit, clamping, divergence reporting."""
+"""Series policy: cap, early exit, divergence reporting."""
 
 import numpy as np
 import pytest
 
 from gdrazin import ConvergenceError
-from gdrazin.series import NilpotentRun, PowerCache, series_cap, summed
+from gdrazin.series import PowerCache, series_cap, summed
 
 
 def test_series_cap():
@@ -25,28 +25,6 @@ def test_power_cache():
     sc = PowerCache(a, start=start)
     assert sc(0) is start
     assert np.array_equal(sc(3), start @ np.linalg.matrix_power(a, 3))
-
-
-def test_nilpotent_run_clamps_to_exact_zero():
-    shift = np.diag(np.ones(2), k=1).astype(complex)  # 3x3, cube is 0
-    run = NilpotentRun(np.eye(3, dtype=complex), shift, tiny=1e-12)
-    assert np.array_equal(run.value, np.eye(3))
-    run.advance()
-    assert np.array_equal(run.value, shift)
-    run.advance()
-    run.advance()
-    assert run.value.dtype == complex
-    assert not run.value.any()  # exactly zero, not merely small
-    run.advance()  # stays dead
-    assert not run.value.any()
-
-
-def test_nilpotent_run_side():
-    start = np.array([[0, 1], [0, 0]], dtype=complex)
-    step = np.array([[2, 0], [0, 3]], dtype=complex)
-    run = NilpotentRun(start, step, tiny=0.0)
-    run.advance()
-    assert np.array_equal(run.value, step @ start)
 
 
 def test_summed_early_exit_counts_terms():
