@@ -222,41 +222,30 @@ def _same_square(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _oracles(
-    target: str, a: np.ndarray, b: np.ndarray, tol: Tolerance,
-    a_dr: DrazinResult | None = None, b_dr: DrazinResult | None = None,
-) -> tuple[DrazinResult | None, DrazinResult | None]:
-    """The Drazin data of a and b that ``target`` reads (none for 2.2);
-    runs the oracle only for what the caller did not supply, and never on
-    the a of 2.3: that a is quasinilpotent, so a^d = 0 and a^pi = I."""
-    if target not in PAIR_TARGETS:
-        raise ValueError(f"unknown pair target {target!r}; valid: {', '.join(PAIR_TARGETS)}")
-    if target == "2.2":
-        return a_dr, b_dr
-    if a_dr is None and target == "2.3":
-        eye = np.eye(a.shape[0], dtype=complex)
-        a_dr = DrazinResult(d=np.zeros_like(eye), pi=eye, index=None)
-    elif a_dr is None:
-        a_dr = drazin_oracle(a, tol)
-    if b_dr is None:
-        b_dr = drazin_oracle(b, tol)
-    return a_dr, b_dr
-
-
 def pair_oracles(
-    target: str, a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL
+    target: str, a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL,
+    a_dr: DrazinResult | None = None, b_dr: DrazinResult | None = None,
 ) -> dict[str, DrazinResult]:
     """Oracle data that the conditions and the formula of ``target`` read,
     keyed by their parameter names: none for 2.2, "a_dr" and "b_dr" for 2.3
-    and 2.4 (the a_dr of 2.3 is a^d = 0, a^pi = I, with no oracle run), on
-    a and b as square_pair returns them. Hand it to both, so each matrix
-    sees the oracle once."""
-    oracles = zip(("a_dr", "b_dr"), _oracles(target, a, b, tol))
-    return {key: dr for key, dr in oracles if dr is not None}
+    and 2.4, on a and b as square_pair returns them. Hand it to both, so
+    each matrix sees the oracle once. The oracle runs only for the data the
+    caller did not supply, and never on the a of 2.3: that a is
+    quasinilpotent, so a^d = 0 and a^pi = I."""
+    if target not in PAIR_TARGETS:
+        raise ValueError(f"unknown pair target {target!r}; valid: {', '.join(PAIR_TARGETS)}")
+    if target == "2.2":
+        return {}
+    if a_dr is None:
+        a_dr = DrazinResult.nilpotent(a.shape[0]) if target == "2.3" else drazin_oracle(a, tol)
+    if b_dr is None:
+        b_dr = drazin_oracle(b, tol)
+    return {"a_dr": a_dr, "b_dr": b_dr}
 
 
 def _conditions(
-    target: str, a: np.ndarray, b: np.ndarray, a_dr: DrazinResult | None, b_dr: DrazinResult | None
+    target: str, a: np.ndarray, b: np.ndarray,
+    a_dr: DrazinResult | None = None, b_dr: DrazinResult | None = None,
 ) -> list[ConditionRow]:
     """Condition rows for one pair target, in catalog order."""
     if target == "2.2":
@@ -283,7 +272,7 @@ def check_pair_hypothesis(
     scalar; None fits it. ``a_dr``/``b_dr`` are oracle data as pair_oracles
     returns it, used instead of running the oracle. A quasinilpotency row
     carries no scalar; its residual is nilpotency_residual of the operand."""
-    rows = _conditions(target, a, b, *_oracles(target, a, b, tol, a_dr, b_dr))
+    rows = _conditions(target, a, b, **pair_oracles(target, a, b, tol, a_dr, b_dr))
     return check_condition_rows(rows, tol, lam)
 
 
@@ -365,11 +354,12 @@ def drazin_sum_nilpotent(
         If the series above (the one series drazin_sum forms at a^d = 0)
         fails to terminate within 2 * dim + 2 terms.
     """
+    require_lambda(lam)
     a, b = square_pair(a, b)
-    a_dr, b_dr = _oracles("2.3", a, b, tol, b_dr=b_dr)
+    oracles = pair_oracles("2.3", a, b, tol, b_dr=b_dr)
     if not force:
-        require_hypothesis(check_pair_hypothesis(a, b, "2.3", tol, lam, a_dr, b_dr))
-    return drazin_sum(a, b, tol, force=True, a_dr=a_dr, b_dr=b_dr)
+        require_hypothesis(check_pair_hypothesis(a, b, "2.3", tol, lam, **oracles))
+    return drazin_sum(a, b, tol, force=True, **oracles)
 
 
 def drazin_sum(
@@ -431,9 +421,11 @@ def drazin_sum(
     ConvergenceError
         If a series that is formed fails to terminate within the cap.
     """
+    require_lambda(lam)
     (a, a_norm), (b, b_norm) = checked_norm(a), checked_norm(b)
     _same_square(a, b)
-    a_dr, b_dr = _oracles("2.4", a, b, tol, a_dr, b_dr)
+    oracles = pair_oracles("2.4", a, b, tol, a_dr, b_dr)
+    a_dr, b_dr = oracles["a_dr"], oracles["b_dr"]
     if not force:
         require_hypothesis(check_pair_hypothesis(a, b, "2.4", tol, lam, a_dr, b_dr))
 

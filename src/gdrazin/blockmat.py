@@ -120,17 +120,6 @@ def _zero_like(rows: int, cols: int) -> np.ndarray:
     return np.zeros((rows, cols), dtype=complex)
 
 
-def _nilpotent_dr(size: int) -> DrazinResult:
-    """The Drazin data (0, I) of a nilpotent size x size matrix."""
-    return DrazinResult(d=_zero_like(size, size), pi=np.eye(size, dtype=complex), index=None)
-
-
-def _validate(rule: str, lam: complex | None = None) -> None:
-    if rule not in RULE_IDS:
-        raise ValueError(f"unknown rule {rule!r}; valid ids: {', '.join(RULE_IDS)}")
-    require_lambda(lam)
-
-
 def _bc_drazin(blocks: Block2x2, tol: Tolerance) -> DrazinResult | None:
     """Oracle data of B C, or None when B C is at rounding-noise level.
 
@@ -144,16 +133,25 @@ def _bc_drazin(blocks: Block2x2, tol: Tolerance) -> DrazinResult | None:
     return drazin_oracle(bc, tol)
 
 
-def _oracles(
+def block_oracles(
     blocks: Block2x2,
     rule: str,
-    tol: Tolerance,
+    tol: Tolerance = DEFAULT_TOL,
     a_dr: DrazinResult | None = None,
     d_dr: DrazinResult | None = None,
     bc_dr: DrazinResult | None = None,
-) -> tuple[DrazinResult, DrazinResult, DrazinResult | None]:
-    """The Drazin data of A, D and (rules 3.1, 3.3) B C that ``rule`` reads;
-    runs the oracle only for what the caller did not supply."""
+) -> dict[str, DrazinResult | None]:
+    """Oracle data that the conditions and the splitting of ``rule`` read:
+    the Drazin data of A, D and (rules 3.1, 3.3) B C. The oracle runs only
+    for the data the caller did not supply.
+
+    Keys are the keyword parameters of check_hypothesis and block_drazin
+    ("a_dr", "d_dr", "bc_dr"), so one result can be handed to both and each
+    matrix goes through the oracle once. "bc_dr" is None for rules that do
+    not read B C, and when B C is at rounding-noise level.
+    """
+    if rule not in RULE_IDS:
+        raise ValueError(f"unknown rule {rule!r}; valid ids: {', '.join(RULE_IDS)}")
     if a_dr is None:
         a_dr = drazin_oracle(blocks.a, tol)
     if d_dr is None:
@@ -162,21 +160,7 @@ def _oracles(
         bc_dr = None
     elif bc_dr is None:
         bc_dr = _bc_drazin(blocks, tol)
-    return a_dr, d_dr, bc_dr
-
-
-def block_oracles(
-    blocks: Block2x2, rule: str, tol: Tolerance = DEFAULT_TOL
-) -> dict[str, DrazinResult | None]:
-    """Oracle data that the conditions and the splitting of ``rule`` read.
-
-    Keys are the keyword parameters of check_hypothesis and block_drazin
-    ("a_dr", "d_dr", "bc_dr"), so one result can be handed to both and each
-    matrix goes through the oracle once. "bc_dr" is None for rules that do
-    not read B C, and when B C is at rounding-noise level.
-    """
-    _validate(rule)
-    return dict(zip(("a_dr", "d_dr", "bc_dr"), _oracles(blocks, rule, tol)))
+    return {"a_dr": a_dr, "d_dr": d_dr, "bc_dr": bc_dr}
 
 
 def _conditions(
@@ -268,8 +252,8 @@ def check_hypothesis(
         One entry per condition, in catalog order, plus the consistency row
         in fitted mode.
     """
-    _validate(rule, lam)
-    rows = _conditions(blocks, rule, *_oracles(blocks, rule, tol, a_dr, d_dr, bc_dr))
+    require_lambda(lam)
+    rows = _conditions(blocks, rule, **block_oracles(blocks, rule, tol, a_dr, d_dr, bc_dr))
     return check_condition_rows(rows, tol, lam)
 
 
@@ -313,11 +297,11 @@ def block_drazin(
         If a series fails to terminate within the cap (reachable only under
         force).
     """
-    _validate(rule, lam)
-    oracles = _oracles(blocks, rule, tol, a_dr, d_dr, bc_dr)
+    require_lambda(lam)
+    oracles = block_oracles(blocks, rule, tol, a_dr, d_dr, bc_dr)
     if not force:
-        require_hypothesis(check_hypothesis(blocks, rule, tol, lam, *oracles))
-    return _dispatch(blocks, rule, tol, *oracles)
+        require_hypothesis(check_hypothesis(blocks, rule, tol, lam, **oracles))
+    return _dispatch(blocks, rule, tol, **oracles)
 
 
 def _diag_dr(a_dr: DrazinResult, d_dr: DrazinResult, m: int, n: int) -> DrazinResult:
@@ -339,7 +323,7 @@ def _antidiag_dr(blocks: Block2x2, bc_dr: DrazinResult | None) -> tuple[np.ndarr
     q = _quad(_zero_like(m, m), b, c, _zero_like(n, n))
     dim = m + n
     if bc_dr is None:
-        return q, _nilpotent_dr(dim)
+        return q, DrazinResult.nilpotent(dim)
     cb_d = c @ bc_dr.d @ bc_dr.d @ b
     qd = _quad(_zero_like(m, m), b @ cb_d, c @ bc_dr.d, _zero_like(n, n))
     qpi = np.eye(dim, dtype=complex) - q @ qd
@@ -365,7 +349,7 @@ def _dispatch(
         ad, api = a_dr.d, a_dr.pi
         p = _quad(a @ api, _zero_like(m, n), _zero_like(n, m), d)
         q = _quad(a @ a @ ad, b, c, _zero_like(n, n))
-        p_dr = _diag_dr(_nilpotent_dr(m), d_dr, m, n)  # A A^pi is nilpotent
+        p_dr = _diag_dr(DrazinResult.nilpotent(m), d_dr, m, n)  # A A^pi is nilpotent
         ad2 = ad @ ad
         qd = _quad(ad, ad2 @ b, c @ ad2, c @ ad2 @ ad @ b)
         qpi = np.eye(m + n, dtype=complex) - q @ qd
@@ -408,9 +392,11 @@ def closed_form_drazin(
     ReconciliationError
         If the two computation routes disagree.
     """
-    a_dr, d_dr, _ = _oracles(blocks, "4.1", tol)
+    require_lambda(lam)
+    oracles = block_oracles(blocks, "4.1", tol)
     if not force:
-        require_hypothesis(check_hypothesis(blocks, "4.1", tol, lam, a_dr, d_dr))
+        require_hypothesis(check_hypothesis(blocks, "4.1", tol, lam, **oracles))
+    a_dr, d_dr = oracles["a_dr"], oracles["d_dr"]
 
     a, b, c, d = blocks.a, blocks.b, blocks.c, blocks.d
     m, n = blocks.dims

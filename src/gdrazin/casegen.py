@@ -3,22 +3,31 @@ violate) each supported hypothesis set.
 
 Pair targets "2.2", "2.3" and "2.4" produce a pair (a, b) for the additive
 formulas; block targets (the rule catalog of ``blockmat``) produce the four
-blocks of a 2x2 block matrix. Construction is weighted-shift algebra: inside
-a "window" zone every matrix is an upper shift band, and the hypothesis
-reduces to a scalar recurrence along the band weights that is solved exactly
-for the declared lambda. Invertible "core" zones give the diagonal blocks
-nontrivial group-invertible parts, and a final unitary conjugation hides the
-zone structure without touching any hypothesis.
+blocks of a 2x2 block matrix. Construction is weighted-shift algebra, and
+every instance has one zone layout, written once (``_lay_out``): diagonal
+core slots first, then one "window" zone. Inside the window every matrix is
+an upper shift band, and the hypothesis reduces to a scalar recurrence along
+the band weights that is solved exactly for the declared lambda. A core slot
+(key, first, count) puts fresh invertible diagonal weights into one matrix,
+which gives the diagonal blocks nontrivial group-invertible parts. A target
+only chooses the core counts: none for 2.2, one of b for 2.3, a split
+between a and b for 2.4 (``_pair_cores``); one of b and c for rules 3.1 and
+3.3, and for a and d what a window of at most 4 leaves (``_block_layout``).
+Rule 4.2's instances are rule 4.1's with the blocks exchanged. A final
+unitary conjugation hides the zone structure without touching any
+hypothesis.
 
-Negated instances re-run the same construction and then apply the first
-applicable break recipe (a doubled band weight or an injected coupling entry)
-that makes exactly one certificate condition fail at the declared lambda;
-every candidate is re-verified before it is returned.
+Negated instances are candidates, each from one break recipe (a doubled
+last band weight, a coupling entry injected next to a core slot, or for 2.2
+an invertible slot of b where a vanishes), in a fixed order per target that
+the seed rotates. The first candidate whose certificate fails exactly one
+condition at the declared lambda is returned.
 
 Every instance is a deterministic function of its CaseSpec.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +66,7 @@ class CaseSpec:
         Hypothesis set id: "2.2", "2.3", "2.4" (pair kinds) or a block rule.
     dim : int
         Matrix size for pair targets; per-side block size for block targets.
+        Any integer ``operator.index`` takes, except a bool; likewise seed.
     lam : complex
         The nonzero finite scalar the instance is built for.
     seed : int
@@ -75,11 +85,19 @@ class CaseSpec:
     def __post_init__(self):
         if self.target not in TARGETS:
             raise ValueError(f"unknown target {self.target!r}; valid: {', '.join(TARGETS)}")
-        if int(self.dim) != self.dim or self.dim < 2:
-            raise ValueError(f"dim must be an integer >= 2, got {self.dim!r}")
+        _require_int("dim", self.dim, 2)
         require_lambda(complex(self.lam))
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        _require_int("seed", self.seed, 0)
+
+
+def _require_int(name: str, value, least: int) -> None:
+    """ValueError unless value is an integer (not a bool) of at least ``least``."""
+    try:
+        ok = not isinstance(value, bool) and operator.index(value) >= least
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -164,73 +182,22 @@ def _normalized(weights: list[complex]) -> np.ndarray:
     return w
 
 
-def _embed(dim: int, start: int, zone: np.ndarray) -> np.ndarray:
-    m = np.zeros((dim, dim), dtype=complex)
-    w = zone.shape[0]
-    m[start : start + w, start : start + w] = zone
-    return m
-
-
-# ------------------------------------------------------------ pair builders
-
-def _shift_pair_weights(
-    rng: np.random.Generator, count: int, lam: complex
-) -> tuple[np.ndarray, np.ndarray]:
-    """Weight vectors (u, v) for two upper shifts a, b with a b = lambda b a.
-
-    With upper bands (a b)_{i, i+2} = u_i v_{i+1} and (b a)_{i, i+2} =
-    v_i u_{i+1}, so the condition pins v_{i+1} = lambda v_i u_{i+1} / u_i.
-    """
-    if count <= 0:
-        return np.zeros(0, dtype=complex), np.zeros(0, dtype=complex)
-    u = _weights(rng, count)
-    v = [complex(_weights(rng, 1)[0])]
-    for i in range(count - 1):
-        v.append(lam * v[-1] * u[i + 1] / u[i])
-    return u, _normalized(v)
-
-
-def _build_22(dim: int, lam: complex, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    u, v = _shift_pair_weights(rng, dim - 1, lam)
-    a = _band(dim, 1, u)
-    b = _band(dim, 1, v)
-    return {"a": a, "b": b}
-
-
-def _build_23(dim: int, lam: complex, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    w = dim - 1
-    z, wv = _shift_pair_weights(rng, max(w - 1, 0), lam)
-    alpha = _band(w, 1, z)
-    beta = _band(w, 1, wv)
-    a = _embed(dim, 1, alpha)
-    b = _embed(dim, 1, beta)
-    b[0, 0] = _weights(rng, 1)[0]
-    return {"a": a, "b": b}
-
-
-def _layout_24(dim: int) -> tuple[int, int, int]:
-    """Zone sizes of a 2.4 pair: the shift window u and the cores r of a and
-    t of b."""
-    u = min(max(dim - 2, 0), 6)
-    r = (dim - u + 1) // 2
-    return u, r, dim - u - r
-
-
-def _build_24(dim: int, lam: complex, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    u, r, t = _layout_24(dim)
-    z, wv = _shift_pair_weights(rng, max(u - 1, 0), lam)
-    a = _embed(dim, r + t, _band(u, 1, z))
-    b = _embed(dim, r + t, _band(u, 1, wv))
-    a[np.arange(r), np.arange(r)] = _weights(rng, r)
-    b[np.arange(r, r + t), np.arange(r, r + t)] = _weights(rng, t)
-    return {"a": a, "b": b}
-
-
-def _pair_valid(target: str, dim: int, lam: complex, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    builder = {"2.2": _build_22, "2.3": _build_23, "2.4": _build_24}[target]
-    mats = builder(dim, lam, rng)
-    un = _unitary(rng, dim)
-    return {k: un @ m @ un.conj().T for k, m in mats.items()}
+def _lay_out(
+    dim: int, start: int, zones: dict[str, np.ndarray],
+    slots: list[tuple[str, int, int]], rng: np.random.Generator,
+) -> dict[str, np.ndarray]:
+    """The window zones embedded at ``start`` in dim x dim matrices, then each
+    diagonal core slot (key, first, count) filled with fresh weights, in slot
+    order. An empty slot draws nothing."""
+    mats = {}
+    for key, zone in zones.items():
+        mats[key] = np.zeros((dim, dim), dtype=complex)
+        mats[key][start : start + len(zone), start : start + len(zone)] = zone
+    for key, first, count in slots:
+        if count:
+            idx = np.arange(first, first + count)
+            mats[key][idx, idx] = _weights(rng, count)
+    return mats
 
 
 def _with_last_band_doubled(mats: dict[str, np.ndarray], key: str) -> list[dict[str, np.ndarray]]:
@@ -243,67 +210,94 @@ def _with_last_band_doubled(mats: dict[str, np.ndarray], key: str) -> list[dict[
     return [mats]
 
 
-def _pair_negates(
-    target: str, dim: int, lam: complex, rng: np.random.Generator
-) -> list[dict[str, np.ndarray]]:
-    """Candidate negated pair instances, in recipe order."""
-    candidates: list[dict[str, np.ndarray]] = []
-    e = complex(_weights(rng, 1)[0])
+def _rng_clone(rng: np.random.Generator) -> np.random.Generator:
+    return np.random.default_rng(rng.integers(0, 2**63 - 1))
 
+
+# ------------------------------------------------------------ pair builders
+
+def _pair_cores(target: str, dim: int) -> tuple[int, int]:
+    """Core counts of a and of b in a pair target's layout: a's cores come
+    first, then b's, and the shift window takes the rest (at most 6 wide
+    for 2.4)."""
     if target == "2.2":
-        if dim >= 3:
-            candidates += _with_last_band_doubled(_build_22(dim, lam, rng), "b")
-        # Nilpotency break: an invertible slot appended to b in a zone
-        # where a vanishes, so the scalar condition is untouched.
-        sub = _build_22(dim - 1, lam, rng) if dim >= 3 else {"a": np.zeros((1, 1), complex), "b": np.zeros((1, 1), complex)}
-        w = dim - 1
-        a = np.zeros((dim, dim), dtype=complex)
-        b = np.zeros((dim, dim), dtype=complex)
-        a[:w, :w] = sub["a"]
-        b[:w, :w] = sub["b"]
-        b[w, w] = 1.0
-        candidates.append({"a": a, "b": b})
+        return 0, 0
+    if target == "2.3":
+        return 0, 1
+    u = min(max(dim - 2, 0), 6)
+    r = (dim - u + 1) // 2
+    return r, dim - u - r
 
-    elif target == "2.3":
-        mats = _build_23(dim, lam, rng)
-        mats["a"][0, 1] = e
-        candidates.append(mats)
-        if dim >= 4:
-            candidates += _with_last_band_doubled(_build_23(dim, lam, rng), "b")
 
-    elif target == "2.4":
-        if dim == 2:
+def _pair_window(size: int, lam: complex, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Two upper shifts a, b of one size x size zone with a b = lambda b a.
+
+    With upper bands (a b)_{i, i+2} = u_i v_{i+1} and (b a)_{i, i+2} =
+    v_i u_{i+1}, so the condition pins v_{i+1} = lambda v_i u_{i+1} / u_i.
+    """
+    u = v = np.zeros(0, dtype=complex)
+    if size >= 2:
+        u = _weights(rng, size - 1)
+        v = [complex(_weights(rng, 1)[0])]
+        for i in range(size - 2):
+            v.append(lam * v[-1] * u[i + 1] / u[i])
+        v = _normalized(v)
+    return {"a": _band(size, 1, u), "b": _band(size, 1, v)}
+
+
+def _build_pair(
+    dim: int, cores: tuple[int, int], lam: complex, rng: np.random.Generator
+) -> dict[str, np.ndarray]:
+    ra, rb = cores
+    window = _pair_window(dim - ra - rb, lam, rng)
+    return _lay_out(dim, ra + rb, window, [("a", 0, ra), ("b", ra, rb)], rng)
+
+
+def _pair_cases(
+    target: str, dim: int, lam: complex, rng: np.random.Generator, negate: bool
+) -> list[dict[str, np.ndarray]]:
+    """The valid pair instance, or the negated candidates in recipe order,
+    conjugated by one unitary."""
+    cores = _pair_cores(target, dim)
+    if not negate:
+        candidates = [_build_pair(dim, cores, lam, rng)]
+    else:
+        candidates = []
+        e = complex(_weights(rng, 1)[0])
+        ra, rb = cores
+        w = dim - ra - rb
+        if target == "2.4" and dim == 2:
             a = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
             b = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
             candidates.append({"a": a, "b": b})
-        else:
-            u, r, t = _layout_24(dim)
-            if t >= 1 and u >= 1:
-                mats = _build_24(dim, lam, rng)
-                mats["a"][r, r + t] = e
-                candidates.append(mats)
-            if u >= 3:
-                candidates += _with_last_band_doubled(_build_24(dim, lam, rng), "b")
-
+        if rb >= 1 and w >= 1:
+            # Coupling: the first core slot of b feeds the window through a.
+            mats = _build_pair(dim, cores, lam, rng)
+            mats["a"][ra, ra + rb] = e
+            candidates.append(mats)
+        if w >= 3:
+            candidates += _with_last_band_doubled(_build_pair(dim, cores, lam, rng), "b")
+        if target == "2.2":
+            # Nilpotency break: the dim-1 instance at offset 0 and an
+            # invertible slot of b after it, where a vanishes, so the scalar
+            # condition is untouched.
+            mats = _lay_out(dim, 0, _pair_window(dim - 1, lam, rng), [], rng)
+            mats["b"][dim - 1, dim - 1] = 1.0
+            candidates.append(mats)
     un = _unitary(rng, dim)
     return [{k: un @ m @ un.conj().T for k, m in mats.items()} for mats in candidates]
 
 
 # ----------------------------------------------------------- block builders
 
-def _layout(target: str, dim: int) -> tuple[int, int, int, int]:
-    """Zone sizes (s_q, s_p, w) and band gap g for one side."""
-    if target in ("3.1", "3.3"):
-        s_q = 1
-        w = min(dim - 1, 4)
-        s_p = dim - 1 - w
-        g = 1
-    else:
-        s_q = 0
-        w = min(dim, 4)
-        s_p = dim - w
-        g = max(1, math.ceil(w / 2))
-    return s_q, s_p, w, g
+def _block_layout(target: str, dim: int, cores: int | None = None) -> tuple[int, int, int, int]:
+    """Core count s_q of b and c, core count s_p of a and d (``cores``, or
+    what a window of at most 4 leaves), window w and band gap g of one side.
+    Cores come first: b's and c's at slot 0, then a's and d's."""
+    s_q = 1 if target in ("3.1", "3.3") else 0
+    w = min(dim - s_q, 4) if cores is None else dim - s_q - cores
+    g = 1 if s_q else max(1, math.ceil(w / 2))
+    return s_q, dim - s_q - w, w, g
 
 
 def _block_window(
@@ -324,51 +318,45 @@ def _block_window(
     gamma0 = complex(_weights(rng, 1)[0])
     if target in ("3.1", "3.2", "4.1"):
         beta = chain(beta0, lambda v, i: v * delta[i + g] / (lam * alpha[i]))
+        gamma = chain(gamma0, lambda v, i: v * alpha[i + g] / (lam * delta[i]))
     else:  # 3.3, 3.4, 4.3
         beta = chain(beta0, lambda v, i: lam * v * delta[i + g] / alpha[i])
-    if target in ("3.1", "3.2", "4.1"):
-        gamma = chain(gamma0, lambda v, i: v * alpha[i + g] / (lam * delta[i]))
-    elif target in ("3.3", "4.3"):
         gamma = chain(gamma0, lambda v, i: lam * v * alpha[i + g] / delta[i])
-    else:  # 3.4: no gamma band
-        gamma = np.zeros(0, dtype=complex)
-
     zones = {
         "a": _band(w, 1, alpha),
-        "d": _band(w, 1, delta),
         "b": _band(w, g, beta),
         "c": _band(w, g, gamma),
+        "d": _band(w, 1, delta),
     }
-    if target == "3.4":
-        zones["c"] = np.zeros((w, w), dtype=complex)
+    if target == "3.4":  # no gamma band, one corner entry instead
+        zones["c"][:] = 0.0
         if w >= 2:
             zones["c"][0, w - 1] = gamma0
     return zones
 
 
-def _build_block(target: str, dim: int, lam: complex, rng: np.random.Generator) -> dict[str, np.ndarray]:
+def _exchanged(mats: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The blocks [[d, c], [b, a]]: rule 4.2 is rule 4.1 on these."""
+    return {"a": mats["d"], "b": mats["c"], "c": mats["b"], "d": mats["a"]}
+
+
+def _build_block(
+    target: str, dim: int, lam: complex, rng: np.random.Generator,
+    cores: int | None = None, slot_rng: np.random.Generator | None = None,
+) -> dict[str, np.ndarray]:
+    """The window drawn from ``rng``, the core slots from ``slot_rng``
+    (default ``rng``)."""
     if target == "4.2":
-        inner = _build_block("4.1", dim, lam, rng)
-        return {"a": inner["d"], "b": inner["c"], "c": inner["b"], "d": inner["a"]}
-    s_q, s_p, w, g = _layout(target, dim)
-    win = _block_window(target, w, g, lam, rng)
-    start = s_q + s_p
-    mats = {k: _embed(dim, start, win[k]) for k in ("a", "b", "c", "d")}
-    if s_q:
-        mats["b"][0, 0] = _weights(rng, 1)[0]
-        mats["c"][0, 0] = _weights(rng, 1)[0]
-    if s_p:
-        idx = np.arange(s_q, s_q + s_p)
-        mats["a"][idx, idx] = _weights(rng, s_p)
-        mats["d"][idx, idx] = _weights(rng, s_p)
-    return mats
+        return _exchanged(_build_block("4.1", dim, lam, rng, cores, slot_rng))
+    s_q, s_p, w, g = _block_layout(target, dim, cores)
+    window = _block_window(target, w, g, lam, rng)
+    slots = [("b", 0, s_q), ("c", 0, s_q), ("a", s_q, s_p), ("d", s_q, s_p)]
+    return _lay_out(dim, s_q + s_p, window, slots, rng if slot_rng is None else slot_rng)
 
 
-def _block_valid(target: str, dim: int, lam: complex, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    return _conjugate_block(_build_block(target, dim, lam, rng), rng)
-
-
-def _conjugate_block(mats: dict[str, np.ndarray], rng: np.random.Generator) -> dict[str, np.ndarray]:
+def _conjugate_block(
+    mats: dict[str, np.ndarray], rng: np.random.Generator
+) -> dict[str, np.ndarray]:
     dim = mats["a"].shape[0]
     um = _unitary(rng, dim)
     un = _unitary(rng, dim)
@@ -380,52 +368,34 @@ def _conjugate_block(mats: dict[str, np.ndarray], rng: np.random.Generator) -> d
     }
 
 
-def _block_negates(
-    target: str, dim: int, lam: complex, rng: np.random.Generator
+def _block_cases(
+    target: str, dim: int, lam: complex, rng: np.random.Generator, negate: bool
 ) -> list[dict[str, np.ndarray]]:
-    """Candidate negated block instances, in recipe order."""
+    """The valid block instance, or the negated candidates in recipe order,
+    each conjugated by its own pair of unitaries."""
+    if not negate:
+        return [_conjugate_block(_build_block(target, dim, lam, rng), rng)]
     if target == "4.2":
-        inner = _block_negates("4.1", dim, lam, rng)
-        return [{"a": m["d"], "b": m["c"], "c": m["b"], "d": m["a"]} for m in inner]
+        return [_exchanged(m) for m in _block_cases("4.1", dim, lam, rng, negate)]
 
     candidates: list[dict[str, np.ndarray]] = []
-    s_q, s_p, w, g = _layout(target, dim)
-
-    def fresh() -> dict[str, np.ndarray]:
-        return _build_block(target, dim, lam, _rng_clone(rng))
-
+    s_q, s_p, w, g = _block_layout(target, dim)
     if w - g >= 2:
         for key in ("b", "c"):
-            candidates += _with_last_band_doubled(fresh(), key)
+            mats = _build_block(target, dim, lam, _rng_clone(rng))
+            candidates += _with_last_band_doubled(mats, key)
 
     # Core injection: couple the invertible diagonal zone through b (or c).
-    # Falls back to a rebuilt layout with one core slot when the default
-    # layout has none.
-    def with_core(key: str) -> dict[str, np.ndarray]:
+    # Without a core slot in the default layout, the layout is rebuilt with
+    # one; its window still comes from a clone, its slots from rng.
+    for key in ("b", "c"):
         if s_p >= 1:
-            mats = fresh()
-            p = s_q
+            mats = _build_block(target, dim, lam, _rng_clone(rng))
         else:
-            sq2 = 1 if target in ("3.1", "3.3") else 0
-            w2 = dim - 1 - sq2
-            win = _block_window(target, w2, max(1, math.ceil(w2 / 2)) if sq2 == 0 else 1, lam, _rng_clone(rng))
-            mats = {k: _embed(dim, sq2 + 1, win[k]) for k in ("a", "b", "c", "d")}
-            if sq2:
-                mats["b"][0, 0] = _weights(rng, 1)[0]
-                mats["c"][0, 0] = _weights(rng, 1)[0]
-            p = sq2
-            mats["a"][p, p] = _weights(rng, 1)[0]
-            mats["d"][p, p] = _weights(rng, 1)[0]
-        mats[key][p, p] = complex(_weights(rng, 1)[0])
-        return mats
-
-    candidates.append(with_core("b"))
-    candidates.append(with_core("c"))
+            mats = _build_block(target, dim, lam, _rng_clone(rng), cores=1, slot_rng=rng)
+        mats[key][s_q, s_q] = complex(_weights(rng, 1)[0])
+        candidates.append(mats)
     return [_conjugate_block(m, _rng_clone(rng)) for m in candidates]
-
-
-def _rng_clone(rng: np.random.Generator) -> np.random.Generator:
-    return np.random.default_rng(rng.integers(0, 2**63 - 1))
 
 
 # ---------------------------------------------------------------- generate
@@ -482,14 +452,9 @@ def generate(spec: CaseSpec, tol: Tolerance = DEFAULT_TOL) -> GeneratedCase:
             raise GenerationFailed("canonical instance failed its own certificate")
         return GeneratedCase(spec=spec, matrices=canonical, certificate=cert)
 
-    pair = target_kind(spec.target) == "pair"
-    valid, negates = (_pair_valid, _pair_negates) if pair else (_block_valid, _block_negates)
+    cases = _pair_cases if target_kind(spec.target) == "pair" else _block_cases
     for attempt in range(_RETRIES):
-        rng = _rng_for(spec, attempt)
-        if spec.negate:
-            candidates = negates(spec.target, spec.dim, lam, rng)
-        else:
-            candidates = [valid(spec.target, spec.dim, lam, rng)]
+        candidates = cases(spec.target, spec.dim, lam, _rng_for(spec, attempt), spec.negate)
         if candidates:
             rot = spec.seed % len(candidates)
             candidates = candidates[rot:] + candidates[:rot]

@@ -62,6 +62,11 @@ class DrazinResult:
     pi: np.ndarray
     index: int | None
 
+    @classmethod
+    def nilpotent(cls, n: int, index: int | None = None) -> "DrazinResult":
+        """The data (0, I) of a quasinilpotent n x n matrix."""
+        return cls(d=np.zeros((n, n), dtype=complex), pi=np.eye(n, dtype=complex), index=index)
+
 
 @dataclass(frozen=True)
 class AxiomReport:
@@ -145,12 +150,11 @@ def drazin_oracle(a, tol: Tolerance = DEFAULT_TOL) -> DrazinResult:
     sv = np.linalg.svd(a, compute_uv=False)
     s = float(sv[0])  # sigma_max
     if s == 0.0:
-        return DrazinResult(d=np.zeros_like(a), pi=np.eye(n, dtype=complex), index=1)
+        return DrazinResult.nilpotent(n, index=1)
     ah = a / s
     k, r, ak, ak1 = _power_ranks(ah, sv / s, tol.eps_rank)
     if r == 0:
-        # nilpotent: inverse 0, idempotent I
-        return DrazinResult(d=np.zeros_like(a), pi=np.eye(n, dtype=complex), index=k)
+        return DrazinResult.nilpotent(n, index=k)
     # a^m and a^{m+1} for m = max(k, 1)
     am, am1 = (ak, ak1) if k else (ak1, ak1 @ ah)
     u, sv, vh = np.linalg.svd(am @ am1)

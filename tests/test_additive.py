@@ -9,9 +9,11 @@ from gdrazin import (
     ConvergenceError,
     DrazinResult,
     PreconditionViolated,
+    block_drazin,
     certify,
     check_drazin_axioms,
     check_factor_condition,
+    closed_form_drazin,
     drazin_oracle,
     drazin_sum,
     drazin_sum_nilpotent,
@@ -27,6 +29,24 @@ NON_FINITE = (float("nan"), complex("inf"), complex(0, float("-inf")))
 
 # The public entry point that refuses on each pair target's hypothesis.
 PAIR_FORMULAS = {"2.2": nilpotent_sum_closure, "2.3": drazin_sum_nilpotent, "2.4": drazin_sum}
+
+
+# Every formula route, called on a valid instance of its hypothesis.
+FORMULA_ROUTES = {
+    "drazin_sum": lambda **kw: drazin_sum(*preset("example-2.5").pair, **kw),
+    "drazin_sum_nilpotent": lambda **kw: drazin_sum_nilpotent(*preset("example-2.5").pair, **kw),
+    "block_drazin": lambda **kw: block_drazin(preset("example-4.4").blocks, "4.3", **kw),
+    "closed_form_drazin": lambda **kw: closed_form_drazin(preset("example-4.4").blocks, **kw),
+}
+
+
+@pytest.mark.parametrize("force", [False, True])
+@pytest.mark.parametrize("lam", [0, float("nan"), complex("inf")])
+@pytest.mark.parametrize("route", FORMULA_ROUTES)
+def test_every_formula_route_refuses_a_bad_lambda(route, lam, force):
+    # require_lambda's rule holds whether or not the hypothesis is checked
+    with pytest.raises(ValueError, match="lambda must be"):
+        FORMULA_ROUTES[route](lam=lam, force=force)
 
 
 class TestFactorCheck:

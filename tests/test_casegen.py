@@ -32,6 +32,18 @@ class TestCaseSpec:
                 CaseSpec(target="2.4", dim=4, lam=lam)
         with pytest.raises(ValueError, match="seed"):
             CaseSpec(target="2.4", dim=4, seed=-1)
+        # dim and seed are integers: a float or a bool is refused, anything
+        # operator.index takes is kept
+        for bad in (4.0, True, "4"):
+            with pytest.raises(ValueError, match="dim must be an integer"):
+                CaseSpec(target="2.4", dim=bad)
+        for bad in (1.0, True, "1"):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                CaseSpec(target="2.4", dim=4, seed=bad)
+        numpy_ints = generate(CaseSpec(target="2.4", dim=np.int64(4), seed=np.uint8(1)))
+        plain_ints = generate(CaseSpec(target="2.4", dim=4, seed=1))
+        for name in plain_ints.matrices:
+            assert np.array_equal(numpy_ints.matrices[name], plain_ints.matrices[name])
 
     def test_defaults(self):
         s = CaseSpec(target="3.1", dim=4)
@@ -135,3 +147,91 @@ class TestPresets:
         regen = generate(PRESET_SPECS["example-2.5"])
         for name in case.matrices:
             assert np.array_equal(case.matrices[name], regen.matrices[name])
+
+
+# Which recipe each spec takes, recorded before the builders were merged into
+# one zone layout: one character per spec, in the order lambda in LAMBDAS,
+# then valid / negated, then seed 0 / 1. "." is an instance with no broken
+# condition, "x" a GenerationFailed, and a digit the index of the broken row
+# in the target's certificate (its catalog order). Every 2.3 spec of dim 12
+# with |lambda| != 1 is unrealizable (ROADMAP item 3).
+RECIPES = {
+    ("2.2", 2): "..11 ..11 ..11 ..11",
+    ("2.2", 3): "..21 ..21 ..21 ..21",
+    ("2.2", 4): "..21 ..21 ..21 ..21",
+    ("2.2", 5): "..21 ..21 ..21 ..21",
+    ("2.2", 8): "..21 ..21 ..21 ..21",
+    ("2.2", 12): "..21 ..21 ..21 ..21",
+    ("2.3", 2): "..11 ..11 ..11 ..11",
+    ("2.3", 3): "..11 ..11 ..11 ..11",
+    ("2.3", 4): "..11 ..11 ..11 ..11",
+    ("2.3", 5): "..11 ..11 ..11 ..11",
+    ("2.3", 8): "..11 ..11 ..11 ..11",
+    ("2.3", 12): "xxxx xxxx ..11 xxxx",
+    ("2.4", 2): "..00 ..00 ..00 ..00",
+    ("2.4", 3): "..00 ..00 ..00 ..00",
+    ("2.4", 4): "..00 ..00 ..00 ..00",
+    ("2.4", 5): "..00 ..00 ..00 ..00",
+    ("2.4", 8): "..00 ..00 ..00 ..00",
+    ("2.4", 12): "..00 ..00 ..00 ..00",
+    ("3.1", 2): "..01 ..01 ..01 ..01",
+    ("3.1", 3): "..01 ..01 ..01 ..01",
+    ("3.1", 4): "..01 ..01 ..01 ..01",
+    ("3.1", 5): "..01 ..01 ..01 ..01",
+    ("3.1", 8): "..01 ..01 ..01 ..01",
+    ("3.1", 12): "..01 ..01 ..01 ..01",
+    ("3.2", 2): "..01 ..01 ..01 ..01",
+    ("3.2", 3): "..01 ..01 ..01 ..01",
+    ("3.2", 4): "..01 ..01 ..01 ..01",
+    ("3.2", 5): "..01 ..01 ..01 ..01",
+    ("3.2", 8): "..01 ..01 ..01 ..01",
+    ("3.2", 12): "..01 ..01 ..01 ..01",
+    ("3.3", 2): "..01 ..01 ..01 ..01",
+    ("3.3", 3): "..01 ..01 ..01 ..01",
+    ("3.3", 4): "..01 ..01 ..01 ..01",
+    ("3.3", 5): "..01 ..01 ..01 ..01",
+    ("3.3", 8): "..01 ..01 ..01 ..01",
+    ("3.3", 12): "..01 ..01 ..01 ..01",
+    ("3.4", 2): "..01 ..01 ..01 ..01",
+    ("3.4", 3): "..01 ..01 ..01 ..01",
+    ("3.4", 4): "..00 ..00 ..00 ..00",
+    ("3.4", 5): "..00 ..00 ..00 ..00",
+    ("3.4", 8): "..00 ..00 ..00 ..00",
+    ("3.4", 12): "..00 ..00 ..00 ..00",
+    ("4.1", 2): "..01 ..01 ..01 ..01",
+    ("4.1", 3): "..01 ..01 ..01 ..01",
+    ("4.1", 4): "..01 ..01 ..01 ..01",
+    ("4.1", 5): "..01 ..01 ..01 ..01",
+    ("4.1", 8): "..01 ..01 ..01 ..01",
+    ("4.1", 12): "..01 ..01 ..01 ..01",
+    ("4.2", 2): "..01 ..01 ..01 ..01",
+    ("4.2", 3): "..01 ..01 ..01 ..01",
+    ("4.2", 4): "..01 ..01 ..01 ..01",
+    ("4.2", 5): "..01 ..01 ..01 ..01",
+    ("4.2", 8): "..01 ..01 ..01 ..01",
+    ("4.2", 12): "..01 ..01 ..01 ..01",
+    ("4.3", 2): "..01 ..01 ..01 ..01",
+    ("4.3", 3): "..01 ..01 ..01 ..01",
+    ("4.3", 4): "..01 ..01 ..01 ..01",
+    ("4.3", 5): "..01 ..01 ..01 ..01",
+    ("4.3", 8): "..01 ..01 ..01 ..01",
+    ("4.3", 12): "..01 ..01 ..01 ..01",
+}
+
+
+@pytest.mark.parametrize("target, dim", sorted(RECIPES))
+def test_recipe_of_each_spec(target, dim):
+    chunks = []
+    for lam in LAMBDAS:
+        chunk = ""
+        for negate in (False, True):
+            for seed in (0, 1):
+                try:
+                    case = generate(CaseSpec(target, dim, lam, seed, negate))
+                except GenerationFailed:
+                    chunk += "x"
+                    continue
+                rows = [c.condition for c in case.certificate]
+                chunk += "." if case.broken is None else str(rows.index(case.broken))
+        chunks.append(chunk)
+    assert " ".join(chunks) == RECIPES[target, dim]
