@@ -10,14 +10,18 @@ the one that b^d does not multiply.
 where a^d = 0 and a^pi = I: it checks the sharper hypothesis and hands
 drazin_sum exactly that Drazin data of a. ``nilpotent_sum_closure`` decides
 closure of nilpotency under lambda-commutation. Their hypotheses live in one
-rule table (``check_pair_hypothesis``). ``check_condition_rows`` turns the
-rows of that table and of the block table into FactorChecks, and
-``check_factor_condition`` is the scalar-fit primitive those rows reduce to.
+table, ``PAIR_RULES``, as the labels the certificates print; each label is
+also its definition. ``parse_condition`` reads a label once, at import,
+``condition_rows`` multiplies its factors out on one factor map, and
+``check_condition_rows`` turns the rows of this table and of the block table
+into FactorChecks. ``check_factor_condition`` is the scalar-fit primitive
+those rows reduce to.
 """
 
 import cmath
+import re
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, reduce
 
 import numpy as np
 
@@ -27,6 +31,7 @@ from .linalg import DEFAULT_TOL, Tolerance, as_matrix, checked_norm, fro_norm
 from .series import PowerCache, series_cap, summed
 
 __all__ = [
+    "PAIR_RULES",
     "PAIR_TARGETS",
     "FactorCheck",
     "require_lambda",
@@ -41,10 +46,24 @@ __all__ = [
     "drazin_sum",
 ]
 
-PAIR_TARGETS = ("2.2", "2.3", "2.4")
+# The conditions of each pair target, in catalog order; see parse_condition.
+PAIR_RULES = {
+    "2.2": ("a is quasinilpotent", "b is quasinilpotent", "a b = lambda b a"),
+    "2.3": ("a is quasinilpotent", "a b = lambda b a b^pi"),
+    "2.4": ("a b = lambda a^pi b a b^pi",),
+}
+PAIR_TARGETS = tuple(PAIR_RULES)
+# The factors a pair label may name, in the order _pair_factors binds them.
+_PAIR_FACTORS = ("a", "b", "a^pi", "b^pi")
 
-# A condition row (label, lhs, rhs_base, lambda_power); see check_condition_rows.
+# A parsed label (label, lhs factors, rhs factors, lambda_power), and the
+# condition row (label, lhs, rhs_base, lambda_power) it gives on one factor
+# map; see parse_condition and check_condition_rows.
+Condition = tuple[str, tuple[str, ...], tuple[str, ...] | None, int | None]
 ConditionRow = tuple[str, np.ndarray, np.ndarray | None, int | None]
+
+_SCALARS = {"0": None, "lambda": 1, "(1/lambda)": -1}
+_FACTOR = re.compile(r"\([^)]*\)\S*|\S+")  # "(B C)^pi" is one factor
 
 
 @dataclass(frozen=True)
@@ -159,6 +178,64 @@ def check_factor_condition(
     return FactorCheck(condition, holds, lam, residual, False)
 
 
+def parse_condition(label: str, names: tuple[str, ...]) -> Condition:
+    """The parsed form of one condition label, in one of four shapes:
+
+        x is quasinilpotent        rhs factors None, lambda_power None
+        lhs = 0                    rhs factors (),   lambda_power None
+        lhs = lambda rhs           lambda_power +1
+        lhs = (1/lambda) rhs       lambda_power -1
+
+    where each side is a product of factors from ``names``, separated by
+    spaces (a parenthesized factor such as "(B C)^pi" counts as one).
+    ValueError, naming the label, for anything else.
+    """
+
+    def product(text: str) -> tuple[str, ...]:
+        factors = tuple(_FACTOR.findall(text))
+        if not factors or any(f not in names for f in factors):
+            raise ValueError(f"condition {label!r}: {text!r} is not a product of {', '.join(names)}")
+        return factors
+
+    subject, quasi, rest = label.partition(" is quasinilpotent")
+    if quasi and not rest:
+        return label, product(subject), None, None
+    lhs, eq, rhs = label.partition(" = ")
+    scalar, _, rhs = rhs.partition(" ")
+    if not eq or scalar not in _SCALARS or (scalar == "0" and rhs):
+        raise ValueError(f"condition {label!r} is not 'x is quasinilpotent', 'lhs = 0', "
+                         "'lhs = lambda rhs' or 'lhs = (1/lambda) rhs'")
+    power = _SCALARS[scalar]
+    return label, product(lhs), () if power is None else product(rhs), power
+
+
+def condition_rows(
+    conditions: tuple[Condition, ...], factors: dict[str, np.ndarray]
+) -> list[ConditionRow]:
+    """The condition rows of parsed labels on one factor map: each side is
+    the product of its factors, multiplied left to right (the bits of
+    ``x @ y @ z``); a zero row's rhs_base is the zero matrix."""
+
+    def product(names: tuple[str, ...]) -> np.ndarray:
+        return reduce(np.matmul, [factors[f] for f in names])
+
+    rows = []
+    for label, lhs, rhs, power in conditions:
+        left = product(lhs)
+        right = None if rhs is None else product(rhs) if rhs else np.zeros_like(left)
+        rows.append((label, left, right, power))
+    return rows
+
+
+def parse_rules(rules: dict[str, tuple[str, ...]], names: tuple[str, ...]) -> dict[str, tuple]:
+    """parse_condition of every label of a rule table, keyed and ordered as
+    the table."""
+    return {rule: tuple(parse_condition(c, names) for c in labels) for rule, labels in rules.items()}
+
+
+_PAIR_CONDITIONS = parse_rules(PAIR_RULES, _PAIR_FACTORS)
+
+
 def check_condition_rows(
     rows: list[ConditionRow], tol: Tolerance = DEFAULT_TOL, lam: complex | None = None
 ) -> list[FactorCheck]:
@@ -243,18 +320,10 @@ def pair_oracles(
     return {"a_dr": a_dr, "b_dr": b_dr}
 
 
-def _conditions(
-    target: str, a: np.ndarray, b: np.ndarray,
-    a_dr: DrazinResult | None = None, b_dr: DrazinResult | None = None,
-) -> list[ConditionRow]:
-    """Condition rows for one pair target, in catalog order."""
-    if target == "2.2":
-        return [("a is quasinilpotent", a, None, None), ("b is quasinilpotent", b, None, None),
-                ("a b = lambda b a", a @ b, b @ a, 1)]
-    if target == "2.3":
-        return [("a is quasinilpotent", a, None, None),
-                ("a b = lambda b a b^pi", a @ b, b @ a @ b_dr.pi, 1)]
-    return [("a b = lambda a^pi b a b^pi", a @ b, a_dr.pi @ b @ a @ b_dr.pi, 1)]
+def _pair_factors(a: np.ndarray, b: np.ndarray, a_dr=None, b_dr=None) -> dict[str, np.ndarray]:
+    """The factor map the pair labels read, on pair_oracles' data (none for
+    2.2, whose labels name no idempotent)."""
+    return dict(zip(_PAIR_FACTORS, (a, b) if a_dr is None else (a, b, a_dr.pi, b_dr.pi)))
 
 
 def check_pair_hypothesis(
@@ -272,8 +341,8 @@ def check_pair_hypothesis(
     scalar; None fits it. ``a_dr``/``b_dr`` are oracle data as pair_oracles
     returns it, used instead of running the oracle. A quasinilpotency row
     carries no scalar; its residual is nilpotency_residual of the operand."""
-    rows = _conditions(target, a, b, **pair_oracles(target, a, b, tol, a_dr, b_dr))
-    return check_condition_rows(rows, tol, lam)
+    factors = _pair_factors(a, b, **pair_oracles(target, a, b, tol, a_dr, b_dr))
+    return check_condition_rows(condition_rows(_PAIR_CONDITIONS[target], factors), tol, lam)
 
 
 def _refusal(c: FactorCheck) -> str:

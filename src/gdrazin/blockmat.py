@@ -1,24 +1,15 @@
 """Drazin inverses of 2x2 block matrices under scalar power-commutation
 hypotheses on the blocks.
 
-Each supported rule id names one hypothesis set from the catalog below; the
-inverse of M = [[A, B], [C, D]] is computed by splitting M into a diagonal
-part P and an off-diagonal (or corner-weighted) part Q whose inverses are
-known in closed form, then running the additive engine on the pair.
-
-Rule catalog (lambda is one nonzero complex scalar per rule):
-
-    3.1   B D = lambda (B C)^pi A B D^pi   and   C A = lambda (C B)^pi D C A^pi
-    3.2   B D = lambda A B D^pi,   C A = lambda D C A^pi,   B C = 0
-    3.3   A B = lambda A^pi B D (C B)^pi   and   D C = lambda D^pi C A (B C)^pi
-    3.4   A B = lambda A^pi B D,   D C = 0,   B C = 0
-    4.1   B D = lambda A^pi A B,   D C = (1/lambda) D^pi C A A^pi,   B C = 0
-    4.2   C A = lambda D^pi D C,   A B = (1/lambda) A^pi B D D^pi,   C B = 0
-    4.3   A B = lambda A^pi B D,   D C = lambda D^pi C A,   B C = 0
-
-Rules 4.1 and 4.2 pair their two scalars reciprocally; all other two-scalar
-rules share a single value. 4.2 is the block-exchange image of 4.1, and is
-computed as 4.1 on the exchanged blocks with the result's quadrants swapped.
+Each rule id of ``RULES`` names one hypothesis set, written as the labels
+the certificates print; each label is also its definition, parsed once by
+``parse_condition``. Every rule shares one nonzero complex scalar lambda
+between its scalar conditions: a "(1/lambda)" condition (rules 4.1 and 4.2)
+pairs it reciprocally. The inverse of M = [[A, B], [C, D]] is computed by
+splitting M into a diagonal part P and an off-diagonal (or corner-weighted)
+part Q whose inverses are known in closed form, then running the additive
+engine on the pair. 4.2 is the block-exchange image of 4.1, and is computed
+as 4.1 on the exchanged blocks with the result's quadrants swapped.
 """
 
 from dataclasses import dataclass
@@ -26,10 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .additive import (
-    ConditionRow,
     FactorCheck,
     check_condition_rows,
+    condition_rows,
     drazin_sum,
+    parse_rules,
     require_hypothesis,
     require_lambda,
 )
@@ -39,6 +31,7 @@ from .linalg import DEFAULT_TOL, Tolerance, as_matrix, fro_norm, scale_of
 from .series import PowerCache, series_cap, summed
 
 __all__ = [
+    "RULES",
     "RULE_IDS",
     "Block2x2",
     "assemble",
@@ -49,9 +42,25 @@ __all__ = [
     "closed_form_drazin",
 ]
 
-RULE_IDS = ("3.1", "3.2", "3.3", "3.4", "4.1", "4.2", "4.3")
-# Rules whose conditions and splitting read the Drazin data of B C.
-_BC_RULES = ("3.1", "3.3")
+# The conditions of each rule, in catalog order; see parse_condition.
+RULES = {
+    "3.1": ("B D = lambda (B C)^pi A B D^pi", "C A = lambda (C B)^pi D C A^pi"),
+    "3.2": ("B D = lambda A B D^pi", "C A = lambda D C A^pi", "B C = 0"),
+    "3.3": ("A B = lambda A^pi B D (C B)^pi", "D C = lambda D^pi C A (B C)^pi"),
+    "3.4": ("A B = lambda A^pi B D", "D C = 0", "B C = 0"),
+    "4.1": ("B D = lambda A^pi A B", "D C = (1/lambda) D^pi C A A^pi", "B C = 0"),
+    "4.2": ("C A = lambda D^pi D C", "A B = (1/lambda) A^pi B D D^pi", "C B = 0"),
+    "4.3": ("A B = lambda A^pi B D", "D C = lambda D^pi C A", "B C = 0"),
+}
+RULE_IDS = tuple(RULES)
+# The factors a rule label may name, in the order _block_factors binds them.
+_BLOCK_FACTORS = ("A", "B", "C", "D", "A^pi", "D^pi", "(B C)^pi", "(C B)^pi")
+_CONDITIONS = parse_rules(RULES, _BLOCK_FACTORS)
+# Rules whose conditions name (B C)^pi or (C B)^pi, the only factors ending
+# in ")^pi": they and their splitting read the Drazin data of
+# Q = [[0, B], [C, 0]]. Every other rule has B C = 0 or C B = 0 among its
+# conditions, which makes Q^3 = 0.
+_BC_RULES = frozenset(r for r, labels in RULES.items() if any(")^pi" in label for label in labels))
 
 
 @dataclass(frozen=True)
@@ -120,17 +129,26 @@ def _zero_like(rows: int, cols: int) -> np.ndarray:
     return np.zeros((rows, cols), dtype=complex)
 
 
-def _bc_drazin(blocks: Block2x2, tol: Tolerance) -> DrazinResult | None:
-    """Oracle data of B C, or None when B C is at rounding-noise level.
+def _q_drazin(blocks: Block2x2, tol: Tolerance) -> DrazinResult:
+    """Drazin data of the corner Q = [[0, B], [C, 0]], from one oracle run on
+    B C by the product-exchange identity (C B)^d = C ((B C)^d)^2 B:
+    Q^d = [[0, B (C B)^d], [C (B C)^d, 0]], and Q^pi = I - Q Q^d, whose
+    diagonal blocks are (B C)^pi and (C B)^pi.
 
-    Such a product is an exact zero of the hypotheses (and makes Q^3 = 0);
-    handing it to the oracle would invert the noise.
+    A product B C at rounding-noise level is an exact zero of the
+    hypotheses (and makes Q^3 = 0, so Q^d = 0); handing it to the oracle
+    would invert the noise.
     """
+    m, n = blocks.dims
     b, c = blocks.b, blocks.c
     bc = b @ c
     if fro_norm(bc) <= tol.eps_check * scale_of(b, c):
-        return None
-    return drazin_oracle(bc, tol)
+        return DrazinResult.nilpotent(m + n)
+    bc_dr = drazin_oracle(bc, tol)
+    cb_d = c @ bc_dr.d @ bc_dr.d @ b
+    qd = _quad(_zero_like(m, m), b @ cb_d, c @ bc_dr.d, _zero_like(n, n))
+    q = _quad(_zero_like(m, m), b, c, _zero_like(n, n))
+    return DrazinResult(d=qd, pi=np.eye(m + n, dtype=complex) - q @ qd, index=None)
 
 
 def block_oracles(
@@ -139,16 +157,18 @@ def block_oracles(
     tol: Tolerance = DEFAULT_TOL,
     a_dr: DrazinResult | None = None,
     d_dr: DrazinResult | None = None,
-    bc_dr: DrazinResult | None = None,
-) -> dict[str, DrazinResult | None]:
+    q_dr: DrazinResult | None = None,
+) -> dict[str, DrazinResult]:
     """Oracle data that the conditions and the splitting of ``rule`` read:
-    the Drazin data of A, D and (rules 3.1, 3.3) B C. The oracle runs only
-    for the data the caller did not supply.
+    the Drazin data of A, D and of the corner Q = [[0, B], [C, 0]]. The
+    oracle runs only for the data the caller did not supply.
 
     Keys are the keyword parameters of check_hypothesis and block_drazin
-    ("a_dr", "d_dr", "bc_dr"), so one result can be handed to both and each
-    matrix goes through the oracle once. "bc_dr" is None for rules that do
-    not read B C, and when B C is at rounding-noise level.
+    ("a_dr", "d_dr", "q_dr"), so one result can be handed to both and each
+    matrix goes through the oracle once. "q_dr" is formed once, from the
+    oracle on B C, for the rules whose conditions name (B C)^pi or
+    (C B)^pi (3.1, 3.3); for the others, whose hypotheses make Q^3 = 0, it
+    is (0, I).
     """
     if rule not in RULE_IDS:
         raise ValueError(f"unknown rule {rule!r}; valid ids: {', '.join(RULE_IDS)}")
@@ -156,65 +176,17 @@ def block_oracles(
         a_dr = drazin_oracle(blocks.a, tol)
     if d_dr is None:
         d_dr = drazin_oracle(blocks.d, tol)
-    if rule not in _BC_RULES:
-        bc_dr = None
-    elif bc_dr is None:
-        bc_dr = _bc_drazin(blocks, tol)
-    return {"a_dr": a_dr, "d_dr": d_dr, "bc_dr": bc_dr}
+    if q_dr is None:
+        q_dr = _q_drazin(blocks, tol) if rule in _BC_RULES else DrazinResult.nilpotent(sum(blocks.dims))
+    return {"a_dr": a_dr, "d_dr": d_dr, "q_dr": q_dr}
 
 
-def _conditions(
-    blocks: Block2x2,
-    rule: str,
-    a_dr: DrazinResult,
-    d_dr: DrazinResult,
-    bc_dr: DrazinResult | None,
-) -> list[ConditionRow]:
-    """Condition rows (label, lhs, rhs_base, lambda_power) for one rule, as
-    check_condition_rows reads them: lambda_power is +1 or -1 for scalar
-    conditions, None for zero conditions (whose rhs_base is the zero matrix).
-    """
-    a, b, c, d = blocks.a, blocks.b, blocks.c, blocks.d
-    m, n = blocks.dims
-    api, dpi = a_dr.pi, d_dr.pi
-    rows: list[ConditionRow] = []
-
-    if rule in _BC_RULES:
-        if bc_dr is None:  # B C = 0: both idempotents are the identity
-            bc_pi = np.eye(m, dtype=complex)
-            cb_pi = np.eye(n, dtype=complex)
-        else:
-            bc_pi = bc_dr.pi
-            cb_d = c @ bc_dr.d @ bc_dr.d @ b
-            cb_pi = np.eye(n, dtype=complex) - (c @ b) @ cb_d
-
-    if rule == "3.1":
-        rows.append(("B D = lambda (B C)^pi A B D^pi", b @ d, bc_pi @ a @ b @ dpi, 1))
-        rows.append(("C A = lambda (C B)^pi D C A^pi", c @ a, cb_pi @ d @ c @ api, 1))
-    elif rule == "3.2":
-        rows.append(("B D = lambda A B D^pi", b @ d, a @ b @ dpi, 1))
-        rows.append(("C A = lambda D C A^pi", c @ a, d @ c @ api, 1))
-        rows.append(("B C = 0", b @ c, _zero_like(m, m), None))
-    elif rule == "3.3":
-        rows.append(("A B = lambda A^pi B D (C B)^pi", a @ b, api @ b @ d @ cb_pi, 1))
-        rows.append(("D C = lambda D^pi C A (B C)^pi", d @ c, dpi @ c @ a @ bc_pi, 1))
-    elif rule == "3.4":
-        rows.append(("A B = lambda A^pi B D", a @ b, api @ b @ d, 1))
-        rows.append(("D C = 0", d @ c, _zero_like(n, m), None))
-        rows.append(("B C = 0", b @ c, _zero_like(m, m), None))
-    elif rule == "4.1":
-        rows.append(("B D = lambda A^pi A B", b @ d, api @ a @ b, 1))
-        rows.append(("D C = (1/lambda) D^pi C A A^pi", d @ c, dpi @ c @ a @ api, -1))
-        rows.append(("B C = 0", b @ c, _zero_like(m, m), None))
-    elif rule == "4.2":
-        rows.append(("C A = lambda D^pi D C", c @ a, dpi @ d @ c, 1))
-        rows.append(("A B = (1/lambda) A^pi B D D^pi", a @ b, api @ b @ d @ dpi, -1))
-        rows.append(("C B = 0", c @ b, _zero_like(n, n), None))
-    elif rule == "4.3":
-        rows.append(("A B = lambda A^pi B D", a @ b, api @ b @ d, 1))
-        rows.append(("D C = lambda D^pi C A", d @ c, dpi @ c @ a, 1))
-        rows.append(("B C = 0", b @ c, _zero_like(m, m), None))
-    return rows
+def _block_factors(blocks: Block2x2, a_dr, d_dr, q_dr) -> dict[str, np.ndarray]:
+    """The factor map the rule labels read, on block_oracles' data: (B C)^pi
+    and (C B)^pi are the diagonal blocks of Q^pi."""
+    m = blocks.dims[0]
+    pis = (a_dr.pi, d_dr.pi, q_dr.pi[:m, :m], q_dr.pi[m:, m:])
+    return dict(zip(_BLOCK_FACTORS, (blocks.a, blocks.b, blocks.c, blocks.d, *pis)))
 
 
 def check_hypothesis(
@@ -224,7 +196,7 @@ def check_hypothesis(
     lam: complex | None = None,
     a_dr: DrazinResult | None = None,
     d_dr: DrazinResult | None = None,
-    bc_dr: DrazinResult | None = None,
+    q_dr: DrazinResult | None = None,
 ) -> list[FactorCheck]:
     """Evaluate every hypothesis condition of a rule on the given blocks.
 
@@ -242,9 +214,9 @@ def check_hypothesis(
     tol : Tolerance
     lam : complex, optional
         Declared scalar; None fits per condition.
-    a_dr, d_dr, bc_dr : DrazinResult, optional
-        Oracle data of A, D and B C to use instead of running the oracle,
-        as block_oracles returns it.
+    a_dr, d_dr, q_dr : DrazinResult, optional
+        Oracle data of A, D and Q = [[0, B], [C, 0]] to use instead of
+        running the oracle, as block_oracles returns it.
 
     Returns
     -------
@@ -253,8 +225,8 @@ def check_hypothesis(
         in fitted mode.
     """
     require_lambda(lam)
-    rows = _conditions(blocks, rule, **block_oracles(blocks, rule, tol, a_dr, d_dr, bc_dr))
-    return check_condition_rows(rows, tol, lam)
+    factors = _block_factors(blocks, **block_oracles(blocks, rule, tol, a_dr, d_dr, q_dr))
+    return check_condition_rows(condition_rows(_CONDITIONS[rule], factors), tol, lam)
 
 
 def block_drazin(
@@ -265,7 +237,7 @@ def block_drazin(
     force: bool = False,
     a_dr: DrazinResult | None = None,
     d_dr: DrazinResult | None = None,
-    bc_dr: DrazinResult | None = None,
+    q_dr: DrazinResult | None = None,
 ) -> np.ndarray:
     """Drazin inverse of the assembled block matrix under the named rule.
 
@@ -280,9 +252,9 @@ def block_drazin(
     force : bool
         Skip the hypothesis check and evaluate the rule's formula. The output
         then carries no guarantee; validate it with check_drazin_axioms.
-    a_dr, d_dr, bc_dr : DrazinResult, optional
-        Oracle data of A, D and B C to use instead of running the oracle,
-        as block_oracles returns it.
+    a_dr, d_dr, q_dr : DrazinResult, optional
+        Oracle data of A, D and Q = [[0, B], [C, 0]] to use instead of
+        running the oracle, as block_oracles returns it.
 
     Returns
     -------
@@ -298,7 +270,7 @@ def block_drazin(
         force).
     """
     require_lambda(lam)
-    oracles = block_oracles(blocks, rule, tol, a_dr, d_dr, bc_dr)
+    oracles = block_oracles(blocks, rule, tol, a_dr, d_dr, q_dr)
     if not force:
         require_hypothesis(check_hypothesis(blocks, rule, tol, lam, **oracles))
     return _dispatch(blocks, rule, tol, **oracles)
@@ -310,33 +282,13 @@ def _diag_dr(a_dr: DrazinResult, d_dr: DrazinResult, m: int, n: int) -> DrazinRe
     return DrazinResult(d=d, pi=pi, index=None)
 
 
-def _antidiag_dr(blocks: Block2x2, bc_dr: DrazinResult | None) -> tuple[np.ndarray, DrazinResult]:
-    """The corner part Q = [[0, B], [C, 0]] and its Drazin data.
-
-    Without B C data (B C = 0 by hypothesis or at rounding-noise level) the
-    cube of Q vanishes, so Q^d = 0. Otherwise Q^d follows from the
-    product-exchange identity applied to the corner factors:
-    (C B)^d = C ((B C)^d)^2 B and Q^d = [[0, B (C B)^d], [C (B C)^d, 0]].
-    """
-    m, n = blocks.dims
-    b, c = blocks.b, blocks.c
-    q = _quad(_zero_like(m, m), b, c, _zero_like(n, n))
-    dim = m + n
-    if bc_dr is None:
-        return q, DrazinResult.nilpotent(dim)
-    cb_d = c @ bc_dr.d @ bc_dr.d @ b
-    qd = _quad(_zero_like(m, m), b @ cb_d, c @ bc_dr.d, _zero_like(n, n))
-    qpi = np.eye(dim, dtype=complex) - q @ qd
-    return q, DrazinResult(d=qd, pi=qpi, index=None)
-
-
 def _dispatch(
     blocks: Block2x2,
     rule: str,
     tol: Tolerance,
     a_dr: DrazinResult,
     d_dr: DrazinResult,
-    bc_dr: DrazinResult | None,
+    q_dr: DrazinResult,
 ) -> np.ndarray:
     m, n = blocks.dims
     a, b, c, d = blocks.a, blocks.b, blocks.c, blocks.d
@@ -359,7 +311,7 @@ def _dispatch(
 
     p = _quad(a, _zero_like(m, n), _zero_like(n, m), d)
     p_dr = _diag_dr(a_dr, d_dr, m, n)
-    q, q_dr = _antidiag_dr(blocks, bc_dr)
+    q = _quad(_zero_like(m, m), b, c, _zero_like(n, n))
     if rule in ("3.1", "3.2"):
         return drazin_sum(q, p, tol=tol, force=True, a_dr=q_dr, b_dr=p_dr)
     return drazin_sum(p, q, tol=tol, force=True, a_dr=p_dr, b_dr=q_dr)
@@ -429,7 +381,7 @@ def closed_form_drazin(
     br = d_dr.d + c @ ad2 @ ad @ b + summed(br_terms(), nmax, tiny, "closed form tail series")
     closed = _quad(ad, tr, c @ ad2, br)
 
-    general = _dispatch(blocks, "4.1", tol, a_dr, d_dr, None)
+    general = _dispatch(blocks, "4.1", tol, **oracles)
     gap = fro_norm(closed - general)
     if gap > tol.eps_match * scale:
         raise ReconciliationError(

@@ -11,8 +11,9 @@ the band weights that is solved exactly for the declared lambda. A core slot
 (key, first, count) puts fresh invertible diagonal weights into one matrix,
 which gives the diagonal blocks nontrivial group-invertible parts. A target
 only chooses the core counts: none for 2.2, one of b for 2.3, a split
-between a and b for 2.4 (``_pair_cores``); one of b and c for rules 3.1 and
-3.3, and for a and d what a window of at most 4 leaves (``_block_layout``).
+between a and b for 2.4 (``_pair_cores``); one of b and c for the rules
+whose conditions name (B C)^pi or (C B)^pi (3.1 and 3.3), and for a and d
+what a window of at most 4 leaves (``_block_layout``).
 Rule 4.2's instances are rule 4.1's with the blocks exchanged. A final
 unitary conjugation hides the zone structure without touching any
 hypothesis.
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .additive import PAIR_TARGETS, FactorCheck, require_lambda
-from .blockmat import RULE_IDS, Block2x2
+from .blockmat import _BC_RULES, RULE_IDS, Block2x2
 from .errors import AxiomViolation, GenerationFailed
 from .evaluation import certify, target_kind
 from .linalg import DEFAULT_TOL, Tolerance
@@ -73,7 +74,7 @@ class CaseSpec:
         RNG seed; the instance is a pure function of the full spec.
     negate : bool
         Build an instance where exactly one hypothesis condition fails at
-        the declared lambda.
+        the declared lambda. Only a bool is taken.
     """
 
     target: str
@@ -88,6 +89,8 @@ class CaseSpec:
         _require_int("dim", self.dim, 2)
         require_lambda(complex(self.lam))
         _require_int("seed", self.seed, 0)
+        if not isinstance(self.negate, bool):
+            raise ValueError(f"negate must be a bool, got {self.negate!r}")
 
 
 def _require_int(name: str, value, least: int) -> None:
@@ -294,7 +297,7 @@ def _block_layout(target: str, dim: int, cores: int | None = None) -> tuple[int,
     """Core count s_q of b and c, core count s_p of a and d (``cores``, or
     what a window of at most 4 leaves), window w and band gap g of one side.
     Cores come first: b's and c's at slot 0, then a's and d's."""
-    s_q = 1 if target in ("3.1", "3.3") else 0
+    s_q = 1 if target in _BC_RULES else 0
     w = min(dim - s_q, 4) if cores is None else dim - s_q - cores
     g = 1 if s_q else max(1, math.ceil(w / 2))
     return s_q, dim - s_q - w, w, g

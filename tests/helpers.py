@@ -269,6 +269,59 @@ def reference_sum(a, b, a_dr, b_dr, tol=DEFAULT_TOL):
     return b_pi @ ad_pow(1) + bd_pow(1) @ a_pi + s3 + s4 - s5 - s6
 
 
+# The hypothesis rows as they were written by hand beside their labels, one
+# branch per target, reading the factor map the package builds (a, b, a^pi,
+# b^pi for pairs; A..D, A^pi, D^pi, (B C)^pi, (C B)^pi for blocks). The
+# tests compare the rows built from the labels against these.
+
+
+def reference_pair_rows(target, f):
+    """Rows (label, lhs, rhs_base, lambda_power) of a pair target."""
+    a, b = f["a"], f["b"]
+    if target == "2.2":
+        return [("a is quasinilpotent", a, None, None), ("b is quasinilpotent", b, None, None),
+                ("a b = lambda b a", a @ b, b @ a, 1)]
+    if target == "2.3":
+        return [("a is quasinilpotent", a, None, None),
+                ("a b = lambda b a b^pi", a @ b, b @ a @ f["b^pi"], 1)]
+    return [("a b = lambda a^pi b a b^pi", a @ b, f["a^pi"] @ b @ a @ f["b^pi"], 1)]
+
+
+def reference_block_rows(rule, f):
+    """Rows (label, lhs, rhs_base, lambda_power) of a block rule."""
+    a, b, c, d = f["A"], f["B"], f["C"], f["D"]
+    api, dpi, bc_pi, cb_pi = f["A^pi"], f["D^pi"], f["(B C)^pi"], f["(C B)^pi"]
+    m, n = a.shape[0], d.shape[0]
+    rows = []
+    if rule == "3.1":
+        rows.append(("B D = lambda (B C)^pi A B D^pi", b @ d, bc_pi @ a @ b @ dpi, 1))
+        rows.append(("C A = lambda (C B)^pi D C A^pi", c @ a, cb_pi @ d @ c @ api, 1))
+    elif rule == "3.2":
+        rows.append(("B D = lambda A B D^pi", b @ d, a @ b @ dpi, 1))
+        rows.append(("C A = lambda D C A^pi", c @ a, d @ c @ api, 1))
+        rows.append(("B C = 0", b @ c, np.zeros((m, m), dtype=complex), None))
+    elif rule == "3.3":
+        rows.append(("A B = lambda A^pi B D (C B)^pi", a @ b, api @ b @ d @ cb_pi, 1))
+        rows.append(("D C = lambda D^pi C A (B C)^pi", d @ c, dpi @ c @ a @ bc_pi, 1))
+    elif rule == "3.4":
+        rows.append(("A B = lambda A^pi B D", a @ b, api @ b @ d, 1))
+        rows.append(("D C = 0", d @ c, np.zeros((n, m), dtype=complex), None))
+        rows.append(("B C = 0", b @ c, np.zeros((m, m), dtype=complex), None))
+    elif rule == "4.1":
+        rows.append(("B D = lambda A^pi A B", b @ d, api @ a @ b, 1))
+        rows.append(("D C = (1/lambda) D^pi C A A^pi", d @ c, dpi @ c @ a @ api, -1))
+        rows.append(("B C = 0", b @ c, np.zeros((m, m), dtype=complex), None))
+    elif rule == "4.2":
+        rows.append(("C A = lambda D^pi D C", c @ a, dpi @ d @ c, 1))
+        rows.append(("A B = (1/lambda) A^pi B D D^pi", a @ b, api @ b @ d @ dpi, -1))
+        rows.append(("C B = 0", c @ b, np.zeros((n, n), dtype=complex), None))
+    elif rule == "4.3":
+        rows.append(("A B = lambda A^pi B D", a @ b, api @ b @ d, 1))
+        rows.append(("D C = lambda D^pi C A", d @ c, dpi @ c @ a, 1))
+        rows.append(("B C = 0", b @ c, np.zeros((m, m), dtype=complex), None))
+    return rows
+
+
 def write_schema_1(directory) -> None:
     """Rewrite a saved instance as schema 1 wrote it: [re, im] pair lists,
     by the stdlib encoder."""

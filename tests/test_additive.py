@@ -1,4 +1,6 @@
-"""Scalar-fit checks and the additive sum formulas."""
+"""Scalar-fit checks, condition labels and the additive sum formulas."""
+
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +23,14 @@ from gdrazin import (
     nilpotent_sum_closure,
     preset,
 )
-from gdrazin.additive import check_pair_hypothesis, pair_oracles
+from gdrazin.additive import (
+    _PAIR_FACTORS,
+    PAIR_RULES,
+    check_pair_hypothesis,
+    pair_oracles,
+    parse_condition,
+)
+from gdrazin.blockmat import _BLOCK_FACTORS, RULES
 
 LAMBDAS = (0.5, 3.0, 1j, -2.0)
 
@@ -179,6 +188,49 @@ class TestPairHypothesisTable:
         with pytest.raises(PreconditionViolated) as err:
             PAIR_FORMULAS[target](*case.pair, lam=lam)
         assert case.broken in str(err.value)
+
+
+class TestConditionLabels:
+    def test_every_label_parses(self):
+        for rules, names in ((PAIR_RULES, _PAIR_FACTORS), (RULES, _BLOCK_FACTORS)):
+            for labels in rules.values():
+                for label in labels:
+                    parsed = parse_condition(label, names)
+                    assert parsed[0] == label
+                    # a scalar row has factors on both sides, a zero row none on the right
+                    assert (parsed[2] is None or parsed[2] == ()) == (parsed[3] is None)
+
+    @pytest.mark.parametrize(
+        "label,names,parsed",
+        [
+            ("a is quasinilpotent", _PAIR_FACTORS, (("a",), None, None)),
+            ("a b = lambda a^pi b a b^pi", _PAIR_FACTORS, (("a", "b"), ("a^pi", "b", "a", "b^pi"), 1)),
+            ("B C = 0", _BLOCK_FACTORS, (("B", "C"), (), None)),
+            ("B D = lambda (B C)^pi A B D^pi", _BLOCK_FACTORS,
+             (("B", "D"), ("(B C)^pi", "A", "B", "D^pi"), 1)),
+            ("D C = (1/lambda) D^pi C A A^pi", _BLOCK_FACTORS,
+             (("D", "C"), ("D^pi", "C", "A", "A^pi"), -1)),
+        ],
+    )
+    def test_grammar(self, label, names, parsed):
+        assert parse_condition(label, names) == (label, *parsed)
+
+    @pytest.mark.parametrize(
+        "label",
+        [
+            "B E = 0",  # unknown factor
+            "a b = lambda b a",  # pair factors in a block label
+            "B C == 0",  # no " = "
+            "B C is zero",  # no " = "
+            "B D = mu A B D^pi",  # unknown scalar word
+            "B D = lambda",  # empty right-hand side
+            "B C = 0 D",  # a zero row with factors
+            " = lambda A B",  # empty left-hand side
+        ],
+    )
+    def test_malformed_label_is_refused_by_name(self, label):
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            parse_condition(label, _BLOCK_FACTORS)
 
 
 class TestNilpotentClosure:

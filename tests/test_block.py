@@ -1,9 +1,13 @@
 """Block-matrix rules: hypothesis checks, dispatch, exchange, closed form."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import gdrazin.additive
+import gdrazin.blockmat
 from gdrazin import (
     RULE_IDS,
     Block2x2,
@@ -16,15 +20,17 @@ from gdrazin import (
     check_hypothesis,
     closed_form_drazin,
     drazin_oracle,
+    evaluate,
     exchange,
     generate,
     preset,
 )
-from gdrazin.blockmat import _quad, block_oracles
+from gdrazin.blockmat import RULES, _quad, block_oracles
 from gdrazin.linalg import scale_of
 from helpers import count_sweeps
 
 LAMBDAS = (0.5, 3.0, 1j, -2.0)
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 EXPECTED_LABELS = {
     "3.1": ["B D = lambda (B C)^pi A B D^pi", "C A = lambda (C B)^pi D C A^pi"],
@@ -102,6 +108,27 @@ class TestBlock2x2:
         assert np.allclose(
             assemble(blocks), perm @ assemble(exchange(blocks)) @ perm.T
         )
+
+
+class TestRuleTable:
+    def test_readme_table_lists_the_labels(self):
+        table = {}
+        for line in README.read_text().splitlines():
+            row = re.fullmatch(r"\| (\d\.\d) \| (.*) \|", line)
+            if row and row.group(1) in RULE_IDS:
+                table[row.group(1)] = tuple(re.findall(r"`([^`]*)`", row.group(2)))
+        assert table == RULES
+        assert tuple(table) == RULE_IDS
+
+    def test_module_docstring_points_at_the_table(self):
+        doc = gdrazin.blockmat.__doc__
+        assert "``RULES``" in doc
+        assert [label for labels in RULES.values() for label in labels if label in doc] == []
+
+    def test_corner_rules_are_those_naming_bc_idempotents(self):
+        # the generator's core slot of b and c, and block_oracles' corner
+        # data, follow the rules whose labels name (B C)^pi or (C B)^pi
+        assert gdrazin.blockmat._BC_RULES == {"3.1", "3.3"}
 
 
 class TestHypothesisChecks:
@@ -194,6 +221,23 @@ class TestBlockDrazin:
         sweeps = count_sweeps(monkeypatch)
         block_drazin(case.blocks, "3.1", lam=0.5)
         assert sorted(sweeps) == [6, 6, 6]  # A, D, B C
+
+    @pytest.mark.parametrize("rule", ["3.1", "3.3"])
+    def test_corner_data_is_formed_once_per_evaluate(self, rule, monkeypatch):
+        # the rows read (B C)^pi and (C B)^pi off Q^pi, and the splitting
+        # reads Q^d and Q^pi: one evaluate forms the corner data once
+        case = _case(rule, 6, 0.5, 1)
+        calls = []
+        real = gdrazin.blockmat._q_drazin
+
+        def counting(blocks, tol):
+            calls.append(blocks)
+            return real(blocks, tol)
+
+        monkeypatch.setattr(gdrazin.blockmat, "_q_drazin", counting)
+        out = evaluate(rule, case.matrices, 0.5)
+        assert out.failing == [] and out.gap <= out.bound
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("rule", ["3.4", "4.3"])
     def test_zero_q_drazin_forms_one_series(self, rule, monkeypatch):

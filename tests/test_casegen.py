@@ -40,6 +40,11 @@ class TestCaseSpec:
         for bad in (1.0, True, "1"):
             with pytest.raises(ValueError, match="seed must be an integer"):
                 CaseSpec(target="2.4", dim=4, seed=bad)
+        # negate is a bool: an integer or any other value is refused, not
+        # read as a count of failing conditions
+        for bad in (2, 1, "yes", None):
+            with pytest.raises(ValueError, match="negate must be a bool"):
+                CaseSpec("2.4", 4, 0.5, 0, negate=bad)
         numpy_ints = generate(CaseSpec(target="2.4", dim=np.int64(4), seed=np.uint8(1)))
         plain_ints = generate(CaseSpec(target="2.4", dim=4, seed=1))
         for name in plain_ints.matrices:

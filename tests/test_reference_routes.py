@@ -1,4 +1,5 @@
-"""The oracle and the sum series against their multiplied-out references.
+"""The oracle, the sum series and the hypothesis rows against their
+references.
 
 The package forms each power of the oracle and each product of the sum
 series once; ``helpers.reference_oracle``, ``reference_sum`` and
@@ -12,6 +13,10 @@ in either route. Against the exact inverses built from those matrices'
 Jordan forms, both routes err by a median 4.8e-13 and at most 3.7e-12, and
 their mutual gap (at most 4.0e-12) never exceeds the sum of their errors.
 That sweep's inverses are therefore held to REL_ORACLE_FLOOR.
+
+The hypothesis rows are built from their labels; ``helpers.reference_pair_rows``
+and ``reference_block_rows`` write them out by hand on the same factor map,
+and the two must agree bit for bit.
 """
 
 import numpy as np
@@ -37,7 +42,9 @@ from helpers import (
     mixture,
     nilpotent,
     reference_axioms_ok,
+    reference_block_rows,
     reference_oracle,
+    reference_pair_rows,
     reference_sum,
     reference_sum_nilpotent,
 )
@@ -110,6 +117,37 @@ def test_criterion_4_corpus_matches_reference(target, monkeypatch):
             new = outcome(block_drazin, case.blocks, target, lam=lam)
             ref = _reference_block_drazin(monkeypatch, case.blocks, target, lam)
         assert_close(new, ref, where)
+
+
+def _label_and_reference_rows(target, mats):
+    """The rows built from the target's labels and the hand-written
+    reference rows, both on the factor map the package builds."""
+    if target in gdrazin.additive.PAIR_TARGETS:
+        a, b = gdrazin.additive.square_pair(mats["a"], mats["b"])
+        factors = gdrazin.additive._pair_factors(a, b, **gdrazin.additive.pair_oracles(target, a, b))
+        conditions, reference = gdrazin.additive._PAIR_CONDITIONS[target], reference_pair_rows
+    else:
+        blocks = gdrazin.blockmat.Block2x2(**mats)
+        factors = gdrazin.blockmat._block_factors(blocks, **gdrazin.blockmat.block_oracles(blocks, target))
+        conditions, reference = gdrazin.blockmat._CONDITIONS[target], reference_block_rows
+    return gdrazin.additive.condition_rows(conditions, factors), reference(target, factors)
+
+
+def _row_bits(row):
+    label, lhs, rhs, power = row
+    return label, lhs.tobytes(), None if rhs is None else rhs.tobytes(), power
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_label_rows_match_reference_bit_for_bit(target):
+    # the criterion-4 corpus (valid instances; none for 2.2) and the
+    # criterion-7 corpus (negated instances)
+    specs = [CaseSpec(target, 2 + i % 7, LAMBDAS[i % 4], seed=i, negate=True) for i in range(50)]
+    if target != "2.2":
+        specs += [CaseSpec(target, 2 + i % 7, LAMBDAS[i % 4], seed=i // 4) for i in range(100)]
+    for spec in specs:
+        rows, ref = _label_and_reference_rows(target, generate(spec).matrices)
+        assert [_row_bits(r) for r in rows] == [_row_bits(r) for r in ref], spec
 
 
 def test_forced_series_match_reference():
