@@ -299,25 +299,25 @@ def _same_square(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def pair_oracles(
-    target: str, a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL,
-    a_dr: DrazinResult | None = None, b_dr: DrazinResult | None = None,
-) -> dict[str, DrazinResult]:
-    """Oracle data that the conditions and the formula of ``target`` read,
-    keyed by their parameter names: none for 2.2, "a_dr" and "b_dr" for 2.3
-    and 2.4, on a and b as square_pair returns them. Hand it to both, so
-    each matrix sees the oracle once. The oracle runs only for the data the
-    caller did not supply, and never on the a of 2.3: that a is
-    quasinilpotent, so a^d = 0 and a^pi = I."""
+def _require_pair_target(target: str) -> None:
+    """ValueError unless ``target`` is one of PAIR_TARGETS."""
     if target not in PAIR_TARGETS:
         raise ValueError(f"unknown pair target {target!r}; valid: {', '.join(PAIR_TARGETS)}")
+
+
+def pair_oracles(
+    target: str, a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL
+) -> dict[str, DrazinResult]:
+    """Oracle data that the conditions and the formula of ``target`` read:
+    none for 2.2, "a_dr" and "b_dr" for 2.3 and 2.4, on a and b as
+    square_pair returns them. Hand the set to both as ``oracles``, so each
+    matrix sees the oracle once. The oracle never runs on the a of 2.3: that
+    a is quasinilpotent, so a^d = 0 and a^pi = I."""
+    _require_pair_target(target)
     if target == "2.2":
         return {}
-    if a_dr is None:
-        a_dr = DrazinResult.nilpotent(a.shape[0]) if target == "2.3" else drazin_oracle(a, tol)
-    if b_dr is None:
-        b_dr = drazin_oracle(b, tol)
-    return {"a_dr": a_dr, "b_dr": b_dr}
+    a_dr = DrazinResult.nilpotent(a.shape[0]) if target == "2.3" else drazin_oracle(a, tol)
+    return {"a_dr": a_dr, "b_dr": drazin_oracle(b, tol)}
 
 
 def _pair_factors(a: np.ndarray, b: np.ndarray, a_dr=None, b_dr=None) -> dict[str, np.ndarray]:
@@ -332,16 +332,18 @@ def check_pair_hypothesis(
     target: str,
     tol: Tolerance = DEFAULT_TOL,
     lam: complex | None = None,
-    a_dr: DrazinResult | None = None,
-    b_dr: DrazinResult | None = None,
+    oracles: dict[str, DrazinResult] | None = None,
 ) -> list[FactorCheck]:
     """Every hypothesis condition of a pair target (one of PAIR_TARGETS),
     checked on (a, b) as square_pair returns them, in catalog order: the
     entries that call it check their operands first. ``lam`` fixes the
-    scalar; None fits it. ``a_dr``/``b_dr`` are oracle data as pair_oracles
-    returns it, used instead of running the oracle. A quasinilpotency row
-    carries no scalar; its residual is nilpotency_residual of the operand."""
-    factors = _pair_factors(a, b, **pair_oracles(target, a, b, tol, a_dr, b_dr))
+    scalar; None fits it. ``oracles`` is pair_oracles' set for this target
+    on (a, b); None computes it. A quasinilpotency row carries no scalar;
+    its residual is nilpotency_residual of the operand."""
+    _require_pair_target(target)
+    if oracles is None:
+        oracles = pair_oracles(target, a, b, tol)
+    factors = _pair_factors(a, b, **oracles)
     return check_condition_rows(condition_rows(_PAIR_CONDITIONS[target], factors), tol, lam)
 
 
@@ -385,7 +387,7 @@ def drazin_sum_nilpotent(
     tol: Tolerance = DEFAULT_TOL,
     lam: complex | None = None,
     force: bool = False,
-    b_dr: DrazinResult | None = None,
+    oracles: dict[str, DrazinResult] | None = None,
 ) -> np.ndarray:
     """Drazin inverse of a + b when a is quasinilpotent and
     a b = lambda * b a b^pi.
@@ -408,8 +410,9 @@ def drazin_sum_nilpotent(
     force : bool
         Evaluate the formula even when the hypothesis fails. The output then
         carries no guarantee; validate it with check_drazin_axioms.
-    b_dr : DrazinResult, optional
-        Precomputed oracle result of b to use instead of running the oracle.
+    oracles : dict, optional
+        pair_oracles("2.3", a, b): the data (0, I) of a and the oracle's
+        result on b. None computes it.
 
     Returns
     -------
@@ -425,10 +428,11 @@ def drazin_sum_nilpotent(
     """
     require_lambda(lam)
     a, b = square_pair(a, b)
-    oracles = pair_oracles("2.3", a, b, tol, b_dr=b_dr)
+    if oracles is None:
+        oracles = pair_oracles("2.3", a, b, tol)
     if not force:
-        require_hypothesis(check_pair_hypothesis(a, b, "2.3", tol, lam, **oracles))
-    return drazin_sum(a, b, tol, force=True, **oracles)
+        require_hypothesis(check_pair_hypothesis(a, b, "2.3", tol, lam, oracles))
+    return drazin_sum(a, b, tol, force=True, oracles=oracles)
 
 
 def drazin_sum(
@@ -437,8 +441,7 @@ def drazin_sum(
     tol: Tolerance = DEFAULT_TOL,
     lam: complex | None = None,
     force: bool = False,
-    a_dr: DrazinResult | None = None,
-    b_dr: DrazinResult | None = None,
+    oracles: dict[str, DrazinResult] | None = None,
 ) -> np.ndarray:
     """Drazin inverse of a + b under a b = lambda * a^pi b a b^pi.
 
@@ -475,9 +478,10 @@ def drazin_sum(
         Fixed scalar for the hypothesis; None fits it.
     force : bool
         Evaluate despite a failing hypothesis.
-    a_dr, b_dr : DrazinResult, optional
-        Precomputed inverses to use instead of the oracle. Callers with
-        structural knowledge (block splittings) supply these.
+    oracles : dict, optional
+        The Drazin data of a and b, keyed "a_dr" and "b_dr", as pair_oracles
+        returns it; None computes pair_oracles("2.4", a, b). Callers with
+        structural knowledge (theorem 2.3, block splittings) supply it.
 
     Returns
     -------
@@ -493,10 +497,11 @@ def drazin_sum(
     require_lambda(lam)
     (a, a_norm), (b, b_norm) = checked_norm(a), checked_norm(b)
     _same_square(a, b)
-    oracles = pair_oracles("2.4", a, b, tol, a_dr, b_dr)
+    if oracles is None:
+        oracles = pair_oracles("2.4", a, b, tol)
     a_dr, b_dr = oracles["a_dr"], oracles["b_dr"]
     if not force:
-        require_hypothesis(check_pair_hypothesis(a, b, "2.4", tol, lam, a_dr, b_dr))
+        require_hypothesis(check_pair_hypothesis(a, b, "2.4", tol, lam, oracles))
 
     dim = a.shape[0]
     tiny = tol.eps_tail * max(1.0, a_norm, b_norm)  # scale_of(a, b)

@@ -151,34 +151,28 @@ def _q_drazin(blocks: Block2x2, tol: Tolerance) -> DrazinResult:
     return DrazinResult(d=qd, pi=np.eye(m + n, dtype=complex) - q @ qd, index=None)
 
 
-def block_oracles(
-    blocks: Block2x2,
-    rule: str,
-    tol: Tolerance = DEFAULT_TOL,
-    a_dr: DrazinResult | None = None,
-    d_dr: DrazinResult | None = None,
-    q_dr: DrazinResult | None = None,
-) -> dict[str, DrazinResult]:
-    """Oracle data that the conditions and the splitting of ``rule`` read:
-    the Drazin data of A, D and of the corner Q = [[0, B], [C, 0]]. The
-    oracle runs only for the data the caller did not supply.
-
-    Keys are the keyword parameters of check_hypothesis and block_drazin
-    ("a_dr", "d_dr", "q_dr"), so one result can be handed to both and each
-    matrix goes through the oracle once. "q_dr" is formed once, from the
-    oracle on B C, for the rules whose conditions name (B C)^pi or
-    (C B)^pi (3.1, 3.3); for the others, whose hypotheses make Q^3 = 0, it
-    is (0, I).
-    """
+def _require_rule(rule: str) -> None:
+    """ValueError unless ``rule`` is one of RULE_IDS: a route handed its
+    oracle data would otherwise reach a table lookup or a splitting with it."""
     if rule not in RULE_IDS:
         raise ValueError(f"unknown rule {rule!r}; valid ids: {', '.join(RULE_IDS)}")
-    if a_dr is None:
-        a_dr = drazin_oracle(blocks.a, tol)
-    if d_dr is None:
-        d_dr = drazin_oracle(blocks.d, tol)
-    if q_dr is None:
-        q_dr = _q_drazin(blocks, tol) if rule in _BC_RULES else DrazinResult.nilpotent(sum(blocks.dims))
-    return {"a_dr": a_dr, "d_dr": d_dr, "q_dr": q_dr}
+
+
+def block_oracles(blocks: Block2x2, rule: str, tol: Tolerance = DEFAULT_TOL) -> dict[str, DrazinResult]:
+    """Oracle data that the conditions and the splitting of ``rule`` read:
+    the Drazin data of A, D and of the corner Q = [[0, B], [C, 0]], keyed
+    "a_dr", "d_dr" and "q_dr". Hand the set to check_hypothesis and
+    block_drazin as ``oracles``, so each matrix goes through the oracle
+    once. "q_dr" is formed once, from the oracle on B C, for the rules whose
+    conditions name (B C)^pi or (C B)^pi (3.1, 3.3); for the others, whose
+    hypotheses make Q^3 = 0, it is (0, I).
+    """
+    _require_rule(rule)
+    return {
+        "a_dr": drazin_oracle(blocks.a, tol),
+        "d_dr": drazin_oracle(blocks.d, tol),
+        "q_dr": _q_drazin(blocks, tol) if rule in _BC_RULES else DrazinResult.nilpotent(sum(blocks.dims)),
+    }
 
 
 def _block_factors(blocks: Block2x2, a_dr, d_dr, q_dr) -> dict[str, np.ndarray]:
@@ -194,9 +188,7 @@ def check_hypothesis(
     rule: str,
     tol: Tolerance = DEFAULT_TOL,
     lam: complex | None = None,
-    a_dr: DrazinResult | None = None,
-    d_dr: DrazinResult | None = None,
-    q_dr: DrazinResult | None = None,
+    oracles: dict[str, DrazinResult] | None = None,
 ) -> list[FactorCheck]:
     """Evaluate every hypothesis condition of a rule on the given blocks.
 
@@ -214,9 +206,9 @@ def check_hypothesis(
     tol : Tolerance
     lam : complex, optional
         Declared scalar; None fits per condition.
-    a_dr, d_dr, q_dr : DrazinResult, optional
-        Oracle data of A, D and Q = [[0, B], [C, 0]] to use instead of
-        running the oracle, as block_oracles returns it.
+    oracles : dict, optional
+        block_oracles' set for this rule on these blocks: the Drazin data of
+        A, D and Q = [[0, B], [C, 0]]. None computes it.
 
     Returns
     -------
@@ -225,7 +217,10 @@ def check_hypothesis(
         in fitted mode.
     """
     require_lambda(lam)
-    factors = _block_factors(blocks, **block_oracles(blocks, rule, tol, a_dr, d_dr, q_dr))
+    _require_rule(rule)
+    if oracles is None:
+        oracles = block_oracles(blocks, rule, tol)
+    factors = _block_factors(blocks, **oracles)
     return check_condition_rows(condition_rows(_CONDITIONS[rule], factors), tol, lam)
 
 
@@ -235,9 +230,7 @@ def block_drazin(
     tol: Tolerance = DEFAULT_TOL,
     lam: complex | None = None,
     force: bool = False,
-    a_dr: DrazinResult | None = None,
-    d_dr: DrazinResult | None = None,
-    q_dr: DrazinResult | None = None,
+    oracles: dict[str, DrazinResult] | None = None,
 ) -> np.ndarray:
     """Drazin inverse of the assembled block matrix under the named rule.
 
@@ -252,9 +245,9 @@ def block_drazin(
     force : bool
         Skip the hypothesis check and evaluate the rule's formula. The output
         then carries no guarantee; validate it with check_drazin_axioms.
-    a_dr, d_dr, q_dr : DrazinResult, optional
-        Oracle data of A, D and Q = [[0, B], [C, 0]] to use instead of
-        running the oracle, as block_oracles returns it.
+    oracles : dict, optional
+        block_oracles' set for this rule on these blocks: the Drazin data of
+        A, D and Q = [[0, B], [C, 0]]. None computes it.
 
     Returns
     -------
@@ -270,9 +263,11 @@ def block_drazin(
         force).
     """
     require_lambda(lam)
-    oracles = block_oracles(blocks, rule, tol, a_dr, d_dr, q_dr)
+    _require_rule(rule)
+    if oracles is None:
+        oracles = block_oracles(blocks, rule, tol)
     if not force:
-        require_hypothesis(check_hypothesis(blocks, rule, tol, lam, **oracles))
+        require_hypothesis(check_hypothesis(blocks, rule, tol, lam, oracles))
     return _dispatch(blocks, rule, tol, **oracles)
 
 
@@ -306,15 +301,15 @@ def _dispatch(
         qd = _quad(ad, ad2 @ b, c @ ad2, c @ ad2 @ ad @ b)
         qpi = np.eye(m + n, dtype=complex) - q @ qd
         q_dr = DrazinResult(d=qd, pi=qpi, index=None)
-        x = drazin_sum(p, q, tol=tol, force=True, a_dr=p_dr, b_dr=q_dr)
+        x = drazin_sum(p, q, tol=tol, force=True, oracles={"a_dr": p_dr, "b_dr": q_dr})
         return x if rule == "4.1" else _quad(x[m:, m:], x[m:, :m], x[:m, m:], x[:m, :m])
 
     p = _quad(a, _zero_like(m, n), _zero_like(n, m), d)
     p_dr = _diag_dr(a_dr, d_dr, m, n)
     q = _quad(_zero_like(m, m), b, c, _zero_like(n, n))
     if rule in ("3.1", "3.2"):
-        return drazin_sum(q, p, tol=tol, force=True, a_dr=q_dr, b_dr=p_dr)
-    return drazin_sum(p, q, tol=tol, force=True, a_dr=p_dr, b_dr=q_dr)
+        return drazin_sum(q, p, tol=tol, force=True, oracles={"a_dr": q_dr, "b_dr": p_dr})
+    return drazin_sum(p, q, tol=tol, force=True, oracles={"a_dr": p_dr, "b_dr": q_dr})
 
 
 def closed_form_drazin(
@@ -347,7 +342,7 @@ def closed_form_drazin(
     require_lambda(lam)
     oracles = block_oracles(blocks, "4.1", tol)
     if not force:
-        require_hypothesis(check_hypothesis(blocks, "4.1", tol, lam, **oracles))
+        require_hypothesis(check_hypothesis(blocks, "4.1", tol, lam, oracles))
     a_dr, d_dr = oracles["a_dr"], oracles["d_dr"]
 
     a, b, c, d = blocks.a, blocks.b, blocks.c, blocks.d

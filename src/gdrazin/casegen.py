@@ -153,7 +153,8 @@ def preset(name: str, tol: Tolerance = DEFAULT_TOL) -> GeneratedCase:
 
 def _rng_for(spec: CaseSpec, attempt: int) -> np.random.Generator:
     major, minor = (int(x) for x in spec.target.split("."))
-    return np.random.default_rng([spec.seed, major, minor, spec.dim, int(spec.negate), attempt])
+    seed, dim = operator.index(spec.seed), operator.index(spec.dim)
+    return np.random.default_rng([seed, major, minor, dim, int(spec.negate), attempt])
 
 
 def _weights(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -403,32 +404,21 @@ def _block_cases(
 
 # ---------------------------------------------------------------- generate
 
-_CANONICAL_PAIR_25 = (
-    np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=complex),
-    np.array([[0, 0, 0], [1, 0, 0], [0, 2, 0]], dtype=complex),
+# Each preset spec with its matrices, which generate copies instead of
+# building a candidate. Found by ==, so a spec given with numpy scalars or
+# 0-d arrays still finds its preset.
+_PRESET_MATRICES = (
+    (PRESET_SPECS["example-2.5"], {
+        "a": np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=complex),
+        "b": np.array([[0, 0, 0], [1, 0, 0], [0, 2, 0]], dtype=complex),
+    }),
+    (PRESET_SPECS["example-4.4"], {
+        "a": np.diag(np.ones(3, dtype=complex), k=1),
+        "d": np.diag(np.ones(3, dtype=complex), k=1),
+        "b": np.array([[0, 0, 1, 0], [0, 0, 0, 3], [0, 0, 0, 0], [0, 0, 0, 0]], dtype=complex),
+        "c": np.array([[0, 0, 1, 0], [0, 0, 0, 3], [0, 0, 0, 0], [0, 0, 0, 0]], dtype=complex),
+    }),
 )
-
-_CANONICAL_BLOCKS_44 = {
-    "a": np.diag(np.ones(3, dtype=complex), k=1),
-    "d": np.diag(np.ones(3, dtype=complex), k=1),
-    "b": np.array(
-        [[0, 0, 1, 0], [0, 0, 0, 3], [0, 0, 0, 0], [0, 0, 0, 0]], dtype=complex
-    ),
-    "c": np.array(
-        [[0, 0, 1, 0], [0, 0, 0, 3], [0, 0, 0, 0], [0, 0, 0, 0]], dtype=complex
-    ),
-}
-
-
-def _canonical(spec: CaseSpec) -> dict[str, np.ndarray] | None:
-    if spec.negate or spec.seed != 0:
-        return None
-    if spec == PRESET_SPECS["example-2.5"]:
-        a, b = _CANONICAL_PAIR_25
-        return {"a": a.copy(), "b": b.copy()}
-    if spec == PRESET_SPECS["example-4.4"]:
-        return {k: v.copy() for k, v in _CANONICAL_BLOCKS_44.items()}
-    return None
 
 
 def generate(spec: CaseSpec, tol: Tolerance = DEFAULT_TOL) -> GeneratedCase:
@@ -448,12 +438,13 @@ def generate(spec: CaseSpec, tol: Tolerance = DEFAULT_TOL) -> GeneratedCase:
     """
     lam = complex(spec.lam)
 
-    canonical = _canonical(spec)
-    if canonical is not None:
-        cert = certify(spec.target, canonical, lam, tol)
+    stored = next((m for s, m in _PRESET_MATRICES if s == spec), None)
+    if stored is not None:
+        mats = {k: v.copy() for k, v in stored.items()}
+        cert = certify(spec.target, mats, lam, tol)
         if not all(c.holds for c in cert):
             raise GenerationFailed("canonical instance failed its own certificate")
-        return GeneratedCase(spec=spec, matrices=canonical, certificate=cert)
+        return GeneratedCase(spec=spec, matrices=mats, certificate=cert)
 
     cases = _pair_cases if target_kind(spec.target) == "pair" else _block_cases
     for attempt in range(_RETRIES):

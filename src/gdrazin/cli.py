@@ -41,7 +41,7 @@ from .errors import (
     PreconditionViolated,
     ReconciliationError,
 )
-from .evaluation import evaluate
+from .evaluation import OPERANDS, evaluate
 from .io import (
     SCHEMA_VERSION,
     DocumentError,
@@ -300,11 +300,12 @@ def build_parser() -> _Parser:
     _add_tol_flags(p)
     p.set_defaults(func=cmd_drazin)
 
-    for command, names, theorems, text in (
-        ("sum", ("a", "b"), PAIR_TARGETS, "additive formulas for a + b"),
-        ("block", ("a", "b", "c", "d"), RULE_IDS, "block-matrix formulas for [[A,B],[C,D]]"),
+    for command, kind, theorems, text in (
+        ("sum", "pair", PAIR_TARGETS, "additive formulas for a + b"),
+        ("block", "block", RULE_IDS, "block-matrix formulas for [[A,B],[C,D]]"),
     ):
         p = sub.add_parser(command, help=text)
+        names = OPERANDS[kind]
         for name in names:
             p.add_argument(name)
         p.add_argument("--theorem", required=True, choices=list(theorems))

@@ -1,12 +1,14 @@
 """One evaluation route for an instance of a pair or block target.
 
-The target says which operands an instance has (``target_kind``). ``evaluate``
-checks them once (``square_pair`` or ``Block2x2``) and judges the instance two
+The target says which operands an instance has (``target_kind``; their
+names are ``OPERANDS``). ``evaluate`` refuses any other set, checks the
+operands once (``square_pair`` or ``Block2x2``) and judges the instance two
 ways, in order: the hypothesis rows of the target, then either the closure
 verdict (2.2) or the formula against the SVD oracle on the assembled matrix.
-The oracles, the rows and the formula share one set of oracle data and take
-the checked operands as they are. ``gdz sum``, ``gdz block`` and ``gdz
-verify`` call it and only report what it found.
+The oracles, the rows and the formula share one set of oracle data, which
+the routes take as ``oracles``, and take the checked operands as they are.
+``gdz sum``, ``gdz block`` and ``gdz verify`` call it and only report what
+it found.
 """
 
 from dataclasses import dataclass
@@ -21,7 +23,10 @@ from .drazin import DrazinResult, drazin_oracle, is_quasinilpotent
 from .errors import AxiomViolation, ConvergenceError
 from .linalg import DEFAULT_TOL, Tolerance, fro_norm, scale_of
 
-__all__ = ["Outcome", "target_kind", "certify", "evaluate"]
+__all__ = ["OPERANDS", "Outcome", "target_kind", "certify", "evaluate"]
+
+# The operand names of each kind of target: an instance maps exactly these.
+OPERANDS = {"pair": ("a", "b"), "block": ("a", "b", "c", "d")}
 
 
 def target_kind(target: str) -> str:
@@ -73,35 +78,34 @@ class Outcome:
 
 
 def _judge(
-    target: str, mats: dict[str, np.ndarray], lam: complex | None, tol: Tolerance,
-    oracles: dict[str, DrazinResult | None] | None = None,
+    target: str, mats: dict[str, np.ndarray], lam: complex | None, tol: Tolerance
 ) -> tuple[Block2x2 | tuple[np.ndarray, np.ndarray], dict, tuple[FactorCheck, ...]]:
-    """The checked operands of a request, their oracle data (computed when
-    ``oracles`` is None or empty) and the hypothesis rows of ``target``."""
-    if target_kind(target) == "block":
+    """The checked operands of a request, their oracle data and the
+    hypothesis rows of ``target``. ValueError unless ``mats`` maps exactly
+    the target's OPERANDS."""
+    kind = target_kind(target)
+    if set(mats) != set(OPERANDS[kind]):
+        raise ValueError(f"target {target} takes operands {list(OPERANDS[kind])}, got {list(mats)}")
+    if kind == "block":
         ops = Block2x2(**mats)
-        oracles = oracles or block_oracles(ops, target, tol)
-        return ops, oracles, tuple(check_hypothesis(ops, target, tol, lam, **oracles))
-    ops = square_pair(mats["a"], mats["b"])
-    oracles = oracles or pair_oracles(target, *ops, tol)
-    return ops, oracles, tuple(check_pair_hypothesis(*ops, target, tol, lam, **oracles))
+        oracles = block_oracles(ops, target, tol)
+        return ops, oracles, tuple(check_hypothesis(ops, target, tol, lam, oracles))
+    ops = square_pair(**mats)
+    oracles = pair_oracles(target, *ops, tol)
+    return ops, oracles, tuple(check_pair_hypothesis(*ops, target, tol, lam, oracles))
 
 
 def certify(
-    target: str,
-    mats: dict[str, np.ndarray],
-    lam: complex | None,
-    tol: Tolerance = DEFAULT_TOL,
-    oracles: dict[str, DrazinResult | None] | None = None,
+    target: str, mats: dict[str, np.ndarray], lam: complex | None, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[FactorCheck, ...]:
     """Every hypothesis condition of a target, checked on explicit matrices.
 
-    ``lam`` fixes the scalar; None fits it per condition. ``oracles`` is the
-    result of ``pair_oracles`` or ``block_oracles`` on the same matrices;
-    None computes it. ``evaluate`` judges by these same rows, so a generator
-    certificate can be reproduced from the saved matrices alone.
+    ``lam`` fixes the scalar; None fits it per condition. ``evaluate``
+    judges by these same rows, on the same oracle data, so a generator
+    certificate can be reproduced from the saved matrices alone. ValueError
+    for an unknown target or operands that do not fit it.
     """
-    return _judge(target, mats, lam, tol, oracles)[2]
+    return _judge(target, mats, lam, tol)[2]
 
 
 def evaluate(
@@ -113,7 +117,7 @@ def evaluate(
 ) -> Outcome:
     """Conditions, then closure (2.2) or formula, oracle and gap.
 
-    ``mats`` holds the operands the target reads (see ``target_kind``).
+    ``mats`` holds exactly the operands the target reads (``OPERANDS``).
     ``lam`` fixes the scalar of the conditions and the formula; None fits
     it. Without ``force`` the outcome stops after the conditions when one
     fails. ValueError for an unknown target or operands that do not fit it.
@@ -130,10 +134,10 @@ def evaluate(
         return out
     try:
         if isinstance(ops, Block2x2):
-            out.formula = block_drazin(ops, target, tol, lam=lam, force=True, **oracles)
+            out.formula = block_drazin(ops, target, tol, lam=lam, force=True, oracles=oracles)
             out.m = assemble(ops)
         else:
-            out.formula = drazin_sum(*ops, tol, lam=lam, force=True, **oracles)
+            out.formula = drazin_sum(*ops, tol, lam=lam, force=True, oracles=oracles)
             out.m = ops[0] + ops[1]
         out.oracle = drazin_oracle(out.m, tol)
     except (ConvergenceError, AxiomViolation) as exc:

@@ -42,7 +42,7 @@ from .additive import PAIR_TARGETS, FactorCheck, _same_square
 from .blockmat import RULE_IDS, _block_shapes
 from .casegen import GeneratedCase
 from .errors import GDrazinError
-from .evaluation import target_kind
+from .evaluation import OPERANDS, target_kind
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -356,7 +356,7 @@ def load_instance(directory) -> tuple[dict, dict[str, np.ndarray]]:
         raise DocumentError(f"{mpath}: lambda: {exc}") from exc
     if lam == 0:
         raise DocumentError(f"{mpath}: lambda must be nonzero")
-    expected = {"a", "b"} if kind == "pair" else {"a", "b", "c", "d"}
+    expected = set(OPERANDS[kind])
     files = manifest["files"]
     if (
         not isinstance(files, dict)

@@ -172,13 +172,15 @@ class TestPairHypothesisTable:
         if target == "2.3":
             assert np.array_equal(oracles["a_dr"].d, np.zeros((5, 5)))
             assert np.array_equal(oracles["a_dr"].pi, np.eye(5))
-        given = check_pair_hypothesis(*case.pair, target, lam=1j, **oracles)
+        given = check_pair_hypothesis(*case.pair, target, lam=1j, oracles=oracles)
         assert given == check_pair_hypothesis(*case.pair, target, lam=1j)
         assert tuple(given) == certify(target, case.matrices, 1j)
 
     def test_unknown_target(self):
         with pytest.raises(ValueError, match="unknown pair target"):
             check_pair_hypothesis(np.eye(2), np.eye(2), "3.1")
+        with pytest.raises(ValueError, match="unknown pair target"):
+            check_pair_hypothesis(np.eye(2), np.eye(2), "3.1", oracles={})
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("lam", LAMBDAS)
@@ -360,7 +362,7 @@ class TestSumGeneral:
         a_dr = DrazinResult(2 * eye, np.zeros_like(eye), None)
         b_dr = DrazinResult(n, np.zeros_like(eye), None)
         with pytest.raises(ConvergenceError, match="sum formula series 3"):
-            drazin_sum(eye / 2, eye / 2, force=True, a_dr=a_dr, b_dr=b_dr)
+            drazin_sum(eye / 2, eye / 2, force=True, oracles={"a_dr": a_dr, "b_dr": b_dr})
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

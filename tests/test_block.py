@@ -169,6 +169,12 @@ class TestHypothesisChecks:
             check_hypothesis(case.blocks, "9.9")
         with pytest.raises(ValueError):
             block_drazin(case.blocks, "9.9")
+        # handed oracle data, a route still refuses the rule, forced or not
+        oracles = block_oracles(case.blocks, "3.1")
+        with pytest.raises(ValueError, match="unknown rule"):
+            check_hypothesis(case.blocks, "9.9", oracles=oracles)
+        with pytest.raises(ValueError, match="unknown rule"):
+            block_drazin(case.blocks, "9.9", force=True, oracles=oracles)
 
     def test_zero_lambda_rejected(self):
         case = _case("3.1", 4, 0.5, 0)
@@ -212,8 +218,8 @@ class TestBlockDrazin:
         case = _case(rule, 4, 3.0, 0)
         oracles = block_oracles(case.blocks, rule)
         bare = {k: dr and DrazinResult(dr.d, dr.pi, None) for k, dr in oracles.items()}
-        got = block_drazin(case.blocks, rule, lam=3.0, **bare)
-        assert np.array_equal(got, block_drazin(case.blocks, rule, lam=3.0, **oracles))
+        got = block_drazin(case.blocks, rule, lam=3.0, oracles=bare)
+        assert np.array_equal(got, block_drazin(case.blocks, rule, lam=3.0, oracles=oracles))
 
     def test_bc_inverse_is_computed_once(self, monkeypatch):
         # rule 3.1 reads (B C)^d in its conditions and in its splitting

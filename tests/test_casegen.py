@@ -45,10 +45,11 @@ class TestCaseSpec:
         for bad in (2, 1, "yes", None):
             with pytest.raises(ValueError, match="negate must be a bool"):
                 CaseSpec("2.4", 4, 0.5, 0, negate=bad)
-        numpy_ints = generate(CaseSpec(target="2.4", dim=np.int64(4), seed=np.uint8(1)))
         plain_ints = generate(CaseSpec(target="2.4", dim=4, seed=1))
-        for name in plain_ints.matrices:
-            assert np.array_equal(numpy_ints.matrices[name], plain_ints.matrices[name])
+        for dim, seed in [(np.int64(4), np.uint8(1)), (np.array(4), np.array(1))]:
+            numpy_ints = generate(CaseSpec(target="2.4", dim=dim, seed=seed))
+            for name in plain_ints.matrices:
+                assert np.array_equal(numpy_ints.matrices[name], plain_ints.matrices[name])
 
     def test_defaults(self):
         s = CaseSpec(target="3.1", dim=4)
@@ -152,6 +153,21 @@ class TestPresets:
         regen = generate(PRESET_SPECS["example-2.5"])
         for name in case.matrices:
             assert np.array_equal(case.matrices[name], regen.matrices[name])
+
+    @pytest.mark.parametrize("name", ["example-2.5", "example-4.4"])
+    def test_preset_is_looked_up_by_value(self, name):
+        spec = PRESET_SPECS[name]
+        want = preset(name)
+        for dim, lam, seed in [
+            (np.int64(spec.dim), complex(spec.lam), np.int64(0)),
+            (spec.dim, np.float64(spec.lam), 0),
+            (np.array(spec.dim), np.array(spec.lam), np.array(0)),
+        ]:
+            case = generate(CaseSpec(spec.target, dim, lam, seed))
+            assert list(case.matrices) == list(want.matrices)
+            assert all(case.matrices[k].tobytes() == v.tobytes() for k, v in want.matrices.items())
+            case.matrices["a"][0, 0] = 99.0  # a copy: the preset stays as it is
+        assert generate(spec).matrices["a"][0, 0] == 0
 
 
 # Which recipe each spec takes, recorded before the builders were merged into

@@ -1,8 +1,13 @@
 """The evaluation route: conditions, then closure or formula against the oracle."""
 
+import re
+
 import numpy as np
 import pytest
 
+import gdrazin.additive
+import gdrazin.blockmat
+import gdrazin.evaluation
 from gdrazin import (
     DEFAULT_TOL,
     TARGETS,
@@ -12,11 +17,14 @@ from gdrazin import (
     certify,
     drazin_oracle,
     drazin_sum,
+    drazin_sum_nilpotent,
     evaluate,
     fro_norm,
     generate,
     scale_of,
 )
+from gdrazin.additive import check_pair_hypothesis, pair_oracles
+from gdrazin.blockmat import block_oracles, check_hypothesis
 from gdrazin.evaluation import target_kind
 
 SOLVED = [t for t in TARGETS if t != "2.2"]
@@ -31,11 +39,26 @@ def test_valid_instance_matches_the_oracle(target, lam):
     assert out.failing == [] and out.error is None and out.closed is None
     m = case.pair[0] + case.pair[1] if case.kind == "pair" else assemble(case.blocks)
     assert np.array_equal(out.m, m)
+    # one oracle set handed to the rows and to the formula route gives the
+    # bytes the route gives on the set it computes itself
     if case.kind == "pair":
-        formula = drazin_sum(*case.pair, lam=lam)
+        # and 2.3's shortcut (a^d = 0, a^pi = I) agrees with the general
+        # route, which runs the oracle on the quasinilpotent a
+        assert out.formula.tobytes() == drazin_sum(*case.pair, lam=lam).tobytes()
+        oracles = pair_oracles(target, *case.pair)
+        rows = check_pair_hypothesis(*case.pair, target, lam=lam, oracles=oracles)
+        assert rows == check_pair_hypothesis(*case.pair, target, lam=lam)
+        route = drazin_sum_nilpotent if target == "2.3" else drazin_sum
+        formula = route(*case.pair, lam=lam, oracles=oracles)
+        assert formula.tobytes() == route(*case.pair, lam=lam).tobytes()
     else:
-        formula = block_drazin(case.blocks, target, lam=lam)
-    assert np.array_equal(out.formula, formula)
+        oracles = block_oracles(case.blocks, target)
+        rows = check_hypothesis(case.blocks, target, lam=lam, oracles=oracles)
+        assert rows == check_hypothesis(case.blocks, target, lam=lam)
+        formula = block_drazin(case.blocks, target, lam=lam, oracles=oracles)
+        assert formula.tobytes() == block_drazin(case.blocks, target, lam=lam).tobytes()
+    assert out.conditions == tuple(rows)
+    assert out.formula.tobytes() == formula.tobytes()
     assert np.array_equal(out.oracle.d, drazin_oracle(m).d)
     assert out.gap == fro_norm(out.formula - out.oracle.d)
     assert out.bound == DEFAULT_TOL.eps_match * scale_of(*case.matrices.values())
@@ -72,6 +95,44 @@ def test_unknown_target_is_refused(judge, target):
     mats = {"a": np.eye(2), "b": np.eye(2)}
     with pytest.raises(ValueError, match="unknown target"):
         judge(target, mats, 1.0)
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_oracle_runs_once_per_datum(target, monkeypatch):
+    case = generate(CaseSpec(target, dim=6, lam=0.5, seed=1))
+    ran = []
+
+    def counting(m, tol):
+        ran.append(m)
+        return drazin_oracle(m, tol)
+
+    for module in (gdrazin.additive, gdrazin.blockmat, gdrazin.evaluation):
+        monkeypatch.setattr(module, "drazin_oracle", counting)
+    out = evaluate(target, case.matrices, 0.5)
+    assert out.failing == []
+    # on a and b as the target needs them (none on the quasinilpotent a of
+    # 2.3, none at all for 2.2), on the block corners A and D and, for 3.1
+    # and 3.3, on B C; then on the matrix the formula inverts
+    if case.kind == "pair":
+        a, b = case.pair
+        want = {"2.2": [], "2.3": [b, a + b], "2.4": [a, b, a + b]}[target]
+    else:
+        blocks = case.blocks
+        corner = [blocks.b @ blocks.c] if target in ("3.1", "3.3") else []
+        want = [blocks.a, blocks.d, *corner, assemble(blocks)]
+    assert len(ran) == len(want) and all(map(np.array_equal, ran, want))
+
+
+@pytest.mark.parametrize("judge", [evaluate, certify])
+@pytest.mark.parametrize("target,keys", [("2.4", "abc"), ("2.4", "a"), ("4.3", "abc"), ("4.3", "abcde")])
+def test_operands_that_do_not_fit_the_target_are_refused(judge, target, keys):
+    # an extra matrix would widen the match bound, which scales with every
+    # operand; a missing one leaves an operand unread
+    mats = generate(CaseSpec(target, 4, 0.5, 0)).matrices
+    mats = {k: mats.get(k, 1e6 * np.eye(4)) for k in keys}
+    want = "['a', 'b']" if target == "2.4" else "['a', 'b', 'c', 'd']"
+    with pytest.raises(ValueError, match=re.escape(f"takes operands {want}, got {list(keys)}")):
+        judge(target, mats, 0.5)
 
 
 def test_kind_follows_the_target():

@@ -69,6 +69,12 @@ def assert_close(new, ref, where, rel=REL):
     assert fro_norm(new - ref) <= rel * fro_norm(ref), where
 
 
+def nilpotent_a(a, b_dr):
+    """Theorem 2.3's oracle set: the data (0, I) of the quasinilpotent a,
+    and b's."""
+    return {"a_dr": DrazinResult.nilpotent(a.shape[0]), "b_dr": b_dr}
+
+
 def assert_same_oracle(a, where, rel=REL):
     new, ref = outcome(drazin_oracle, a), outcome(reference_oracle, a)
     assert_close(getattr(new, "d", new), getattr(ref, "d", ref), where, rel)
@@ -86,8 +92,8 @@ def test_oracle_matches_reference_on_mixture_sweep():
 
 
 def _reference_block_drazin(monkeypatch, blocks, target, lam):
-    def sum_(a, b, tol, force, a_dr, b_dr):
-        return reference_sum(a, b, a_dr, b_dr, tol)
+    def sum_(a, b, tol, force, oracles):
+        return reference_sum(a, b, oracles["a_dr"], oracles["b_dr"], tol)
 
     with monkeypatch.context() as mp:
         mp.setattr(gdrazin.blockmat, "drazin_oracle", reference_oracle)
@@ -161,10 +167,10 @@ def test_forced_series_match_reference():
             a, b = case.pair
             a_dr, b_dr = reference_oracle(a), reference_oracle(b)
             if target == "2.3":
-                new = outcome(drazin_sum_nilpotent, a, b, force=True, b_dr=b_dr)
+                new = outcome(drazin_sum_nilpotent, a, b, force=True, oracles=nilpotent_a(a, b_dr))
                 ref = outcome(reference_sum_nilpotent, a, b, b_dr)
             else:
-                new = outcome(drazin_sum, a, b, force=True, a_dr=a_dr, b_dr=b_dr)
+                new = outcome(drazin_sum, a, b, force=True, oracles={"a_dr": a_dr, "b_dr": b_dr})
                 ref = outcome(reference_sum, a, b, a_dr, b_dr)
             assert_close(new, ref, (target, i))
     # Nilpotent stand-ins for the inverses make every series run to its
@@ -177,12 +183,12 @@ def test_forced_series_match_reference():
             DrazinResult(0.6 * nilpotent(n, rng), mixture(n, rng) / n, None) for _ in range(2)
         )
         assert_close(
-            drazin_sum(a, b, force=True, a_dr=a_dr, b_dr=b_dr),
+            drazin_sum(a, b, force=True, oracles={"a_dr": a_dr, "b_dr": b_dr}),
             reference_sum(a, b, a_dr, b_dr),
             seed,
         )
         assert_close(
-            drazin_sum_nilpotent(a, b, force=True, b_dr=b_dr),
+            drazin_sum_nilpotent(a, b, force=True, oracles=nilpotent_a(a, b_dr)),
             reference_sum_nilpotent(a, b, b_dr),
             seed,
         )
@@ -196,11 +202,11 @@ def test_zero_a_drazin_return_matches_reference(monkeypatch):
     hits = {"3.1": 0, "3.2": 0}
     real_sum = gdrazin.blockmat.drazin_sum
 
-    def spy(a, b, tol, force, a_dr, b_dr):
-        new = outcome(real_sum, a, b, tol=tol, force=force, a_dr=a_dr, b_dr=b_dr)
-        if not a_dr.d.any():
+    def spy(a, b, tol, force, oracles):
+        new = outcome(real_sum, a, b, tol=tol, force=force, oracles=oracles)
+        if not oracles["a_dr"].d.any():
             hits[where[0]] += 1
-            assert_close(new, outcome(reference_sum, a, b, a_dr, b_dr, tol), where)
+            assert_close(new, outcome(reference_sum, a, b, oracles["a_dr"], oracles["b_dr"], tol), where)
         return new
 
     monkeypatch.setattr(gdrazin.blockmat, "drazin_sum", spy)
@@ -209,12 +215,10 @@ def test_zero_a_drazin_return_matches_reference(monkeypatch):
             spec = dict(dim=2 + i % 7, lam=LAMBDAS[i % 4], seed=i // 4, negate=negate)
             where = ("2.3", negate, i)
             a, b = generate(CaseSpec("2.3", **spec)).pair
-            b_dr = reference_oracle(b)
-            eye = np.eye(a.shape[0], dtype=complex)
-            zero = DrazinResult(np.zeros_like(eye), eye, None)
+            oracles = nilpotent_a(a, reference_oracle(b))
             assert_close(
-                outcome(drazin_sum_nilpotent, a, b, lam=spec["lam"], force=negate, b_dr=b_dr),
-                outcome(reference_sum, a, b, zero, b_dr),
+                outcome(drazin_sum_nilpotent, a, b, lam=spec["lam"], force=negate, oracles=oracles),
+                outcome(reference_sum, a, b, oracles["a_dr"], oracles["b_dr"]),
                 where,
             )
             # B C = 0 makes Q^d = 0; rule 3.2 instances satisfy rule 3.1 too
@@ -236,6 +240,6 @@ def test_zero_a_drazin_skips_series_that_cannot_terminate():
     eye = np.eye(4, dtype=complex)
     with pytest.raises(ConvergenceError, match="reference series"):
         reference_sum(a, b, DrazinResult(np.zeros_like(eye), eye, None), b_dr)
-    got = drazin_sum_nilpotent(a, b, lam=1j, b_dr=b_dr)
+    got = drazin_sum_nilpotent(a, b, lam=1j, oracles=nilpotent_a(a, b_dr))
     assert_close(got, reference_sum_nilpotent(a, b, b_dr), "scaled 2.3")
     assert_close(got, drazin_oracle(a + b).d, "scaled 2.3", rel=1e-8)
