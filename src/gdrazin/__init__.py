@@ -2,104 +2,82 @@
 power-commutation hypotheses, with an independent SVD-based oracle for
 cross-validation and a seeded generator of valid and deliberately broken
 instances.
+
+Importing the package loads none of its modules. Each public name is read
+from its defining module on every access (PEP 562), and that module is
+imported on the first one, so ``import gdrazin`` costs almost nothing and
+only the generator's users load the generator (and ``numpy.random``). A
+name replaced in its defining module, by ``monkeypatch`` for example, is
+what the package gives. A submodule (``gdrazin.casegen``) is imported on
+first access as well.
 """
 
-from .additive import (
-    FactorCheck,
-    check_factor_condition,
-    drazin_sum,
-    drazin_sum_nilpotent,
-    nilpotent_sum_closure,
-)
-from .blockmat import (
-    RULE_IDS,
-    Block2x2,
-    assemble,
-    block_drazin,
-    check_hypothesis,
-    closed_form_drazin,
-    exchange,
-)
-from .casegen import (
-    BLOCK_TARGETS,
-    PAIR_TARGETS,
-    PRESET_SPECS,
-    TARGETS,
-    CaseSpec,
-    GeneratedCase,
-    certify,
-    generate,
-    preset,
-)
-from .drazin import (
-    AxiomReport,
-    DrazinResult,
-    check_drazin_axioms,
-    drazin_index,
-    drazin_oracle,
-    is_quasinilpotent,
-)
-from .errors import (
-    AxiomViolation,
-    ConvergenceError,
-    GDrazinError,
-    GenerationFailed,
-    NotIdempotent,
-    NotTriangular,
-    PreconditionViolated,
-    ReconciliationError,
-)
-from .evaluation import Outcome, evaluate
-from .linalg import DEFAULT_TOL, Tolerance, fro_norm, scale_of
-from .pierce import PierceSplit, cline_drazin, pierce_split, triangular_drazin
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AxiomReport",
-    "AxiomViolation",
-    "BLOCK_TARGETS",
-    "Block2x2",
-    "CaseSpec",
-    "ConvergenceError",
-    "DEFAULT_TOL",
-    "DrazinResult",
-    "FactorCheck",
-    "GDrazinError",
-    "GeneratedCase",
-    "GenerationFailed",
-    "NotIdempotent",
-    "NotTriangular",
-    "Outcome",
-    "PAIR_TARGETS",
-    "PRESET_SPECS",
-    "PierceSplit",
-    "PreconditionViolated",
-    "RULE_IDS",
-    "ReconciliationError",
-    "TARGETS",
-    "Tolerance",
-    "assemble",
-    "block_drazin",
-    "certify",
-    "check_drazin_axioms",
-    "check_factor_condition",
-    "check_hypothesis",
-    "cline_drazin",
-    "closed_form_drazin",
-    "drazin_index",
-    "drazin_oracle",
-    "drazin_sum",
-    "drazin_sum_nilpotent",
-    "evaluate",
-    "exchange",
-    "fro_norm",
-    "generate",
-    "is_quasinilpotent",
-    "nilpotent_sum_closure",
-    "pierce_split",
-    "preset",
-    "scale_of",
-    "triangular_drazin",
-    "__version__",
-]
+# Each public name, under the module that defines it.
+_EXPORTS = {
+    "additive": (
+        "FactorCheck",
+        "PAIR_TARGETS",
+        "check_factor_condition",
+        "drazin_sum",
+        "drazin_sum_nilpotent",
+        "nilpotent_sum_closure",
+    ),
+    "blockmat": (
+        "RULE_IDS",
+        "Block2x2",
+        "assemble",
+        "block_drazin",
+        "check_hypothesis",
+        "closed_form_drazin",
+        "exchange",
+    ),
+    "casegen": (
+        "BLOCK_TARGETS",
+        "PRESET_SPECS",
+        "CaseSpec",
+        "GeneratedCase",
+        "generate",
+        "preset",
+    ),
+    "drazin": (
+        "AxiomReport",
+        "DrazinResult",
+        "check_drazin_axioms",
+        "drazin_index",
+        "drazin_oracle",
+        "is_quasinilpotent",
+    ),
+    "errors": (
+        "AxiomViolation",
+        "ConvergenceError",
+        "GDrazinError",
+        "GenerationFailed",
+        "NotIdempotent",
+        "NotTriangular",
+        "PreconditionViolated",
+        "ReconciliationError",
+    ),
+    "evaluation": ("TARGETS", "Outcome", "certify", "evaluate"),
+    "linalg": ("DEFAULT_TOL", "Tolerance", "fro_norm", "scale_of"),
+    "pierce": ("PierceSplit", "cline_drazin", "pierce_split", "triangular_drazin"),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = {*_EXPORTS, "cli", "io", "series"}
+
+__all__ = [*sorted(_ORIGIN), "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _ORIGIN:
+        return getattr(importlib.import_module(f"{__name__}.{_ORIGIN[name]}"), name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -22,13 +22,20 @@ Negated instances are candidates, each from one break recipe (a doubled
 last band weight, a coupling entry injected next to a core slot, or for 2.2
 an invertible slot of b where a vanishes), in a fixed order per target that
 the seed rotates. The first candidate whose certificate fails exactly one
-condition at the declared lambda is returned.
+condition at the declared lambda is returned. Every candidate is built, but
+only those tried are conjugated: each comes as a builder that draws, if at
+all, from a stream no other candidate reads, so the instances do not depend
+on which builders run.
 
 Every instance is a deterministic function of its CaseSpec.
 """
 
+from __future__ import annotations  # numpy.random loads at the first draw
+
+import functools
 import math
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +43,7 @@ import numpy as np
 from .additive import PAIR_TARGETS, FactorCheck, require_lambda
 from .blockmat import _BC_RULES, RULE_IDS, Block2x2
 from .errors import AxiomViolation, GenerationFailed
-from .evaluation import certify, target_kind
+from .evaluation import PRESET_NAMES, TARGETS, certify, target_kind
 from .linalg import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -52,7 +59,6 @@ __all__ = [
 ]
 
 BLOCK_TARGETS = RULE_IDS
-TARGETS = PAIR_TARGETS + BLOCK_TARGETS
 
 _RETRIES = 4
 
@@ -136,10 +142,10 @@ class GeneratedCase:
         return Block2x2(**self.matrices)
 
 
-PRESET_SPECS: dict[str, CaseSpec] = {
-    "example-2.5": CaseSpec(target="2.4", dim=3, lam=0.5, seed=0),
-    "example-4.4": CaseSpec(target="4.3", dim=4, lam=3.0, seed=0),
-}
+PRESET_SPECS: dict[str, CaseSpec] = dict(zip(PRESET_NAMES, (
+    CaseSpec(target="2.4", dim=3, lam=0.5, seed=0),
+    CaseSpec(target="4.3", dim=4, lam=3.0, seed=0),
+), strict=True))
 
 
 def preset(name: str, tol: Tolerance = DEFAULT_TOL) -> GeneratedCase:
@@ -257,11 +263,16 @@ def _build_pair(
     return _lay_out(dim, ra + rb, window, [("a", 0, ra), ("b", ra, rb)], rng)
 
 
+def _conjugate_pair(mats: dict[str, np.ndarray], un: np.ndarray) -> dict[str, np.ndarray]:
+    return {k: un @ m @ un.conj().T for k, m in mats.items()}
+
+
 def _pair_cases(
     target: str, dim: int, lam: complex, rng: np.random.Generator, negate: bool
-) -> list[dict[str, np.ndarray]]:
+) -> list[Callable[[], dict[str, np.ndarray]]]:
     """The valid pair instance, or the negated candidates in recipe order,
-    conjugated by one unitary."""
+    each as a builder that conjugates it by one shared unitary. Every draw
+    is made here, so the builders do only the matmuls."""
     cores = _pair_cores(target, dim)
     if not negate:
         candidates = [_build_pair(dim, cores, lam, rng)]
@@ -289,7 +300,7 @@ def _pair_cases(
             mats["b"][dim - 1, dim - 1] = 1.0
             candidates.append(mats)
     un = _unitary(rng, dim)
-    return [{k: un @ m @ un.conj().T for k, m in mats.items()} for mats in candidates]
+    return [functools.partial(_conjugate_pair, mats, un) for mats in candidates]
 
 
 # ----------------------------------------------------------- block builders
@@ -374,13 +385,16 @@ def _conjugate_block(
 
 def _block_cases(
     target: str, dim: int, lam: complex, rng: np.random.Generator, negate: bool
-) -> list[dict[str, np.ndarray]]:
+) -> list[Callable[[], dict[str, np.ndarray]]]:
     """The valid block instance, or the negated candidates in recipe order,
-    each conjugated by its own pair of unitaries."""
+    each as a builder that conjugates it by its own pair of unitaries. A
+    negated candidate's unitaries come from a clone whose seed is drawn
+    here, so a builder left uncalled changes no other candidate."""
     if not negate:
-        return [_conjugate_block(_build_block(target, dim, lam, rng), rng)]
+        return [functools.partial(_conjugate_block, _build_block(target, dim, lam, rng), rng)]
     if target == "4.2":
-        return [_exchanged(m) for m in _block_cases("4.1", dim, lam, rng, negate)]
+        return [lambda build=build: _exchanged(build())
+                for build in _block_cases("4.1", dim, lam, rng, negate)]
 
     candidates: list[dict[str, np.ndarray]] = []
     s_q, s_p, w, g = _block_layout(target, dim)
@@ -399,7 +413,7 @@ def _block_cases(
             mats = _build_block(target, dim, lam, _rng_clone(rng), cores=1, slot_rng=rng)
         mats[key][s_q, s_q] = complex(_weights(rng, 1)[0])
         candidates.append(mats)
-    return [_conjugate_block(m, _rng_clone(rng)) for m in candidates]
+    return [functools.partial(_conjugate_block, m, _rng_clone(rng)) for m in candidates]
 
 
 # ---------------------------------------------------------------- generate
@@ -452,7 +466,8 @@ def generate(spec: CaseSpec, tol: Tolerance = DEFAULT_TOL) -> GeneratedCase:
         if candidates:
             rot = spec.seed % len(candidates)
             candidates = candidates[rot:] + candidates[:rot]
-        for mats in candidates:
+        for build in candidates:
+            mats = build()
             try:
                 cert = certify(spec.target, mats, lam, tol)
             except AxiomViolation:

@@ -32,7 +32,6 @@ import time
 
 from .additive import PAIR_TARGETS
 from .blockmat import RULE_IDS
-from .casegen import PRESET_SPECS, TARGETS, CaseSpec, generate
 from .drazin import AxiomReport, check_drazin_axioms, drazin_oracle
 from .errors import (
     AxiomViolation,
@@ -41,7 +40,7 @@ from .errors import (
     PreconditionViolated,
     ReconciliationError,
 )
-from .evaluation import OPERANDS, evaluate
+from .evaluation import OPERANDS, PRESET_NAMES, TARGETS, evaluate
 from .io import (
     SCHEMA_VERSION,
     DocumentError,
@@ -196,6 +195,11 @@ def cmd_solve(args, parser, tol: Tolerance) -> tuple[dict, int]:
 
 
 def cmd_gen(args, parser, tol: Tolerance) -> tuple[dict, int]:
+    """``gen``, the one command that runs the generator, and so the one that
+    imports ``casegen`` (and, at its first draw, ``numpy.random``); the
+    parser names targets and presets without it."""
+    from .casegen import PRESET_SPECS, CaseSpec, generate
+
     if args.preset:
         spec = PRESET_SPECS[args.preset]
     else:
@@ -323,7 +327,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--negate", action="store_true",
                    help="break exactly one hypothesis condition at the declared lambda")
-    p.add_argument("--preset", choices=sorted(PRESET_SPECS), default=None,
+    p.add_argument("--preset", choices=sorted(PRESET_NAMES), default=None,
                    help="canonical named instance (overrides the other selectors)")
     p.add_argument("--out", required=True, help="instance directory to create")
     _add_tol_flags(p)

@@ -23,17 +23,25 @@ from .drazin import DrazinResult, drazin_oracle, is_quasinilpotent
 from .errors import AxiomViolation, ConvergenceError
 from .linalg import DEFAULT_TOL, Tolerance, fro_norm, scale_of
 
-__all__ = ["OPERANDS", "Outcome", "target_kind", "certify", "evaluate"]
+__all__ = ["OPERANDS", "TARGETS", "Outcome", "target_kind", "certify", "evaluate"]
+
+# Every target id: the pair targets, then the block rules.
+TARGETS = PAIR_TARGETS + RULE_IDS
 
 # The operand names of each kind of target: an instance maps exactly these.
 OPERANDS = {"pair": ("a", "b"), "block": ("a", "b", "c", "d")}
+
+# The names of the canonical instances, the paper's examples 2.5 (target 2.4)
+# and 4.4 (rule 4.3); casegen.PRESET_SPECS gives each its spec. Kept here so
+# that gdz can offer them without loading the generator.
+PRESET_NAMES = ("example-2.5", "example-4.4")
 
 
 def target_kind(target: str) -> str:
     """"pair" for a pair target (PAIR_TARGETS), "block" for a block rule
     (RULE_IDS); ValueError for any other id."""
-    if target not in PAIR_TARGETS + RULE_IDS:
-        raise ValueError(f"unknown target {target!r}; valid: {', '.join(PAIR_TARGETS + RULE_IDS)}")
+    if target not in TARGETS:
+        raise ValueError(f"unknown target {target!r}; valid: {', '.join(TARGETS)}")
     return "pair" if target in PAIR_TARGETS else "block"
 
 

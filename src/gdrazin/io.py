@@ -34,15 +34,18 @@ import math
 import os
 from itertools import chain
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 import orjson
 
 from .additive import PAIR_TARGETS, FactorCheck, _same_square
 from .blockmat import RULE_IDS, _block_shapes
-from .casegen import GeneratedCase
 from .errors import GDrazinError
 from .evaluation import OPERANDS, target_kind
+
+if TYPE_CHECKING:  # an annotation only: writing an instance needs no generator
+    from .casegen import GeneratedCase
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -295,7 +298,7 @@ def parse_scalar(text: str) -> complex | None:
     return z
 
 
-def save_instance(directory, case: GeneratedCase) -> dict:
+def save_instance(directory, case: "GeneratedCase") -> dict:
     """Write one generated instance into a directory; returns the manifest."""
     d = norm_path(directory)
     os.makedirs(d, exist_ok=True)

@@ -116,6 +116,21 @@ class TestNegatedInstances:
         }
         assert len(broken) > 1  # different seeds exercise different recipes
 
+    @pytest.mark.parametrize("target, dim", [("3.1", 6), ("4.2", 8), ("3.4", 32)])
+    def test_only_tried_candidates_are_conjugated(self, monkeypatch, target, dim):
+        spec = CaseSpec(target=target, dim=dim, lam=0.5, seed=0, negate=True)
+        assert len(casegen._block_cases(target, dim, 0.5, casegen._rng_for(spec, 0), True)) == 4
+        calls = {"_conjugate_block": 0, "certify": 0}
+        for name in calls:
+            def counting(*args, _name=name, _fn=getattr(casegen, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(casegen, name, counting)
+        generate(spec)
+        # the first of the four candidates is certified, so one pair of
+        # unitaries is drawn and applied, not four
+        assert calls == {"_conjugate_block": 1, "certify": 1}
+
     def test_retry_budget_exhaustion(self, monkeypatch):
         monkeypatch.setattr(casegen, "_RETRIES", 0)
         with pytest.raises(GenerationFailed):
