@@ -1,15 +1,16 @@
 """Drazin inverses of sums a + b under one-sided power-commutation
 hypotheses of the form (left side) = lambda * (right side).
 
-The central routine is ``drazin_sum``: under a b = lambda a^pi b a b^pi the
-inverse of the sum is a finite combination of corner inverses and four
-terminating series. It is the only series engine for sums; at a^d = 0 it
-forms only the one series that a^d does not multiply, and at b^d = 0 only
-the one that b^d does not multiply.
-``drazin_sum_nilpotent`` (theorem 2.3) is that result at a quasinilpotent a,
-where a^d = 0 and a^pi = I: it checks the sharper hypothesis and hands
-drazin_sum exactly that Drazin data of a. ``nilpotent_sum_closure`` decides
-closure of nilpotency under lambda-commutation. Their hypotheses live in one
+The engine is ``sum_formula``: under a b = lambda a^pi b a b^pi the inverse
+of the sum is a finite combination of corner inverses and four terminating
+series, which it evaluates on given Drazin data of a and b, checking no
+hypothesis. It is the only series engine for sums; at a^d = 0 it forms only
+the one series that a^d does not multiply, and at b^d = 0 only the one that
+b^d does not multiply. ``drazin_sum`` (theorem 2.4), ``drazin_sum_nilpotent``
+(theorem 2.3, at a quasinilpotent a: a^d = 0, a^pi = I) and
+``nilpotent_sum_closure`` (theorem 2.2, closure of nilpotency under
+lambda-commutation) are ``evaluation.solve`` on their target, which forms
+the oracle data and judges the hypothesis. Their hypotheses live in one
 table, ``PAIR_RULES``, as the labels the certificates print; each label is
 also its definition. ``parse_condition`` reads a label once, at import,
 ``condition_rows`` multiplies its factors out on one factor map, and
@@ -25,7 +26,7 @@ from functools import cache, reduce
 
 import numpy as np
 
-from .drazin import DrazinResult, drazin_oracle, is_quasinilpotent, nilpotency_residual
+from .drazin import DrazinResult, drazin_oracle, nilpotency_residual
 from .errors import PreconditionViolated
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, checked_norm, fro_norm
 from .series import PowerCache, series_cap, summed
@@ -39,11 +40,11 @@ __all__ = [
     "check_condition_rows",
     "square_pair",
     "pair_oracles",
-    "check_pair_hypothesis",
     "require_hypothesis",
     "nilpotent_sum_closure",
     "drazin_sum_nilpotent",
     "drazin_sum",
+    "sum_formula",
 ]
 
 # The conditions of each pair target, in catalog order; see parse_condition.
@@ -299,21 +300,18 @@ def _same_square(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _require_pair_target(target: str) -> None:
-    """ValueError unless ``target`` is one of PAIR_TARGETS."""
-    if target not in PAIR_TARGETS:
-        raise ValueError(f"unknown pair target {target!r}; valid: {', '.join(PAIR_TARGETS)}")
-
-
 def pair_oracles(
     target: str, a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL
 ) -> dict[str, DrazinResult]:
     """Oracle data that the conditions and the formula of ``target`` read:
     none for 2.2, "a_dr" and "b_dr" for 2.3 and 2.4, on a and b as
-    square_pair returns them. Hand the set to both as ``oracles``, so each
-    matrix sees the oracle once. The oracle never runs on the a of 2.3: that
-    a is quasinilpotent, so a^d = 0 and a^pi = I."""
-    _require_pair_target(target)
+    square_pair returns them. evaluation's judge forms it once per request
+    and hands it to the rows and to the engine, so each matrix sees the
+    oracle once. The oracle never runs on the a of 2.3: that a is
+    quasinilpotent, so a^d = 0 and a^pi = I. ValueError unless ``target``
+    is one of PAIR_TARGETS."""
+    if target not in PAIR_TARGETS:
+        raise ValueError(f"unknown pair target {target!r}; valid: {', '.join(PAIR_TARGETS)}")
     if target == "2.2":
         return {}
     a_dr = DrazinResult.nilpotent(a.shape[0]) if target == "2.3" else drazin_oracle(a, tol)
@@ -326,23 +324,14 @@ def _pair_factors(a: np.ndarray, b: np.ndarray, a_dr=None, b_dr=None) -> dict[st
     return dict(zip(_PAIR_FACTORS, (a, b) if a_dr is None else (a, b, a_dr.pi, b_dr.pi)))
 
 
-def check_pair_hypothesis(
-    a: np.ndarray,
-    b: np.ndarray,
-    target: str,
-    tol: Tolerance = DEFAULT_TOL,
-    lam: complex | None = None,
-    oracles: dict[str, DrazinResult] | None = None,
+def pair_checks(
+    a: np.ndarray, b: np.ndarray, target: str, oracles: dict, tol: Tolerance, lam: complex | None
 ) -> list[FactorCheck]:
-    """Every hypothesis condition of a pair target (one of PAIR_TARGETS),
-    checked on (a, b) as square_pair returns them, in catalog order: the
-    entries that call it check their operands first. ``lam`` fixes the
-    scalar; None fits it. ``oracles`` is pair_oracles' set for this target
-    on (a, b); None computes it. A quasinilpotency row carries no scalar;
+    """Every hypothesis condition of a pair target, in catalog order, on
+    (a, b) as square_pair returns them and on pair_oracles' set for this
+    target on them; evaluation's judge forms both and calls this. ``lam``
+    fixes the scalar; None fits it. A quasinilpotency row carries no scalar;
     its residual is nilpotency_residual of the operand."""
-    _require_pair_target(target)
-    if oracles is None:
-        oracles = pair_oracles(target, a, b, tol)
     factors = _pair_factors(a, b, **oracles)
     return check_condition_rows(condition_rows(_PAIR_CONDITIONS[target], factors), tol, lam)
 
@@ -355,7 +344,7 @@ def _refusal(c: FactorCheck) -> str:
 
 def require_hypothesis(checks: list[FactorCheck]) -> None:
     """Raise PreconditionViolated naming every failing condition and its
-    residual; the pair and block formulas refuse through this one helper."""
+    residual; every guarded route refuses through this one helper."""
     failing = [_refusal(c) for c in checks if not c.holds]
     if failing:
         raise PreconditionViolated("hypothesis fails: " + "; ".join(failing))
@@ -368,7 +357,8 @@ def nilpotent_sum_closure(
     lam: complex | None = None,
 ) -> bool:
     """Decide whether a + b is quasinilpotent, given that a and b are and
-    that a b = lambda * b a for some nonzero scalar (target 2.2).
+    that a b = lambda * b a for some nonzero scalar: ``evaluation.solve``
+    on target 2.2.
 
     Raises
     ------
@@ -376,9 +366,9 @@ def nilpotent_sum_closure(
         If a or b fails the quasinilpotency test, or a b is not a scalar
         multiple of b a.
     """
-    a, b = square_pair(a, b)
-    require_hypothesis(check_pair_hypothesis(a, b, "2.2", tol, lam))
-    return is_quasinilpotent(a + b, tol)
+    from .evaluation import solve  # evaluation imports this module
+
+    return solve("2.2", {"a": a, "b": b}, lam, tol)
 
 
 def drazin_sum_nilpotent(
@@ -387,52 +377,23 @@ def drazin_sum_nilpotent(
     tol: Tolerance = DEFAULT_TOL,
     lam: complex | None = None,
     force: bool = False,
-    oracles: dict[str, DrazinResult] | None = None,
 ) -> np.ndarray:
     """Drazin inverse of a + b when a is quasinilpotent and
-    a b = lambda * b a b^pi.
+    a b = lambda * b a b^pi: ``evaluation.solve`` on target 2.3.
 
     Under the hypothesis the inverse is
 
-        (a + b)^d = b^d + sum_{n >= 0} (b^d)^(n+2) a (a + b)^n.
+        (a + b)^d = b^d + sum_{n >= 0} (b^d)^(n+2) a (a + b)^n,
 
-    This is drazin_sum at a^d = 0, a^pi = I, where its hypothesis reads
-    a b = lambda b a b^pi and its formula reduces to the one above; the
-    hypothesis is checked here and the formula evaluated by drazin_sum.
-
-    Parameters
-    ----------
-    a, b : ndarray
-        Square matrices of equal shape; a quasinilpotent.
-    tol : Tolerance
-    lam : complex, optional
-        Fixed scalar for the hypothesis test; None fits it.
-    force : bool
-        Evaluate the formula even when the hypothesis fails. The output then
-        carries no guarantee; validate it with check_drazin_axioms.
-    oracles : dict, optional
-        pair_oracles("2.3", a, b): the data (0, I) of a and the oracle's
-        result on b. None computes it.
-
-    Returns
-    -------
-    ndarray
-
-    Raises
-    ------
-    PreconditionViolated
-        If (without force) a is not quasinilpotent or the hypothesis fails.
-    ConvergenceError
-        If the series above (the one series drazin_sum forms at a^d = 0)
-        fails to terminate within 2 * dim + 2 terms.
+    which is sum_formula at the data solve gives a, a^d = 0 and a^pi = I.
+    ``tol``, ``lam`` and ``force`` are as for drazin_sum. PreconditionViolated
+    if (without force) a is not quasinilpotent or the hypothesis fails;
+    ConvergenceError if the series fails to terminate within 2 * dim + 2
+    terms.
     """
-    require_lambda(lam)
-    a, b = square_pair(a, b)
-    if oracles is None:
-        oracles = pair_oracles("2.3", a, b, tol)
-    if not force:
-        require_hypothesis(check_pair_hypothesis(a, b, "2.3", tol, lam, oracles))
-    return drazin_sum(a, b, tol, force=True, oracles=oracles)
+    from .evaluation import solve  # evaluation imports this module
+
+    return solve("2.3", {"a": a, "b": b}, lam, tol, force)
 
 
 def drazin_sum(
@@ -441,12 +402,46 @@ def drazin_sum(
     tol: Tolerance = DEFAULT_TOL,
     lam: complex | None = None,
     force: bool = False,
-    oracles: dict[str, DrazinResult] | None = None,
 ) -> np.ndarray:
-    """Drazin inverse of a + b under a b = lambda * a^pi b a b^pi.
+    """Drazin inverse of a + b under a b = lambda * a^pi b a b^pi:
+    ``evaluation.solve`` on target 2.4, which checks the hypothesis on the
+    oracle's data of a and b and runs sum_formula on that data.
 
-    The result combines the corner inverses with four terminating series
-    (m = a + b throughout):
+    Parameters
+    ----------
+    a, b : ndarray
+        Square matrices of equal shape.
+    tol : Tolerance
+    lam : complex, optional
+        Fixed scalar for the hypothesis; None fits it.
+    force : bool
+        Evaluate despite a failing hypothesis. The output then carries no
+        guarantee; validate it with check_drazin_axioms.
+
+    Raises
+    ------
+    PreconditionViolated
+        If (without force) the hypothesis fails.
+    ConvergenceError
+        If a series that is formed fails to terminate within the cap.
+    """
+    from .evaluation import solve  # evaluation imports this module
+
+    return solve("2.4", {"a": a, "b": b}, lam, tol, force)
+
+
+def sum_formula(
+    a: np.ndarray,
+    b: np.ndarray,
+    a_dr: DrazinResult,
+    b_dr: DrazinResult,
+    tol: Tolerance = DEFAULT_TOL,
+) -> np.ndarray:
+    """The sum formula of theorem 2.4 on the Drazin data (d, pi) of a and b,
+    ``a_dr`` and ``b_dr`` (the index is not read); it checks no hypothesis.
+
+    Under a b = lambda * a^pi b a b^pi the result is (a + b)^d. It combines
+    the corner inverses with four terminating series (m = a + b throughout):
 
         (a + b)^d = b^pi a^d + b^d a^pi
                   + sum_n (b^d)^(n+2) a m^n a^pi
@@ -467,41 +462,11 @@ def drazin_sum(
 
     a and b are checked as square_pair checks them, with finiteness read off
     the norms that the tail bound eps_tail * max(1, ||a||, ||b||) needs (the
-    finite-norm rule of ``linalg``).
-
-    Parameters
-    ----------
-    a, b : ndarray
-        Square matrices of equal shape.
-    tol : Tolerance
-    lam : complex, optional
-        Fixed scalar for the hypothesis; None fits it.
-    force : bool
-        Evaluate despite a failing hypothesis.
-    oracles : dict, optional
-        The Drazin data of a and b, keyed "a_dr" and "b_dr", as pair_oracles
-        returns it; None computes pair_oracles("2.4", a, b). Callers with
-        structural knowledge (theorem 2.3, block splittings) supply it.
-
-    Returns
-    -------
-    ndarray
-
-    Raises
-    ------
-    PreconditionViolated
-        If (without force) the hypothesis fails.
-    ConvergenceError
-        If a series that is formed fails to terminate within the cap.
+    finite-norm rule of ``linalg``). ConvergenceError if a series that is
+    formed fails to terminate within the cap.
     """
-    require_lambda(lam)
     (a, a_norm), (b, b_norm) = checked_norm(a), checked_norm(b)
     _same_square(a, b)
-    if oracles is None:
-        oracles = pair_oracles("2.4", a, b, tol)
-    a_dr, b_dr = oracles["a_dr"], oracles["b_dr"]
-    if not force:
-        require_hypothesis(check_pair_hypothesis(a, b, "2.4", tol, lam, oracles))
 
     dim = a.shape[0]
     tiny = tol.eps_tail * max(1.0, a_norm, b_norm)  # scale_of(a, b)

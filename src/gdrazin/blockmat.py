@@ -10,6 +10,8 @@ splitting M into a diagonal part P and an off-diagonal (or corner-weighted)
 part Q whose inverses are known in closed form, then running the additive
 engine on the pair. 4.2 is the block-exchange image of 4.1, and is computed
 as 4.1 on the exchanged blocks with the result's quadrants swapped.
+``block_formula`` is that splitting on given Drazin data; the public routes
+take none, and ``evaluation`` forms it and judges their rows.
 """
 
 from dataclasses import dataclass
@@ -20,10 +22,9 @@ from .additive import (
     FactorCheck,
     check_condition_rows,
     condition_rows,
-    drazin_sum,
     parse_rules,
     require_hypothesis,
-    require_lambda,
+    sum_formula,
 )
 from .drazin import DrazinResult, drazin_oracle
 from .errors import ReconciliationError
@@ -39,6 +40,7 @@ __all__ = [
     "block_oracles",
     "check_hypothesis",
     "block_drazin",
+    "block_formula",
     "closed_form_drazin",
 ]
 
@@ -152,8 +154,7 @@ def _q_drazin(blocks: Block2x2, tol: Tolerance) -> DrazinResult:
 
 
 def _require_rule(rule: str) -> None:
-    """ValueError unless ``rule`` is one of RULE_IDS: a route handed its
-    oracle data would otherwise reach a table lookup or a splitting with it."""
+    """ValueError unless ``rule`` is one of RULE_IDS."""
     if rule not in RULE_IDS:
         raise ValueError(f"unknown rule {rule!r}; valid ids: {', '.join(RULE_IDS)}")
 
@@ -161,11 +162,11 @@ def _require_rule(rule: str) -> None:
 def block_oracles(blocks: Block2x2, rule: str, tol: Tolerance = DEFAULT_TOL) -> dict[str, DrazinResult]:
     """Oracle data that the conditions and the splitting of ``rule`` read:
     the Drazin data of A, D and of the corner Q = [[0, B], [C, 0]], keyed
-    "a_dr", "d_dr" and "q_dr". Hand the set to check_hypothesis and
-    block_drazin as ``oracles``, so each matrix goes through the oracle
-    once. "q_dr" is formed once, from the oracle on B C, for the rules whose
-    conditions name (B C)^pi or (C B)^pi (3.1, 3.3); for the others, whose
-    hypotheses make Q^3 = 0, it is (0, I).
+    "a_dr", "d_dr" and "q_dr". evaluation's judge forms it once per request
+    and hands it to the rows and to the engine, so each matrix goes through
+    the oracle once. "q_dr" is formed once, from the oracle on B C, for the
+    rules whose conditions name (B C)^pi or (C B)^pi (3.1, 3.3); for the
+    others, whose hypotheses make Q^3 = 0, it is (0, I).
     """
     _require_rule(rule)
     return {
@@ -183,14 +184,24 @@ def _block_factors(blocks: Block2x2, a_dr, d_dr, q_dr) -> dict[str, np.ndarray]:
     return dict(zip(_BLOCK_FACTORS, (blocks.a, blocks.b, blocks.c, blocks.d, *pis)))
 
 
+def block_checks(
+    blocks: Block2x2, rule: str, oracles: dict, tol: Tolerance, lam: complex | None
+) -> list[FactorCheck]:
+    """Every hypothesis condition of a rule, in catalog order, on the blocks
+    and on block_oracles' set for this rule on them; evaluation's judge
+    forms both and calls this. ``lam`` fixes the scalar; None fits it."""
+    factors = _block_factors(blocks, **oracles)
+    return check_condition_rows(condition_rows(_CONDITIONS[rule], factors), tol, lam)
+
+
 def check_hypothesis(
     blocks: Block2x2,
     rule: str,
     tol: Tolerance = DEFAULT_TOL,
     lam: complex | None = None,
-    oracles: dict[str, DrazinResult] | None = None,
 ) -> list[FactorCheck]:
-    """Evaluate every hypothesis condition of a rule on the given blocks.
+    """Every hypothesis condition of a rule on the given blocks, as
+    ``evaluation.certify`` checks it.
 
     With ``lam`` each scalar condition is tested at that value (reciprocal
     conditions at 1/lam). Without it each scalar is fitted independently and,
@@ -206,9 +217,6 @@ def check_hypothesis(
     tol : Tolerance
     lam : complex, optional
         Declared scalar; None fits per condition.
-    oracles : dict, optional
-        block_oracles' set for this rule on these blocks: the Drazin data of
-        A, D and Q = [[0, B], [C, 0]]. None computes it.
 
     Returns
     -------
@@ -216,12 +224,10 @@ def check_hypothesis(
         One entry per condition, in catalog order, plus the consistency row
         in fitted mode.
     """
-    require_lambda(lam)
+    from .evaluation import certify  # evaluation imports this module
+
     _require_rule(rule)
-    if oracles is None:
-        oracles = block_oracles(blocks, rule, tol)
-    factors = _block_factors(blocks, **oracles)
-    return check_condition_rows(condition_rows(_CONDITIONS[rule], factors), tol, lam)
+    return list(certify(rule, vars(blocks), lam, tol))
 
 
 def block_drazin(
@@ -230,9 +236,9 @@ def block_drazin(
     tol: Tolerance = DEFAULT_TOL,
     lam: complex | None = None,
     force: bool = False,
-    oracles: dict[str, DrazinResult] | None = None,
 ) -> np.ndarray:
-    """Drazin inverse of the assembled block matrix under the named rule.
+    """Drazin inverse of the assembled block matrix under the named rule:
+    ``evaluation.solve`` on the rule, which runs block_formula.
 
     Parameters
     ----------
@@ -245,9 +251,6 @@ def block_drazin(
     force : bool
         Skip the hypothesis check and evaluate the rule's formula. The output
         then carries no guarantee; validate it with check_drazin_axioms.
-    oracles : dict, optional
-        block_oracles' set for this rule on these blocks: the Drazin data of
-        A, D and Q = [[0, B], [C, 0]]. None computes it.
 
     Returns
     -------
@@ -262,13 +265,10 @@ def block_drazin(
         If a series fails to terminate within the cap (reachable only under
         force).
     """
-    require_lambda(lam)
+    from .evaluation import solve  # evaluation imports this module
+
     _require_rule(rule)
-    if oracles is None:
-        oracles = block_oracles(blocks, rule, tol)
-    if not force:
-        require_hypothesis(check_hypothesis(blocks, rule, tol, lam, oracles))
-    return _dispatch(blocks, rule, tol, **oracles)
+    return solve(rule, vars(blocks), lam, tol, force)
 
 
 def _diag_dr(a_dr: DrazinResult, d_dr: DrazinResult, m: int, n: int) -> DrazinResult:
@@ -277,7 +277,7 @@ def _diag_dr(a_dr: DrazinResult, d_dr: DrazinResult, m: int, n: int) -> DrazinRe
     return DrazinResult(d=d, pi=pi, index=None)
 
 
-def _dispatch(
+def block_formula(
     blocks: Block2x2,
     rule: str,
     tol: Tolerance,
@@ -285,6 +285,10 @@ def _dispatch(
     d_dr: DrazinResult,
     q_dr: DrazinResult,
 ) -> np.ndarray:
+    """The splitting of ``rule`` (one of RULE_IDS) on given Drazin data of A,
+    D and the corner Q = [[0, B], [C, 0]], as block_oracles keys it; it
+    checks no hypothesis. Under the rule's hypothesis the result is the
+    Drazin inverse of the assembled matrix. The index is not read."""
     m, n = blocks.dims
     a, b, c, d = blocks.a, blocks.b, blocks.c, blocks.d
     if rule == "4.2":
@@ -301,15 +305,15 @@ def _dispatch(
         qd = _quad(ad, ad2 @ b, c @ ad2, c @ ad2 @ ad @ b)
         qpi = np.eye(m + n, dtype=complex) - q @ qd
         q_dr = DrazinResult(d=qd, pi=qpi, index=None)
-        x = drazin_sum(p, q, tol=tol, force=True, oracles={"a_dr": p_dr, "b_dr": q_dr})
+        x = sum_formula(p, q, p_dr, q_dr, tol)
         return x if rule == "4.1" else _quad(x[m:, m:], x[m:, :m], x[:m, m:], x[:m, :m])
 
     p = _quad(a, _zero_like(m, n), _zero_like(n, m), d)
     p_dr = _diag_dr(a_dr, d_dr, m, n)
     q = _quad(_zero_like(m, m), b, c, _zero_like(n, n))
     if rule in ("3.1", "3.2"):
-        return drazin_sum(q, p, tol=tol, force=True, oracles={"a_dr": q_dr, "b_dr": p_dr})
-    return drazin_sum(p, q, tol=tol, force=True, oracles={"a_dr": p_dr, "b_dr": q_dr})
+        return sum_formula(q, p, q_dr, p_dr, tol)
+    return sum_formula(p, q, p_dr, q_dr, tol)
 
 
 def closed_form_drazin(
@@ -329,7 +333,7 @@ def closed_form_drazin(
         bottom-right  D^d + C (A^d)^3 B
                       + sum_{n >= 1} sum_{k=1..n} D^(k-1) C A^(n-k) B (D^d)^(n+2)
 
-    The result is compared against the splitting route of ``block_drazin``;
+    The result is compared against the splitting route, ``block_formula``;
     disagreement beyond eps_match * scale raises ReconciliationError.
 
     Raises
@@ -339,10 +343,11 @@ def closed_form_drazin(
     ReconciliationError
         If the two computation routes disagree.
     """
-    require_lambda(lam)
-    oracles = block_oracles(blocks, "4.1", tol)
+    from .evaluation import _judge  # evaluation imports this module
+
+    blocks, oracles, conditions = _judge("4.1", vars(blocks), lam, tol)
     if not force:
-        require_hypothesis(check_hypothesis(blocks, "4.1", tol, lam, oracles))
+        require_hypothesis(conditions)
     a_dr, d_dr = oracles["a_dr"], oracles["d_dr"]
 
     a, b, c, d = blocks.a, blocks.b, blocks.c, blocks.d
@@ -376,7 +381,7 @@ def closed_form_drazin(
     br = d_dr.d + c @ ad2 @ ad @ b + summed(br_terms(), nmax, tiny, "closed form tail series")
     closed = _quad(ad, tr, c @ ad2, br)
 
-    general = _dispatch(blocks, "4.1", tol, **oracles)
+    general = block_formula(blocks, "4.1", tol, **oracles)
     gap = fro_norm(closed - general)
     if gap > tol.eps_match * scale:
         raise ReconciliationError(

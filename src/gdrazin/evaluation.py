@@ -5,10 +5,10 @@ names are ``OPERANDS``). ``evaluate`` refuses any other set, checks the
 operands once (``square_pair`` or ``Block2x2``) and judges the instance two
 ways, in order: the hypothesis rows of the target, then either the closure
 verdict (2.2) or the formula against the SVD oracle on the assembled matrix.
-The oracles, the rows and the formula share one set of oracle data, which
-the routes take as ``oracles``, and take the checked operands as they are.
-``gdz sum``, ``gdz block`` and ``gdz verify`` call it and only report what
-it found.
+Oracle data is formed here alone, one set per request, which the rows and
+the engine (``sum_formula`` or ``block_formula``) read with the checked
+operands as they are. ``gdz sum``, ``gdz block`` and ``gdz verify`` call it,
+and the library routes too: each public formula entry is ``solve``.
 """
 
 from dataclasses import dataclass
@@ -16,14 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .additive import (
-    PAIR_TARGETS, FactorCheck, check_pair_hypothesis, drazin_sum, pair_oracles, square_pair
+    PAIR_TARGETS, FactorCheck, pair_checks, pair_oracles, require_hypothesis, require_lambda, square_pair,
+    sum_formula,
 )
-from .blockmat import RULE_IDS, Block2x2, assemble, block_drazin, block_oracles, check_hypothesis
+from .blockmat import RULE_IDS, Block2x2, assemble, block_checks, block_formula, block_oracles
 from .drazin import DrazinResult, drazin_oracle, is_quasinilpotent
 from .errors import AxiomViolation, ConvergenceError
 from .linalg import DEFAULT_TOL, Tolerance, fro_norm, scale_of
 
-__all__ = ["OPERANDS", "TARGETS", "Outcome", "target_kind", "certify", "evaluate"]
+__all__ = ["OPERANDS", "TARGETS", "Outcome", "target_kind", "certify", "evaluate", "solve"]
 
 # Every target id: the pair targets, then the block rules.
 TARGETS = PAIR_TARGETS + RULE_IDS
@@ -89,18 +90,27 @@ def _judge(
     target: str, mats: dict[str, np.ndarray], lam: complex | None, tol: Tolerance
 ) -> tuple[Block2x2 | tuple[np.ndarray, np.ndarray], dict, tuple[FactorCheck, ...]]:
     """The checked operands of a request, their oracle data and the
-    hypothesis rows of ``target``. ValueError unless ``mats`` maps exactly
-    the target's OPERANDS."""
+    hypothesis rows of ``target``. ValueError for a bad ``lam``, before any
+    oracle runs, and unless ``mats`` maps exactly the target's OPERANDS."""
+    require_lambda(lam)
     kind = target_kind(target)
     if set(mats) != set(OPERANDS[kind]):
         raise ValueError(f"target {target} takes operands {list(OPERANDS[kind])}, got {list(mats)}")
     if kind == "block":
         ops = Block2x2(**mats)
         oracles = block_oracles(ops, target, tol)
-        return ops, oracles, tuple(check_hypothesis(ops, target, tol, lam, oracles))
+        return ops, oracles, tuple(block_checks(ops, target, oracles, tol, lam))
     ops = square_pair(**mats)
     oracles = pair_oracles(target, *ops, tol)
-    return ops, oracles, tuple(check_pair_hypothesis(*ops, target, tol, lam, oracles))
+    return ops, oracles, tuple(pair_checks(*ops, target, oracles, tol, lam))
+
+
+def _formula(target: str, ops, oracles: dict, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """The engine of ``target`` on _judge's operands and oracle data: the
+    formula, and the matrix it inverts (a + b, or the assembled blocks)."""
+    if isinstance(ops, Block2x2):
+        return block_formula(ops, target, tol, **oracles), assemble(ops)
+    return sum_formula(*ops, **oracles, tol=tol), ops[0] + ops[1]
 
 
 def certify(
@@ -114,6 +124,27 @@ def certify(
     for an unknown target or operands that do not fit it.
     """
     return _judge(target, mats, lam, tol)[2]
+
+
+def solve(
+    target: str,
+    mats: dict[str, np.ndarray],
+    lam: complex | None = None,
+    tol: Tolerance = DEFAULT_TOL,
+    force: bool = False,
+) -> np.ndarray | bool:
+    """The library route: the closure verdict of 2.2, or the formula of any
+    other target, on ``evaluate``'s judge. PreconditionViolated naming every
+    failing condition unless ``force`` (a forced 2.2 verdict is then False).
+    A ConvergenceError of the formula propagates, as does an AxiomViolation
+    of the oracle on an operand; ValueError as for ``evaluate``.
+    """
+    ops, oracles, conditions = _judge(target, mats, lam, tol)
+    if not force:
+        require_hypothesis(conditions)
+    if target == "2.2":
+        return all(c.holds for c in conditions) and is_quasinilpotent(ops[0] + ops[1], tol)
+    return _formula(target, ops, oracles, tol)[0]
 
 
 def evaluate(
@@ -141,12 +172,7 @@ def evaluate(
         out.closed = not out.failing and is_quasinilpotent(ops[0] + ops[1], tol)
         return out
     try:
-        if isinstance(ops, Block2x2):
-            out.formula = block_drazin(ops, target, tol, lam=lam, force=True, oracles=oracles)
-            out.m = assemble(ops)
-        else:
-            out.formula = drazin_sum(*ops, tol, lam=lam, force=True, oracles=oracles)
-            out.m = ops[0] + ops[1]
+        out.formula, out.m = _formula(target, ops, oracles, tol)
         out.oracle = drazin_oracle(out.m, tol)
     except (ConvergenceError, AxiomViolation) as exc:
         out.error = str(exc)

@@ -231,7 +231,7 @@ def reference_sum_nilpotent(a, b, b_dr, tol=DEFAULT_TOL):
 
 
 def reference_sum(a, b, a_dr, b_dr, tol=DEFAULT_TOL):
-    """The six-part sum formula (see gdrazin.additive.drazin_sum) with every
+    """The six-part sum formula (see gdrazin.additive.sum_formula) with every
     factor of every term multiplied out; no hypothesis check."""
     tiny = tol.eps_tail * scale_of(a, b)
     nmax = series_cap(a.shape[0])

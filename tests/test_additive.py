@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gdrazin import (
+    DEFAULT_TOL,
     PAIR_TARGETS,
     CaseSpec,
     ConvergenceError,
@@ -26,9 +27,10 @@ from gdrazin import (
 from gdrazin.additive import (
     _PAIR_FACTORS,
     PAIR_RULES,
-    check_pair_hypothesis,
+    pair_checks,
     pair_oracles,
     parse_condition,
+    sum_formula,
 )
 from gdrazin.blockmat import _BLOCK_FACTORS, RULES
 
@@ -148,7 +150,7 @@ class TestPairHypothesisTable:
     )
     def test_labels_in_catalog_order(self, target, labels):
         case = generate(CaseSpec(target=target, dim=5, lam=3.0, seed=0))
-        checks = check_pair_hypothesis(*case.pair, target, lam=3.0)
+        checks = certify(target, case.matrices, 3.0)
         assert [c.condition for c in checks] == labels
         assert all(c.holds for c in checks)
 
@@ -172,15 +174,12 @@ class TestPairHypothesisTable:
         if target == "2.3":
             assert np.array_equal(oracles["a_dr"].d, np.zeros((5, 5)))
             assert np.array_equal(oracles["a_dr"].pi, np.eye(5))
-        given = check_pair_hypothesis(*case.pair, target, lam=1j, oracles=oracles)
-        assert given == check_pair_hypothesis(*case.pair, target, lam=1j)
+        given = pair_checks(a, b, target, oracles, DEFAULT_TOL, 1j)
         assert tuple(given) == certify(target, case.matrices, 1j)
 
     def test_unknown_target(self):
         with pytest.raises(ValueError, match="unknown pair target"):
-            check_pair_hypothesis(np.eye(2), np.eye(2), "3.1")
-        with pytest.raises(ValueError, match="unknown pair target"):
-            check_pair_hypothesis(np.eye(2), np.eye(2), "3.1", oracles={})
+            pair_oracles("3.1", np.eye(2), np.eye(2))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("lam", LAMBDAS)
@@ -362,7 +361,7 @@ class TestSumGeneral:
         a_dr = DrazinResult(2 * eye, np.zeros_like(eye), None)
         b_dr = DrazinResult(n, np.zeros_like(eye), None)
         with pytest.raises(ConvergenceError, match="sum formula series 3"):
-            drazin_sum(eye / 2, eye / 2, force=True, oracles={"a_dr": a_dr, "b_dr": b_dr})
+            sum_formula(eye / 2, eye / 2, a_dr, b_dr)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

@@ -523,7 +523,7 @@ class TestValidationCount:
     """Each matrix is scanned for non-finite entries where a check owns it:
     its document decode, evaluate's one operand check, and each oracle
     input. check_shapes reads shapes only, and every norm the code takes
-    anyway checks the rest (fro_norm, check_factor_condition, drazin_sum's
+    anyway checks the rest (fro_norm, check_factor_condition, sum_formula's
     tail scale)."""
 
     @pytest.mark.parametrize(

@@ -1,5 +1,8 @@
 """The evaluation route: conditions, then closure or formula against the oracle."""
 
+import functools
+import importlib
+import inspect
 import re
 
 import numpy as np
@@ -12,6 +15,7 @@ from gdrazin import (
     DEFAULT_TOL,
     TARGETS,
     CaseSpec,
+    ConvergenceError,
     assemble,
     block_drazin,
     certify,
@@ -23,11 +27,45 @@ from gdrazin import (
     generate,
     scale_of,
 )
-from gdrazin.additive import check_pair_hypothesis, pair_oracles
-from gdrazin.blockmat import block_oracles, check_hypothesis
+from gdrazin.additive import pair_checks, pair_oracles, sum_formula
+from gdrazin.blockmat import block_checks, block_formula, block_oracles, check_hypothesis
 from gdrazin.evaluation import target_kind
 
 SOLVED = [t for t in TARGETS if t != "2.2"]
+LAMBDAS = (0.5, 3.0, 1j, -2.0)
+
+# Every public function of the modules that hold the formula routes.
+PUBLIC_FUNCTIONS = [
+    f"{module.__name__}.{name}"
+    for module in (gdrazin.additive, gdrazin.blockmat, gdrazin.evaluation)
+    for name in module.__all__
+    if inspect.isfunction(getattr(module, name))
+]
+
+
+@pytest.mark.parametrize("qualname", PUBLIC_FUNCTIONS)
+def test_no_public_function_takes_oracle_data(qualname):
+    # oracle data is formed by evaluation's judge alone; the engines
+    # (sum_formula, block_formula) take named Drazin data, not a set
+    module, name = qualname.rsplit(".", 1)
+    assert "oracles" not in inspect.signature(getattr(importlib.import_module(module), name)).parameters
+
+
+def test_another_targets_oracle_data_cannot_reach_a_route():
+    # a route handed an oracle set would judge and solve on it: on these
+    # valid instances the set of another target gives an inverse 1.25 away
+    # from the oracle's, with no refusal
+    pair = generate(CaseSpec("2.4", 4, 0.5, 0))
+    a, b = pair.pair
+    with pytest.raises(TypeError):
+        drazin_sum(a, b, lam=0.5, oracles=pair_oracles("2.3", a, b))
+    block = generate(CaseSpec("3.1", 4, 0.5, 0))
+    with pytest.raises(TypeError):
+        block_drazin(block.blocks, "3.1", lam=0.5, oracles=block_oracles(block.blocks, "3.2"))
+    for case, got in ((pair, drazin_sum(a, b, lam=0.5)), (block, block_drazin(block.blocks, "3.1", lam=0.5))):
+        m = a + b if case is pair else assemble(case.blocks)
+        bound = DEFAULT_TOL.eps_match * scale_of(*case.matrices.values())
+        assert fro_norm(got - drazin_oracle(m).d) <= bound
 
 
 @pytest.mark.parametrize("target", SOLVED)
@@ -39,23 +77,22 @@ def test_valid_instance_matches_the_oracle(target, lam):
     assert out.failing == [] and out.error is None and out.closed is None
     m = case.pair[0] + case.pair[1] if case.kind == "pair" else assemble(case.blocks)
     assert np.array_equal(out.m, m)
-    # one oracle set handed to the rows and to the formula route gives the
-    # bytes the route gives on the set it computes itself
+    # the rows and the engine on one oracle set give the bytes of the
+    # library route and of evaluate
     if case.kind == "pair":
         # and 2.3's shortcut (a^d = 0, a^pi = I) agrees with the general
         # route, which runs the oracle on the quasinilpotent a
         assert out.formula.tobytes() == drazin_sum(*case.pair, lam=lam).tobytes()
         oracles = pair_oracles(target, *case.pair)
-        rows = check_pair_hypothesis(*case.pair, target, lam=lam, oracles=oracles)
-        assert rows == check_pair_hypothesis(*case.pair, target, lam=lam)
+        rows = pair_checks(*case.pair, target, oracles, DEFAULT_TOL, lam)
+        formula = sum_formula(*case.pair, **oracles)
         route = drazin_sum_nilpotent if target == "2.3" else drazin_sum
-        formula = route(*case.pair, lam=lam, oracles=oracles)
         assert formula.tobytes() == route(*case.pair, lam=lam).tobytes()
     else:
         oracles = block_oracles(case.blocks, target)
-        rows = check_hypothesis(case.blocks, target, lam=lam, oracles=oracles)
+        rows = block_checks(case.blocks, target, oracles, DEFAULT_TOL, lam)
         assert rows == check_hypothesis(case.blocks, target, lam=lam)
-        formula = block_drazin(case.blocks, target, lam=lam, oracles=oracles)
+        formula = block_formula(case.blocks, target, DEFAULT_TOL, **oracles)
         assert formula.tobytes() == block_drazin(case.blocks, target, lam=lam).tobytes()
     assert out.conditions == tuple(rows)
     assert out.formula.tobytes() == formula.tobytes()
@@ -140,3 +177,24 @@ def test_kind_follows_the_target():
     assert {target_kind(t) for t in TARGETS[3:]} == {"block"}
     for target in ("2.4", "4.3"):
         assert generate(CaseSpec(target, dim=3, lam=2.0)).kind == target_kind(target)
+
+
+@pytest.mark.parametrize("target", SOLVED)
+def test_forced_library_route_is_evaluate(target):
+    # the criterion-7 corpus, forced: the library route gives the bytes of
+    # evaluate's formula, or raises the ConvergenceError evaluate records
+    for i in range(50):
+        lam = LAMBDAS[i % 4]
+        case = generate(CaseSpec(target, dim=2 + i % 7, lam=lam, seed=i, negate=True))
+        out = evaluate(target, case.matrices, lam, force=True)
+        if case.kind == "pair":
+            route = {"2.3": drazin_sum_nilpotent, "2.4": drazin_sum}[target]
+            route = functools.partial(route, *case.pair)
+        else:
+            route = functools.partial(block_drazin, case.blocks, target)
+        if out.formula is None:
+            with pytest.raises(ConvergenceError) as err:
+                route(lam=lam, force=True)
+            assert str(err.value) == out.error, (target, i)
+        else:
+            assert route(lam=lam, force=True).tobytes() == out.formula.tobytes(), (target, i)

@@ -37,6 +37,7 @@ from gdrazin import (
     fro_norm,
     generate,
 )
+from gdrazin.additive import sum_formula
 from gdrazin.casegen import TARGETS
 from helpers import (
     mixture,
@@ -92,13 +93,10 @@ def test_oracle_matches_reference_on_mixture_sweep():
 
 
 def _reference_block_drazin(monkeypatch, blocks, target, lam):
-    def sum_(a, b, tol, force, oracles):
-        return reference_sum(a, b, oracles["a_dr"], oracles["b_dr"], tol)
-
     with monkeypatch.context() as mp:
         mp.setattr(gdrazin.blockmat, "drazin_oracle", reference_oracle)
         mp.setattr(gdrazin.additive, "drazin_oracle", reference_oracle)
-        mp.setattr(gdrazin.blockmat, "drazin_sum", sum_)
+        mp.setattr(gdrazin.blockmat, "sum_formula", reference_sum)
         return outcome(block_drazin, blocks, target, lam=lam)
 
 
@@ -167,10 +165,10 @@ def test_forced_series_match_reference():
             a, b = case.pair
             a_dr, b_dr = reference_oracle(a), reference_oracle(b)
             if target == "2.3":
-                new = outcome(drazin_sum_nilpotent, a, b, force=True, oracles=nilpotent_a(a, b_dr))
+                new = outcome(sum_formula, a, b, **nilpotent_a(a, b_dr))
                 ref = outcome(reference_sum_nilpotent, a, b, b_dr)
             else:
-                new = outcome(drazin_sum, a, b, force=True, oracles={"a_dr": a_dr, "b_dr": b_dr})
+                new = outcome(sum_formula, a, b, a_dr, b_dr)
                 ref = outcome(reference_sum, a, b, a_dr, b_dr)
             assert_close(new, ref, (target, i))
     # Nilpotent stand-ins for the inverses make every series run to its
@@ -182,34 +180,28 @@ def test_forced_series_match_reference():
         a_dr, b_dr = (
             DrazinResult(0.6 * nilpotent(n, rng), mixture(n, rng) / n, None) for _ in range(2)
         )
+        assert_close(sum_formula(a, b, a_dr, b_dr), reference_sum(a, b, a_dr, b_dr), seed)
         assert_close(
-            drazin_sum(a, b, force=True, oracles={"a_dr": a_dr, "b_dr": b_dr}),
-            reference_sum(a, b, a_dr, b_dr),
-            seed,
-        )
-        assert_close(
-            drazin_sum_nilpotent(a, b, force=True, oracles=nilpotent_a(a, b_dr)),
-            reference_sum_nilpotent(a, b, b_dr),
-            seed,
+            sum_formula(a, b, **nilpotent_a(a, b_dr)), reference_sum_nilpotent(a, b, b_dr), seed
         )
 
 
 def test_zero_a_drazin_return_matches_reference(monkeypatch):
-    # At a^d = 0 drazin_sum returns after series 1; the reference still sums
+    # At a^d = 0 sum_formula returns after series 1; the reference still sums
     # all four series, whose other three then vanish exactly. Theorem 2.3
     # always has a^d = 0, the splittings of rules 3.1 and 3.2 whenever
     # Q^d = 0.
     hits = {"3.1": 0, "3.2": 0}
-    real_sum = gdrazin.blockmat.drazin_sum
+    real_sum = gdrazin.blockmat.sum_formula
 
-    def spy(a, b, tol, force, oracles):
-        new = outcome(real_sum, a, b, tol=tol, force=force, oracles=oracles)
-        if not oracles["a_dr"].d.any():
+    def spy(a, b, a_dr, b_dr, tol):
+        new = outcome(real_sum, a, b, a_dr, b_dr, tol)
+        if not a_dr.d.any():
             hits[where[0]] += 1
-            assert_close(new, outcome(reference_sum, a, b, oracles["a_dr"], oracles["b_dr"], tol), where)
+            assert_close(new, outcome(reference_sum, a, b, a_dr, b_dr, tol), where)
         return new
 
-    monkeypatch.setattr(gdrazin.blockmat, "drazin_sum", spy)
+    monkeypatch.setattr(gdrazin.blockmat, "sum_formula", spy)
     for negate in (False, True):
         for i in range(40):
             spec = dict(dim=2 + i % 7, lam=LAMBDAS[i % 4], seed=i // 4, negate=negate)
@@ -217,7 +209,7 @@ def test_zero_a_drazin_return_matches_reference(monkeypatch):
             a, b = generate(CaseSpec("2.3", **spec)).pair
             oracles = nilpotent_a(a, reference_oracle(b))
             assert_close(
-                outcome(drazin_sum_nilpotent, a, b, lam=spec["lam"], force=negate, oracles=oracles),
+                outcome(sum_formula, a, b, **oracles),
                 outcome(reference_sum, a, b, oracles["a_dr"], oracles["b_dr"]),
                 where,
             )
@@ -233,13 +225,13 @@ def test_zero_a_drazin_skips_series_that_cannot_terminate():
     # A valid 2.3 instance scaled by 1e5: an inner sum of the double series
     # stays above the tail bound at the cap (it grows as s^2 against a bound
     # linear in s), so the four-series evaluation raises. That sum is then
-    # multiplied by (a^d)^2 = 0, and drazin_sum no longer forms it.
+    # multiplied by (a^d)^2 = 0, and sum_formula does not form it.
     case = generate(CaseSpec("2.3", dim=4, lam=1j, seed=0))
     a, b = (1e5 * x for x in case.pair)
     b_dr = reference_oracle(b)
     eye = np.eye(4, dtype=complex)
     with pytest.raises(ConvergenceError, match="reference series"):
         reference_sum(a, b, DrazinResult(np.zeros_like(eye), eye, None), b_dr)
-    got = drazin_sum_nilpotent(a, b, lam=1j, oracles=nilpotent_a(a, b_dr))
+    got = sum_formula(a, b, **nilpotent_a(a, b_dr))
     assert_close(got, reference_sum_nilpotent(a, b, b_dr), "scaled 2.3")
     assert_close(got, drazin_oracle(a + b).d, "scaled 2.3", rel=1e-8)
