@@ -36,7 +36,6 @@ _EXPORTS = {
         "exchange",
     ),
     "casegen": (
-        "BLOCK_TARGETS",
         "PRESET_SPECS",
         "CaseSpec",
         "GeneratedCase",

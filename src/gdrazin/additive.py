@@ -99,14 +99,20 @@ class FactorCheck:
 
 def require_lambda(lam: complex | None) -> None:
     """ValueError unless ``lam`` is None (fit the scalar) or a finite nonzero
-    scalar: the hypotheses hold for nonzero lambda, and a NaN or infinite
-    one makes every residual NaN or infinite."""
+    scalar whose reciprocal is finite and nonzero: the hypotheses hold for
+    nonzero lambda, the (1/lambda) rows test at its reciprocal, and a NaN or
+    infinite scalar makes every residual NaN or infinite. This is the one
+    gate of the lambda domain; the message names the ``lam`` given."""
     if lam is None:
         return
     if lam == 0:
         raise ValueError("lambda must be nonzero")
-    if not cmath.isfinite(complex(lam)):
+    z = complex(lam)
+    if not cmath.isfinite(z):
         raise ValueError(f"lambda must be finite, got {lam!r}")
+    inverse = 1 / z
+    if inverse == 0 or not cmath.isfinite(inverse):
+        raise ValueError(f"lambda must have a finite nonzero reciprocal, got {lam!r}")
 
 
 def check_factor_condition(

@@ -41,14 +41,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .additive import PAIR_TARGETS, FactorCheck, require_lambda
-from .blockmat import _BC_RULES, RULE_IDS, Block2x2
+from .blockmat import _BC_RULES, Block2x2
 from .errors import AxiomViolation, GenerationFailed
 from .evaluation import PRESET_NAMES, TARGETS, certify, target_kind
 from .linalg import DEFAULT_TOL, Tolerance
 
 __all__ = [
     "PAIR_TARGETS",
-    "BLOCK_TARGETS",
     "TARGETS",
     "PRESET_SPECS",
     "CaseSpec",
@@ -57,8 +56,6 @@ __all__ = [
     "generate",
     "preset",
 ]
-
-BLOCK_TARGETS = RULE_IDS
 
 _RETRIES = 4
 

@@ -30,7 +30,7 @@ import re
 import sys
 import time
 
-from .additive import PAIR_TARGETS
+from .additive import PAIR_TARGETS, require_lambda
 from .blockmat import RULE_IDS
 from .drazin import AxiomReport, check_drazin_axioms, drazin_oracle
 from .errors import (
@@ -159,8 +159,10 @@ def cmd_drazin(args, parser, tol: Tolerance) -> tuple[dict, int]:
 
 def cmd_solve(args, parser, tol: Tolerance) -> tuple[dict, int]:
     """``sum`` and ``block``: evaluate, plus the axiom check of the formula."""
-    if args.lam == 0:
-        parser.error("lambda must be nonzero")
+    try:
+        require_lambda(args.lam)
+    except ValueError as exc:
+        parser.error(str(exc))
     mats = {name: load_matrix(getattr(args, name)) for name in args.names}
     check_shapes(args.theorem, mats)
     out = evaluate(args.theorem, mats, args.lam, tol, args.force)

@@ -6,9 +6,8 @@ A matrix document is ``{"rows": r, "cols": c, "data": [re0, im0, re1, im1,
 the array in ``data`` and ``dumps`` writes it with orjson's numpy path, which
 spells every number as orjson spells a Python float. ``doc_to_matrix`` checks
 the types of the whole list as one set, reads it with one ``np.fromiter`` and
-checks that every number is finite. It also reads the schema-1 form, a list of
-``r*c`` ``[re, im]`` pairs, as hand-written files may use it; a ``data``
-length that is neither is refused.
+checks that every number is finite; a ``data`` list of any other length is
+refused.
 
 Every document is encoded and decoded with orjson, the package's only JSON
 codec. Its encoder writes each float as the shortest text that reads back to
@@ -20,26 +19,26 @@ text is RFC 8259 JSON: a file whose numbers are spelled another way
 
 A generated-instance directory holds one matrix document per block plus an
 ``instance.json`` manifest recording the spec, the file map, and the
-verification certificate. ``load_instance`` reads schema 1 and 2 manifests.
+verification certificate. ``load_instance`` reads schema ``SCHEMA_VERSION``.
 
 Paths are handled as strings. ``norm_path`` spells a path as pathlib would
 (so messages and report fields name files exactly as ``str(Path(p))`` did)
 and builds a ``Path`` only for a path not already in that form; ``join_path``
 is pathlib's ``/`` for a plain file name. Every document is one binary read
-whose UTF-8 text goes to orjson, and one binary write.
+whose UTF-8 text goes to orjson, and one binary write; a parse error gives
+orjson's position in that text, where a "\r" counts as a character.
 """
 
 import cmath
 import math
 import os
-from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 import orjson
 
-from .additive import PAIR_TARGETS, FactorCheck, _same_square
+from .additive import PAIR_TARGETS, FactorCheck, _same_square, require_lambda
 from .blockmat import RULE_IDS, _block_shapes
 from .errors import GDrazinError
 from .evaluation import OPERANDS, target_kind
@@ -68,9 +67,7 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 2
-# manifests of schema 1 differ only in writing matrix data as [re, im] pairs,
-# which doc_to_matrix still reads
-READABLE_SCHEMA_VERSIONS = (1, 2)
+READABLE_SCHEMA_VERSIONS = (2,)  # the manifest schemas load_instance reads
 
 
 class DocumentError(GDrazinError):
@@ -122,29 +119,23 @@ def doc_to_matrix(doc) -> np.ndarray:
         or cols < 1
     ):
         raise DocumentError(f"rows/cols must be positive integers, got {rows!r}/{cols!r}")
-    n = rows * cols
-    if not isinstance(data, list) or len(data) not in (n, 2 * n):
+    n = 2 * rows * cols
+    if not isinstance(data, list) or len(data) != n:
         raise DocumentError(
-            f"data must list 2*rows*cols = {2 * n} numbers, or in the pair form rows*cols = "
-            f"{n} entries, got {len(data) if isinstance(data, list) else type(data).__name__}"
+            f"data must list 2*rows*cols = {n} numbers, "
+            f"got {len(data) if isinstance(data, list) else type(data).__name__}"
         )
-    pairs = len(data) == n
-    flat = _decode(data, pairs)
+    flat = _decode(data)
     if flat is None:
-        raise _entry_error(data, pairs)
+        raise _entry_error(data)
     return flat.view(complex).reshape(rows, cols)
 
 
-def _decode(data: list, pairs: bool) -> np.ndarray | None:
-    """The numbers of ``data`` (``[re, im]`` pairs, or the flat form) as one
-    float array, checked on the whole list at once; None when some entry is
-    malformed, out of range or not finite. Types are tested as a set with
-    issubclass, so a subclass passes exactly when isinstance lets it
-    (np.float64 does, np.int64 does not)."""
-    if pairs:
-        if not all(issubclass(t, list) for t in set(map(type, data))) or set(map(len, data)) - {2}:
-            return None
-        data = list(chain.from_iterable(data))
+def _decode(data: list) -> np.ndarray | None:
+    """The numbers of ``data`` as one float array, checked on the whole list
+    at once; None when some entry is not a number, out of range or not
+    finite. Types are tested as a set with issubclass, so a subclass passes
+    exactly when isinstance lets it (np.float64 does, np.int64 does not)."""
     if not all(map(_is_number_type, set(map(type, data)))):
         return None
     try:
@@ -154,21 +145,16 @@ def _decode(data: list, pairs: bool) -> np.ndarray | None:
     return flat if np.isfinite(flat).all() else None
 
 
-def _entry_error(data: list, pairs: bool) -> DocumentError:
+def _entry_error(data: list) -> DocumentError:
     """The error naming the first entry of ``data`` that _decode refuses."""
     for i, entry in enumerate(data):
-        if pairs:
-            name, want, numbers = f"entry {i}", "a [re, im] pair of numbers", entry
-            shaped = isinstance(entry, list) and len(entry) == 2
-        else:
-            name, want, numbers, shaped = f"data[{i}]", "a number", [entry], True
-        if not shaped or not all(map(_is_number, numbers)):
-            return DocumentError(f"{name} must be {want}, got {entry!r}")
+        if not _is_number(entry):
+            return DocumentError(f"data[{i}] must be a number, got {entry!r}")
         try:
-            if not all(map(math.isfinite, numbers)):
-                return DocumentError(f"{name} is not finite: {entry!r}")
+            if not math.isfinite(entry):
+                return DocumentError(f"data[{i}] is not finite: {entry!r}")
         except OverflowError:  # an integer too large for a float
-            return DocumentError(f"{name} is out of the floating-point range")
+            return DocumentError(f"data[{i}] is out of the floating-point range")
     return DocumentError("data holds an entry that does not convert to a float")
 
 
@@ -207,13 +193,6 @@ def _read_json(path: str):
     try:
         return orjson.loads(text)
     except orjson.JSONDecodeError as exc:
-        if "\r" in text:
-            # report the position in the text as a text-mode read sees it,
-            # each "\r\n" and "\r" as one "\n"; the verdict is the same
-            try:
-                orjson.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
-            except orjson.JSONDecodeError as translated:
-                exc = translated
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -329,9 +308,10 @@ def load_instance(directory) -> tuple[dict, dict[str, np.ndarray]]:
     Raises DocumentError unless the manifest's schema_version is an integer
     in READABLE_SCHEMA_VERSIONS, it names a kind ("pair" or "block") and a
     target of that kind, a negate (when present) is a boolean, a lambda (when
-    present) is null or a finite nonzero [re, im] pair, and its files map
-    each block name to the plain name of a matrix document in the directory
-    (no path separator, not "." or ".."), the matrices fitting together."""
+    present) is null or a [re, im] pair that require_lambda takes, and its
+    files map each block name to the plain name of a matrix document in the
+    directory (no path separator, not "." or ".."), the matrices fitting
+    together."""
     d = norm_path(directory)
     mpath = join_path(d, "instance.json")
     manifest = _read_json(mpath)
@@ -357,8 +337,10 @@ def load_instance(directory) -> tuple[dict, dict[str, np.ndarray]]:
         lam = doc_to_complex(manifest.get("lambda"))
     except DocumentError as exc:
         raise DocumentError(f"{mpath}: lambda: {exc}") from exc
-    if lam == 0:
-        raise DocumentError(f"{mpath}: lambda must be nonzero")
+    try:
+        require_lambda(lam)
+    except ValueError as exc:
+        raise DocumentError(f"{mpath}: {exc}") from exc
     expected = set(OPERANDS[kind])
     files = manifest["files"]
     if (

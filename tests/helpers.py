@@ -15,6 +15,10 @@ from gdrazin.drazin import AMBIGUITY_BAND, GAP_MIN
 from gdrazin.linalg import DEFAULT_TOL, fro_norm, scale_of
 from gdrazin.series import PowerCache, series_cap, summed
 
+# Finite nonzero scalars whose reciprocal, which the (1/lambda) condition
+# rows test at, is not finite (a modulus below about 5.6e-309) or is zero.
+NO_RECIPROCAL = (5e-324, 1e-310j, complex(1e308, 1e308))
+
 
 def unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))

@@ -5,6 +5,7 @@ check of the installed console script.
 """
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,10 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gdrazin import CaseSpec, generate, preset
+import gdrazin.evaluation
+from gdrazin import TARGETS, CaseSpec, ConvergenceError, generate, preset
 from gdrazin.cli import EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_PRECONDITION, _emit, build_parser, main
-from gdrazin.io import load_matrix, save_instance, save_matrix
-from helpers import count_finite_scans, count_sweeps, write_schema_1
+from gdrazin.io import DocumentError, load_instance, load_matrix, save_instance, save_matrix
+from helpers import NO_RECIPROCAL, count_finite_scans, count_sweeps, write_schema_1
 
 REPORT_KEYS = {
     "schema_version",
@@ -91,7 +93,7 @@ class TestDrazinCommand:
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_literal_exits_io(self, literal, tmp_path, capsys):
         m = tmp_path / "m.json"
-        m.write_text(f'{{"rows": 1, "cols": 1, "data": [[{literal}, 0.0]]}}')
+        m.write_text(f'{{"rows": 1, "cols": 1, "data": [{literal}, 0.0]}}')
         assert main(["drazin", str(m)]) == EXIT_IO
         err = capsys.readouterr().err
         assert str(m) in err and "not valid JSON" in err
@@ -292,15 +294,22 @@ class TestGenVerify:
         assert code == EXIT_MISMATCH
         assert not doc["instances"][0]["ok"]
 
-    def test_verify_reads_schema_1_pair_form(self, tmp_path, capsys):
-        save_instance(tmp_path / "valid", generate(CaseSpec(target="2.4", dim=5, lam=3.0, seed=2)))
-        neg = generate(CaseSpec(target="4.1", dim=4, lam=0.5, seed=1, negate=True))
-        save_instance(tmp_path / "negated", neg)
-        for name in ("valid", "negated"):
-            write_schema_1(tmp_path / name)
-        code, doc = run(["verify", str(tmp_path)], capsys)
-        assert code == EXIT_OK
-        assert [row["ok"] for row in doc["instances"]] == [True, True]
+    def test_verify_refuses_schema_1(self, tmp_path, capsys):
+        # gdz reads only what it writes: schema-2 manifests of flat documents
+        save_instance(tmp_path, generate(CaseSpec(target="2.4", dim=5, lam=3.0, seed=2)))
+        write_schema_1(tmp_path)
+        assert main(["verify", str(tmp_path)]) == EXIT_IO
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"gdz: {tmp_path / 'instance.json'}: schema_version must be one of (2,), got 1\n"
+
+    def test_drazin_refuses_a_pair_form_document(self, tmp_path, capsys):
+        save_instance(tmp_path, generate(CaseSpec(target="4.1", dim=4, lam=0.5, seed=1)))
+        write_schema_1(tmp_path)
+        assert main(["drazin", str(tmp_path / "a.json")]) == EXIT_IO
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"gdz: {tmp_path / 'a.json'}: data must list 2*rows*cols = 32 numbers, got 16\n"
 
     def test_verify_empty_directory_exits_io(self, tmp_path, capsys):
         code, _ = run(["verify", str(tmp_path)], capsys)
@@ -362,12 +371,88 @@ class TestGenVerify:
         assert main([command, *paths, "--theorem", theorem, "--lambda", "0"]) == EXIT_IO
         assert "lambda must be nonzero" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lam", NO_RECIPROCAL)
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_lambda_without_a_usable_reciprocal_exits_io(self, target, lam, tmp_path, capsys):
+        # as a zero lambda does, in gen, sum/block and the manifest verify reads
+        message = f"lambda must have a finite nonzero reciprocal, got {complex(lam)!r}"
+        out = tmp_path / "x"
+        argv = ["gen", "--target", target, "--dim", "4", "--lambda", str(lam), "--out", str(out)]
+        assert main(argv) == EXIT_IO
+        assert message in capsys.readouterr().err and not out.exists()
+        case = generate(CaseSpec(target, dim=4, lam=0.5, seed=0))
+        save_instance(out, case)
+        command = "sum" if case.kind == "pair" else "block"
+        files = [str(out / f"{name}.json") for name in sorted(case.matrices)]
+        assert main([command, *files, "--theorem", target, "--lambda", str(lam)]) == EXIT_IO
+        assert message in capsys.readouterr().err
+        path = out / "instance.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "lambda": [lam.real, lam.imag]}))
+        with pytest.raises(DocumentError, match=re.escape(message)):
+            load_instance(out)
+        assert main(["verify", str(out)]) == EXIT_IO
+        assert capsys.readouterr() == ("", f"gdz: {path}: {message}\n")
+
     def test_gen_requires_concrete_lambda(self, tmp_path, capsys):
         code, _ = run(
             ["gen", "--target", "3.1", "--dim", "4", "--lambda", "auto",
              "--out", str(tmp_path / "x")], capsys
         )
         assert code == EXIT_IO  # usage error family
+
+
+class TestVerifyVerdicts:
+    """Each rung of verify's verdict ladder on one instance, and the exit-3
+    path of an operand that the oracle refuses."""
+
+    @staticmethod
+    def verify(directory, capsys) -> tuple[int, bool, str]:
+        code, doc = run(["verify", str(directory)], capsys)
+        [row] = doc["instances"]
+        return code, row["ok"], row["detail"]
+
+    def test_closure_holds(self, tmp_path, capsys):
+        save_instance(tmp_path, generate(CaseSpec(target="2.2", dim=4, lam=0.5, seed=0)))
+        assert self.verify(tmp_path, capsys) == (EXIT_OK, True, "closure holds")
+
+    def test_closure_failed(self, tmp_path, capsys, monkeypatch):
+        save_instance(tmp_path, generate(CaseSpec(target="2.2", dim=4, lam=0.5, seed=0)))
+        monkeypatch.setattr(gdrazin.evaluation, "is_quasinilpotent", lambda m, tol: False)
+        assert self.verify(tmp_path, capsys) == (EXIT_MISMATCH, False, "closure failed")
+
+    def test_negated_instance_that_holds_fails(self, tmp_path, capsys):
+        save_instance(tmp_path, generate(CaseSpec(target="2.4", dim=4, lam=0.5, seed=0)))
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "negate": True}))
+        detail = "negated instance was accepted (no condition failed)"
+        assert self.verify(tmp_path, capsys) == (EXIT_MISMATCH, False, detail)
+
+    def test_operand_the_oracle_refuses_exits_mismatch(self, tmp_path, capsys):
+        save_instance(tmp_path, generate(CaseSpec(target="2.4", dim=2, lam=0.5, seed=0)))
+        save_matrix(tmp_path / "a.json", np.diag([1.0, 3e-10]).astype(complex))
+        save_matrix(tmp_path / "b.json", np.zeros((2, 2), dtype=complex))
+        files = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+        assert main(["sum", *files, "--theorem", "2.4"]) == EXIT_MISMATCH
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("gdz: rank of power 1 is ambiguous") and err.endswith("\n")
+        assert self.verify(tmp_path, capsys) == (EXIT_MISMATCH, False, err[len("gdz: "):-1])
+
+    def test_formula_error_fails_the_row(self, tmp_path, capsys, monkeypatch):
+        def diverging(*args, **kwargs):
+            raise ConvergenceError("series did not terminate")
+
+        save_instance(tmp_path, generate(CaseSpec(target="2.4", dim=4, lam=0.5, seed=0)))
+        monkeypatch.setattr(gdrazin.evaluation, "sum_formula", diverging)
+        assert self.verify(tmp_path, capsys) == (EXIT_MISMATCH, False, "series did not terminate")
+
+    def test_gap_over_the_bound_fails_the_row(self, tmp_path, capsys, monkeypatch):
+        formula = gdrazin.evaluation.sum_formula
+        save_instance(tmp_path, generate(CaseSpec(target="2.4", dim=4, lam=0.5, seed=0)))
+        monkeypatch.setattr(gdrazin.evaluation, "sum_formula", lambda *a, **kw: formula(*a, **kw) + 1e-3)
+        code, ok, detail = self.verify(tmp_path, capsys)
+        # 1e-3 on each of 16 entries is a gap of 4e-3
+        assert (code, ok) == (EXIT_MISMATCH, False)
+        assert re.fullmatch(r"formula/oracle gap 4\.000e-03 exceeds \d\.\d{3}e-\d\d", detail)
 
 
 class TestUsageAndTolerances:
@@ -590,13 +675,13 @@ class TestPathSpellings:
         assert main(["verify", "./nope/"]) == EXIT_IO
         assert capsys.readouterr().err == "gdz: nope is not a directory\n"
 
-    def test_crlf_document_error_counts_text_mode_positions(self, workdir, capsys):
-        # a text-mode read sees each "\r\n" as one "\n", so the error sits
-        # at char 44, not 46
+    def test_crlf_document_error_counts_every_character(self, workdir, capsys):
+        # the position is orjson's in the text as read: each "\r" of a "\r\n"
+        # counts as a character, so the error sits at char 46
         (workdir / "crlf.json").write_bytes(b'{"rows": 1,\r\n "cols": 1,\r\n "data": [1.0, 0.0,]}')
         assert main(["drazin", "crlf.json"]) == EXIT_IO
         assert capsys.readouterr().err == (
-            "gdz: crlf.json is not valid JSON: trailing comma is not allowed: line 3 column 21 (char 44)\n"
+            "gdz: crlf.json is not valid JSON: trailing comma is not allowed: line 3 column 21 (char 46)\n"
         )
 
 

@@ -30,6 +30,7 @@ from gdrazin import (
 from gdrazin.additive import pair_checks, pair_oracles, sum_formula
 from gdrazin.blockmat import block_checks, block_formula, block_oracles, check_hypothesis
 from gdrazin.evaluation import target_kind
+from helpers import NO_RECIPROCAL
 
 SOLVED = [t for t in TARGETS if t != "2.2"]
 LAMBDAS = (0.5, 3.0, 1j, -2.0)
@@ -132,6 +133,20 @@ def test_unknown_target_is_refused(judge, target):
     mats = {"a": np.eye(2), "b": np.eye(2)}
     with pytest.raises(ValueError, match="unknown target"):
         judge(target, mats, 1.0)
+
+
+@pytest.mark.parametrize("lam", NO_RECIPROCAL)
+@pytest.mark.parametrize("target", TARGETS)
+def test_a_lambda_without_a_usable_reciprocal_is_refused(target, lam):
+    # one gate for the lambda domain on every target, whether or not it has
+    # a (1/lambda) row; the message names the lambda given
+    mats = generate(CaseSpec(target, dim=4, lam=0.5, seed=0)).matrices
+    message = re.escape(f"lambda must have a finite nonzero reciprocal, got {lam!r}") + "$"
+    for judge in (certify, evaluate):
+        with pytest.raises(ValueError, match=message):
+            judge(target, mats, lam)
+    with pytest.raises(ValueError, match=re.escape(f"reciprocal, got {complex(lam)!r}") + "$"):
+        CaseSpec(target, dim=4, lam=lam)
 
 
 @pytest.mark.parametrize("target", TARGETS)

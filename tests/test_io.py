@@ -42,10 +42,6 @@ def test_doc_shape_and_layout():
     assert orjson.loads(dumps(doc)) == {"rows": 2, "cols": 2, "data": [1, 0, 0, 2, 3, 0, 4, 0]}
 
 
-def _pair_fault(i):
-    return f"entry {i} must be a \\[re, im\\] pair of numbers"
-
-
 @pytest.mark.parametrize(
     "doc,match",
     [
@@ -53,25 +49,14 @@ def _pair_fault(i):
         ({}, "missing key 'rows'"),
         ({"rows": 2, "cols": 2}, "missing key 'data'"),
         ({"rows": 0, "cols": 1, "data": []}, "rows/cols must be positive integers"),
-        ({"rows": True, "cols": 1, "data": [[1, 0]]}, "rows/cols must be positive integers"),
-        ({"rows": 2, "cols": 2, "data": [[1, 0]]}, "rows\\*cols = 4 entries, got 1$"),
-        ({"rows": 1, "cols": 1, "data": [[1]]}, _pair_fault(0) + ", got \\[1\\]$"),
-        ({"rows": 1, "cols": 1, "data": [[1, "x"]]}, _pair_fault(0)),
-        ({"rows": 1, "cols": 1, "data": [[True, 0.0]]}, _pair_fault(0)),
-        ({"rows": 1, "cols": 1, "data": [[float("inf"), 0.0]]}, "entry 0 is not finite: \\[inf, 0.0\\]$"),
-        ({"rows": 1, "cols": 1, "data": [[0.0, 10**400]]}, "entry 0 is out of the floating-point range$"),
-        # a good entry ahead of the bad one: the message names entry 1
-        ({"rows": 1, "cols": 2, "data": [[1, 2], [0.0, float("nan")]]}, "entry 1 is not finite"),
-        ({"rows": 1, "cols": 2, "data": [[1, 2], [3, 4, 5]]}, _pair_fault(1)),
-        ({"rows": 1, "cols": 2, "data": [[1, 2], (0.0, 1.0)]}, _pair_fault(1) + ", got \\(0.0, 1.0\\)$"),
-        ({"rows": 1, "cols": 2, "data": [[1, 2], None]}, _pair_fault(1) + ", got None$"),
-        ({"rows": 1, "cols": 2, "data": [[1, 2], [[1.0], 2.0]]}, _pair_fault(1)),
-        ({"rows": 1, "cols": 2, "data": [[1, 2], [np.int64(1), 0.0]]}, _pair_fault(1)),
+        ({"rows": True, "cols": 1, "data": [1, 0]}, "rows/cols must be positive integers"),
+        # 2*rows*cols numbers, faults named by their index in data
+        ({"rows": 2, "cols": 2, "data": [1, 0]}, "2\\*rows\\*cols = 8 numbers, got 2$"),
+        ({"rows": 1, "cols": 2, "data": [1, 2, 3]}, "2\\*rows\\*cols = 4 numbers, got 3$"),
+        ({"rows": 1, "cols": 1, "data": (1.0, 0.0)}, "2\\*rows\\*cols = 2 numbers, got tuple$"),
         # the first bad entry wins, whatever its fault and whatever follows
-        ({"rows": 1, "cols": 3, "data": [[1, 2], [float("inf"), 10**400], [None]]}, "entry 1 is not finite"),
-        ({"rows": 1, "cols": 3, "data": [[1, 2], [10**400, float("nan")], ["x", 0]]}, "entry 1 is out of the"),
-        # the flat form: 2*rows*cols numbers, faults named by their index in data
-        ({"rows": 1, "cols": 2, "data": [1, 2, 3]}, "2\\*rows\\*cols = 4 numbers, .* = 2 entries, got 3$"),
+        ({"rows": 1, "cols": 3, "data": [1, 2, float("inf"), 10**400, None, 0]}, "data\\[2\\] is not finite"),
+        ({"rows": 1, "cols": 3, "data": [1, 2, 10**400, float("nan"), "x", 0]}, "data\\[2\\] is out of the"),
         ({"rows": 1, "cols": 1, "data": [1.0, True]}, "data\\[1\\] must be a number, got True$"),
         ({"rows": 1, "cols": 2, "data": [1, 2, "3", 4]}, "data\\[2\\] must be a number, got '3'$"),
         ({"rows": 1, "cols": 2, "data": [1, 2, 3, None]}, "data\\[3\\] must be a number, got None$"),
@@ -80,8 +65,10 @@ def _pair_fault(i):
         ({"rows": 1, "cols": 2, "data": [1, 2, 3, float("-inf")]}, "data\\[3\\] is not finite: -inf$"),
         ({"rows": 1, "cols": 1, "data": [float("nan"), 0.0]}, "data\\[0\\] is not finite: nan$"),
         ({"rows": 1, "cols": 1, "data": [0.0, np.int64(1)]}, "data\\[1\\] must be a number"),
-        # a pair in a list of the flat length is not a number
+        # a pair in a list of the flat length is not a number, and a list of
+        # pairs of any other length has the wrong length
         ({"rows": 1, "cols": 1, "data": [[1, 2], [3, 4]]}, "data\\[0\\] must be a number, got \\[1, 2\\]$"),
+        ({"rows": 1, "cols": 2, "data": [[1, 2], [3, 4]]}, "2\\*rows\\*cols = 4 numbers, got 2$"),
     ],
 )
 def test_doc_to_matrix_rejects_malformed(doc, match):
@@ -90,10 +77,8 @@ def test_doc_to_matrix_rejects_malformed(doc, match):
 
 
 def _entrywise_decode(doc):
-    """Reference decoder: one complex(re, im) per entry, in either form."""
+    """Reference decoder: one complex(re, im) per entry."""
     data = doc["data"]
-    if len(data) == doc["rows"] * doc["cols"]:
-        data = [x for pair in data for x in pair]
     entries = [complex(data[i], data[i + 1]) for i in range(0, len(data), 2)]
     return np.array(entries, dtype=complex).reshape(doc["rows"], doc["cols"])
 
@@ -117,14 +102,10 @@ def test_codec_matches_entrywise_reference():
         parsed = orjson.loads(text)
         assert doc_to_matrix(parsed).tobytes() == _entrywise_decode(parsed).tobytes()
         assert doc_to_matrix(parsed).tobytes() == np.ascontiguousarray(view).tobytes()
-        pairs = {**parsed, "data": [parsed["data"][i:i + 2] for i in range(0, len(parsed["data"]), 2)]}
-        assert doc_to_matrix(pairs).tobytes() == doc_to_matrix(parsed).tobytes()
     big = [2**53 + 1, 2**53 + 3, -(2**60) - 1, 2**1000 + 1, 7]
-    doc = {"rows": 1, "cols": 4, "data": [[big[i], big[i + 1]] for i in range(4)]}
+    doc = {"rows": 1, "cols": 4, "data": [big[i + j] for i in range(4) for j in (0, 1)]}
     assert doc_to_matrix(doc).tobytes() == _entrywise_decode(doc).tobytes()
     assert doc_to_matrix(doc)[0, 0] == complex(2**53 + 1, 2**53 + 3)
-    flat = {"rows": 1, "cols": 4, "data": [x for pair in doc["data"] for x in pair]}
-    assert doc_to_matrix(flat).tobytes() == _entrywise_decode(flat).tobytes()
 
 
 def test_signed_zeros_survive_save_and_load(tmp_path):
@@ -145,10 +126,8 @@ def test_transposed_input_encodes_row_major():
 
 
 def test_number_subclasses_follow_isinstance():
-    doc = {"rows": 1, "cols": 2, "data": [[np.float64(1.5), 2], [-3, np.float64(-0.25)]]}
+    doc = {"rows": 1, "cols": 2, "data": [np.float64(1.5), 2, -3, np.float64(-0.25)]}
     assert np.array_equal(doc_to_matrix(doc), np.array([[1.5 + 2j, -3 - 0.25j]]))
-    flat = {"rows": 1, "cols": 2, "data": [np.float64(1.5), 2, -3, np.float64(-0.25)]}
-    assert np.array_equal(doc_to_matrix(flat), np.array([[1.5 + 2j, -3 - 0.25j]]))
 
 
 def test_load_matrix_error_paths(tmp_path):
@@ -160,7 +139,7 @@ def test_load_matrix_error_paths(tmp_path):
         load_matrix(bad)
     for digits in (400, 5000):  # past float range; past the int digit limit
         huge = tmp_path / f"huge{digits}.json"
-        huge.write_text('{"rows": 1, "cols": 1, "data": [[1' + "0" * digits + ", 0]]}")
+        huge.write_text('{"rows": 1, "cols": 1, "data": [1' + "0" * digits + ", 0]}")
         with pytest.raises(DocumentError):
             load_matrix(huge)
     utf16 = tmp_path / "utf16.json"
@@ -184,17 +163,14 @@ def test_stdlib_spellings_load_bit_identically(tmp_path):
     # exponents as the stdlib encoder writes them, integers, signed zero and
     # the smallest subnormal
     text = (
-        '{"rows": 2, "cols": 3, "data": [[1e-05, 1e+16], [3, -7], [-0.0, 5e-324], '
-        '[0.1, -2.5e-308], [1.7976931348623157e+308, 0], [-5e-324, -0.0]]}\n'
+        '{"rows": 2, "cols": 3, "data": [1e-05, 1e+16, 3, -7, -0.0, 5e-324, '
+        '0.1, -2.5e-308, 1.7976931348623157e+308, 0, -5e-324, -0.0]}\n'
     )
     path = tmp_path / "m.json"
     path.write_text(text)
     back = load_matrix(path)
     assert back.tobytes() == _stdlib_matrix(text).tobytes()
     assert back[0, 0] == 1e-05 + 1e16j and np.signbit(back[0, 2].real)
-    flat = text.replace("[[", "[").replace("]]", "]").replace("], [", ", ")
-    path.write_text(flat)
-    assert load_matrix(path).tobytes() == _stdlib_matrix(flat).tobytes() == back.tobytes()
 
 
 def test_saved_document_reads_back_under_stdlib_json(tmp_path):
@@ -269,15 +245,15 @@ def test_instance_roundtrip_pair_kind(tmp_path):
     assert set(matrices) == {"a", "b"}
 
 
-def test_schema_1_instance_loads_bit_for_bit(tmp_path):
-    case = generate(CaseSpec(target="4.3", dim=6, lam=3.0, seed=2))
-    save_instance(tmp_path, case)
+def test_schema_1_instance_is_refused(tmp_path):
+    # gdz writes schema 2 alone, and reads only what it writes
+    save_instance(tmp_path, generate(CaseSpec(target="4.3", dim=6, lam=3.0, seed=2)))
     write_schema_1(tmp_path)
     assert isinstance(json.loads((tmp_path / "a.json").read_text())["data"][0], list)
-    manifest, matrices = load_instance(tmp_path)
-    assert manifest["schema_version"] == 1
-    for name, m in matrices.items():
-        assert m.tobytes() == case.matrices[name].tobytes()
+    with pytest.raises(DocumentError, match=r"schema_version must be one of \(2,\), got 1$"):
+        load_instance(tmp_path)
+    with pytest.raises(DocumentError, match=r"a\.json: data must list 2\*rows\*cols = 72 numbers, got 36$"):
+        load_matrix(tmp_path / "a.json")
 
 
 def test_load_instance_validates_manifest(tmp_path):
@@ -293,7 +269,7 @@ def test_load_instance_validates_manifest(tmp_path):
         load_instance(d)
     (d / "instance.json").write_text(
         json.dumps(
-            {"schema_version": 1, "kind": "pair", "target": "2.3", "files": {"a": "a.json"}}
+            {"schema_version": 2, "kind": "pair", "target": "2.3", "files": {"a": "a.json"}}
         )
     )
     with pytest.raises(DocumentError, match="files must map exactly"):
