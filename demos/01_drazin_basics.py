@@ -18,7 +18,7 @@ print("a^d =\n", res.d.real)
 print("spectral idempotent a^pi =\n", res.pi.real)
 
 # The defining equations, checked numerically. Residuals are scaled
-# absolute norms; ok means every one is below eps_match * scale.
+# absolute norms; ok means every one is below EPS_MATCH * scale.
 report = check_drazin_axioms(a, res.d)
 print("axiom residuals:", report.solution, report.commute, report.power)
 print("all axioms hold:", report.ok)

@@ -61,7 +61,7 @@ _EXPORTS = {
         "ReconciliationError",
     ),
     "evaluation": ("TARGETS", "Outcome", "certify", "evaluate"),
-    "linalg": ("DEFAULT_TOL", "Tolerance", "fro_norm", "scale_of"),
+    "linalg": ("fro_norm", "scale_of"),
     "pierce": ("PierceSplit", "cline_drazin", "pierce_split", "triangular_drazin"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -20,6 +20,7 @@ those rows reduce to.
 """
 
 import cmath
+import math
 import re
 from dataclasses import dataclass, replace
 from functools import cache, reduce
@@ -28,7 +29,7 @@ import numpy as np
 
 from .drazin import DrazinResult, drazin_oracle, nilpotency_residual
 from .errors import PreconditionViolated
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, checked_norm, fro_norm
+from .linalg import EPS_CHECK, EPS_TAIL, as_matrix, checked_norm, fro_norm
 from .series import PowerCache, series_cap, summed
 
 __all__ = [
@@ -76,7 +77,7 @@ class FactorCheck:
     condition : str
         Human-readable label of the tested identity.
     holds : bool
-        Whether the identity holds at the examined lambda to eps_check.
+        Whether the identity holds at the examined lambda to EPS_CHECK.
     lam : complex or None
         The lambda used: the given value, or the least-squares fit. None when
         the check is degenerate (both sides vanish, any lambda works) or when
@@ -86,7 +87,7 @@ class FactorCheck:
         Frobenius norm of lhs - lambda * rhs_base (of lhs alone when no
         scalar applies).
     degenerate : bool
-        True when both sides vanish to eps_check * scale; then holds is True
+        True when both sides vanish to EPS_CHECK * scale; then holds is True
         and lam is None.
     """
 
@@ -119,7 +120,6 @@ def check_factor_condition(
     lhs: np.ndarray,
     rhs_base: np.ndarray,
     given_lambda: complex | None = None,
-    tol: Tolerance = DEFAULT_TOL,
     condition: str = "lhs = lambda * rhs",
 ) -> FactorCheck:
     """Test whether lhs equals lambda * rhs_base for a nonzero scalar lambda.
@@ -130,11 +130,11 @@ def check_factor_condition(
         lambda = <vec(rhs_base), vec(lhs)> / ||vec(rhs_base)||^2
 
     (inner product conjugate-linear in the first slot). A fitted lambda with
-    modulus at most eps_check is rejected: the scalar in these hypotheses is
+    modulus at most EPS_CHECK is rejected: the scalar in these hypotheses is
     nonzero by convention, and a vanishing fit means lhs has no component
     along rhs_base.
 
-    When both sides are below eps_check * scale the check is degenerate: it
+    When both sides are below EPS_CHECK * scale the check is degenerate: it
     holds for every lambda and ``lam`` is reported as None.
 
     Each operand is checked as as_matrix checks it, by the finite-norm rule
@@ -148,7 +148,6 @@ def check_factor_condition(
         Same-shape matrices.
     given_lambda : complex, optional
         Fixed finite nonzero scalar to test at. None fits the scalar instead.
-    tol : Tolerance
     condition : str
         Label copied into the result.
 
@@ -163,7 +162,7 @@ def check_factor_condition(
     if lhs.shape != rhs_base.shape:
         raise ValueError(f"shape mismatch: {lhs.shape} vs {rhs_base.shape}")
     require_lambda(given_lambda)
-    band = tol.eps_check * max(1.0, lhs_norm, rhs_norm)
+    band = EPS_CHECK * max(1.0, lhs_norm, rhs_norm)
     lhs_small = lhs_norm <= band
     rhs_small = rhs_norm <= band
 
@@ -177,9 +176,16 @@ def check_factor_condition(
         lam = complex(given_lambda)
     else:
         lam = complex(np.vdot(rhs_base.ravel(), lhs.ravel()) / np.vdot(rhs_base.ravel(), rhs_base.ravel()))
-    residual = fro_norm(lhs - lam * rhs_base)
+    # formed at the scale 2**-e, 2**e >= |lam|, so that lam * rhs_base cannot
+    # overflow where the residual is finite; a power of two scales exactly
+    e = max(0, math.frexp(max(abs(lam.real), abs(lam.imag)))[1] + 1)
+    s = math.ldexp(1.0, -e)
+    try:
+        residual = math.ldexp(fro_norm(lhs * s - (lam * s) * rhs_base), e)
+    except OverflowError:  # a residual beyond the float range
+        residual = math.inf
     holds = residual <= band
-    if given_lambda is None and abs(lam) <= tol.eps_check:
+    if given_lambda is None and abs(lam) <= EPS_CHECK:
         holds = False
         lam = None
     return FactorCheck(condition, holds, lam, residual, False)
@@ -243,9 +249,7 @@ def parse_rules(rules: dict[str, tuple[str, ...]], names: tuple[str, ...]) -> di
 _PAIR_CONDITIONS = parse_rules(PAIR_RULES, _PAIR_FACTORS)
 
 
-def check_condition_rows(
-    rows: list[ConditionRow], tol: Tolerance = DEFAULT_TOL, lam: complex | None = None
-) -> list[FactorCheck]:
+def check_condition_rows(rows: list[ConditionRow], lam: complex | None = None) -> list[FactorCheck]:
     """FactorChecks of condition rows (label, lhs, rhs_base, lambda_power),
     in row order; the pair and block hypothesis tables both go through here.
 
@@ -266,15 +270,15 @@ def check_condition_rows(
     for label, lhs, rhs, power in rows:
         if rhs is None:
             residual = nilpotency_residual(lhs)
-            checks.append(FactorCheck(label, residual <= tol.eps_check, None, residual, False))
+            checks.append(FactorCheck(label, residual <= EPS_CHECK, None, residual, False))
             continue
         if power is None:
-            checks.append(check_factor_condition(lhs, rhs, None, tol, condition=label))
+            checks.append(check_factor_condition(lhs, rhs, None, condition=label))
             continue
         given = None
         if lam is not None:
             given = complex(lam) if power == 1 else 1.0 / complex(lam)
-        chk = check_factor_condition(lhs, rhs, given, tol, condition=label)
+        chk = check_factor_condition(lhs, rhs, given, condition=label)
         if power == -1 and chk.lam is not None:
             chk = replace(chk, lam=complex(lam) if lam is not None else 1.0 / chk.lam)
         checks.append(chk)
@@ -282,7 +286,7 @@ def check_condition_rows(
             fitted.append(chk.lam)
     if len(fitted) >= 2:
         spread = max(abs(v - fitted[0]) for v in fitted[1:])
-        band = tol.eps_check * max(1.0, max(abs(v) for v in fitted))
+        band = EPS_CHECK * max(1.0, max(abs(v) for v in fitted))
         checks.append(
             FactorCheck(
                 condition="lambda consistency",
@@ -306,9 +310,7 @@ def _same_square(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def pair_oracles(
-    target: str, a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL
-) -> dict[str, DrazinResult]:
+def pair_oracles(target: str, a: np.ndarray, b: np.ndarray) -> dict[str, DrazinResult]:
     """Oracle data that the conditions and the formula of ``target`` read:
     none for 2.2, "a_dr" and "b_dr" for 2.3 and 2.4, on a and b as
     square_pair returns them. evaluation's judge forms it once per request
@@ -320,8 +322,8 @@ def pair_oracles(
         raise ValueError(f"unknown pair target {target!r}; valid: {', '.join(PAIR_TARGETS)}")
     if target == "2.2":
         return {}
-    a_dr = DrazinResult.nilpotent(a.shape[0]) if target == "2.3" else drazin_oracle(a, tol)
-    return {"a_dr": a_dr, "b_dr": drazin_oracle(b, tol)}
+    a_dr = DrazinResult.nilpotent(a.shape[0]) if target == "2.3" else drazin_oracle(a)
+    return {"a_dr": a_dr, "b_dr": drazin_oracle(b)}
 
 
 def _pair_factors(a: np.ndarray, b: np.ndarray, a_dr=None, b_dr=None) -> dict[str, np.ndarray]:
@@ -331,7 +333,7 @@ def _pair_factors(a: np.ndarray, b: np.ndarray, a_dr=None, b_dr=None) -> dict[st
 
 
 def pair_checks(
-    a: np.ndarray, b: np.ndarray, target: str, oracles: dict, tol: Tolerance, lam: complex | None
+    a: np.ndarray, b: np.ndarray, target: str, oracles: dict, lam: complex | None
 ) -> list[FactorCheck]:
     """Every hypothesis condition of a pair target, in catalog order, on
     (a, b) as square_pair returns them and on pair_oracles' set for this
@@ -339,7 +341,7 @@ def pair_checks(
     fixes the scalar; None fits it. A quasinilpotency row carries no scalar;
     its residual is nilpotency_residual of the operand."""
     factors = _pair_factors(a, b, **oracles)
-    return check_condition_rows(condition_rows(_PAIR_CONDITIONS[target], factors), tol, lam)
+    return check_condition_rows(condition_rows(_PAIR_CONDITIONS[target], factors), lam)
 
 
 def _refusal(c: FactorCheck) -> str:
@@ -356,12 +358,7 @@ def require_hypothesis(checks: list[FactorCheck]) -> None:
         raise PreconditionViolated("hypothesis fails: " + "; ".join(failing))
 
 
-def nilpotent_sum_closure(
-    a: np.ndarray,
-    b: np.ndarray,
-    tol: Tolerance = DEFAULT_TOL,
-    lam: complex | None = None,
-) -> bool:
+def nilpotent_sum_closure(a: np.ndarray, b: np.ndarray, lam: complex | None = None) -> bool:
     """Decide whether a + b is quasinilpotent, given that a and b are and
     that a b = lambda * b a for some nonzero scalar: ``evaluation.solve``
     on target 2.2.
@@ -374,15 +371,11 @@ def nilpotent_sum_closure(
     """
     from .evaluation import solve  # evaluation imports this module
 
-    return solve("2.2", {"a": a, "b": b}, lam, tol)
+    return solve("2.2", {"a": a, "b": b}, lam)
 
 
 def drazin_sum_nilpotent(
-    a: np.ndarray,
-    b: np.ndarray,
-    tol: Tolerance = DEFAULT_TOL,
-    lam: complex | None = None,
-    force: bool = False,
+    a: np.ndarray, b: np.ndarray, lam: complex | None = None, force: bool = False
 ) -> np.ndarray:
     """Drazin inverse of a + b when a is quasinilpotent and
     a b = lambda * b a b^pi: ``evaluation.solve`` on target 2.3.
@@ -392,22 +385,18 @@ def drazin_sum_nilpotent(
         (a + b)^d = b^d + sum_{n >= 0} (b^d)^(n+2) a (a + b)^n,
 
     which is sum_formula at the data solve gives a, a^d = 0 and a^pi = I.
-    ``tol``, ``lam`` and ``force`` are as for drazin_sum. PreconditionViolated
+    ``lam`` and ``force`` are as for drazin_sum. PreconditionViolated
     if (without force) a is not quasinilpotent or the hypothesis fails;
     ConvergenceError if the series fails to terminate within 2 * dim + 2
     terms.
     """
     from .evaluation import solve  # evaluation imports this module
 
-    return solve("2.3", {"a": a, "b": b}, lam, tol, force)
+    return solve("2.3", {"a": a, "b": b}, lam, force)
 
 
 def drazin_sum(
-    a: np.ndarray,
-    b: np.ndarray,
-    tol: Tolerance = DEFAULT_TOL,
-    lam: complex | None = None,
-    force: bool = False,
+    a: np.ndarray, b: np.ndarray, lam: complex | None = None, force: bool = False
 ) -> np.ndarray:
     """Drazin inverse of a + b under a b = lambda * a^pi b a b^pi:
     ``evaluation.solve`` on target 2.4, which checks the hypothesis on the
@@ -417,7 +406,6 @@ def drazin_sum(
     ----------
     a, b : ndarray
         Square matrices of equal shape.
-    tol : Tolerance
     lam : complex, optional
         Fixed scalar for the hypothesis; None fits it.
     force : bool
@@ -433,16 +421,10 @@ def drazin_sum(
     """
     from .evaluation import solve  # evaluation imports this module
 
-    return solve("2.4", {"a": a, "b": b}, lam, tol, force)
+    return solve("2.4", {"a": a, "b": b}, lam, force)
 
 
-def sum_formula(
-    a: np.ndarray,
-    b: np.ndarray,
-    a_dr: DrazinResult,
-    b_dr: DrazinResult,
-    tol: Tolerance = DEFAULT_TOL,
-) -> np.ndarray:
+def sum_formula(a: np.ndarray, b: np.ndarray, a_dr: DrazinResult, b_dr: DrazinResult) -> np.ndarray:
     """The sum formula of theorem 2.4 on the Drazin data (d, pi) of a and b,
     ``a_dr`` and ``b_dr`` (the index is not read); it checks no hypothesis.
 
@@ -467,7 +449,7 @@ def sum_formula(
     The a^d = 0 test comes first.
 
     a and b are checked as square_pair checks them, with finiteness read off
-    the norms that the tail bound eps_tail * max(1, ||a||, ||b||) needs (the
+    the norms that the tail bound EPS_TAIL * max(1, ||a||, ||b||) needs (the
     finite-norm rule of ``linalg``). ConvergenceError if a series that is
     formed fails to terminate within the cap.
     """
@@ -475,7 +457,7 @@ def sum_formula(
     _same_square(a, b)
 
     dim = a.shape[0]
-    tiny = tol.eps_tail * max(1.0, a_norm, b_norm)  # scale_of(a, b)
+    tiny = EPS_TAIL * max(1.0, a_norm, b_norm)  # scale_of(a, b)
     nmax = series_cap(dim)
     # Each product of the series is formed once: a m^n and a m^n b are
     # memoized per n (the double series reads a m^j b at every n + k = j),

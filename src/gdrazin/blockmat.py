@@ -28,7 +28,7 @@ from .additive import (
 )
 from .drazin import DrazinResult, drazin_oracle
 from .errors import ReconciliationError
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, fro_norm, scale_of
+from .linalg import EPS_CHECK, EPS_MATCH, EPS_TAIL, as_matrix, fro_norm, scale_of
 from .series import PowerCache, series_cap, summed
 
 __all__ = [
@@ -131,7 +131,7 @@ def _zero_like(rows: int, cols: int) -> np.ndarray:
     return np.zeros((rows, cols), dtype=complex)
 
 
-def _q_drazin(blocks: Block2x2, tol: Tolerance) -> DrazinResult:
+def _q_drazin(blocks: Block2x2) -> DrazinResult:
     """Drazin data of the corner Q = [[0, B], [C, 0]], from one oracle run on
     B C by the product-exchange identity (C B)^d = C ((B C)^d)^2 B:
     Q^d = [[0, B (C B)^d], [C (B C)^d, 0]], and Q^pi = I - Q Q^d, whose
@@ -144,9 +144,9 @@ def _q_drazin(blocks: Block2x2, tol: Tolerance) -> DrazinResult:
     m, n = blocks.dims
     b, c = blocks.b, blocks.c
     bc = b @ c
-    if fro_norm(bc) <= tol.eps_check * scale_of(b, c):
+    if fro_norm(bc) <= EPS_CHECK * scale_of(b, c):
         return DrazinResult.nilpotent(m + n)
-    bc_dr = drazin_oracle(bc, tol)
+    bc_dr = drazin_oracle(bc)
     cb_d = c @ bc_dr.d @ bc_dr.d @ b
     qd = _quad(_zero_like(m, m), b @ cb_d, c @ bc_dr.d, _zero_like(n, n))
     q = _quad(_zero_like(m, m), b, c, _zero_like(n, n))
@@ -159,7 +159,7 @@ def _require_rule(rule: str) -> None:
         raise ValueError(f"unknown rule {rule!r}; valid ids: {', '.join(RULE_IDS)}")
 
 
-def block_oracles(blocks: Block2x2, rule: str, tol: Tolerance = DEFAULT_TOL) -> dict[str, DrazinResult]:
+def block_oracles(blocks: Block2x2, rule: str) -> dict[str, DrazinResult]:
     """Oracle data that the conditions and the splitting of ``rule`` read:
     the Drazin data of A, D and of the corner Q = [[0, B], [C, 0]], keyed
     "a_dr", "d_dr" and "q_dr". evaluation's judge forms it once per request
@@ -170,9 +170,9 @@ def block_oracles(blocks: Block2x2, rule: str, tol: Tolerance = DEFAULT_TOL) -> 
     """
     _require_rule(rule)
     return {
-        "a_dr": drazin_oracle(blocks.a, tol),
-        "d_dr": drazin_oracle(blocks.d, tol),
-        "q_dr": _q_drazin(blocks, tol) if rule in _BC_RULES else DrazinResult.nilpotent(sum(blocks.dims)),
+        "a_dr": drazin_oracle(blocks.a),
+        "d_dr": drazin_oracle(blocks.d),
+        "q_dr": _q_drazin(blocks) if rule in _BC_RULES else DrazinResult.nilpotent(sum(blocks.dims)),
     }
 
 
@@ -184,22 +184,15 @@ def _block_factors(blocks: Block2x2, a_dr, d_dr, q_dr) -> dict[str, np.ndarray]:
     return dict(zip(_BLOCK_FACTORS, (blocks.a, blocks.b, blocks.c, blocks.d, *pis)))
 
 
-def block_checks(
-    blocks: Block2x2, rule: str, oracles: dict, tol: Tolerance, lam: complex | None
-) -> list[FactorCheck]:
+def block_checks(blocks: Block2x2, rule: str, oracles: dict, lam: complex | None) -> list[FactorCheck]:
     """Every hypothesis condition of a rule, in catalog order, on the blocks
     and on block_oracles' set for this rule on them; evaluation's judge
     forms both and calls this. ``lam`` fixes the scalar; None fits it."""
     factors = _block_factors(blocks, **oracles)
-    return check_condition_rows(condition_rows(_CONDITIONS[rule], factors), tol, lam)
+    return check_condition_rows(condition_rows(_CONDITIONS[rule], factors), lam)
 
 
-def check_hypothesis(
-    blocks: Block2x2,
-    rule: str,
-    tol: Tolerance = DEFAULT_TOL,
-    lam: complex | None = None,
-) -> list[FactorCheck]:
+def check_hypothesis(blocks: Block2x2, rule: str, lam: complex | None = None) -> list[FactorCheck]:
     """Every hypothesis condition of a rule on the given blocks, as
     ``evaluation.certify`` checks it.
 
@@ -214,7 +207,6 @@ def check_hypothesis(
     blocks : Block2x2
     rule : str
         One of RULE_IDS.
-    tol : Tolerance
     lam : complex, optional
         Declared scalar; None fits per condition.
 
@@ -227,15 +219,11 @@ def check_hypothesis(
     from .evaluation import certify  # evaluation imports this module
 
     _require_rule(rule)
-    return list(certify(rule, vars(blocks), lam, tol))
+    return list(certify(rule, vars(blocks), lam))
 
 
 def block_drazin(
-    blocks: Block2x2,
-    rule: str,
-    tol: Tolerance = DEFAULT_TOL,
-    lam: complex | None = None,
-    force: bool = False,
+    blocks: Block2x2, rule: str, lam: complex | None = None, force: bool = False
 ) -> np.ndarray:
     """Drazin inverse of the assembled block matrix under the named rule:
     ``evaluation.solve`` on the rule, which runs block_formula.
@@ -245,7 +233,6 @@ def block_drazin(
     blocks : Block2x2
     rule : str
         One of RULE_IDS; selects the hypothesis set and splitting.
-    tol : Tolerance
     lam : complex, optional
         Declared scalar for the hypothesis test; None fits it.
     force : bool
@@ -268,7 +255,7 @@ def block_drazin(
     from .evaluation import solve  # evaluation imports this module
 
     _require_rule(rule)
-    return solve(rule, vars(blocks), lam, tol, force)
+    return solve(rule, vars(blocks), lam, force)
 
 
 def _diag_dr(a_dr: DrazinResult, d_dr: DrazinResult, m: int, n: int) -> DrazinResult:
@@ -278,12 +265,7 @@ def _diag_dr(a_dr: DrazinResult, d_dr: DrazinResult, m: int, n: int) -> DrazinRe
 
 
 def block_formula(
-    blocks: Block2x2,
-    rule: str,
-    tol: Tolerance,
-    a_dr: DrazinResult,
-    d_dr: DrazinResult,
-    q_dr: DrazinResult,
+    blocks: Block2x2, rule: str, a_dr: DrazinResult, d_dr: DrazinResult, q_dr: DrazinResult
 ) -> np.ndarray:
     """The splitting of ``rule`` (one of RULE_IDS) on given Drazin data of A,
     D and the corner Q = [[0, B], [C, 0]], as block_oracles keys it; it
@@ -305,23 +287,18 @@ def block_formula(
         qd = _quad(ad, ad2 @ b, c @ ad2, c @ ad2 @ ad @ b)
         qpi = np.eye(m + n, dtype=complex) - q @ qd
         q_dr = DrazinResult(d=qd, pi=qpi, index=None)
-        x = sum_formula(p, q, p_dr, q_dr, tol)
+        x = sum_formula(p, q, p_dr, q_dr)
         return x if rule == "4.1" else _quad(x[m:, m:], x[m:, :m], x[:m, m:], x[:m, :m])
 
     p = _quad(a, _zero_like(m, n), _zero_like(n, m), d)
     p_dr = _diag_dr(a_dr, d_dr, m, n)
     q = _quad(_zero_like(m, m), b, c, _zero_like(n, n))
     if rule in ("3.1", "3.2"):
-        return sum_formula(q, p, q_dr, p_dr, tol)
-    return sum_formula(p, q, p_dr, q_dr, tol)
+        return sum_formula(q, p, q_dr, p_dr)
+    return sum_formula(p, q, p_dr, q_dr)
 
 
-def closed_form_drazin(
-    blocks: Block2x2,
-    tol: Tolerance = DEFAULT_TOL,
-    lam: complex | None = None,
-    force: bool = False,
-) -> np.ndarray:
+def closed_form_drazin(blocks: Block2x2, lam: complex | None = None, force: bool = False) -> np.ndarray:
     """Direct closed form for rule 4.1, cross-checked against the engine.
 
     Under B D = lambda A^pi A B, D C = (1/lambda) D^pi C A A^pi, B C = 0 the
@@ -334,7 +311,7 @@ def closed_form_drazin(
                       + sum_{n >= 1} sum_{k=1..n} D^(k-1) C A^(n-k) B (D^d)^(n+2)
 
     The result is compared against the splitting route, ``block_formula``;
-    disagreement beyond eps_match * scale raises ReconciliationError.
+    disagreement beyond EPS_MATCH * scale raises ReconciliationError.
 
     Raises
     ------
@@ -345,7 +322,7 @@ def closed_form_drazin(
     """
     from .evaluation import _judge  # evaluation imports this module
 
-    blocks, oracles, conditions = _judge("4.1", vars(blocks), lam, tol)
+    blocks, oracles, conditions = _judge("4.1", vars(blocks), lam)
     if not force:
         require_hypothesis(conditions)
     a_dr, d_dr = oracles["a_dr"], oracles["d_dr"]
@@ -354,7 +331,7 @@ def closed_form_drazin(
     m, n = blocks.dims
     dim = m + n
     scale = scale_of(a, b, c, d)
-    tiny = tol.eps_tail * scale
+    tiny = EPS_TAIL * scale
     nmax = series_cap(dim)
     a_pow = PowerCache(a)
     d_pow = PowerCache(d)
@@ -381,11 +358,11 @@ def closed_form_drazin(
     br = d_dr.d + c @ ad2 @ ad @ b + summed(br_terms(), nmax, tiny, "closed form tail series")
     closed = _quad(ad, tr, c @ ad2, br)
 
-    general = block_formula(blocks, "4.1", tol, **oracles)
+    general = block_formula(blocks, "4.1", **oracles)
     gap = fro_norm(closed - general)
-    if gap > tol.eps_match * scale:
+    if gap > EPS_MATCH * scale:
         raise ReconciliationError(
             f"closed form and splitting route disagree: {gap:.3e} "
-            f"exceeds {tol.eps_match * scale:.3e}"
+            f"exceeds {EPS_MATCH * scale:.3e}"
         )
     return closed

@@ -44,7 +44,6 @@ from .additive import PAIR_TARGETS, FactorCheck, require_lambda
 from .blockmat import _BC_RULES, Block2x2
 from .errors import AxiomViolation, GenerationFailed
 from .evaluation import PRESET_NAMES, TARGETS, certify, target_kind
-from .linalg import DEFAULT_TOL, Tolerance
 
 __all__ = [
     "PAIR_TARGETS",
@@ -145,11 +144,11 @@ PRESET_SPECS: dict[str, CaseSpec] = dict(zip(PRESET_NAMES, (
 ), strict=True))
 
 
-def preset(name: str, tol: Tolerance = DEFAULT_TOL) -> GeneratedCase:
+def preset(name: str) -> GeneratedCase:
     """Named canonical instances (the seed-0 anchors of their specs)."""
     if name not in PRESET_SPECS:
         raise ValueError(f"unknown preset {name!r}; valid: {', '.join(sorted(PRESET_SPECS))}")
-    return generate(PRESET_SPECS[name], tol)
+    return generate(PRESET_SPECS[name])
 
 
 # ----------------------------------------------------------------- helpers
@@ -432,7 +431,7 @@ _PRESET_MATRICES = (
 )
 
 
-def generate(spec: CaseSpec, tol: Tolerance = DEFAULT_TOL) -> GeneratedCase:
+def generate(spec: CaseSpec) -> GeneratedCase:
     """Build the instance described by ``spec``.
 
     Valid instances satisfy every hypothesis condition of the target at the
@@ -452,7 +451,7 @@ def generate(spec: CaseSpec, tol: Tolerance = DEFAULT_TOL) -> GeneratedCase:
     stored = next((m for s, m in _PRESET_MATRICES if s == spec), None)
     if stored is not None:
         mats = {k: v.copy() for k, v in stored.items()}
-        cert = certify(spec.target, mats, lam, tol)
+        cert = certify(spec.target, mats, lam)
         if not all(c.holds for c in cert):
             raise GenerationFailed("canonical instance failed its own certificate")
         return GeneratedCase(spec=spec, matrices=mats, certificate=cert)
@@ -466,7 +465,7 @@ def generate(spec: CaseSpec, tol: Tolerance = DEFAULT_TOL) -> GeneratedCase:
         for build in candidates:
             mats = build()
             try:
-                cert = certify(spec.target, mats, lam, tol)
+                cert = certify(spec.target, mats, lam)
             except AxiomViolation:
                 # Near-cutoff singular values make the certificate unreliable;
                 # discard this candidate rather than certify ambiguously.

@@ -12,10 +12,9 @@ Exit codes: 0 success/match, 2 precondition violation (or an instance the
 generator cannot realize), 3 mismatch, failed axioms, or a forced run that
 did not converge, 4 I/O, parse, or usage errors.
 
-Thresholds: --eps-rank, --eps-check, --eps-match, --eps-tail; each falls
-back to the environment (GDZ_TOL_RANK, GDZ_TOL_CHECK, GDZ_TOL_MATCH,
-GDZ_TOL_TAIL) before the built-in defaults. Flags and environment are read
-again on every call.
+Thresholds are fixed (gdrazin.linalg: EPS_RANK 1e-10, EPS_CHECK 1e-9,
+EPS_MATCH 1e-8, EPS_TAIL 1e-12): no option or environment variable changes
+a verdict.
 
 Every report is one compact JSON line written by orjson (pipe it through
 `python3 -m json.tool` to read it indented); a number in it that is not
@@ -58,19 +57,11 @@ from .io import (
     save_instance,
     write_bytes,
 )
-from .linalg import Tolerance
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_MISMATCH = 3
 EXIT_IO = 4
-
-_ENV_TOLS = {
-    "eps_rank": "GDZ_TOL_RANK",
-    "eps_check": "GDZ_TOL_CHECK",
-    "eps_match": "GDZ_TOL_MATCH",
-    "eps_tail": "GDZ_TOL_TAIL",
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,29 +80,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_IO, f"{self.prog}: error: {message}\n")
-
-
-def _add_tol_flags(p: argparse.ArgumentParser) -> None:
-    for field, env in _ENV_TOLS.items():
-        flag = "--" + field.replace("_", "-")
-        p.add_argument(flag, type=float, default=None, help=f"override {field} (env {env})")
-
-
-def _tol_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Tolerance:
-    values = {}
-    for field, env in _ENV_TOLS.items():
-        v = getattr(args, field)
-        if v is None and env in os.environ:
-            try:
-                v = float(os.environ[env])
-            except ValueError:
-                parser.error(f"environment {env}={os.environ[env]!r} is not a number")
-        if v is not None:
-            values[field] = v
-    try:
-        return Tolerance(**values)
-    except ValueError as exc:
-        parser.error(str(exc))
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -139,13 +107,13 @@ def _axioms_doc(axioms: AxiomReport) -> dict:
     return {"solution": axioms.solution, "commute": axioms.commute, "power": axioms.power}
 
 
-def cmd_drazin(args, parser, tol: Tolerance) -> tuple[dict, int]:
+def cmd_drazin(args, parser) -> tuple[dict, int]:
     a = load_matrix(args.matrix)
     try:
-        res = drazin_oracle(a, tol)
+        res = drazin_oracle(a)
     except AxiomViolation as exc:
         return _report("drazin", error=str(exc)), EXIT_MISMATCH
-    axioms = check_drazin_axioms(a, res.d, tol, index=res.index)
+    axioms = check_drazin_axioms(a, res.d, index=res.index)
     report = _report(
         "drazin",
         result=matrix_to_doc(res.d),
@@ -157,7 +125,7 @@ def cmd_drazin(args, parser, tol: Tolerance) -> tuple[dict, int]:
     return report, EXIT_OK if axioms.ok else EXIT_MISMATCH
 
 
-def cmd_solve(args, parser, tol: Tolerance) -> tuple[dict, int]:
+def cmd_solve(args, parser) -> tuple[dict, int]:
     """``sum`` and ``block``: evaluate, plus the axiom check of the formula."""
     try:
         require_lambda(args.lam)
@@ -165,7 +133,7 @@ def cmd_solve(args, parser, tol: Tolerance) -> tuple[dict, int]:
         parser.error(str(exc))
     mats = {name: load_matrix(getattr(args, name)) for name in args.names}
     check_shapes(args.theorem, mats)
-    out = evaluate(args.theorem, mats, args.lam, tol, args.force)
+    out = evaluate(args.theorem, mats, args.lam, args.force)
     fitted = next((c.lam for c in out.conditions if c.lam is not None), None)
     report = _report(
         args.command,
@@ -183,7 +151,7 @@ def cmd_solve(args, parser, tol: Tolerance) -> tuple[dict, int]:
         report["error"] = out.error
         code = EXIT_MISMATCH
     else:
-        axioms = check_drazin_axioms(out.m, out.formula, tol, index=out.oracle.index)
+        axioms = check_drazin_axioms(out.m, out.formula, index=out.oracle.index)
         ok = out.gap <= out.bound and axioms.ok
         report.update(
             result=matrix_to_doc(out.formula),
@@ -196,7 +164,7 @@ def cmd_solve(args, parser, tol: Tolerance) -> tuple[dict, int]:
     return report, code
 
 
-def cmd_gen(args, parser, tol: Tolerance) -> tuple[dict, int]:
+def cmd_gen(args, parser) -> tuple[dict, int]:
     """``gen``, the one command that runs the generator, and so the one that
     imports ``casegen`` (and, at its first draw, ``numpy.random``); the
     parser names targets and presets without it."""
@@ -215,7 +183,7 @@ def cmd_gen(args, parser, tol: Tolerance) -> tuple[dict, int]:
             )
         except ValueError as exc:
             parser.error(str(exc))
-    case = generate(spec, tol)
+    case = generate(spec)
     manifest = save_instance(args.out, case)
     report = _report(
         "gen",
@@ -228,11 +196,11 @@ def cmd_gen(args, parser, tol: Tolerance) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def _verify_one(manifest: dict, matrices: dict, tol: Tolerance) -> tuple[bool, str]:
+def _verify_one(manifest: dict, matrices: dict) -> tuple[bool, str]:
     """Contract check for one instance: valid instances must evaluate and
     match the oracle; negated instances must trip the precondition."""
     lam = doc_to_complex(manifest.get("lambda"))
-    out = evaluate(manifest["target"], matrices, lam, tol, force=False)
+    out = evaluate(manifest["target"], matrices, lam)
     if manifest.get("negate", False):
         if not out.failing:
             return False, "negated instance was accepted (no condition failed)"
@@ -248,7 +216,7 @@ def _verify_one(manifest: dict, matrices: dict, tol: Tolerance) -> tuple[bool, s
     return True, f"match (gap {out.gap:.3e})"
 
 
-def cmd_verify(args, parser, tol: Tolerance) -> tuple[dict, int]:
+def cmd_verify(args, parser) -> tuple[dict, int]:
     root = norm_path(args.directory)
     if not os.path.isdir(root):
         raise DocumentError(f"{root} is not a directory")
@@ -268,7 +236,7 @@ def cmd_verify(args, parser, tol: Tolerance) -> tuple[dict, int]:
         if args.theorem and manifest["target"] != args.theorem:
             continue
         try:
-            ok, detail = _verify_one(manifest, matrices, tol)
+            ok, detail = _verify_one(manifest, matrices)
         except AxiomViolation as exc:  # from the oracle run on an operand
             ok, detail = False, str(exc)
         rows.append(
@@ -303,7 +271,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("drazin", help="Drazin inverse of one matrix", parents=[])
     p.add_argument("matrix", help="matrix document (JSON)")
     p.add_argument("--out", default=None, help="write the report JSON here")
-    _add_tol_flags(p)
     p.set_defaults(func=cmd_drazin)
 
     for command, kind, theorems, text in (
@@ -319,7 +286,6 @@ def build_parser() -> _Parser:
                        help="scalar (complex, fraction, or 'auto'); default auto")
         p.add_argument("--force", action="store_true", help="evaluate even if the hypothesis fails")
         p.add_argument("--out", default=None)
-        _add_tol_flags(p)
         p.set_defaults(func=cmd_solve, names=names)
 
     p = sub.add_parser("gen", help="write a generated instance directory")
@@ -332,7 +298,6 @@ def build_parser() -> _Parser:
     p.add_argument("--preset", choices=sorted(PRESET_NAMES), default=None,
                    help="canonical named instance (overrides the other selectors)")
     p.add_argument("--out", required=True, help="instance directory to create")
-    _add_tol_flags(p)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("verify", help="re-check a directory of generated instances")
@@ -340,7 +305,6 @@ def build_parser() -> _Parser:
     p.add_argument("--theorem", default=None, choices=list(TARGETS),
                    help="only verify instances of this target")
     p.add_argument("--out", default=None)
-    _add_tol_flags(p)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -350,9 +314,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        tol = _tol_from_args(parser, args)
         t0 = time.perf_counter()
-        report, code = args.func(args, parser, tol)
+        report, code = args.func(args, parser)
         report["wall_ms"] = (time.perf_counter() - t0) * 1e3
         # gen's --out names the instance directory; its report goes to stdout
         _emit(report, None if args.command == "gen" else args.out)

@@ -9,7 +9,7 @@ Numerical strategy: the input is normalized by its largest singular value
 before any power is taken. One values-only SVD of a gives that value, and
 the same singular values divided by it are those of the first power, so the
 sweep starts its own SVDs at the second power. Ranks of powers are decided
-with the absolute cutoff eps_rank (a relative cutoff would promote the
+with the absolute cutoff EPS_RANK (a relative cutoff would promote the
 rounding noise that powers of a conjugated nilpotent consist of to full
 rank), and the pseudoinverse of a^{2k+1} is truncated to the stationary rank
 found during index computation (a relative cutoff would invert that noise
@@ -19,9 +19,9 @@ both sides of the pseudoinverse, and self-checks with the same two powers.
 Inputs whose singular values fall too close to the cutoff, or whose spectral
 gap at the stationary rank is too thin, are rejected with AxiomViolation
 rather than guessed at. At each power the guard is two counts: r singular
-values above eps_rank / AMBIGUITY_BAND, and the power is refused unless
-exactly r are at least eps_rank * AMBIGUITY_BAND, so that none lies strictly
-inside the band. When it passes, r is the rank at the cutoff eps_rank too.
+values above EPS_RANK / AMBIGUITY_BAND, and the power is refused unless
+exactly r are at least EPS_RANK * AMBIGUITY_BAND, so that none lies strictly
+inside the band. When it passes, r is the rank at the cutoff EPS_RANK too.
 """
 
 from dataclasses import dataclass
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AxiomViolation
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, checked_norm, fro_norm, mat_power
+from .linalg import EPS_CHECK, EPS_MATCH, EPS_RANK, as_matrix, checked_norm, fro_norm
 
 __all__ = [
     "DrazinResult",
@@ -93,56 +93,54 @@ def _require_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _power_ranks(
-    ah: np.ndarray, sv: np.ndarray, eps_rank: float
-) -> tuple[int, int, np.ndarray, np.ndarray]:
+def _power_ranks(ah: np.ndarray, sv: np.ndarray) -> tuple[int, int, np.ndarray, np.ndarray]:
     """Index k, stationary rank, ah^k and ah^{k+1} from the rank sequence of
     powers of the sigma_max-normalized matrix ``ah``, whose own singular
     values are ``sv``. Absolute cutoff; ambiguity guarded at every power.
     The sweep stops at the first power of rank 0 (a nilpotent ``ah``)."""
     n = ah.shape[0]
     prev = n
-    lo_edge, hi_edge = eps_rank / AMBIGUITY_BAND, eps_rank * AMBIGUITY_BAND
+    lo_edge, hi_edge = EPS_RANK / AMBIGUITY_BAND, EPS_RANK * AMBIGUITY_BAND
     lo, hi = np.eye(n, dtype=complex), ah  # powers j - 1 and j
     for j in range(1, n + 2):
         if j > 1:
             lo, hi = hi, hi @ ah
             sv = np.linalg.svd(hi, compute_uv=False)
         # no singular value strictly inside the band exactly when the two
-        # counts agree; then r is also the count above eps_rank itself
+        # counts agree; then r is also the count above EPS_RANK itself
         r = int(np.count_nonzero(sv > lo_edge))
         if r != np.count_nonzero(sv >= hi_edge):
             raise AxiomViolation(
                 f"rank of power {j} is ambiguous: singular values too close "
-                f"to the cutoff {eps_rank:g}"
+                f"to the cutoff {EPS_RANK:g}"
             )
         if r == prev:
             return j - 1, r, lo, hi
         if r == 0:
-            # a power of rank 0 has norm at most eps_rank / AMBIGUITY_BAND, so
+            # a power of rank 0 has norm at most EPS_RANK / AMBIGUITY_BAND, so
             # the next one has rank 0 too; no SVD is spent confirming it
             return j, 0, hi, hi @ ah
         prev = r
     raise AxiomViolation("rank sequence of powers failed to stabilize")
 
 
-def drazin_index(a, tol: Tolerance = DEFAULT_TOL) -> int:
+def drazin_index(a) -> int:
     """Smallest k >= 0 with rank(a^k) = rank(a^{k+1})."""
     a = _require_square(as_matrix(a))
     sv = np.linalg.svd(a, compute_uv=False)
     s = float(sv[0])
     if s == 0.0:
         return 1
-    k, *_ = _power_ranks(a / s, sv / s, tol.eps_rank)
+    k, *_ = _power_ranks(a / s, sv / s)
     return k
 
 
-def drazin_oracle(a, tol: Tolerance = DEFAULT_TOL) -> DrazinResult:
+def drazin_oracle(a) -> DrazinResult:
     """Drazin inverse via a^d = a^k (a^{2k+1})^+ a^k, self-checked.
 
     The pseudoinverse is truncated to the stationary rank of the power
     sequence; see the module docstring. Raises AxiomViolation if the result
-    fails any Drazin axiom beyond eps_match, or if the input's rank structure
+    fails any Drazin axiom beyond EPS_MATCH, or if the input's rank structure
     is numerically ambiguous.
     """
     a = _require_square(as_matrix(a))
@@ -152,7 +150,7 @@ def drazin_oracle(a, tol: Tolerance = DEFAULT_TOL) -> DrazinResult:
     if s == 0.0:
         return DrazinResult.nilpotent(n, index=1)
     ah = a / s
-    k, r, ak, ak1 = _power_ranks(ah, sv / s, tol.eps_rank)
+    k, r, ak, ak1 = _power_ranks(ah, sv / s)
     if r == 0:
         return DrazinResult.nilpotent(n, index=k)
     # a^m and a^{m+1} for m = max(k, 1)
@@ -166,7 +164,7 @@ def drazin_oracle(a, tol: Tolerance = DEFAULT_TOL) -> DrazinResult:
     x_pinv = (vh[:r].conj().T / sv[:r]) @ u[:, :r].conj().T
     dh = am @ x_pinv @ am
     # self-check in the normalized domain, where powers cannot overflow
-    report = _axiom_report(ah, dh, ak, ak1, tol)
+    report = _axiom_report(ah, dh, ak, ak1)
     if not report.ok:
         raise AxiomViolation(
             f"oracle output fails Drazin axioms: residuals "
@@ -189,15 +187,13 @@ def nilpotency_residual(a) -> float:
     return fro_norm(np.linalg.matrix_power(a / s, a.shape[0]))
 
 
-def is_quasinilpotent(a, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Nilpotency test: nilpotency_residual(a) <= eps_check, so the verdict
+def is_quasinilpotent(a) -> bool:
+    """Nilpotency test: nilpotency_residual(a) <= EPS_CHECK, so the verdict
     on a equals the verdict on s a for every nonzero scalar s."""
-    return nilpotency_residual(a) <= tol.eps_check
+    return nilpotency_residual(a) <= EPS_CHECK
 
 
-def _axiom_report(
-    a: np.ndarray, cand: np.ndarray, ak: np.ndarray, ak1: np.ndarray, tol: Tolerance
-) -> AxiomReport:
+def _axiom_report(a: np.ndarray, cand: np.ndarray, ak: np.ndarray, ak1: np.ndarray) -> AxiomReport:
     """Axiom residuals of cand for a, given a^k and a^{k+1} at its index k."""
     ca = cand @ a
     r1 = fro_norm(ca @ cand - cand)
@@ -206,29 +202,23 @@ def _axiom_report(
     na, nc = fro_norm(a), fro_norm(cand)
     s12 = max(1.0, na, nc)
     s3 = max(1.0, na, nc, fro_norm(ak))
-    ok = (
-        r1 <= tol.eps_match * s12
-        and r2 <= tol.eps_match * s12
-        and r3 <= tol.eps_match * s3
-    )
+    ok = r1 <= EPS_MATCH * s12 and r2 <= EPS_MATCH * s12 and r3 <= EPS_MATCH * s3
     return AxiomReport(solution=r1, commute=r2, power=r3, ok=ok)
 
 
-def check_drazin_axioms(
-    a, cand, tol: Tolerance = DEFAULT_TOL, index: int | None = None
-) -> AxiomReport:
+def check_drazin_axioms(a, cand, index: int | None = None) -> AxiomReport:
     """Residuals of cand as a Drazin inverse of a.
 
     ``index`` is the Drazin index of a when the caller already knows it, as
     ``drazin_oracle(a).index``; None computes it with drazin_index.
 
-    Verdict: every residual <= eps_match * scale, where scale is max(1,
+    Verdict: every residual <= EPS_MATCH * scale, where scale is max(1,
     largest operand norm) of the corresponding identity.
     """
     a = _require_square(as_matrix(a))
     cand = _require_square(as_matrix(cand))
     if a.shape != cand.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {cand.shape}")
-    k = drazin_index(a, tol) if index is None else index
-    ak = mat_power(a, k)
-    return _axiom_report(a, cand, ak, ak @ a, tol)
+    k = drazin_index(a) if index is None else index
+    ak = np.linalg.matrix_power(a, k)
+    return _axiom_report(a, cand, ak, ak @ a)

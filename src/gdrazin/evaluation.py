@@ -22,7 +22,7 @@ from .additive import (
 from .blockmat import RULE_IDS, Block2x2, assemble, block_checks, block_formula, block_oracles
 from .drazin import DrazinResult, drazin_oracle, is_quasinilpotent
 from .errors import AxiomViolation, ConvergenceError
-from .linalg import DEFAULT_TOL, Tolerance, fro_norm, scale_of
+from .linalg import EPS_MATCH, fro_norm, scale_of
 
 __all__ = ["OPERANDS", "TARGETS", "Outcome", "target_kind", "certify", "evaluate", "solve"]
 
@@ -68,7 +68,7 @@ class Outcome:
     gap : float or None
         ||formula - oracle.d||, Frobenius norm.
     bound : float or None
-        eps_match times the scale of the operands; the formula matches the
+        EPS_MATCH times the scale of the operands; the formula matches the
         oracle when gap <= bound.
     error : str or None
         The ConvergenceError or AxiomViolation raised by the formula or by
@@ -87,7 +87,7 @@ class Outcome:
 
 
 def _judge(
-    target: str, mats: dict[str, np.ndarray], lam: complex | None, tol: Tolerance
+    target: str, mats: dict[str, np.ndarray], lam: complex | None
 ) -> tuple[Block2x2 | tuple[np.ndarray, np.ndarray], dict, tuple[FactorCheck, ...]]:
     """The checked operands of a request, their oracle data and the
     hypothesis rows of ``target``. ValueError for a bad ``lam``, before any
@@ -98,24 +98,22 @@ def _judge(
         raise ValueError(f"target {target} takes operands {list(OPERANDS[kind])}, got {list(mats)}")
     if kind == "block":
         ops = Block2x2(**mats)
-        oracles = block_oracles(ops, target, tol)
-        return ops, oracles, tuple(block_checks(ops, target, oracles, tol, lam))
+        oracles = block_oracles(ops, target)
+        return ops, oracles, tuple(block_checks(ops, target, oracles, lam))
     ops = square_pair(**mats)
-    oracles = pair_oracles(target, *ops, tol)
-    return ops, oracles, tuple(pair_checks(*ops, target, oracles, tol, lam))
+    oracles = pair_oracles(target, *ops)
+    return ops, oracles, tuple(pair_checks(*ops, target, oracles, lam))
 
 
-def _formula(target: str, ops, oracles: dict, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+def _formula(target: str, ops, oracles: dict) -> tuple[np.ndarray, np.ndarray]:
     """The engine of ``target`` on _judge's operands and oracle data: the
     formula, and the matrix it inverts (a + b, or the assembled blocks)."""
     if isinstance(ops, Block2x2):
-        return block_formula(ops, target, tol, **oracles), assemble(ops)
-    return sum_formula(*ops, **oracles, tol=tol), ops[0] + ops[1]
+        return block_formula(ops, target, **oracles), assemble(ops)
+    return sum_formula(*ops, **oracles), ops[0] + ops[1]
 
 
-def certify(
-    target: str, mats: dict[str, np.ndarray], lam: complex | None, tol: Tolerance = DEFAULT_TOL
-) -> tuple[FactorCheck, ...]:
+def certify(target: str, mats: dict[str, np.ndarray], lam: complex | None) -> tuple[FactorCheck, ...]:
     """Every hypothesis condition of a target, checked on explicit matrices.
 
     ``lam`` fixes the scalar; None fits it per condition. ``evaluate``
@@ -123,15 +121,11 @@ def certify(
     certificate can be reproduced from the saved matrices alone. ValueError
     for an unknown target or operands that do not fit it.
     """
-    return _judge(target, mats, lam, tol)[2]
+    return _judge(target, mats, lam)[2]
 
 
 def solve(
-    target: str,
-    mats: dict[str, np.ndarray],
-    lam: complex | None = None,
-    tol: Tolerance = DEFAULT_TOL,
-    force: bool = False,
+    target: str, mats: dict[str, np.ndarray], lam: complex | None = None, force: bool = False
 ) -> np.ndarray | bool:
     """The library route: the closure verdict of 2.2, or the formula of any
     other target, on ``evaluate``'s judge. PreconditionViolated naming every
@@ -139,20 +133,16 @@ def solve(
     A ConvergenceError of the formula propagates, as does an AxiomViolation
     of the oracle on an operand; ValueError as for ``evaluate``.
     """
-    ops, oracles, conditions = _judge(target, mats, lam, tol)
+    ops, oracles, conditions = _judge(target, mats, lam)
     if not force:
         require_hypothesis(conditions)
     if target == "2.2":
-        return all(c.holds for c in conditions) and is_quasinilpotent(ops[0] + ops[1], tol)
-    return _formula(target, ops, oracles, tol)[0]
+        return all(c.holds for c in conditions) and is_quasinilpotent(ops[0] + ops[1])
+    return _formula(target, ops, oracles)[0]
 
 
 def evaluate(
-    target: str,
-    mats: dict[str, np.ndarray],
-    lam: complex | None = None,
-    tol: Tolerance = DEFAULT_TOL,
-    force: bool = False,
+    target: str, mats: dict[str, np.ndarray], lam: complex | None = None, force: bool = False
 ) -> Outcome:
     """Conditions, then closure (2.2) or formula, oracle and gap.
 
@@ -163,20 +153,20 @@ def evaluate(
     An AxiomViolation of the oracle on an operand propagates; one raised on
     ``m``, and a ConvergenceError of the formula, end up in ``error``.
     """
-    ops, oracles, conditions = _judge(target, mats, lam, tol)
+    ops, oracles, conditions = _judge(target, mats, lam)
     out = Outcome(conditions, [c for c in conditions if not c.holds])
     if out.failing and not force:
         return out
     if target == "2.2":
         # the rows have checked every condition of the closure theorem
-        out.closed = not out.failing and is_quasinilpotent(ops[0] + ops[1], tol)
+        out.closed = not out.failing and is_quasinilpotent(ops[0] + ops[1])
         return out
     try:
-        out.formula, out.m = _formula(target, ops, oracles, tol)
-        out.oracle = drazin_oracle(out.m, tol)
+        out.formula, out.m = _formula(target, ops, oracles)
+        out.oracle = drazin_oracle(out.m)
     except (ConvergenceError, AxiomViolation) as exc:
         out.error = str(exc)
         return out
     out.gap = fro_norm(out.formula - out.oracle.d)
-    out.bound = tol.eps_match * scale_of(*mats.values())
+    out.bound = EPS_MATCH * scale_of(*mats.values())
     return out

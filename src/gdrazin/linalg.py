@@ -1,4 +1,5 @@
-"""Dense complex-matrix primitives: coercion, powers, norms.
+"""Dense complex-matrix primitives: coercion, norms, and the package's
+numerical thresholds.
 
 All matrices are 2-D numpy arrays of complex128. ``as_matrix`` coerces and
 validates; everything downstream assumes its output.
@@ -13,44 +14,26 @@ when an entry is not finite and otherwise lets the infinite norm through.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Tolerance",
-    "DEFAULT_TOL",
+    "EPS_RANK",
+    "EPS_CHECK",
+    "EPS_MATCH",
+    "EPS_TAIL",
     "as_matrix",
     "checked_norm",
-    "mat_power",
     "fro_norm",
     "scale_of",
 ]
 
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Numerical thresholds, one knob per pipeline stage.
-
-    eps_rank   relative singular-value cutoff for rank decisions
-    eps_check  residual bound for hypothesis checks
-    eps_match  bound for formula-vs-oracle and axiom comparisons
-    eps_tail   series tail bound
-    """
-
-    eps_rank: float = 1e-10
-    eps_check: float = 1e-9
-    eps_match: float = 1e-8
-    eps_tail: float = 1e-12
-
-    def __post_init__(self) -> None:
-        for name in ("eps_rank", "eps_check", "eps_match", "eps_tail"):
-            v = getattr(self, name)
-            if not (0.0 < v < 1.0):
-                raise ValueError(f"{name} must lie in (0, 1), got {v!r}")
-
-
-DEFAULT_TOL = Tolerance()
+# The thresholds every verdict is decided by, one per pipeline stage; fixed,
+# so that no setting can loosen a bound.
+EPS_RANK = 1e-10  # singular-value cutoff for rank decisions (sigma_max-normalized)
+EPS_CHECK = 1e-9  # residual bound for hypothesis checks
+EPS_MATCH = 1e-8  # bound for formula-vs-oracle and axiom comparisons
+EPS_TAIL = 1e-12  # series tail bound
 
 
 def _coerce(a) -> np.ndarray:
@@ -83,16 +66,6 @@ def checked_norm(a) -> tuple[np.ndarray, float]:
     if not math.isfinite(norm):
         as_matrix(m)
     return m, norm
-
-
-def mat_power(a, n: int) -> np.ndarray:
-    """a**n with a**0 = I. Requires a square and n >= 0."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix power needs a square matrix, got {a.shape}")
-    if n < 0:
-        raise ValueError("exponent must be nonnegative")
-    return np.linalg.matrix_power(a, n)
 
 
 def fro_norm(a) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .drazin import drazin_oracle
 from .errors import NotIdempotent, NotTriangular
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, fro_norm, scale_of
+from .linalg import EPS_CHECK, EPS_TAIL, as_matrix, fro_norm, scale_of
 from .series import PowerCache, series_cap, summed
 
 __all__ = ["PierceSplit", "pierce_split", "triangular_drazin", "cline_drazin"]
@@ -43,31 +43,26 @@ class PierceSplit:
     qq: np.ndarray
 
 
-def pierce_split(x: np.ndarray, p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> PierceSplit:
+def pierce_split(x: np.ndarray, p: np.ndarray) -> PierceSplit:
     """Split x into Pierce corners relative to the idempotent p.
 
     Raises
     ------
     NotIdempotent
-        If ``p @ p`` differs from ``p`` beyond eps_check * scale.
+        If ``p @ p`` differs from ``p`` beyond EPS_CHECK * scale.
     """
     x = as_matrix(x)
     p = as_matrix(p)
     if x.shape[0] != x.shape[1] or x.shape != p.shape:
         raise ValueError(f"need square x and p of equal shape, got {x.shape} and {p.shape}")
     scale = scale_of(p)
-    if fro_norm(p @ p - p) > tol.eps_check * scale:
+    if fro_norm(p @ p - p) > EPS_CHECK * scale:
         raise NotIdempotent(f"p @ p - p has norm {fro_norm(p @ p - p):.3e}")
     q = np.eye(p.shape[0], dtype=complex) - p
     return PierceSplit(p=p, pp=p @ x @ p, pq=p @ x @ q, qp=q @ x @ p, qq=q @ x @ q)
 
 
-def triangular_drazin(
-    x: np.ndarray,
-    p: np.ndarray,
-    orientation: str = "lower",
-    tol: Tolerance = DEFAULT_TOL,
-) -> np.ndarray:
+def triangular_drazin(x: np.ndarray, p: np.ndarray, orientation: str = "lower") -> np.ndarray:
     """Drazin inverse of a matrix that is triangular relative to an idempotent.
 
     For ``orientation="lower"`` the corner p x (1-p) must vanish; the roles are
@@ -91,9 +86,6 @@ def triangular_drazin(
         Square matrix and idempotent of the same shape.
     orientation : {"lower", "upper"}
         Which off-corner is required to vanish.
-    tol : Tolerance
-        Threshold bundle; eps_check gates the triangularity test, eps_tail
-        the series policy.
 
     Returns
     -------
@@ -103,7 +95,7 @@ def triangular_drazin(
     Raises
     ------
     NotTriangular
-        If the required off-corner exceeds eps_check * scale.
+        If the required off-corner exceeds EPS_CHECK * scale.
     NotIdempotent
         If p is not an idempotent.
     ConvergenceError
@@ -112,20 +104,18 @@ def triangular_drazin(
     """
     if orientation not in ("lower", "upper"):
         raise ValueError(f"orientation must be 'lower' or 'upper', got {orientation!r}")
-    split = pierce_split(x, p, tol)
+    split = pierce_split(x, p)
     scale = scale_of(split.pp, split.qq, x)
     if orientation == "lower":
         off, a, b, c = split.pq, split.pp, split.qq, split.qp
     else:
         off, a, b, c = split.qp, split.qq, split.pp, split.pq
-    if fro_norm(off) > tol.eps_check * scale:
-        raise NotTriangular(
-            f"off-corner norm {fro_norm(off):.3e} exceeds {tol.eps_check * scale:.3e}"
-        )
+    if fro_norm(off) > EPS_CHECK * scale:
+        raise NotTriangular(f"off-corner norm {fro_norm(off):.3e} exceeds {EPS_CHECK * scale:.3e}")
 
-    a_dr = drazin_oracle(a, tol)
-    b_dr = drazin_oracle(b, tol)
-    tiny = tol.eps_tail * scale
+    a_dr = drazin_oracle(a)
+    b_dr = drazin_oracle(b)
+    tiny = EPS_TAIL * scale
     nmax = series_cap(x.shape[0])
     ad_pow = PowerCache(a_dr.d)
     bd_pow = PowerCache(b_dr.d)
@@ -146,7 +136,7 @@ def triangular_drazin(
     return a_dr.d + b_dr.d + z
 
 
-def cline_drazin(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def cline_drazin(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Drazin inverse of a product via the exchange identity.
 
     (a b)^d = a ((b a)^d)^2 b, valid for any conformable pair, including
@@ -156,7 +146,6 @@ def cline_drazin(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> 
     ----------
     a : ndarray, shape (m, n)
     b : ndarray, shape (n, m)
-    tol : Tolerance
 
     Returns
     -------
@@ -167,5 +156,5 @@ def cline_drazin(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> 
     b = as_matrix(b)
     if a.shape[1] != b.shape[0] or a.shape[0] != b.shape[1]:
         raise ValueError(f"need shapes (m, n) and (n, m), got {a.shape} and {b.shape}")
-    ba_d = drazin_oracle(b @ a, tol).d
+    ba_d = drazin_oracle(b @ a).d
     return a @ ba_d @ ba_d @ b

@@ -3,7 +3,7 @@
 Every formula in this package sums series that terminate exactly on valid
 inputs (a nilpotent running factor dies at the matrix dimension). The policy,
 applied uniformly: cap at N_max = 2*dim + 2 terms, exit early once two
-consecutive terms fall below eps_tail * scale, and raise ConvergenceError if
+consecutive terms fall below EPS_TAIL * scale, and raise ConvergenceError if
 the final term at the cap is still above that threshold (reachable only when
 a formula is forced outside its hypothesis).
 

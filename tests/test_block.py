@@ -9,7 +9,6 @@ import pytest
 import gdrazin.additive
 import gdrazin.blockmat
 from gdrazin import (
-    DEFAULT_TOL,
     RULE_IDS,
     Block2x2,
     CaseSpec,
@@ -213,7 +212,7 @@ class TestBlockDrazin:
         case = _case(rule, 4, 3.0, 0)
         oracles = block_oracles(case.blocks, rule)
         bare = {k: dr and DrazinResult(dr.d, dr.pi, None) for k, dr in oracles.items()}
-        got = block_formula(case.blocks, rule, DEFAULT_TOL, **bare)
+        got = block_formula(case.blocks, rule, **bare)
         assert np.array_equal(got, block_drazin(case.blocks, rule, lam=3.0))
 
     def test_bc_inverse_is_computed_once(self, monkeypatch):
@@ -231,9 +230,9 @@ class TestBlockDrazin:
         calls = []
         real = gdrazin.blockmat._q_drazin
 
-        def counting(blocks, tol):
+        def counting(blocks):
             calls.append(blocks)
-            return real(blocks, tol)
+            return real(blocks)
 
         monkeypatch.setattr(gdrazin.blockmat, "_q_drazin", counting)
         out = evaluate(rule, case.matrices, 0.5)

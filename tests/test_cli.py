@@ -417,7 +417,7 @@ class TestVerifyVerdicts:
 
     def test_closure_failed(self, tmp_path, capsys, monkeypatch):
         save_instance(tmp_path, generate(CaseSpec(target="2.2", dim=4, lam=0.5, seed=0)))
-        monkeypatch.setattr(gdrazin.evaluation, "is_quasinilpotent", lambda m, tol: False)
+        monkeypatch.setattr(gdrazin.evaluation, "is_quasinilpotent", lambda m: False)
         assert self.verify(tmp_path, capsys) == (EXIT_MISMATCH, False, "closure failed")
 
     def test_negated_instance_that_holds_fails(self, tmp_path, capsys):
@@ -455,7 +455,7 @@ class TestVerifyVerdicts:
         assert re.fullmatch(r"formula/oracle gap 4\.000e-03 exceeds \d\.\d{3}e-\d\d", detail)
 
 
-class TestUsageAndTolerances:
+class TestUsageAndThresholds:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == EXIT_IO
 
@@ -480,36 +480,51 @@ class TestUsageAndTolerances:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == EXIT_OK
 
-    def test_env_fallback_tightens_tolerance(self, tmp_path, capsys, monkeypatch):
-        m = tmp_path / "m.json"
-        # coupling between the invertible and nilpotent parts leaves rounding
-        # noise in the axiom residuals, so an absurd eps_match can trip them
-        save_matrix(m, np.array([[2, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=complex))
-        code, _ = run(["drazin", str(m)], capsys)
-        assert code == EXIT_OK
-        monkeypatch.setenv("GDZ_TOL_MATCH", "1e-30")
-        code, _ = run(["drazin", str(m)], capsys)
-        assert code == EXIT_MISMATCH
-        # explicit flag beats the environment
-        code, _ = run(["drazin", str(m), "--eps-match", "1e-8"], capsys)
-        assert code == EXIT_OK
+    @pytest.mark.parametrize("command", ["drazin", "sum", "block", "gen", "verify"])
+    def test_threshold_flags_are_refused(self, command, pair_files, block_files, tmp_path, capsys):
+        # the thresholds are fixed; each command, given arguments it accepts,
+        # refuses every --eps-* flag as a usage error
+        inst = tmp_path / "inst"
+        assert main(["gen", "--preset", "example-2.5", "--out", str(inst)]) == EXIT_OK
+        argv = {
+            "drazin": ["drazin", pair_files[0]],
+            "sum": ["sum", *pair_files, "--theorem", "2.4", "--lambda", "1/2"],
+            "block": ["block", *block_files, "--theorem", "4.3", "--lambda", "3"],
+            "gen": ["gen", "--preset", "example-4.4", "--out", str(tmp_path / "gen")],
+            "verify": ["verify", str(inst)],
+        }[command]
+        for flag in ("--eps-rank", "--eps-check", "--eps-match", "--eps-tail"):
+            capsys.readouterr()
+            assert main([*argv, flag, "1e-6"]) == EXIT_IO
+            assert f"unrecognized arguments: {flag} 1e-6" in capsys.readouterr().err
+        assert main(argv) == EXIT_OK
 
-    def test_bad_env_value_is_usage_error(self, tmp_path, capsys, monkeypatch):
-        m = tmp_path / "m.json"
-        save_matrix(m, np.eye(2, dtype=complex))
-        monkeypatch.setenv("GDZ_TOL_RANK", "banana")
-        assert main(["drazin", str(m)]) == EXIT_IO
+    @pytest.mark.parametrize("name", ["GDZ_TOL_RANK", "GDZ_TOL_CHECK", "GDZ_TOL_MATCH", "GDZ_TOL_TAIL"])
+    def test_threshold_environment_is_ignored(self, name, tmp_path, capsys, monkeypatch):
+        # a stray threshold variable in the shell changes no report
+        for target, negate in (("2.4", False), ("3.1", False), ("3.1", True)):
+            spec = CaseSpec(target=target, dim=4, lam=0.5, seed=0, negate=negate)
+            save_instance(tmp_path / f"{target}-{negate}", generate(spec))
 
-    def test_one_parser_serves_a_sequence_of_calls(self, pair_files, capsys, monkeypatch):
+        def report() -> tuple[int, str]:
+            code = main(["verify", str(tmp_path)])
+            return code, re.sub(r'"wall_ms":[^,}]+', '"wall_ms":0', capsys.readouterr().out)
+
+        plain = report()
+        assert plain[0] == EXIT_OK
+        monkeypatch.setenv(name, "1e-30")
+        assert report() == plain
+        monkeypatch.setenv(name, "banana")
+        assert report() == plain
+
+    def test_one_parser_serves_a_sequence_of_calls(self, pair_files, capsys):
         # the parser is shared across calls; a failed call must leave nothing
         # behind that changes the next one
         a, b = pair_files
         assert build_parser() is build_parser()
         assert main(["--help"]) == EXIT_OK
         assert main(["sum", a]) == EXIT_IO
-        monkeypatch.setenv("GDZ_TOL_RANK", "banana")
-        assert main(["sum", a, b, "--theorem", "2.4"]) == EXIT_IO
-        monkeypatch.delenv("GDZ_TOL_RANK")
+        assert main(["sum", a, b, "--theorem", "2.4", "--eps-rank", "1e-10"]) == EXIT_IO
         capsys.readouterr()
         code, doc = run(["sum", a, b, "--theorem", "2.4", "--lambda", "1/2"], capsys)
         assert code == EXIT_OK and doc["match"] is True

@@ -13,7 +13,7 @@ from gdrazin import (
     nilpotent_sum_closure,
 )
 from gdrazin.drazin import AMBIGUITY_BAND
-from gdrazin.linalg import DEFAULT_TOL
+from gdrazin.linalg import EPS_RANK
 from helpers import (
     count_sweeps,
     invertible,
@@ -199,17 +199,17 @@ def test_axiom_check_rejects_wrong_candidate():
 
 
 def test_refuses_ambiguous_rank():
-    # singular value sitting inside the ambiguity band around eps_rank
+    # singular value sitting inside the ambiguity band around EPS_RANK
     a = np.diag([1.0, 3e-10]).astype(complex)
     with pytest.raises(AxiomViolation):
         drazin_oracle(a)
 
 
 def test_ambiguity_guard_edges():
-    # the band (eps_rank / 100, eps_rank * 100) is open: singular values on
-    # its edges are decided, the rank counting those above eps_rank
-    lo = DEFAULT_TOL.eps_rank / AMBIGUITY_BAND
-    hi = DEFAULT_TOL.eps_rank * AMBIGUITY_BAND
+    # the band (EPS_RANK / 100, EPS_RANK * 100) is open: singular values on
+    # its edges are decided, the rank counting those above EPS_RANK
+    lo = EPS_RANK / AMBIGUITY_BAND
+    hi = EPS_RANK * AMBIGUITY_BAND
     at_hi = drazin_oracle(np.diag([1.0, hi]))
     assert at_hi.index == 0  # rank 2 at the first power
     # ranks 2, 1, 1: hi counts at the first power, hi**2 no longer
@@ -217,7 +217,7 @@ def test_ambiguity_guard_edges():
     at_lo = drazin_oracle(np.diag([1.0, lo]))
     assert at_lo.index == 1  # rank 1 at the first power
     assert np.array_equal(at_lo.d, np.diag([1.0, 0.0]))
-    for inside in (np.nextafter(lo, 1.0), DEFAULT_TOL.eps_rank, np.nextafter(hi, 0.0)):
+    for inside in (np.nextafter(lo, 1.0), EPS_RANK, np.nextafter(hi, 0.0)):
         with pytest.raises(AxiomViolation, match="ambiguous"):
             drazin_oracle(np.diag([1.0, inside]))
         with pytest.raises(AxiomViolation, match="ambiguous"):

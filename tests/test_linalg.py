@@ -1,26 +1,16 @@
-"""Tolerance bundle, coercion, norms and powers."""
+"""Thresholds, coercion and norms."""
 
 import numpy as np
 import pytest
 
-from gdrazin import Tolerance, fro_norm, scale_of
-from gdrazin.linalg import DEFAULT_TOL, as_matrix, checked_norm, mat_power
+from gdrazin import fro_norm, linalg, scale_of
+from gdrazin.linalg import as_matrix, checked_norm
 
 
-def test_tolerance_defaults():
-    t = Tolerance()
-    assert t.eps_rank == 1e-10
-    assert t.eps_check == 1e-9
-    assert t.eps_match == 1e-8
-    assert t.eps_tail == 1e-12
-    assert t == DEFAULT_TOL
-
-
-@pytest.mark.parametrize("field", ["eps_rank", "eps_check", "eps_match", "eps_tail"])
-@pytest.mark.parametrize("bad", [0.0, -1e-9, 1.0, 2.5])
-def test_tolerance_rejects_out_of_range(field, bad):
-    with pytest.raises(ValueError):
-        Tolerance(**{field: bad})
+def test_thresholds_are_fixed():
+    assert (linalg.EPS_RANK, linalg.EPS_CHECK, linalg.EPS_MATCH, linalg.EPS_TAIL) == (
+        1e-10, 1e-9, 1e-8, 1e-12
+    )
 
 
 def test_as_matrix_coerces_lists_to_complex():
@@ -82,9 +72,3 @@ def test_scale_of_is_at_least_one():
     assert scale_of(np.zeros((2, 2))) == 1.0
     big = 7 * np.eye(3)
     assert scale_of(np.zeros((2, 2)), big) == pytest.approx(np.linalg.norm(big))
-
-
-def test_mat_power_zero_is_identity():
-    a = np.arange(4, dtype=complex).reshape(2, 2)
-    assert np.array_equal(mat_power(a, 0), np.eye(2, dtype=complex))
-    assert np.allclose(mat_power(a, 3), a @ a @ a)
