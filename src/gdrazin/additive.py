@@ -6,13 +6,15 @@ of the sum is a finite combination of corner inverses and four terminating
 series, which it evaluates on given Drazin data of a and b, checking no
 hypothesis. It is the only series engine for sums; at a^d = 0 it forms only
 the one series that a^d does not multiply, and at b^d = 0 only the one that
-b^d does not multiply. ``drazin_sum`` (theorem 2.4), ``drazin_sum_nilpotent``
-(theorem 2.3, at a quasinilpotent a: a^d = 0, a^pi = I) and
-``nilpotent_sum_closure`` (theorem 2.2, closure of nilpotency under
-lambda-commutation) are ``evaluation.solve`` on their target, which forms
-the oracle data and judges the hypothesis. Their hypotheses live in one
-table, ``PAIR_RULES``, as the labels the certificates print; each label is
-also its definition. ``parse_condition`` reads a label once, at import,
+b^d does not multiply. It keeps each product alive only until its last
+reader has run, so a run that forms one series holds a fixed number of
+arrays however many terms that series takes. ``drazin_sum`` (theorem 2.4),
+``drazin_sum_nilpotent`` (theorem 2.3, at a quasinilpotent a: a^d = 0,
+a^pi = I) and ``nilpotent_sum_closure`` (theorem 2.2, closure of
+nilpotency under lambda-commutation) are ``evaluation.solve`` on their
+target, which forms the oracle data and judges the hypothesis. Their
+hypotheses live in one table, ``PAIR_RULES``, as the labels the
+certificates print; each label is also its definition. ``parse_condition`` reads a label once, at import,
 ``condition_rows`` multiplies its factors out on one factor map, and
 ``check_condition_rows`` turns the rows of this table and of the block table
 into FactorChecks. ``check_factor_condition`` is the scalar-fit primitive
@@ -23,7 +25,7 @@ import cmath
 import math
 import re
 from dataclasses import dataclass, replace
-from functools import cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -448,6 +450,14 @@ def sum_formula(a: np.ndarray, b: np.ndarray, a_dr: DrazinResult, b_dr: DrazinRe
     3.3/3.4/4.3 splitting whose Q^d = 0) only the second series is formed.
     The a^d = 0 test comes first.
 
+    The result is one running total, added in the order of the display
+    above; the series are formed in the order 1, 2, 4, 3, so a forced run
+    raises the ConvergenceError of the first of them that fails. A product
+    lives only until its last reader has run: a single series holds a fixed
+    number of arrays however many terms it takes, while the four-series run
+    keeps the powers of a^d and b^d that series 1 and 2 formed, which series
+    3 and 4 read again.
+
     a and b are checked as square_pair checks them, with finiteness read off
     the norms that the tail bound EPS_TAIL * max(1, ||a||, ||b||) needs (the
     finite-norm rule of ``linalg``). ConvergenceError if a series that is
@@ -459,56 +469,75 @@ def sum_formula(a: np.ndarray, b: np.ndarray, a_dr: DrazinResult, b_dr: DrazinRe
     dim = a.shape[0]
     tiny = EPS_TAIL * max(1.0, a_norm, b_norm)  # scale_of(a, b)
     nmax = series_cap(dim)
-    # Each product of the series is formed once: a m^n and a m^n b are
-    # memoized per n (the double series reads a m^j b at every n + k = j),
-    # and m^n b, read by series 2 alone, is its running product.
+    # Each product of the series is formed once and lives until its last
+    # reader has run. a m^n goes once a m^n b exists; a m^j b, read by
+    # series 4 and by every inner sum of series 3 that starts at or below j,
+    # goes once the outer index of series 3 passes j; m^n b, read by series
+    # 2 alone, is its running product. The powers of a^d and b^d are reread
+    # by later series and stay, unless one series is all that is formed:
+    # then it reads each of its powers once and drops it after its term.
     m = a + b
     am = PowerCache(m, start=a)
-    amb = cache(lambda n: am(n) @ b)
+    amb = {}
     ad_pow = PowerCache(a_dr.d)
     bd_pow = PowerCache(b_dr.d)
     a_pi, b_pi = a_dr.pi, b_dr.pi
 
-    def s3_terms():
+    def amb_at(j):
+        if j not in amb:
+            amb[j] = am(j) @ b
+            am.drop(j)
+        return amb[j]
+
+    def s3_terms(last_reader=False):
         n = 0
         while True:
             yield bd_pow(n + 2) @ am(n) @ a_pi
+            if last_reader:
+                bd_pow.drop(n + 2)
+                am.drop(n)
             n += 1
 
-    def s4_terms():
+    def s4_terms(last_reader=False):
         n, mb = 0, b  # mb = m^n b
         while True:
             yield b_pi @ mb @ ad_pow(n + 2)
+            if last_reader:
+                ad_pow.drop(n + 2)
             n, mb = n + 1, m @ mb
 
     def s6_terms():
         n = 0
         while True:
-            yield bd_pow(n + 2) @ amb(n) @ ad_pow(1)
+            yield bd_pow(n + 2) @ amb_at(n) @ ad_pow(1)
             n += 1
 
     def s5_inner_terms(n):
         k = 0
         while True:
-            yield bd_pow(k + 1) @ amb(n + k)
+            yield bd_pow(k + 1) @ amb_at(n + k)
             k += 1
 
     def s5_terms():
         n = 0
         while True:
-            inner = summed(s5_inner_terms(n), nmax, tiny, "sum formula series 3 (inner)")
-            yield inner @ ad_pow(n + 2)
+            yield summed(s5_inner_terms(n), nmax, tiny, "sum formula series 3 (inner)") @ ad_pow(n + 2)
+            del amb[n]  # every later inner sum starts past n
             n += 1
 
-    head = b_pi @ ad_pow(1) + bd_pow(1) @ a_pi
+    # one running total, added in the order head + s3 + s4 - s5 - s6
+    total = b_pi @ ad_pow(1) + bd_pow(1) @ a_pi
     if not a_dr.d.any():
         # every term of series 2, 3 and 4 carries a power of a^d = 0
-        return head + summed(s3_terms(), nmax, tiny, "sum formula series 1")
+        total += summed(s3_terms(last_reader=True), nmax, tiny, "sum formula series 1")
+        return total
     if not b_dr.d.any():
         # every term of series 1, 3 and 4 carries a power of b^d = 0
-        return head + summed(s4_terms(), nmax, tiny, "sum formula series 2")
-    s3 = summed(s3_terms(), nmax, tiny, "sum formula series 1")
-    s4 = summed(s4_terms(), nmax, tiny, "sum formula series 2")
+        total += summed(s4_terms(last_reader=True), nmax, tiny, "sum formula series 2")
+        return total
+    total += summed(s3_terms(), nmax, tiny, "sum formula series 1")
+    total += summed(s4_terms(), nmax, tiny, "sum formula series 2")
     s6 = summed(s6_terms(), nmax, tiny, "sum formula series 4")
-    s5 = summed(s5_terms(), nmax, tiny, "sum formula series 3 (outer)")
-    return head + s3 + s4 - s5 - s6
+    total -= summed(s5_terms(), nmax, tiny, "sum formula series 3 (outer)")
+    total -= s6
+    return total

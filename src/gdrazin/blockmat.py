@@ -284,7 +284,8 @@ def block_formula(
         q = _quad(a @ a @ ad, b, c, _zero_like(n, n))
         p_dr = _diag_dr(DrazinResult.nilpotent(m), d_dr, m, n)  # A A^pi is nilpotent
         ad2 = ad @ ad
-        qd = _quad(ad, ad2 @ b, c @ ad2, c @ ad2 @ ad @ b)
+        cad2 = c @ ad2
+        qd = _quad(ad, ad2 @ b, cad2, cad2 @ ad @ b)
         qpi = np.eye(m + n, dtype=complex) - q @ qd
         q_dr = DrazinResult(d=qd, pi=qpi, index=None)
         x = sum_formula(p, q, p_dr, q_dr)

@@ -444,7 +444,9 @@ def generate(spec: CaseSpec) -> GeneratedCase:
     GenerationFailed
         If no candidate satisfying the contract is found within the retry
         budget (negated targets with no applicable break recipe at this
-        dimension, for example).
+        dimension, for example), or if the recurrence of a window overflows
+        or meets an invalid value at the declared lambda (a |lambda| or
+        1/|lambda| near the float range).
     """
     lam = complex(spec.lam)
 
@@ -458,7 +460,16 @@ def generate(spec: CaseSpec) -> GeneratedCase:
 
     cases = _pair_cases if target_kind(spec.target) == "pair" else _block_cases
     for attempt in range(_RETRIES):
-        candidates = cases(spec.target, spec.dim, lam, _rng_for(spec, attempt), spec.negate)
+        try:
+            # a recurrence that leaves the float range would build a
+            # non-finite window: refuse the spec at the first such step
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                candidates = cases(spec.target, spec.dim, lam, _rng_for(spec, attempt), spec.negate)
+        except FloatingPointError as exc:
+            raise GenerationFailed(
+                f"the window of {spec.target} (dim {spec.dim}, lambda {lam}, "
+                f"negate {spec.negate}) leaves the float range: {exc}"
+            ) from None
         if candidates:
             rot = spec.seed % len(candidates)
             candidates = candidates[rot:] + candidates[:rot]

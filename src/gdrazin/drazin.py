@@ -101,7 +101,7 @@ def _power_ranks(ah: np.ndarray, sv: np.ndarray) -> tuple[int, int, np.ndarray, 
     n = ah.shape[0]
     prev = n
     lo_edge, hi_edge = EPS_RANK / AMBIGUITY_BAND, EPS_RANK * AMBIGUITY_BAND
-    lo, hi = np.eye(n, dtype=complex), ah  # powers j - 1 and j
+    lo, hi = None, ah  # powers j - 1 and j; the identity is formed only at k = 0
     for j in range(1, n + 2):
         if j > 1:
             lo, hi = hi, hi @ ah
@@ -115,7 +115,7 @@ def _power_ranks(ah: np.ndarray, sv: np.ndarray) -> tuple[int, int, np.ndarray, 
                 f"to the cutoff {EPS_RANK:g}"
             )
         if r == prev:
-            return j - 1, r, lo, hi
+            return j - 1, r, np.eye(n, dtype=complex) if lo is None else lo, hi
         if r == 0:
             # a power of rank 0 has norm at most EPS_RANK / AMBIGUITY_BAND, so
             # the next one has rank 0 too; no SVD is spent confirming it
@@ -163,6 +163,7 @@ def drazin_oracle(a) -> DrazinResult:
         )
     x_pinv = (vh[:r].conj().T / sv[:r]) @ u[:, :r].conj().T
     dh = am @ x_pinv @ am
+    del u, vh, x_pinv  # no reader left; the self-check forms its own products
     # self-check in the normalized domain, where powers cannot overflow
     report = _axiom_report(ah, dh, ak, ak1)
     if not report.ok:

@@ -163,6 +163,7 @@ def evaluate(
         return out
     try:
         out.formula, out.m = _formula(target, ops, oracles)
+        del oracles  # the operands' oracle data has no reader left
         out.oracle = drazin_oracle(out.m)
     except (ConvergenceError, AxiomViolation) as exc:
         out.error = str(exc)

@@ -8,7 +8,11 @@ the final term at the cap is still above that threshold (reachable only when
 a formula is forced outside its hypothesis).
 
 Every series stops through summed's early exit alone; its running factors
-are PowerCache products.
+are PowerCache products. A product lives only until its last reader has
+run: PowerCache.drop releases a power that no later term reads, and summed
+keeps one running total. A series whose powers no other series reads drops
+each one after its term, so it holds a fixed number of arrays however many
+terms it runs.
 """
 
 from typing import Iterable, Iterator
@@ -27,19 +31,30 @@ def series_cap(dim: int) -> int:
 class PowerCache:
     """Memoized nonnegative powers m^i of a fixed square matrix, or the
     products start m^i when ``start`` is given; each is formed once, from
-    the one before."""
+    the one before, and kept until ``drop`` releases it. The identity m^0 is
+    formed only when it is read."""
 
     def __init__(self, m: np.ndarray, start: np.ndarray | None = None):
         self._m = np.asarray(m, dtype=complex)
-        if start is None:
-            self._pows = [np.eye(m.shape[0], dtype=complex), self._m]
-        else:
-            self._pows = [np.asarray(start, dtype=complex)]
+        self._eye = start is None
+        self._top = 1 if start is None else 0
+        # the highest power formed: the next is formed from it, so it stays
+        # here when drop releases it
+        self._last = self._m if start is None else np.asarray(start, dtype=complex)
+        self._pows = {self._top: self._last}
 
     def __call__(self, i: int) -> np.ndarray:
-        while len(self._pows) <= i:
-            self._pows.append(self._pows[-1] @ self._m)
+        if i == 0 and self._eye:
+            self._eye = False
+            self._pows[0] = np.eye(self._m.shape[0], dtype=complex)
+        while self._top < i:
+            self._top += 1
+            self._last = self._pows[self._top] = self._last @ self._m
         return self._pows[i]
+
+    def drop(self, i: int) -> None:
+        """Release power i, which no later read may ask for."""
+        del self._pows[i]
 
 
 def summed(
@@ -48,7 +63,9 @@ def summed(
     tiny: float,
     label: str,
 ) -> np.ndarray:
-    """Sum up to nmax terms with the early-exit/tail policy above."""
+    """Sum up to nmax terms with the early-exit/tail policy above, in order,
+    into one running total of the first term's dtype; the total is a copy,
+    so no term is changed."""
     total = None
     last = 0.0
     consecutive_tiny = 0
@@ -58,8 +75,12 @@ def summed(
             t = next(it)
         except StopIteration:
             return total
-        total = t.copy() if total is None else total + t
+        if total is None:
+            total = t.copy()
+        else:
+            total += t
         last = float(np.linalg.norm(t))
+        del t  # the next term is formed without this one
         consecutive_tiny = consecutive_tiny + 1 if last < tiny else 0
         if consecutive_tiny >= 2:
             return total

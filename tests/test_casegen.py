@@ -1,5 +1,7 @@
 """Generator contracts: determinism, certificates, negation, presets."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,28 @@ class TestNegatedInstances:
         monkeypatch.setattr(casegen, "_RETRIES", 0)
         with pytest.raises(GenerationFailed):
             generate(CaseSpec(target="3.1", dim=5, lam=0.5, seed=99))
+
+    @pytest.mark.parametrize("negate", [False, True])
+    @pytest.mark.parametrize(
+        "target, dim, lam",
+        [(t, d, lam) for lam in (1e300, -1e300) for t, d in
+         (("2.2", 4), ("2.2", 8), ("2.3", 8), ("2.4", 8), ("3.3", 8))]
+        + [(t, 8, 1e150j) for t in ("2.2", "2.3", "2.4")]
+        + [("3.1", 8, 1e-300)],
+    )
+    def test_a_window_that_leaves_the_float_range_is_refused(self, target, dim, lam, negate):
+        # each of these windows leaves the float range at seed 0: a refusal
+        # that names the spec, with no RuntimeWarning (an error in tier-1)
+        spec = f"the window of {target} (dim {dim}, lambda {complex(lam)}, negate {negate})"
+        with pytest.raises(GenerationFailed, match=re.escape(spec) + " leaves the float range"):
+            generate(CaseSpec(target, dim, lam, 0, negate))
+
+    @pytest.mark.parametrize("lam", [1e300, -1e300])
+    def test_a_window_inside_the_float_range_still_builds(self, lam):
+        # 2.4's window at dim 4 takes one step of its recurrence
+        for negate in (False, True):
+            case = generate(CaseSpec("2.4", 4, lam, 0, negate))
+            assert all(np.isfinite(m).all() for m in case.matrices.values())
 
 
 class TestPresets:

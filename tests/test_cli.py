@@ -393,6 +393,19 @@ class TestGenVerify:
         assert main(["verify", str(out)]) == EXIT_IO
         assert capsys.readouterr() == ("", f"gdz: {path}: {message}\n")
 
+    def test_gen_window_out_of_float_range_exits_precondition(self, tmp_path, capsys):
+        # the generator's overflow is a refusal that names the spec, with
+        # no RuntimeWarning (which the test configuration makes an error)
+        out = tmp_path / "x"
+        argv = ["gen", "--target", "2.2", "--dim", "4", "--lambda", "1e300", "--out", str(out)]
+        assert main(argv) == EXIT_PRECONDITION
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith(
+            "gdz: the window of 2.2 (dim 4, lambda (1e+300+0j), negate False) leaves the "
+            "float range: overflow encountered"
+        )
+        assert not out.exists()
+
     def test_gen_requires_concrete_lambda(self, tmp_path, capsys):
         code, _ = run(
             ["gen", "--target", "3.1", "--dim", "4", "--lambda", "auto",

@@ -27,6 +27,40 @@ def test_power_cache():
     assert np.array_equal(sc(3), start @ np.linalg.matrix_power(a, 3))
 
 
+def test_power_cache_forms_the_identity_only_when_read(monkeypatch):
+    eyes = []
+    real_eye = np.eye
+
+    def counting_eye(*args, **kwargs):
+        eyes.append(args)
+        return real_eye(*args, **kwargs)
+
+    monkeypatch.setattr(np, "eye", counting_eye)
+    a = np.array([[1, 1], [0, 1]], dtype=complex)
+    pc = PowerCache(a)
+    assert np.array_equal(pc(3), np.linalg.matrix_power(a, 3))
+    assert eyes == []
+    identity = pc(0)
+    assert identity.dtype == complex and np.array_equal(identity, real_eye(2))
+    assert pc(0) is identity and len(eyes) == 1
+    # with a start, power 0 is the start: no identity at all
+    assert PowerCache(a, start=a)(0) is a and len(eyes) == 1
+
+
+def test_power_cache_drop():
+    a = np.array([[1, 2], [0, 1]], dtype=complex)
+    pc = PowerCache(a)
+    pc(2)
+    pc.drop(2)
+    with pytest.raises(KeyError):
+        pc(2)
+    # the highest power stays the base of the next one after its drop
+    assert np.array_equal(pc(4), np.linalg.matrix_power(a, 4))
+    sc = PowerCache(a, start=2 * a)
+    sc.drop(0)
+    assert np.array_equal(sc(1), 2 * a @ a)
+
+
 def test_summed_early_exit_counts_terms():
     calls = []
 
@@ -56,3 +90,5 @@ def test_summed_exhausts_finite_iterator():
     seq = [np.eye(2), 2 * np.eye(2)]
     out = summed(iter(seq), nmax=10, tiny=1e-12, label="t")
     assert np.array_equal(out, 3 * np.eye(2))
+    # the running total is summed's own: the terms are left as they were
+    assert np.array_equal(seq[0], np.eye(2)) and np.array_equal(seq[1], 2 * np.eye(2))
