@@ -10,16 +10,19 @@ verify   Re-check a directory of generated instances end to end.
 
 Exit codes: 0 success/match, 2 precondition violation (or an instance the
 generator cannot realize), 3 mismatch, failed axioms, or a forced run that
-did not converge, 4 I/O, parse, or usage errors.
+did not converge, 4 I/O, parse, or usage errors (a non-square drazin input
+and gen --preset with a spec flag among them).
 
 Thresholds are fixed (gdrazin.linalg: EPS_RANK 1e-10, EPS_CHECK 1e-9,
 EPS_MATCH 1e-8, EPS_TAIL 1e-12): no option or environment variable changes
 a verdict.
 
-Every report is one compact JSON line written by orjson (pipe it through
-`python3 -m json.tool` to read it indented); a number in it that is not
-finite, such as a residual that overflowed, is written as null. main()
-builds the parser once per process and reuses it on every later call.
+Every report is one compact JSON line written by orjson to stdout, and
+only there: redirect stdout to keep it in a file, and pipe it through
+`python3 -m json.tool` to read it indented. A number in it that is not
+finite, such as a residual that overflowed, is written as null. The one
+--out is gen's, and names the instance directory. main() builds the parser
+once per process and reuses it on every later call.
 """
 
 import argparse
@@ -55,7 +58,6 @@ from .io import (
     norm_path,
     parse_scalar,
     save_instance,
-    write_bytes,
 )
 
 EXIT_OK = 0
@@ -82,13 +84,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_IO, f"{self.prog}: error: {message}\n")
 
 
-def _emit(report: dict, out: str | None) -> None:
-    text = dumps(report)
-    if out:
-        write_bytes(out, text)
-        print(f"report written to {out}")
-    else:
-        sys.stdout.write(text.decode())
+def _emit(report: dict) -> None:
+    sys.stdout.write(dumps(report).decode())
 
 
 _REPORT_FIELDS = (
@@ -109,6 +106,8 @@ def _axioms_doc(axioms: AxiomReport) -> dict:
 
 def cmd_drazin(args, parser) -> tuple[dict, int]:
     a = load_matrix(args.matrix)
+    if a.shape[0] != a.shape[1]:
+        raise DocumentError(f"{norm_path(args.matrix)}: expected a square matrix, got {a.shape}")
     try:
         res = drazin_oracle(a)
     except AxiomViolation as exc:
@@ -164,23 +163,29 @@ def cmd_solve(args, parser) -> tuple[dict, int]:
     return report, code
 
 
+# gen's spec flags, as CaseSpec names them, with the value of each one not given
+_SPEC_DEFAULTS = {"target": None, "dim": None, "lam": complex(1.0), "seed": 0, "negate": False}
+
+
 def cmd_gen(args, parser) -> tuple[dict, int]:
     """``gen``, the one command that runs the generator, and so the one that
     imports ``casegen`` (and, at its first draw, ``numpy.random``); the
     parser names targets and presets without it."""
     from .casegen import PRESET_SPECS, CaseSpec, generate
 
+    # a spec flag that is not given is absent from args (SUPPRESS)
     if args.preset:
+        if vars(args).keys() & _SPEC_DEFAULTS.keys():
+            parser.error("--preset takes none of --target, --dim, --lambda, --seed, --negate")
         spec = PRESET_SPECS[args.preset]
     else:
-        if args.target is None or args.dim is None:
+        opts = {name: getattr(args, name, default) for name, default in _SPEC_DEFAULTS.items()}
+        if opts["target"] is None or opts["dim"] is None:
             parser.error("gen requires --target and --dim (or --preset)")
-        if args.lam is None:
+        if opts["lam"] is None:
             parser.error("gen requires a concrete --lambda (not auto)")
         try:
-            spec = CaseSpec(
-                target=args.target, dim=args.dim, lam=args.lam, seed=args.seed, negate=args.negate
-            )
+            spec = CaseSpec(**opts)
         except ValueError as exc:
             parser.error(str(exc))
     case = generate(spec)
@@ -270,7 +275,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("drazin", help="Drazin inverse of one matrix", parents=[])
     p.add_argument("matrix", help="matrix document (JSON)")
-    p.add_argument("--out", default=None, help="write the report JSON here")
     p.set_defaults(func=cmd_drazin)
 
     for command, kind, theorems, text in (
@@ -285,18 +289,18 @@ def build_parser() -> _Parser:
         p.add_argument("--lambda", dest="lam", type=parse_scalar, default=None, metavar="L",
                        help="scalar (complex, fraction, or 'auto'); default auto")
         p.add_argument("--force", action="store_true", help="evaluate even if the hypothesis fails")
-        p.add_argument("--out", default=None)
         p.set_defaults(func=cmd_solve, names=names)
 
     p = sub.add_parser("gen", help="write a generated instance directory")
-    p.add_argument("--target", choices=list(TARGETS), default=None)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--lambda", dest="lam", type=parse_scalar, default=complex(1.0), metavar="L")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--negate", action="store_true",
+    p.add_argument("--target", choices=list(TARGETS), default=argparse.SUPPRESS)
+    p.add_argument("--dim", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--lambda", dest="lam", type=parse_scalar, default=argparse.SUPPRESS, metavar="L",
+                   help="default 1")
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="default 0")
+    p.add_argument("--negate", action="store_true", default=argparse.SUPPRESS,
                    help="break exactly one hypothesis condition at the declared lambda")
     p.add_argument("--preset", choices=sorted(PRESET_NAMES), default=None,
-                   help="canonical named instance (overrides the other selectors)")
+                   help="canonical named instance (with none of the flags above)")
     p.add_argument("--out", required=True, help="instance directory to create")
     p.set_defaults(func=cmd_gen)
 
@@ -304,7 +308,6 @@ def build_parser() -> _Parser:
     p.add_argument("directory")
     p.add_argument("--theorem", default=None, choices=list(TARGETS),
                    help="only verify instances of this target")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -317,14 +320,13 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         report, code = args.func(args, parser)
         report["wall_ms"] = (time.perf_counter() - t0) * 1e3
-        # gen's --out names the instance directory; its report goes to stdout
-        _emit(report, None if args.command == "gen" else args.out)
+        _emit(report)
         return code
     except SystemExit as exc:
         # argparse --help exits 0, _Parser.error exits 4; surface both as
         # return values so in-process callers never see SystemExit.
         return int(exc.code or 0)
-    except (DocumentError, OSError) as exc:  # OSError: writing a report or an instance
+    except (DocumentError, OSError) as exc:  # OSError: writing an instance
         print(f"gdz: {exc}", file=sys.stderr)
         return EXIT_IO
     except PreconditionViolated as exc:

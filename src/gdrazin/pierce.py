@@ -4,9 +4,9 @@ factorization-exchange identity for products.
 Given an idempotent p, any square x splits into the four corners
 p x p, p x q, q x p, q x q with q = 1 - p. When one off-corner vanishes the
 Drazin inverse of x is assembled from the corner inverses plus a coupling
-series. No other module of the package imports this one; it serves the
-acceptance gate's supporting-operations criterion (criterion 5) and
-``test_pierce``.
+series; triangular_drazin finds which one vanishes, p x q first. No other
+module of the package imports this one; it serves the acceptance gate's
+supporting-operations criterion (criterion 5) and ``test_pierce``.
 """
 
 from dataclasses import dataclass
@@ -62,13 +62,14 @@ def pierce_split(x: np.ndarray, p: np.ndarray) -> PierceSplit:
     return PierceSplit(p=p, pp=p @ x @ p, pq=p @ x @ q, qp=q @ x @ p, qq=q @ x @ q)
 
 
-def triangular_drazin(x: np.ndarray, p: np.ndarray, orientation: str = "lower") -> np.ndarray:
+def triangular_drazin(x: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Drazin inverse of a matrix that is triangular relative to an idempotent.
 
-    For ``orientation="lower"`` the corner p x (1-p) must vanish; the roles are
-    a = p x p on the diagonal, b = (1-p) x (1-p), with coupling c = (1-p) x p.
-    For ``orientation="upper"`` the corner (1-p) x p must vanish and the roles
-    swap: b = p x p, a = (1-p) x (1-p), c = p x (1-p). Either way the result is
+    The function reads the orientation off x. If the corner p x (1-p)
+    vanishes (lower, tried first), the roles are a = p x p on the diagonal,
+    b = (1-p) x (1-p), with coupling c = (1-p) x p. Otherwise, if the corner
+    (1-p) x p vanishes (upper), the roles swap: b = p x p, a = (1-p) x (1-p),
+    c = p x (1-p). Either way the result is
 
         x^d = a^d + b^d + z,
         z = sum_i (b^d)^(i+2) c (a a^pi)^i a^pi
@@ -84,8 +85,6 @@ def triangular_drazin(x: np.ndarray, p: np.ndarray, orientation: str = "lower") 
     ----------
     x, p : ndarray
         Square matrix and idempotent of the same shape.
-    orientation : {"lower", "upper"}
-        Which off-corner is required to vanish.
 
     Returns
     -------
@@ -95,23 +94,23 @@ def triangular_drazin(x: np.ndarray, p: np.ndarray, orientation: str = "lower") 
     Raises
     ------
     NotTriangular
-        If the required off-corner exceeds EPS_CHECK * scale.
+        If both off-corners exceed EPS_CHECK * scale.
     NotIdempotent
         If p is not an idempotent.
     ConvergenceError
         If a series fails to terminate within 2 * dim + 2 terms (not
         reachable when the triangularity precondition holds).
     """
-    if orientation not in ("lower", "upper"):
-        raise ValueError(f"orientation must be 'lower' or 'upper', got {orientation!r}")
     split = pierce_split(x, p)
     scale = scale_of(split.pp, split.qq, x)
-    if orientation == "lower":
-        off, a, b, c = split.pq, split.pp, split.qq, split.qp
+    limit = EPS_CHECK * scale
+    if fro_norm(split.pq) <= limit:
+        a, b, c = split.pp, split.qq, split.qp
+    elif fro_norm(split.qp) <= limit:
+        a, b, c = split.qq, split.pp, split.pq
     else:
-        off, a, b, c = split.qp, split.qq, split.pp, split.pq
-    if fro_norm(off) > EPS_CHECK * scale:
-        raise NotTriangular(f"off-corner norm {fro_norm(off):.3e} exceeds {EPS_CHECK * scale:.3e}")
+        pq, qp = fro_norm(split.pq), fro_norm(split.qp)
+        raise NotTriangular(f"off-corner norms {pq:.3e} and {qp:.3e} exceed {limit:.3e}")
 
     a_dr = drazin_oracle(a)
     b_dr = drazin_oracle(b)

@@ -7,15 +7,16 @@ consecutive terms fall below EPS_TAIL * scale, and raise ConvergenceError if
 the final term at the cap is still above that threshold (reachable only when
 a formula is forced outside its hypothesis).
 
-Every series stops through summed's early exit alone; its running factors
-are PowerCache products. A product lives only until its last reader has
-run: PowerCache.drop releases a power that no later term reads, and summed
-keeps one running total. A series whose powers no other series reads drops
-each one after its term, so it holds a fixed number of arrays however many
-terms it runs.
+Every series is an endless stream of terms, and summed alone ends it: by the
+early exit, or at the cap. Its running factors are PowerCache products. A
+product lives only until its last reader has run: PowerCache.drop releases a
+power that no later term reads, and summed keeps one running total. A series
+whose powers no other series reads drops each one after its term, so it
+holds a fixed number of arrays however many terms it runs.
 """
 
-from typing import Iterable, Iterator
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
@@ -57,24 +58,14 @@ class PowerCache:
         del self._pows[i]
 
 
-def summed(
-    terms: Iterable[np.ndarray] | Iterator[np.ndarray],
-    nmax: int,
-    tiny: float,
-    label: str,
-) -> np.ndarray:
-    """Sum up to nmax terms with the early-exit/tail policy above, in order,
-    into one running total of the first term's dtype; the total is a copy,
-    so no term is changed."""
+def summed(terms: Iterator[np.ndarray], nmax: int, tiny: float, label: str) -> np.ndarray:
+    """Sum the first nmax terms of the endless stream ``terms`` with the
+    early-exit/tail policy above, in order, into one running total of the
+    first term's dtype; the total is a copy, so no term is changed."""
     total = None
     last = 0.0
     consecutive_tiny = 0
-    it = iter(terms)
-    for _ in range(nmax):
-        try:
-            t = next(it)
-        except StopIteration:
-            return total
+    for t in islice(terms, nmax):
         if total is None:
             total = t.copy()
         else:

@@ -1,5 +1,6 @@
 """Block-matrix rules: hypothesis checks, dispatch, exchange, closed form."""
 
+import itertools
 import re
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from gdrazin import (
     PreconditionViolated,
     assemble,
     block_drazin,
+    certify,
     check_drazin_axioms,
     check_hypothesis,
     closed_form_drazin,
@@ -25,6 +27,7 @@ from gdrazin import (
     generate,
     preset,
 )
+from gdrazin.additive import _FACTOR
 from gdrazin.blockmat import RULES, _quad, block_formula, block_oracles
 from gdrazin.linalg import scale_of
 from helpers import count_sweeps
@@ -343,3 +346,68 @@ class TestClosedForm:
         got = block_drazin(blocks, "4.3", lam=3.0)
         want = drazin_oracle(assemble(blocks)).d
         assert np.linalg.norm(got - want) < 1e-10
+
+
+# The two maps between catalog rules, on labels: each sends a factor to its
+# image, and transposition also reverses every product. A parenthesized
+# factor is a product too: transposed, (B C)^pi reverses to (C B)^pi and
+# the swap of B and C brings it back. Scalars ("lambda", "(1/lambda)", "0")
+# stay where they are.
+_SCALAR_TOKENS = ("lambda", "(1/lambda)", "0")
+_SYMMETRIES = {
+    # (Aᵀ, Cᵀ, Bᵀ, Dᵀ): M' = Mᵀ, so M'^d = (M^d)ᵀ
+    "transpose": (
+        {"B": "C", "C": "B"},
+        True,
+        lambda m: {"a": m["a"].T, "b": m["c"].T, "c": m["b"].T, "d": m["d"].T},
+        lambda x, k: x.T,
+    ),
+    # (D, C, B, A): M' = [[D, C], [B, A]], whose inverse has swapped quadrants
+    "exchange": (
+        {"A": "D", "D": "A", "B": "C", "C": "B", "A^pi": "D^pi", "D^pi": "A^pi",
+         "(B C)^pi": "(C B)^pi", "(C B)^pi": "(B C)^pi"},
+        False,
+        lambda m: {"a": m["d"], "b": m["c"], "c": m["b"], "d": m["a"]},
+        lambda x, k: _quad(x[k:, k:], x[k:, :k], x[:k, k:], x[:k, :k]),
+    ),
+}
+
+
+def _mapped_label(label: str, swap: dict, reverse: bool) -> str:
+    sides = []
+    for side in label.split(" = "):
+        tokens = _FACTOR.findall(side)
+        scalars = [t for t in tokens if t in _SCALAR_TOKENS]
+        factors = [swap.get(t, t) for t in tokens if t not in _SCALAR_TOKENS]
+        sides.append(" ".join(scalars + (factors[::-1] if reverse else factors)))
+    return " = ".join(sides)
+
+
+class TestCatalogSymmetry:
+    """Rule 3.3 is rule 3.1 transposed, 4.3 is 3.2 transposed, and 4.2 is
+    4.1 exchanged: on generated instances of the source rule, the mapped
+    blocks give the image rule the same verdict on every mapped row, and on
+    valid ones the image's formula is the mapped formula."""
+
+    @pytest.mark.parametrize(
+        "source,image,symmetry",
+        [("3.1", "3.3", "transpose"), ("3.2", "4.3", "transpose"), ("4.1", "4.2", "exchange")],
+    )
+    def test_image_rule_agrees_with_the_mapped_source(self, source, image, symmetry):
+        swap, reverse, map_blocks, map_inverse = _SYMMETRIES[symmetry]
+        # labels compare as sets: transposition changes their order
+        assert {_mapped_label(label, swap, reverse) for label in RULES[source]} == set(RULES[image])
+        worst = 0.0
+        for dim, lam, seed, negate in itertools.product(range(2, 9), LAMBDAS, range(3), (False, True)):
+            mats = generate(CaseSpec(source, dim, lam, seed, negate)).matrices
+            mapped = map_blocks(mats)
+            holds = {c.condition: c.holds for c in certify(image, mapped, lam)}
+            for c in certify(source, mats, lam):
+                assert holds[_mapped_label(c.condition, swap, reverse)] == c.holds, (dim, lam, seed, negate)
+            if not negate:
+                formula = evaluate(source, mats, lam).formula
+                gap = np.linalg.norm(evaluate(image, mapped, lam).formula - map_inverse(formula, dim))
+                # a nilpotent M has a zero formula: the floor of 1 keeps the
+                # band finite
+                worst = max(worst, gap / max(1.0, np.linalg.norm(formula)))
+        assert worst <= 1e-12

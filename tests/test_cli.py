@@ -104,6 +104,14 @@ class TestDrazinCommand:
         assert main(["drazin", str(m)]) == EXIT_IO
         assert "cannot read" in capsys.readouterr().err
 
+    def test_non_square_matrix_exits_io(self, tmp_path, capsys):
+        # shapes that do not fit make a malformed document, as in sum and
+        # block; the oracle never runs
+        m = tmp_path / "m.json"
+        save_matrix(m, np.ones((2, 3), dtype=complex))
+        assert main(["drazin", str(m)]) == EXIT_IO
+        assert capsys.readouterr() == ("", f"gdz: {m}: expected a square matrix, got (2, 3)\n")
+
 
 class TestSumCommand:
     def test_match_with_given_lambda(self, pair_files, capsys):
@@ -271,6 +279,27 @@ class TestGenVerify:
         assert code == EXIT_OK
         m = load_matrix(out / "a.json")
         assert np.array_equal(m, np.diag(np.ones(3), k=1).astype(complex))
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--target", "3.1"], ["--dim", "9"], ["--lambda", "3"], ["--lambda", "1"],
+         ["--seed", "0"], ["--negate"]],
+    )
+    def test_preset_with_a_spec_flag_is_usage_error(self, flag, tmp_path, capsys):
+        # a spec flag beside --preset is refused, even at its default value,
+        # rather than dropped
+        out = tmp_path / "x"
+        assert main(["gen", "--preset", "example-2.5", *flag, "--out", str(out)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert "--preset takes none of --target, --dim, --lambda, --seed, --negate" in captured.err
+
+    def test_gen_spec_defaults(self, tmp_path, capsys):
+        # without --lambda, --seed or --negate: lambda 1, seed 0, valid
+        code, doc = run(["gen", "--target", "3.1", "--dim", "4", "--out", str(tmp_path / "x")], capsys)
+        assert code == EXIT_OK and doc["lambda"] == [1.0, 0.0]
+        manifest = json.loads((tmp_path / "x" / "instance.json").read_text())
+        assert manifest["seed"] == 0 and manifest["negate"] is False
 
     def test_verify_scans_subdirectories_and_filters(self, tmp_path, capsys):
         save_instance(tmp_path / "one", generate(CaseSpec(target="3.1", dim=4, lam=0.5, seed=0)))
@@ -542,25 +571,24 @@ class TestUsageAndThresholds:
         code, doc = run(["sum", a, b, "--theorem", "2.4", "--lambda", "1/2"], capsys)
         assert code == EXIT_OK and doc["match"] is True
 
-    def test_out_flag_writes_report_file(self, pair_files, tmp_path, capsys):
-        a, b = pair_files
+    @pytest.mark.parametrize("command", ["drazin", "sum", "block", "verify"])
+    def test_report_out_is_refused(self, command, pair_files, block_files, tmp_path, capsys):
+        # reports go to stdout only; gen's --out, the instance directory, is
+        # the one --out
+        inst = tmp_path / "inst"
+        assert main(["gen", "--preset", "example-2.5", "--out", str(inst)]) == EXIT_OK
+        argv = {
+            "drazin": ["drazin", pair_files[0]],
+            "sum": ["sum", *pair_files, "--theorem", "2.4", "--lambda", "1/2"],
+            "block": ["block", *block_files, "--theorem", "4.3", "--lambda", "3"],
+            "verify": ["verify", str(inst)],
+        }[command]
         report = tmp_path / "report.json"
-        code, _ = run(
-            ["sum", a, b, "--theorem", "2.4", "--lambda", "1/2", "--out", str(report)],
-            capsys,
-        )
-        assert code == EXIT_OK
-        doc = json.loads(report.read_text())
-        assert doc["match"] is True
-
-    def test_unwritable_report_exits_io(self, tmp_path, capsys):
-        m = tmp_path / "m.json"
-        save_matrix(m, np.eye(2, dtype=complex))
-        out = tmp_path / "missing" / "r.json"
-        assert main(["drazin", str(m), "--out", str(out)]) == EXIT_IO
+        capsys.readouterr()
+        assert main([*argv, "--out", str(report)]) == EXIT_IO
         captured = capsys.readouterr()
-        assert captured.out == "" and not out.exists()
-        assert captured.err == f"gdz: [Errno 2] No such file or directory: '{out}'\n"
+        assert captured.out == "" and not report.exists()
+        assert f"unrecognized arguments: --out {report}" in captured.err
 
     def test_gen_onto_an_existing_file_exits_io(self, tmp_path, capsys):
         out = tmp_path / "taken"
@@ -572,36 +600,31 @@ class TestUsageAndThresholds:
 
 
 class TestOneLineReports:
-    """Every report is one compact JSON line, on stdout or in the --out file."""
+    """Every report is one compact JSON line on stdout."""
 
     @pytest.fixture()
     def instance(self, tmp_path):
         save_instance(tmp_path / "inst", generate(CaseSpec(target="3.1", dim=4, lam=0.5, seed=0)))
         return tmp_path / "inst"
 
-    @pytest.mark.parametrize("command", ["drazin", "sum", "block", "gen", "verify", "sum --out"])
+    @pytest.mark.parametrize("command", ["drazin", "sum", "block", "gen", "verify"])
     def test_report_is_one_line(self, command, pair_files, instance, tmp_path, capsys):
         a, b = pair_files
         blocks = [str(instance / f"{name}.json") for name in ("a", "b", "c", "d")]
-        solve = ["sum", a, b, "--theorem", "2.4", "--lambda", "1/2"]
-        report = tmp_path / "r.json"
         argv = {
             "drazin": ["drazin", a],
-            "sum": solve,
+            "sum": ["sum", a, b, "--theorem", "2.4", "--lambda", "1/2"],
             "block": ["block", *blocks, "--theorem", "3.1", "--lambda", "1/2"],
             "gen": ["gen", "--target", "3.2", "--dim", "4", "--out", str(tmp_path / "new")],
             "verify": ["verify", str(instance)],
-            "sum --out": [*solve, "--out", str(report)],
         }[command]
         assert main(argv) == EXIT_OK
         text = capsys.readouterr().out
-        if command.endswith("--out"):
-            text = report.read_text()
         assert text.endswith("\n") and text.count("\n") == 1
         assert isinstance(json.loads(text), dict)
 
     def test_non_finite_number_is_written_as_null(self, capsys):
-        _emit({"residual": float("inf"), "gap": float("nan"), "index": 2}, None)
+        _emit({"residual": float("inf"), "gap": float("nan"), "index": 2})
         assert capsys.readouterr().out == '{"residual":null,"gap":null,"index":2}\n'
 
 

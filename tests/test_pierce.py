@@ -47,25 +47,22 @@ def test_triangular_matches_oracle(orientation, seed):
     rng = np.random.default_rng(seed)
     n = 3 + seed % 6
     x, p = triangular_instance(n, rng, orientation)
-    got = triangular_drazin(x, p, orientation)
+    got = triangular_drazin(x, p)
     want = drazin_oracle(x).d
     scale = max(1.0, np.linalg.norm(x))
     assert np.linalg.norm(got - want) < 1e-8 * scale
     assert check_drazin_axioms(x, got).ok
 
 
-def test_triangular_wrong_orientation_is_rejected():
+def test_triangular_needs_a_vanishing_off_corner():
+    # neither p x (1-p) nor (1-p) x p is small: x is not triangular
     rng = np.random.default_rng(9)
-    x, p = triangular_instance(5, rng, "lower")
-    with pytest.raises(NotTriangular):
-        triangular_drazin(x, p, "upper")
-
-
-def test_triangular_orientation_name_is_validated():
-    rng = np.random.default_rng(1)
-    x, p = triangular_instance(4, rng, "lower")
-    with pytest.raises(ValueError):
-        triangular_drazin(x, p, "diagonal")
+    p, _ = oblique_idempotent(5, 2, rng)
+    x = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    split = pierce_split(x, p)
+    assert min(np.linalg.norm(split.pq), np.linalg.norm(split.qp)) > 1e-3
+    with pytest.raises(NotTriangular, match="off-corner norms"):
+        triangular_drazin(x, p)
 
 
 def test_triangular_handles_nilpotent_diagonal_corner():
@@ -76,7 +73,7 @@ def test_triangular_handles_nilpotent_diagonal_corner():
     x[0, 1] = 1.0  # nilpotent in the p-corner
     x[2:, 2:] = [[2.0, 0.0], [0.0, 3.0]]
     x[2:, :2] = [[1.0, 1.0], [0.0, 1.0]]
-    got = triangular_drazin(x, p, "lower")
+    got = triangular_drazin(x, p)
     want = drazin_oracle(x).d
     assert np.linalg.norm(got - want) < 1e-10
 

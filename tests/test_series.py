@@ -78,17 +78,28 @@ def test_summed_early_exit_counts_terms():
 
 
 def test_summed_raises_on_divergence():
+    calls = []
+
     def terms():
         while True:
+            calls.append(len(calls))
             yield np.ones((2, 2))
 
     with pytest.raises(ConvergenceError, match="stubborn series"):
         summed(terms(), nmax=6, tiny=1e-12, label="stubborn series")
+    # the cap ends the endless stream: no term past it is formed
+    assert len(calls) == 6
 
 
-def test_summed_exhausts_finite_iterator():
+def test_summed_leaves_terms_unchanged():
     seq = [np.eye(2), 2 * np.eye(2)]
-    out = summed(iter(seq), nmax=10, tiny=1e-12, label="t")
+
+    def terms():
+        yield from seq
+        while True:
+            yield np.zeros((2, 2))
+
+    out = summed(terms(), nmax=10, tiny=1e-12, label="t")
     assert np.array_equal(out, 3 * np.eye(2))
     # the running total is summed's own: the terms are left as they were
     assert np.array_equal(seq[0], np.eye(2)) and np.array_equal(seq[1], 2 * np.eye(2))
