@@ -11,7 +11,8 @@ verify   Re-check a directory of generated instances end to end.
 Exit codes: 0 success/match, 2 precondition violation (or an instance the
 generator cannot realize), 3 mismatch, failed axioms, or a forced run that
 did not converge, 4 I/O, parse, or usage errors (a non-square drazin input
-and gen --preset with a spec flag among them).
+among them). The parser of each command checks every value given to it, so
+a usage error prints that command's usage line.
 
 Thresholds are fixed (gdrazin.linalg: EPS_RANK 1e-10, EPS_CHECK 1e-9,
 EPS_MATCH 1e-8, EPS_TAIL 1e-12): no option or environment variable changes
@@ -40,9 +41,8 @@ from .errors import (
     ConvergenceError,
     GenerationFailed,
     PreconditionViolated,
-    ReconciliationError,
 )
-from .evaluation import OPERANDS, PRESET_NAMES, TARGETS, evaluate
+from .evaluation import OPERANDS, TARGETS, evaluate
 from .io import (
     SCHEMA_VERSION,
     DocumentError,
@@ -79,9 +79,27 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-(\.?\d|[ij]$)")
 
+    def parse_known_args(self, args=None, namespace=None):
+        # refuse a command's unknown arguments here, not in the top parser
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_IO, f"{self.prog}: error: {message}\n")
+
+
+def _lambda(text: str) -> complex:
+    """The type of --lambda: a scalar parse_scalar reads and require_lambda
+    accepts, so its parser reports either refusal with the reason."""
+    try:
+        lam = parse_scalar(text)
+        require_lambda(lam)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return lam
 
 
 def _emit(report: dict) -> None:
@@ -104,7 +122,7 @@ def _axioms_doc(axioms: AxiomReport) -> dict:
     return {"solution": axioms.solution, "commute": axioms.commute, "power": axioms.power}
 
 
-def cmd_drazin(args, parser) -> tuple[dict, int]:
+def cmd_drazin(args) -> tuple[dict, int]:
     a = load_matrix(args.matrix)
     if a.shape[0] != a.shape[1]:
         raise DocumentError(f"{norm_path(args.matrix)}: expected a square matrix, got {a.shape}")
@@ -124,12 +142,8 @@ def cmd_drazin(args, parser) -> tuple[dict, int]:
     return report, EXIT_OK if axioms.ok else EXIT_MISMATCH
 
 
-def cmd_solve(args, parser) -> tuple[dict, int]:
+def cmd_solve(args) -> tuple[dict, int]:
     """``sum`` and ``block``: evaluate, plus the axiom check of the formula."""
-    try:
-        require_lambda(args.lam)
-    except ValueError as exc:
-        parser.error(str(exc))
     mats = {name: load_matrix(getattr(args, name)) for name in args.names}
     check_shapes(args.theorem, mats)
     out = evaluate(args.theorem, mats, args.lam, args.force)
@@ -163,31 +177,16 @@ def cmd_solve(args, parser) -> tuple[dict, int]:
     return report, code
 
 
-# gen's spec flags, as CaseSpec names them, with the value of each one not given
-_SPEC_DEFAULTS = {"target": None, "dim": None, "lam": complex(1.0), "seed": 0, "negate": False}
-
-
-def cmd_gen(args, parser) -> tuple[dict, int]:
+def cmd_gen(args) -> tuple[dict, int]:
     """``gen``, the one command that runs the generator, and so the one that
     imports ``casegen`` (and, at its first draw, ``numpy.random``); the
-    parser names targets and presets without it."""
-    from .casegen import PRESET_SPECS, CaseSpec, generate
+    parser names targets without it."""
+    from .casegen import CaseSpec, generate
 
-    # a spec flag that is not given is absent from args (SUPPRESS)
-    if args.preset:
-        if vars(args).keys() & _SPEC_DEFAULTS.keys():
-            parser.error("--preset takes none of --target, --dim, --lambda, --seed, --negate")
-        spec = PRESET_SPECS[args.preset]
-    else:
-        opts = {name: getattr(args, name, default) for name, default in _SPEC_DEFAULTS.items()}
-        if opts["target"] is None or opts["dim"] is None:
-            parser.error("gen requires --target and --dim (or --preset)")
-        if opts["lam"] is None:
-            parser.error("gen requires a concrete --lambda (not auto)")
-        try:
-            spec = CaseSpec(**opts)
-        except ValueError as exc:
-            parser.error(str(exc))
+    try:
+        spec = CaseSpec(args.target, args.dim, args.lam, args.seed, args.negate)
+    except ValueError as exc:  # --dim or --seed out of range
+        args.parser.error(str(exc))
     case = generate(spec)
     manifest = save_instance(args.out, case)
     report = _report(
@@ -204,9 +203,8 @@ def cmd_gen(args, parser) -> tuple[dict, int]:
 def _verify_one(manifest: dict, matrices: dict) -> tuple[bool, str]:
     """Contract check for one instance: valid instances must evaluate and
     match the oracle; negated instances must trip the precondition."""
-    lam = doc_to_complex(manifest.get("lambda"))
-    out = evaluate(manifest["target"], matrices, lam)
-    if manifest.get("negate", False):
+    out = evaluate(manifest["target"], matrices, doc_to_complex(manifest["lambda"]))
+    if manifest["negate"]:
         if not out.failing:
             return False, "negated instance was accepted (no condition failed)"
         return True, f"precondition tripped: {out.failing[0].condition}"
@@ -221,7 +219,7 @@ def _verify_one(manifest: dict, matrices: dict) -> tuple[bool, str]:
     return True, f"match (gap {out.gap:.3e})"
 
 
-def cmd_verify(args, parser) -> tuple[dict, int]:
+def cmd_verify(args) -> tuple[dict, int]:
     root = norm_path(args.directory)
     if not os.path.isdir(root):
         raise DocumentError(f"{root} is not a directory")
@@ -238,8 +236,6 @@ def cmd_verify(args, parser) -> tuple[dict, int]:
     rows = []
     for d in dirs:
         manifest, matrices = load_instance(d)
-        if args.theorem and manifest["target"] != args.theorem:
-            continue
         try:
             ok, detail = _verify_one(manifest, matrices)
         except AxiomViolation as exc:  # from the oracle run on an operand
@@ -248,22 +244,13 @@ def cmd_verify(args, parser) -> tuple[dict, int]:
             {
                 "dir": d,
                 "target": manifest["target"],
-                "negate": bool(manifest.get("negate", False)),
+                "negate": manifest["negate"],
                 "ok": ok,
                 "detail": detail,
             }
         )
-    if not rows:
-        raise DocumentError(f"no instances under {root} match theorem {args.theorem}")
     all_ok = all(row["ok"] for row in rows)
-
-    report = _report(
-        "verify",
-        theorem=args.theorem,
-        match=all_ok,
-        instances=rows,
-    )
-    return report, EXIT_OK if all_ok else EXIT_MISMATCH
+    return _report("verify", match=all_ok, instances=rows), EXIT_OK if all_ok else EXIT_MISMATCH
 
 
 @functools.cache
@@ -273,7 +260,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="gdz", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("drazin", help="Drazin inverse of one matrix", parents=[])
+    p = sub.add_parser("drazin", help="Drazin inverse of one matrix")
     p.add_argument("matrix", help="matrix document (JSON)")
     p.set_defaults(func=cmd_drazin)
 
@@ -286,28 +273,24 @@ def build_parser() -> _Parser:
         for name in names:
             p.add_argument(name)
         p.add_argument("--theorem", required=True, choices=list(theorems))
-        p.add_argument("--lambda", dest="lam", type=parse_scalar, default=None, metavar="L",
-                       help="scalar (complex, fraction, or 'auto'); default auto")
+        p.add_argument("--lambda", dest="lam", type=_lambda, default=None, metavar="L",
+                       help="scalar (complex or fraction); fitted when not given")
         p.add_argument("--force", action="store_true", help="evaluate even if the hypothesis fails")
         p.set_defaults(func=cmd_solve, names=names)
 
     p = sub.add_parser("gen", help="write a generated instance directory")
-    p.add_argument("--target", choices=list(TARGETS), default=argparse.SUPPRESS)
-    p.add_argument("--dim", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--lambda", dest="lam", type=parse_scalar, default=argparse.SUPPRESS, metavar="L",
+    p.add_argument("--target", required=True, choices=list(TARGETS))
+    p.add_argument("--dim", required=True, type=int)
+    p.add_argument("--lambda", dest="lam", type=_lambda, default=complex(1), metavar="L",
                    help="default 1")
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="default 0")
-    p.add_argument("--negate", action="store_true", default=argparse.SUPPRESS,
+    p.add_argument("--seed", type=int, default=0, help="default 0")
+    p.add_argument("--negate", action="store_true",
                    help="break exactly one hypothesis condition at the declared lambda")
-    p.add_argument("--preset", choices=sorted(PRESET_NAMES), default=None,
-                   help="canonical named instance (with none of the flags above)")
     p.add_argument("--out", required=True, help="instance directory to create")
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(func=cmd_gen, parser=p)
 
     p = sub.add_parser("verify", help="re-check a directory of generated instances")
     p.add_argument("directory")
-    p.add_argument("--theorem", default=None, choices=list(TARGETS),
-                   help="only verify instances of this target")
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -318,7 +301,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         t0 = time.perf_counter()
-        report, code = args.func(args, parser)
+        report, code = args.func(args)
         report["wall_ms"] = (time.perf_counter() - t0) * 1e3
         _emit(report)
         return code
@@ -332,7 +315,7 @@ def main(argv=None) -> int:
     except PreconditionViolated as exc:
         print(f"gdz: precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (ConvergenceError, AxiomViolation, ReconciliationError) as exc:
+    except (ConvergenceError, AxiomViolation) as exc:
         print(f"gdz: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except (GenerationFailed, ValueError) as exc:

@@ -32,11 +32,6 @@ TARGETS = PAIR_TARGETS + RULE_IDS
 # The operand names of each kind of target: an instance maps exactly these.
 OPERANDS = {"pair": ("a", "b"), "block": ("a", "b", "c", "d")}
 
-# The names of the canonical instances, the paper's examples 2.5 (target 2.4)
-# and 4.4 (rule 4.3); casegen.PRESET_SPECS gives each its spec. Kept here so
-# that gdz can offer them without loading the generator.
-PRESET_NAMES = ("example-2.5", "example-4.4")
-
 
 def target_kind(target: str) -> str:
     """"pair" for a pair target (PAIR_TARGETS), "block" for a block rule

@@ -235,9 +235,7 @@ def complex_to_doc(z: complex | None):
     return [float(z.real), float(z.imag)]
 
 
-def doc_to_complex(doc) -> complex | None:
-    if doc is None:
-        return None
+def doc_to_complex(doc) -> complex:
     if not isinstance(doc, list) or len(doc) != 2 or not all(map(_is_number, doc)):
         raise DocumentError(f"scalar must be a [re, im] pair of numbers, got {doc!r}")
     try:
@@ -259,14 +257,12 @@ def factor_check_to_doc(chk: FactorCheck) -> dict:
     }
 
 
-def parse_scalar(text: str) -> complex | None:
-    """Parse a scalar argument: 'auto' for fitted, fractions like '1/2',
-    and complex literals with either 'i' or 'j' ('3i', '1+2j', '-i').
-    ValueError for anything else, and for a value that is not finite
-    ('nan', '1e999', '1e308/1e-308')."""
+def parse_scalar(text: str) -> complex:
+    """Parse a scalar argument: fractions like '1/2', and complex literals
+    with either 'i' or 'j' ('3i', '1+2j', '-i'). ValueError for anything
+    else, and for a value that is not finite ('nan', '1e999',
+    '1e308/1e-308')."""
     t = text.strip().lower()
-    if t == "auto":
-        return None
     num, slash, den = t.partition("/")
     try:
         z = complex(float(num) / float(den)) if slash else complex(t.replace("i", "j"))
@@ -307,17 +303,16 @@ def load_instance(directory) -> tuple[dict, dict[str, np.ndarray]]:
 
     Raises DocumentError unless the manifest's schema_version is an integer
     in READABLE_SCHEMA_VERSIONS, it names a kind ("pair" or "block") and a
-    target of that kind, a negate (when present) is a boolean, a lambda (when
-    present) is null or a [re, im] pair that require_lambda takes, and its
-    files map each block name to the plain name of a matrix document in the
-    directory (no path separator, not "." or ".."), the matrices fitting
-    together."""
+    target of that kind, its negate is a boolean, its lambda is a [re, im]
+    pair that require_lambda takes, and its files map each block name to the
+    plain name of a matrix document in the directory (no path separator, not
+    "." or ".."), the matrices fitting together."""
     d = norm_path(directory)
     mpath = join_path(d, "instance.json")
     manifest = _read_json(mpath)
     if not isinstance(manifest, dict):
         raise DocumentError(f"{mpath}: manifest must be an object")
-    for key in ("schema_version", "kind", "target", "files"):
+    for key in ("schema_version", "kind", "target", "lambda", "negate", "files"):
         if key not in manifest:
             raise DocumentError(f"{mpath}: manifest missing key {key!r}")
     version = manifest["schema_version"]
@@ -331,10 +326,10 @@ def load_instance(directory) -> tuple[dict, dict[str, np.ndarray]]:
     targets = PAIR_TARGETS if kind == "pair" else RULE_IDS
     if target not in targets:
         raise DocumentError(f"{mpath}: target {target!r} is not a {kind} target {targets}")
-    if not isinstance(manifest.get("negate", False), bool):
+    if not isinstance(manifest["negate"], bool):
         raise DocumentError(f"{mpath}: negate must be true or false, got {manifest['negate']!r}")
     try:
-        lam = doc_to_complex(manifest.get("lambda"))
+        lam = doc_to_complex(manifest["lambda"])
     except DocumentError as exc:
         raise DocumentError(f"{mpath}: lambda: {exc}") from exc
     try:

@@ -30,9 +30,12 @@ def main() -> int:
     faults = []
     with tempfile.TemporaryDirectory() as work:
         pair, block = os.path.join(work, "pair"), os.path.join(work, "block")
-        for preset, out in (("example-2.5", pair), ("example-4.4", block)):
+        for flags, out in (  # the paper's examples 2.5 and 4.4
+            (["--target", "2.4", "--dim", "3", "--lambda", "1/2"], pair),
+            (["--target", "4.3", "--dim", "4", "--lambda", "3"], block),
+        ):
             subprocess.run(
-                [sys.executable, "-m", "gdrazin.cli", "gen", "--preset", preset, "--out", out],
+                [sys.executable, "-m", "gdrazin.cli", "gen", *flags, "--out", out],
                 check=True, stdout=subprocess.DEVNULL,
             )
 

@@ -34,6 +34,13 @@ REPORT_KEYS = {
 }
 
 
+# the gen flags of the paper's example 2.5, preset("example-2.5")
+EXAMPLE_2_5 = ["--target", "2.4", "--dim", "3", "--lambda", "1/2"]
+
+# an edit of a manifest key that deletes the key
+DROP = object()
+
+
 def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
@@ -274,25 +281,18 @@ class TestGenVerify:
         assert "precondition tripped" in doc["instances"][0]["detail"]
 
     def test_preset_gen(self, tmp_path, capsys):
-        out = tmp_path / "preset"
-        code, _ = run(["gen", "--preset", "example-4.4", "--out", str(out)], capsys)
-        assert code == EXIT_OK
-        m = load_matrix(out / "a.json")
-        assert np.array_equal(m, np.diag(np.ones(3), k=1).astype(complex))
-
-    @pytest.mark.parametrize(
-        "flag",
-        [["--target", "3.1"], ["--dim", "9"], ["--lambda", "3"], ["--lambda", "1"],
-         ["--seed", "0"], ["--negate"]],
-    )
-    def test_preset_with_a_spec_flag_is_usage_error(self, flag, tmp_path, capsys):
-        # a spec flag beside --preset is refused, even at its default value,
-        # rather than dropped
-        out = tmp_path / "x"
-        assert main(["gen", "--preset", "example-2.5", *flag, "--out", str(out)]) == EXIT_IO
-        captured = capsys.readouterr()
-        assert captured.out == "" and not out.exists()
-        assert "--preset takes none of --target, --dim, --lambda, --seed, --negate" in captured.err
+        # the paper's examples are gen specs like any other: these flags
+        # write the matrices of preset(name), bit for bit
+        for name, flags in (
+            ("example-2.5", EXAMPLE_2_5),
+            ("example-4.4", ["--target", "4.3", "--dim", "4", "--lambda", "3"]),
+        ):
+            out = tmp_path / name
+            code, _ = run(["gen", *flags, "--out", str(out)], capsys)
+            assert code == EXIT_OK
+            for block, m in preset(name).matrices.items():
+                back = load_matrix(out / f"{block}.json")
+                assert back.dtype == m.dtype and back.tobytes() == m.tobytes()
 
     def test_gen_spec_defaults(self, tmp_path, capsys):
         # without --lambda, --seed or --negate: lambda 1, seed 0, valid
@@ -301,16 +301,12 @@ class TestGenVerify:
         manifest = json.loads((tmp_path / "x" / "instance.json").read_text())
         assert manifest["seed"] == 0 and manifest["negate"] is False
 
-    def test_verify_scans_subdirectories_and_filters(self, tmp_path, capsys):
+    def test_verify_scans_subdirectories(self, tmp_path, capsys):
         save_instance(tmp_path / "one", generate(CaseSpec(target="3.1", dim=4, lam=0.5, seed=0)))
         save_instance(tmp_path / "two", generate(CaseSpec(target="2.4", dim=4, lam=0.5, seed=0)))
         code, doc = run(["verify", str(tmp_path)], capsys)
         assert code == EXIT_OK
-        assert len(doc["instances"]) == 2
-        code, doc = run(["verify", str(tmp_path), "--theorem", "3.1"], capsys)
-        assert code == EXIT_OK
-        assert len(doc["instances"]) == 1
-        assert doc["instances"][0]["target"] == "3.1"
+        assert [row["target"] for row in doc["instances"]] == ["3.1", "2.4"]
 
     def test_verify_catches_tampering(self, tmp_path, capsys):
         out = tmp_path / "inst"
@@ -360,6 +356,11 @@ class TestGenVerify:
             ("3.1", {"kind": "block", "target": "2.4"}, "not a block target"),
             ("2.4", {"target": ["2.4"]}, "not a pair target"),
             ("3.1", {"negate": "yes"}, "negate must be"),
+            # gdz writes lambda and negate into every manifest, and reads
+            # them back only as it writes them
+            ("3.4", {"negate": DROP}, "manifest missing key 'negate'"),
+            ("3.4", {"lambda": DROP}, "manifest missing key 'lambda'"),
+            ("3.4", {"lambda": None}, "lambda: scalar must be a [re, im] pair of numbers, got None"),
             ("3.1", {"schema_version": "banana"}, "schema_version must be"),
             ("3.1", {"schema_version": 3}, "schema_version must be"),
             ("3.1", {"schema_version": True}, "schema_version must be"),
@@ -379,7 +380,8 @@ class TestGenVerify:
     def test_verify_bad_manifest_field_exits_io(self, target, edit, fault, tmp_path, capsys):
         save_instance(tmp_path, generate(CaseSpec(target=target, dim=4, lam=0.5, seed=0)))
         path = tmp_path / "instance.json"
-        path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+        manifest = {**json.loads(path.read_text()), **edit}
+        path.write_text(json.dumps({key: v for key, v in manifest.items() if v is not DROP}))
         assert main(["verify", str(tmp_path)]) == EXIT_IO
         err = capsys.readouterr().err
         assert str(path) in err and fault in err
@@ -522,17 +524,49 @@ class TestUsageAndThresholds:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "command,flags,reason",
+        [
+            ("gen", ["--target", "3.1"], "the following arguments are required: --dim"),
+            ("gen", ["--target", "3.1", "--dim", "1"], "dim must be an integer >= 2, got 1"),
+            ("gen", ["--target", "3.1", "--dim", "4", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
+            ("gen", ["--target", "3.1", "--dim", "4", "--lambda", "0"], "lambda must be nonzero"),
+            ("gen", ["--target", "3.1", "--dim", "4", "--lambda", "auto"], "bad scalar 'auto'"),
+            ("gen", [*EXAMPLE_2_5, "--preset", "example-2.5"], "unrecognized arguments: --preset example-2.5"),
+            ("sum", ["--theorem", "2.4", "--lambda", "0"], "lambda must be nonzero"),
+            ("block", ["--theorem", "4.3", "--lambda", "nan"], "scalar 'nan' is not finite"),
+            ("verify", ["--theorem", "3.1"], "unrecognized arguments: --theorem 3.1"),
+        ],
+    )
+    def test_usage_error_names_its_command(
+        self, command, flags, reason, pair_files, block_files, tmp_path, capsys
+    ):
+        # the parser of the command given checks each value, so the usage
+        # line and the error name that command, and nothing is written
+        operands = {
+            "gen": ["--out", str(tmp_path / "x")],
+            "sum": pair_files,
+            "block": block_files,
+            "verify": [str(tmp_path)],
+        }[command]
+        files = sorted(tmp_path.rglob("*"))
+        assert main([command, *operands, *flags]) == EXIT_IO
+        out, err = capsys.readouterr()
+        assert out == "" and sorted(tmp_path.rglob("*")) == files
+        assert err.startswith(f"usage: gdz {command} ")
+        assert f"gdz {command}: error: " in err and reason in err
+
     @pytest.mark.parametrize("command", ["drazin", "sum", "block", "gen", "verify"])
     def test_threshold_flags_are_refused(self, command, pair_files, block_files, tmp_path, capsys):
         # the thresholds are fixed; each command, given arguments it accepts,
         # refuses every --eps-* flag as a usage error
         inst = tmp_path / "inst"
-        assert main(["gen", "--preset", "example-2.5", "--out", str(inst)]) == EXIT_OK
+        assert main(["gen", *EXAMPLE_2_5, "--out", str(inst)]) == EXIT_OK
         argv = {
             "drazin": ["drazin", pair_files[0]],
             "sum": ["sum", *pair_files, "--theorem", "2.4", "--lambda", "1/2"],
             "block": ["block", *block_files, "--theorem", "4.3", "--lambda", "3"],
-            "gen": ["gen", "--preset", "example-4.4", "--out", str(tmp_path / "gen")],
+            "gen": ["gen", "--target", "4.3", "--dim", "4", "--lambda", "3", "--out", str(tmp_path / "gen")],
             "verify": ["verify", str(inst)],
         }[command]
         for flag in ("--eps-rank", "--eps-check", "--eps-match", "--eps-tail"):
@@ -576,7 +610,7 @@ class TestUsageAndThresholds:
         # reports go to stdout only; gen's --out, the instance directory, is
         # the one --out
         inst = tmp_path / "inst"
-        assert main(["gen", "--preset", "example-2.5", "--out", str(inst)]) == EXIT_OK
+        assert main(["gen", *EXAMPLE_2_5, "--out", str(inst)]) == EXIT_OK
         argv = {
             "drazin": ["drazin", pair_files[0]],
             "sum": ["sum", *pair_files, "--theorem", "2.4", "--lambda", "1/2"],
@@ -593,7 +627,7 @@ class TestUsageAndThresholds:
     def test_gen_onto_an_existing_file_exits_io(self, tmp_path, capsys):
         out = tmp_path / "taken"
         out.write_text("keep")
-        assert main(["gen", "--preset", "example-2.5", "--out", str(out)]) == EXIT_IO
+        assert main(["gen", *EXAMPLE_2_5, "--out", str(out)]) == EXIT_IO
         captured = capsys.readouterr()
         assert captured.out == "" and out.read_text() == "keep"
         assert captured.err == f"gdz: [Errno 17] File exists: '{out}'\n"
