@@ -57,7 +57,7 @@ PAIR_RULES = {
     "2.4": ("a b = lambda a^pi b a b^pi",),
 }
 PAIR_TARGETS = tuple(PAIR_RULES)
-# The factors a pair label may name, in the order _pair_factors binds them.
+# The factors a pair label may name.
 _PAIR_FACTORS = ("a", "b", "a^pi", "b^pi")
 
 # A parsed label (label, lhs factors, rhs factors, lambda_power), and the
@@ -312,26 +312,32 @@ def _same_square(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def pair_oracles(target: str, a: np.ndarray, b: np.ndarray) -> dict[str, DrazinResult]:
+def pair_oracles(target: str, a: np.ndarray, b: np.ndarray) -> dict[str, DrazinResult | None]:
     """Oracle data that the conditions and the formula of ``target`` read:
     none for 2.2, "a_dr" and "b_dr" for 2.3 and 2.4, on a and b as
     square_pair returns them. evaluation's judge forms it once per request
     and hands it to the rows and to the engine, so each matrix sees the
-    oracle once. The oracle never runs on the a of 2.3: that a is
-    quasinilpotent, so a^d = 0 and a^pi = I. ValueError unless ``target``
-    is one of PAIR_TARGETS."""
+    oracle once. Nothing is formed for the a of 2.3: that a is
+    quasinilpotent, so its "a_dr" is None, which sum_formula reads as
+    a^d = 0 and a^pi = I. ValueError unless ``target`` is one of
+    PAIR_TARGETS."""
     if target not in PAIR_TARGETS:
         raise ValueError(f"unknown pair target {target!r}; valid: {', '.join(PAIR_TARGETS)}")
     if target == "2.2":
         return {}
-    a_dr = DrazinResult.nilpotent(a.shape[0]) if target == "2.3" else drazin_oracle(a)
-    return {"a_dr": a_dr, "b_dr": drazin_oracle(b)}
+    return {"a_dr": None if target == "2.3" else drazin_oracle(a), "b_dr": drazin_oracle(b)}
 
 
 def _pair_factors(a: np.ndarray, b: np.ndarray, a_dr=None, b_dr=None) -> dict[str, np.ndarray]:
-    """The factor map the pair labels read, on pair_oracles' data (none for
-    2.2, whose labels name no idempotent)."""
-    return dict(zip(_PAIR_FACTORS, (a, b) if a_dr is None else (a, b, a_dr.pi, b_dr.pi)))
+    """The factor map the pair labels read, on pair_oracles' data: the
+    idempotent of each operand that has data (none for 2.2, whose labels
+    name no idempotent, and b's alone for 2.3, whose labels do not name
+    a^pi)."""
+    factors = {"a": a, "b": b}
+    for name, dr in (("a^pi", a_dr), ("b^pi", b_dr)):
+        if dr is not None:
+            factors[name] = dr.pi
+    return factors
 
 
 def pair_checks(
@@ -426,9 +432,13 @@ def drazin_sum(
     return solve("2.4", {"a": a, "b": b}, lam, force)
 
 
-def sum_formula(a: np.ndarray, b: np.ndarray, a_dr: DrazinResult, b_dr: DrazinResult) -> np.ndarray:
+def sum_formula(
+    a: np.ndarray, b: np.ndarray, a_dr: DrazinResult | None, b_dr: DrazinResult | None
+) -> np.ndarray:
     """The sum formula of theorem 2.4 on the Drazin data (d, pi) of a and b,
     ``a_dr`` and ``b_dr`` (the index is not read); it checks no hypothesis.
+    None stands for the data of a quasinilpotent operand, (0, I), which is
+    then not formed.
 
     Under a b = lambda * a^pi b a b^pi the result is (a + b)^d. It combines
     the corner inverses with four terminating series (m = a + b throughout):
@@ -442,13 +452,17 @@ def sum_formula(a: np.ndarray, b: np.ndarray, a_dr: DrazinResult, b_dr: DrazinRe
     with every index running from 0. All series obey the shared truncation
     policy (cap 2 * dim + 2, early exit on two consecutive tiny terms).
 
-    When a^d is exactly zero (theorem 2.3's quasinilpotent a, or a rule
-    3.1/3.2 splitting whose corner Q has Q^d = 0) only the first series is
-    formed: every term of the other three carries a power of a^d, so they
-    sum to exactly zero and are not formed, and cannot raise
-    ConvergenceError either. Likewise, when b^d is exactly zero (a rule
-    3.3/3.4/4.3 splitting whose Q^d = 0) only the second series is formed.
-    The a^d = 0 test comes first.
+    When a^d is None or exactly zero (theorem 2.3's quasinilpotent a, or a
+    rule 3.1/3.2 splitting whose corner Q has Q^d = 0), a^pi = I - a a^d is
+    the identity, and the display reduces to b^d plus the first series
+    without its trailing a^pi: every term of the other three carries a power
+    of a^d, so they sum to exactly zero and are not formed, and cannot raise
+    ConvergenceError either. Likewise, when b^d is None or exactly zero (a
+    rule 3.3/3.4/4.3 splitting whose Q^d = 0) the result is a^d plus the
+    second series without its leading b^pi. The a^d = 0 test comes first:
+    when both are zero, series 1 runs on b^d = 0, so its terms and the
+    result are 0. No idempotent is read on these routes, and multiplying by
+    the identity is exact, so they give the bits of the full display.
 
     The result is one running total, added in the order of the display
     above; the series are formed in the order 1, 2, 4, 3, so a forced run
@@ -469,6 +483,14 @@ def sum_formula(a: np.ndarray, b: np.ndarray, a_dr: DrazinResult, b_dr: DrazinRe
     dim = a.shape[0]
     tiny = EPS_TAIL * max(1.0, a_norm, b_norm)  # scale_of(a, b)
     nmax = series_cap(dim)
+    a_zero = a_dr is None or not a_dr.d.any()
+    if a_zero and b_dr is None:
+        # series 1 runs on b^d = 0: each of its terms is 0, and so is the result
+        b_dr = DrazinResult.nilpotent(dim)
+    b_zero = not a_zero and (b_dr is None or not b_dr.d.any())
+    # the four-series route reads both idempotents, formed before any
+    # product; None is the identity of a single-series route
+    a_pi, b_pi = (None, None) if a_zero or b_zero else (a_dr.pi, b_dr.pi)
     # Each product of the series is formed once and lives until its last
     # reader has run. a m^n goes once a m^n b exists; a m^j b, read by
     # series 4 and by every inner sum of series 3 that starts at or below j,
@@ -479,9 +501,8 @@ def sum_formula(a: np.ndarray, b: np.ndarray, a_dr: DrazinResult, b_dr: DrazinRe
     m = a + b
     am = PowerCache(m, start=a)
     amb = {}
-    ad_pow = PowerCache(a_dr.d)
-    bd_pow = PowerCache(b_dr.d)
-    a_pi, b_pi = a_dr.pi, b_dr.pi
+    ad_pow = None if a_zero else PowerCache(a_dr.d)
+    bd_pow = None if b_zero else PowerCache(b_dr.d)
 
     def amb_at(j):
         if j not in amb:
@@ -489,21 +510,25 @@ def sum_formula(a: np.ndarray, b: np.ndarray, a_dr: DrazinResult, b_dr: DrazinRe
             am.drop(j)
         return amb[j]
 
-    def s3_terms(last_reader=False):
+    def s3_terms():
         n = 0
         while True:
-            yield bd_pow(n + 2) @ am(n) @ a_pi
-            if last_reader:
+            if a_pi is None:  # a^pi = I, and this series is the only one
+                yield bd_pow(n + 2) @ am(n)
                 bd_pow.drop(n + 2)
                 am.drop(n)
+            else:
+                yield bd_pow(n + 2) @ am(n) @ a_pi
             n += 1
 
-    def s4_terms(last_reader=False):
+    def s4_terms():
         n, mb = 0, b  # mb = m^n b
         while True:
-            yield b_pi @ mb @ ad_pow(n + 2)
-            if last_reader:
+            if b_pi is None:  # b^pi = I, and this series is the only one
+                yield mb @ ad_pow(n + 2)
                 ad_pow.drop(n + 2)
+            else:
+                yield b_pi @ mb @ ad_pow(n + 2)
             n, mb = n + 1, m @ mb
 
     def s6_terms():
@@ -525,16 +550,19 @@ def sum_formula(a: np.ndarray, b: np.ndarray, a_dr: DrazinResult, b_dr: DrazinRe
             del amb[n]  # every later inner sum starts past n
             n += 1
 
+    if a_zero:
+        # head b^pi 0 + b^d I = b^d; series 1 alone, added to the head in
+        # the other order, which gives the same bits
+        total = summed(s3_terms(), nmax, tiny, "sum formula series 1")
+        total += b_dr.d
+        return total
+    if b_zero:
+        # head I a^d + 0 a^pi = a^d; series 2 alone
+        total = summed(s4_terms(), nmax, tiny, "sum formula series 2")
+        total += a_dr.d
+        return total
     # one running total, added in the order head + s3 + s4 - s5 - s6
     total = b_pi @ ad_pow(1) + bd_pow(1) @ a_pi
-    if not a_dr.d.any():
-        # every term of series 2, 3 and 4 carries a power of a^d = 0
-        total += summed(s3_terms(last_reader=True), nmax, tiny, "sum formula series 1")
-        return total
-    if not b_dr.d.any():
-        # every term of series 1, 3 and 4 carries a power of b^d = 0
-        total += summed(s4_terms(last_reader=True), nmax, tiny, "sum formula series 2")
-        return total
     total += summed(s3_terms(), nmax, tiny, "sum formula series 1")
     total += summed(s4_terms(), nmax, tiny, "sum formula series 2")
     s6 = summed(s6_terms(), nmax, tiny, "sum formula series 4")

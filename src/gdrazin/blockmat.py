@@ -55,14 +55,18 @@ RULES = {
     "4.3": ("A B = lambda A^pi B D", "D C = lambda D^pi C A", "B C = 0"),
 }
 RULE_IDS = tuple(RULES)
-# The factors a rule label may name, in the order _block_factors binds them.
+# The factors a rule label may name, the blocks first.
 _BLOCK_FACTORS = ("A", "B", "C", "D", "A^pi", "D^pi", "(B C)^pi", "(C B)^pi")
 _CONDITIONS = parse_rules(RULES, _BLOCK_FACTORS)
-# Rules whose conditions name (B C)^pi or (C B)^pi, the only factors ending
-# in ")^pi": they and their splitting read the Drazin data of
-# Q = [[0, B], [C, 0]]. Every other rule has B C = 0 or C B = 0 among its
-# conditions, which makes Q^3 = 0.
-_BC_RULES = frozenset(r for r, labels in RULES.items() if any(")^pi" in label for label in labels))
+# The factors each rule's labels name.
+_NAMED = {
+    rule: frozenset(f for _, lhs, rhs, _ in conditions for f in lhs + (rhs or ()))
+    for rule, conditions in _CONDITIONS.items()
+}
+# Rules whose conditions name (B C)^pi (and then (C B)^pi too): they and
+# their splitting read the Drazin data of Q = [[0, B], [C, 0]]. Every other
+# rule has B C = 0 or C B = 0 among its conditions, which makes Q^3 = 0.
+_BC_RULES = frozenset(rule for rule, named in _NAMED.items() if "(B C)^pi" in named)
 
 
 @dataclass(frozen=True)
@@ -131,26 +135,31 @@ def _zero_like(rows: int, cols: int) -> np.ndarray:
     return np.zeros((rows, cols), dtype=complex)
 
 
-def _q_drazin(blocks: Block2x2) -> DrazinResult:
+def _q_drazin(blocks: Block2x2) -> DrazinResult | None:
     """Drazin data of the corner Q = [[0, B], [C, 0]], from one oracle run on
     B C by the product-exchange identity (C B)^d = C ((B C)^d)^2 B:
-    Q^d = [[0, B (C B)^d], [C (B C)^d, 0]], and Q^pi = I - Q Q^d, whose
-    diagonal blocks are (B C)^pi and (C B)^pi.
+    Q^d = [[0, B (C B)^d], [C (B C)^d, 0]], and Q^pi = I - Q Q^d is block
+    diagonal, with blocks (B C)^pi = I - B C (B C)^d and
+    (C B)^pi = I - C B (C B)^d, each formed at its own size.
 
     A product B C at rounding-noise level is an exact zero of the
-    hypotheses (and makes Q^3 = 0, so Q^d = 0); handing it to the oracle
-    would invert the noise.
+    hypotheses (and makes Q^3 = 0, so Q^d = 0): then the result is None,
+    which stands for (0, I), rather than the oracle on the noise, which
+    would invert it.
     """
     m, n = blocks.dims
     b, c = blocks.b, blocks.c
     bc = b @ c
     if fro_norm(bc) <= EPS_CHECK * scale_of(b, c):
-        return DrazinResult.nilpotent(m + n)
-    bc_dr = drazin_oracle(bc)
-    cb_d = c @ bc_dr.d @ bc_dr.d @ b
-    qd = _quad(_zero_like(m, m), b @ cb_d, c @ bc_dr.d, _zero_like(n, n))
-    q = _quad(_zero_like(m, m), b, c, _zero_like(n, n))
-    return DrazinResult(d=qd, pi=np.eye(m + n, dtype=complex) - q @ qd, index=None)
+        return None
+    bc_d = drazin_oracle(bc).d
+    del bc
+    c_bcd = c @ bc_d  # C (B C)^d
+    b_cbd = b @ (c_bcd @ bc_d @ b)  # B (C B)^d
+    qd = _quad(_zero_like(m, m), b_cbd, c_bcd, _zero_like(n, n))
+    qpi = _quad(np.eye(m, dtype=complex) - b @ c_bcd, _zero_like(m, n), _zero_like(n, m),
+                np.eye(n, dtype=complex) - c @ b_cbd)
+    return DrazinResult(d=qd, pi=qpi, index=None)
 
 
 def _require_rule(rule: str) -> None:
@@ -159,36 +168,50 @@ def _require_rule(rule: str) -> None:
         raise ValueError(f"unknown rule {rule!r}; valid ids: {', '.join(RULE_IDS)}")
 
 
-def block_oracles(blocks: Block2x2, rule: str) -> dict[str, DrazinResult]:
+def block_oracles(blocks: Block2x2, rule: str) -> dict[str, DrazinResult | None]:
     """Oracle data that the conditions and the splitting of ``rule`` read:
     the Drazin data of A, D and of the corner Q = [[0, B], [C, 0]], keyed
     "a_dr", "d_dr" and "q_dr". evaluation's judge forms it once per request
     and hands it to the rows and to the engine, so each matrix goes through
-    the oracle once. "q_dr" is formed once, from the oracle on B C, for the
-    rules whose conditions name (B C)^pi or (C B)^pi (3.1, 3.3); for the
-    others, whose hypotheses make Q^3 = 0, it is (0, I).
+    the oracle once; an oracle's idempotent is formed on its first read, so
+    one that no row and no series reads (D^pi of rule 3.4) is never formed.
+    "q_dr" is formed, from the oracle on B C, only for the rules whose
+    conditions name (B C)^pi or (C B)^pi (3.1, 3.3). For the others, whose
+    hypotheses make Q^3 = 0, it is None: Q^d = 0 and Q^pi = I are taken by
+    identity (``block_formula``, ``sum_formula``), and nothing is formed.
     """
     _require_rule(rule)
     return {
         "a_dr": drazin_oracle(blocks.a),
         "d_dr": drazin_oracle(blocks.d),
-        "q_dr": _q_drazin(blocks) if rule in _BC_RULES else DrazinResult.nilpotent(sum(blocks.dims)),
+        "q_dr": _q_drazin(blocks) if rule in _BC_RULES else None,
     }
 
 
-def _block_factors(blocks: Block2x2, a_dr, d_dr, q_dr) -> dict[str, np.ndarray]:
-    """The factor map the rule labels read, on block_oracles' data: (B C)^pi
-    and (C B)^pi are the diagonal blocks of Q^pi."""
-    m = blocks.dims[0]
-    pis = (a_dr.pi, d_dr.pi, q_dr.pi[:m, :m], q_dr.pi[m:, m:])
-    return dict(zip(_BLOCK_FACTORS, (blocks.a, blocks.b, blocks.c, blocks.d, *pis)))
+def _block_factors(blocks: Block2x2, rule: str, a_dr, d_dr, q_dr) -> dict[str, np.ndarray]:
+    """The factor map the labels of ``rule`` read, on block_oracles' data:
+    the blocks, and the idempotents the labels name. (B C)^pi and (C B)^pi
+    are the diagonal blocks of Q^pi, or identities when q_dr is None."""
+    m, n = blocks.dims
+    factors = dict(zip(_BLOCK_FACTORS, (blocks.a, blocks.b, blocks.c, blocks.d)))
+    named = _NAMED[rule]
+    if "A^pi" in named:
+        factors["A^pi"] = a_dr.pi
+    if "D^pi" in named:
+        factors["D^pi"] = d_dr.pi
+    if rule in _BC_RULES:
+        if q_dr is None:
+            factors["(B C)^pi"], factors["(C B)^pi"] = np.eye(m, dtype=complex), np.eye(n, dtype=complex)
+        else:
+            factors["(B C)^pi"], factors["(C B)^pi"] = q_dr.pi[:m, :m], q_dr.pi[m:, m:]
+    return factors
 
 
 def block_checks(blocks: Block2x2, rule: str, oracles: dict, lam: complex | None) -> list[FactorCheck]:
     """Every hypothesis condition of a rule, in catalog order, on the blocks
     and on block_oracles' set for this rule on them; evaluation's judge
     forms both and calls this. ``lam`` fixes the scalar; None fits it."""
-    factors = _block_factors(blocks, **oracles)
+    factors = _block_factors(blocks, rule, **oracles)
     return check_condition_rows(condition_rows(_CONDITIONS[rule], factors), lam)
 
 
@@ -259,18 +282,24 @@ def block_drazin(
 
 
 def _diag_dr(a_dr: DrazinResult, d_dr: DrazinResult, m: int, n: int) -> DrazinResult:
+    """The data of diag(x, y) from that of x (m x m) and y (n x n); the
+    idempotent diag(x^pi, y^pi) is formed on its first read, which a
+    single-series splitting never makes."""
     d = _quad(a_dr.d, _zero_like(m, n), _zero_like(n, m), d_dr.d)
-    pi = _quad(a_dr.pi, _zero_like(m, n), _zero_like(n, m), d_dr.pi)
-    return DrazinResult(d=d, pi=pi, index=None)
+    return DrazinResult(
+        d=d, pi=lambda: _quad(a_dr.pi, _zero_like(m, n), _zero_like(n, m), d_dr.pi), index=None
+    )
 
 
 def block_formula(
-    blocks: Block2x2, rule: str, a_dr: DrazinResult, d_dr: DrazinResult, q_dr: DrazinResult
+    blocks: Block2x2, rule: str, a_dr: DrazinResult, d_dr: DrazinResult, q_dr: DrazinResult | None
 ) -> np.ndarray:
     """The splitting of ``rule`` (one of RULE_IDS) on given Drazin data of A,
     D and the corner Q = [[0, B], [C, 0]], as block_oracles keys it; it
     checks no hypothesis. Under the rule's hypothesis the result is the
-    Drazin inverse of the assembled matrix. The index is not read."""
+    Drazin inverse of the assembled matrix. The index is not read. A q_dr
+    of None is Q's data when Q^3 = 0, (0, I), which sum_formula takes by
+    identity; rules 4.1 and 4.2 build their own corner data and read none."""
     m, n = blocks.dims
     a, b, c, d = blocks.a, blocks.b, blocks.c, blocks.d
     if rule == "4.2":
@@ -286,8 +315,8 @@ def block_formula(
         ad2 = ad @ ad
         cad2 = c @ ad2
         qd = _quad(ad, ad2 @ b, cad2, cad2 @ ad @ b)
-        qpi = np.eye(m + n, dtype=complex) - q @ qd
-        q_dr = DrazinResult(d=qd, pi=qpi, index=None)
+        del ad2, cad2  # no series reads them
+        q_dr = DrazinResult(d=qd, pi=lambda: np.eye(m + n, dtype=complex) - q @ qd, index=None)
         x = sum_formula(p, q, p_dr, q_dr)
         return x if rule == "4.1" else _quad(x[m:, m:], x[m:, :m], x[:m, m:], x[:m, :m])
 

@@ -48,7 +48,6 @@ from .io import (
     DocumentError,
     check_shapes,
     complex_to_doc,
-    doc_to_complex,
     dumps,
     factor_check_to_doc,
     join_path,
@@ -200,10 +199,11 @@ def cmd_gen(args) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def _verify_one(manifest: dict, matrices: dict) -> tuple[bool, str]:
-    """Contract check for one instance: valid instances must evaluate and
-    match the oracle; negated instances must trip the precondition."""
-    out = evaluate(manifest["target"], matrices, doc_to_complex(manifest["lambda"]))
+def _verify_one(manifest: dict, matrices: dict, lam: complex) -> tuple[bool, str]:
+    """Contract check for one instance, at the lambda load_instance decoded:
+    valid instances must evaluate and match the oracle; negated instances
+    must trip the precondition."""
+    out = evaluate(manifest["target"], matrices, lam)
     if manifest["negate"]:
         if not out.failing:
             return False, "negated instance was accepted (no condition failed)"
@@ -235,9 +235,9 @@ def cmd_verify(args) -> tuple[dict, int]:
 
     rows = []
     for d in dirs:
-        manifest, matrices = load_instance(d)
+        manifest, matrices, lam = load_instance(d)
         try:
-            ok, detail = _verify_one(manifest, matrices)
+            ok, detail = _verify_one(manifest, matrices, lam)
         except AxiomViolation as exc:  # from the oracle run on an operand
             ok, detail = False, str(exc)
         rows.append(

@@ -48,24 +48,43 @@ AMBIGUITY_BAND = 100.0
 GAP_MIN = 1e4
 
 
-@dataclass(frozen=True)
 class DrazinResult:
     """The Drazin inverse d = a^d, spectral idempotent pi = I - a a^d, and index.
 
+    ``pi`` is given as the array, or as a function of no arguments that
+    forms it: then it is formed on its first read, and kept. The oracle
+    gives such a function, so a caller that reads only ``d`` (the reference
+    run on the assembled matrix) forms no idempotent. The result is
+    read-only.
+
     ``index`` is None for results assembled from other results (the parts
-    P and Q of the block splittings) rather than computed by the oracle, and
-    for the a^d = 0 data of the quasinilpotent a of theorem 2.3; no formula
-    reads it.
+    P and Q of the block splittings) rather than computed by the oracle; no
+    formula reads it. Where an operand is quasinilpotent by hypothesis (the
+    a of theorem 2.3, the corner Q of rules whose hypotheses make Q^3 = 0)
+    the engines take None for its data and use a^d = 0, a^pi = I by
+    identity, so no DrazinResult is formed for it.
     """
 
-    d: np.ndarray
-    pi: np.ndarray
-    index: int | None
+    __slots__ = ("d", "index", "_pi")
+
+    def __init__(self, d: np.ndarray, pi, index: int | None):
+        for name, value in (("d", d), ("_pi", pi), ("index", index)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"DrazinResult is read-only: cannot set {name!r}")
+
+    @property
+    def pi(self) -> np.ndarray:
+        if callable(self._pi):
+            object.__setattr__(self, "_pi", self._pi())
+        return self._pi
 
     @classmethod
     def nilpotent(cls, n: int, index: int | None = None) -> "DrazinResult":
-        """The data (0, I) of a quasinilpotent n x n matrix."""
-        return cls(d=np.zeros((n, n), dtype=complex), pi=np.eye(n, dtype=complex), index=index)
+        """The data (0, I) of a quasinilpotent n x n matrix; I is formed on
+        its first read."""
+        return cls(np.zeros((n, n), dtype=complex), lambda: np.eye(n, dtype=complex), index)
 
 
 @dataclass(frozen=True)
@@ -172,8 +191,7 @@ def drazin_oracle(a) -> DrazinResult:
             f"({report.solution:.3e}, {report.commute:.3e}, {report.power:.3e})"
         )
     d = dh / s
-    pi = np.eye(n, dtype=complex) - a @ d
-    return DrazinResult(d=d, pi=pi, index=k)
+    return DrazinResult(d=d, pi=lambda: np.eye(n, dtype=complex) - a @ d, index=k)
 
 
 def nilpotency_residual(a) -> float:

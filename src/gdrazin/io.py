@@ -298,8 +298,10 @@ def save_instance(directory, case: "GeneratedCase") -> dict:
     return manifest
 
 
-def load_instance(directory) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a generated-instance directory back: (manifest, matrices).
+def load_instance(directory) -> tuple[dict, dict[str, np.ndarray], complex]:
+    """Read a generated-instance directory back: (manifest, matrices,
+    lambda), the last being the manifest's lambda decoded and checked here,
+    so that a caller does not decode it again.
 
     Raises DocumentError unless the manifest's schema_version is an integer
     in READABLE_SCHEMA_VERSIONS, it names a kind ("pair" or "block") and a
@@ -352,4 +354,4 @@ def load_instance(directory) -> tuple[dict, dict[str, np.ndarray]]:
         check_shapes(target, matrices)
     except DocumentError as exc:
         raise DocumentError(f"{d}: {exc}") from exc
-    return manifest, matrices
+    return manifest, matrices, lam

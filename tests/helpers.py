@@ -292,9 +292,10 @@ def reference_pair_rows(target, f):
 
 
 def reference_block_rows(rule, f):
-    """Rows (label, lhs, rhs_base, lambda_power) of a block rule."""
+    """Rows (label, lhs, rhs_base, lambda_power) of a block rule; an
+    idempotent that the rule's labels do not name is not in the map."""
     a, b, c, d = f["A"], f["B"], f["C"], f["D"]
-    api, dpi, bc_pi, cb_pi = f["A^pi"], f["D^pi"], f["(B C)^pi"], f["(C B)^pi"]
+    api, dpi, bc_pi, cb_pi = (f.get(name) for name in ("A^pi", "D^pi", "(B C)^pi", "(C B)^pi"))
     m, n = a.shape[0], d.shape[0]
     rows = []
     if rule == "3.1":

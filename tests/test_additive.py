@@ -1,5 +1,6 @@
 """Scalar-fit checks, condition labels and the additive sum formulas."""
 
+import itertools
 import re
 
 import numpy as np
@@ -32,7 +33,9 @@ from gdrazin.additive import (
     parse_condition,
     sum_formula,
 )
-from gdrazin.blockmat import _BLOCK_FACTORS, RULES
+from gdrazin.blockmat import _BLOCK_FACTORS, RULES, _diag_dr, _quad, block_oracles
+from gdrazin.linalg import EPS_TAIL, scale_of
+from gdrazin.series import PowerCache, series_cap, summed
 
 LAMBDAS = (0.5, 3.0, 1j, -2.0)
 
@@ -186,12 +189,12 @@ class TestPairHypothesisTable:
         oracles = pair_oracles(target, a, b)
         monkeypatch.undo()
         assert set(oracles) == {"2.2": set(), "2.3": {"a_dr", "b_dr"}, "2.4": {"a_dr", "b_dr"}}[target]
-        # the a of 2.3 is quasinilpotent: a^d = 0 and a^pi = I, with no oracle run
+        # the a of 2.3 is quasinilpotent: a^d = 0 and a^pi = I, with no oracle
+        # run and no data formed
         want = {"2.2": [], "2.3": [b], "2.4": [a, b]}[target]
         assert len(ran) == len(want) and all(map(np.array_equal, ran, want))
         if target == "2.3":
-            assert np.array_equal(oracles["a_dr"].d, np.zeros((5, 5)))
-            assert np.array_equal(oracles["a_dr"].pi, np.eye(5))
+            assert oracles["a_dr"] is None
         given = pair_checks(a, b, target, oracles, 1j)
         assert tuple(given) == certify(target, case.matrices, 1j)
 
@@ -380,6 +383,45 @@ class TestSumGeneral:
         b_dr = DrazinResult(n, np.zeros_like(eye), None)
         with pytest.raises(ConvergenceError, match="sum formula series 3"):
             sum_formula(eye / 2, eye / 2, a_dr, b_dr)
+
+    def test_both_sides_quasinilpotent_sum_to_zero(self):
+        # a^d = b^d = 0, given as data or as None (not formed): the one series
+        # formed runs on b^d = 0, and nothing is raised
+        rng = np.random.default_rng(0)
+        a, b = (np.triu(rng.standard_normal((5, 5)), 1) for _ in range(2))
+        zero = DrazinResult.nilpotent(5)
+        for a_dr, b_dr in itertools.product((None, zero), repeat=2):
+            got = sum_formula(a, b, a_dr, b_dr)
+            assert got.shape == (5, 5) and not got.any()
+
+    @pytest.mark.parametrize("rule", ["3.2", "3.4"])
+    def test_forced_single_series_raises_as_the_full_display(self, rule):
+        # Q^d = 0 for these splittings, so one series is formed, without the
+        # factor Q^pi = I that the full display multiplies in; on the negated
+        # seed-2 instance it runs to its cap, and its terms with that factor
+        # multiplied back in end on the same bits and the same error
+        blocks = generate(CaseSpec(rule, 8, 0.5, 2, negate=True)).blocks
+        (m, n), eye = blocks.dims, np.eye(16, dtype=complex)
+        oracles = block_oracles(blocks, rule)
+        assert oracles["q_dr"] is None
+        p = _quad(blocks.a, np.zeros((m, n)), np.zeros((n, m)), blocks.d)
+        q = _quad(np.zeros((m, m)), blocks.b, blocks.c, np.zeros((n, n)))
+        p_dr = _diag_dr(oracles["a_dr"], oracles["d_dr"], m, n)
+        d_pow = PowerCache(p_dr.d)
+        if rule == "3.2":  # Q = a: sum_n (b^d)^(n+2) a m^n a^pi, a^pi = I
+            args, label = (q, p, None, p_dr), "sum formula series 1"
+            am = PowerCache(q + p, start=q)
+            terms = (d_pow(k + 2) @ am(k) @ eye for k in itertools.count())
+        else:  # Q = b: sum_n b^pi m^n b (a^d)^(n+2), b^pi = I
+            args, label = (p, q, p_dr, None), "sum formula series 2"
+            mb = itertools.accumulate(itertools.repeat(p + q), lambda x, y: y @ x, initial=q)
+            terms = (eye @ x @ d_pow(k + 2) for k, x in enumerate(mb))
+        with pytest.raises(ConvergenceError) as want:
+            summed(terms, series_cap(16), EPS_TAIL * scale_of(p, q), label)
+        with pytest.raises(ConvergenceError) as got:
+            sum_formula(*args)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(label) and str(got.value).endswith("after 34 terms")
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

@@ -242,6 +242,17 @@ class TestBlockDrazin:
         assert out.failing == [] and out.gap <= out.bound
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("rule", ["3.1", "3.3"])
+    def test_corner_idempotent_from_its_diagonal_blocks(self, rule):
+        # Q^pi is formed from its diagonal blocks (B C)^pi and (C B)^pi at
+        # sizes m and n; it is I - Q Q^d multiplied out at size m + n
+        for i in range(8):
+            blocks = _case(rule, 3 + i % 4, LAMBDAS[i % 4], i).blocks
+            (m, n), q_dr = blocks.dims, gdrazin.blockmat._q_drazin(blocks)
+            q = _quad(np.zeros((m, m)), blocks.b, blocks.c, np.zeros((n, n)))
+            want = np.eye(m + n) - q @ q_dr.d
+            assert np.linalg.norm(q_dr.pi - want) <= 1e-12 * np.linalg.norm(want), (rule, i)
+
     @pytest.mark.parametrize("rule", ["3.4", "4.3"])
     def test_zero_q_drazin_forms_one_series(self, rule, monkeypatch):
         # B C = 0 makes Q^d = 0, and Q is the b of the splitting's sum, so

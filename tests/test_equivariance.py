@@ -1,0 +1,125 @@
+"""Exact symmetries of the whole route: complex conjugation and negation.
+
+Conjugating every operand (and lambda) conjugates every matrix the route
+forms, and negating every operand (lambda unchanged) negates them; LAPACK's
+singular values are bit-exact under both, and so is every norm, so every
+hypothesis row, residual, verdict, error string and bound must come out the
+same bit for bit, and every formula exactly conjugated or negated. No
+tolerance is allowed here. The instances are those of the acceptance gate's
+criterion 4 (valid, given lambda) and criterion 7 (negated, plain and
+forced), and one ``gdz verify`` runs on a conjugated instance directory.
+
+One exception: the full SVD (with singular vectors) of -x can differ from
+that of x in the last bit, so the oracle's inverse of the assembled matrix,
+and the gap read off it, are exact under conjugation only; under negation
+they give the same verdict (on 5 of the 900 criterion-4 instances the gap
+moves by a rounding).
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from gdrazin import CaseSpec, evaluate, generate
+from gdrazin.casegen import TARGETS
+from gdrazin.cli import main
+from gdrazin.io import load_instance, save_instance, save_matrix
+
+LAMBDAS = (0.5, 3.0, 1j, -2.0)
+# map name: (image of an operand, image of lambda, whether the oracle on the
+# assembled matrix and the gap are bit-exact under it)
+MAPS = {
+    "conjugation": (np.conj, lambda lam: lam.conjugate(), True),
+    "negation": (np.negative, lambda lam: lam, False),
+}
+
+
+@pytest.fixture(scope="module")
+def corpora():
+    """The instances of acceptance criteria 4 and 7: (target, matrices,
+    lambda, forced runs too)."""
+    valid = [
+        (target, generate(CaseSpec(target, dim=2 + i % 7, lam=LAMBDAS[i % 4], seed=i // 4)).matrices,
+         LAMBDAS[i % 4], False)
+        for target in TARGETS
+        if target != "2.2"
+        for i in range(100)
+    ]
+    negated = [
+        (target, generate(CaseSpec(target, dim=2 + i % 7, lam=LAMBDAS[i % 4], seed=i, negate=True)).matrices,
+         LAMBDAS[i % 4], True)
+        for target in TARGETS
+        for i in range(50)
+    ]
+    return {"criterion 4": valid, "criterion 7": negated}
+
+
+def outcome(target, mats, lam, force):
+    """evaluate's Outcome, or the type and text of what it raised."""
+    try:
+        return evaluate(target, mats, lam, force=force)
+    except Exception as exc:  # an oracle refusal on an operand is compared too
+        return type(exc), str(exc)
+
+
+def assert_image(base, image, f, g, oracle_exact, where):
+    """``image`` is ``base`` with every matrix mapped by f and every lambda
+    by g, and all else equal, bit for bit; the oracle's inverse of m and
+    the gap only when ``oracle_exact``, and otherwise the verdict."""
+    if isinstance(base, tuple):
+        assert image == base, where
+        return
+    rows = [(c.condition, c.holds, c.residual, c.degenerate) for c in base.conditions]
+    assert [(c.condition, c.holds, c.residual, c.degenerate) for c in image.conditions] == rows, where
+    assert [c.lam for c in image.conditions] == [None if c.lam is None else g(c.lam) for c in base.conditions], where
+    assert [c.condition for c in image.failing] == [c.condition for c in base.failing], where
+    assert (image.closed, image.bound, image.error) == (base.closed, base.bound, base.error), where
+    pairs = [(base.formula, image.formula), (base.m, image.m)]
+    if base.gap is None:
+        assert image.gap is None, where
+    elif oracle_exact:
+        assert image.gap == base.gap, where
+        pairs.append((base.oracle.d, image.oracle.d))
+    else:
+        assert (image.gap <= image.bound) == (base.gap <= base.bound), where
+    for x, y in pairs:
+        assert (x is None and y is None) or np.array_equal(y, f(x)), where
+
+
+@pytest.mark.parametrize("corpus", ["criterion 4", "criterion 7"])
+def test_evaluate_is_exactly_equivariant(corpus, corpora):
+    formulas = 0
+    for i, (target, mats, lam, forced) in enumerate(corpora[corpus]):
+        for force in (False, True) if forced else (False,):
+            base = outcome(target, mats, lam, force)
+            formulas += getattr(base, "formula", None) is not None
+            for name, (f, g, oracle_exact) in MAPS.items():
+                image = outcome(target, {k: f(v) for k, v in mats.items()}, g(lam), force)
+                assert_image(base, image, f, g, oracle_exact, (name, target, i, force))
+    assert formulas > 0
+
+
+def test_verify_on_a_conjugated_directory(tmp_path, capsys):
+    # a pair and a block instance (rule 3.1 reads the Drazin data of its
+    # corner Q), valid and negated, at a lambda that conjugation moves
+    specs = [CaseSpec(t, dim=4, lam=1j, seed=0, negate=neg) for t in ("2.4", "3.1") for neg in (False, True)]
+    reports = []
+    for root, conj in ((tmp_path / "given", False), (tmp_path / "conjugated", True)):
+        for spec in specs:
+            d = root / f"{spec.target}-{spec.negate}"
+            save_instance(d, generate(spec))
+            if conj:
+                manifest, matrices, lam = load_instance(d)
+                for name, fname in manifest["files"].items():
+                    save_matrix(d / fname, matrices[name].conj())
+                manifest["lambda"] = [lam.real, -lam.imag]
+                (d / "instance.json").write_text(json.dumps(manifest))
+        code = main(["verify", str(root)])
+        doc = json.loads(capsys.readouterr().out)
+        doc.pop("wall_ms")
+        for row in doc["instances"]:
+            row.pop("dir")
+        reports.append((code, doc))
+    assert reports[0] == reports[1]
+    assert reports[0][0] == 0 and len(reports[0][1]["instances"]) == len(specs)

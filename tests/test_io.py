@@ -227,8 +227,9 @@ def test_instance_roundtrip(tmp_path):
     assert manifest["schema_version"] == SCHEMA_VERSION
     assert manifest["target"] == "3.1"
     assert manifest["broken"] is None
-    back_manifest, matrices = load_instance(tmp_path / "inst")
+    back_manifest, matrices, lam = load_instance(tmp_path / "inst")
     assert back_manifest == json.loads(json.dumps(manifest))
+    assert lam == 0.5 and type(lam) is complex
     assert set(matrices) == {"a", "b", "c", "d"}
     for name, m in matrices.items():
         assert np.array_equal(m, case.matrices[name])
@@ -237,8 +238,8 @@ def test_instance_roundtrip(tmp_path):
 def test_instance_roundtrip_pair_kind(tmp_path):
     case = generate(CaseSpec(target="2.3", dim=4, lam=2.0, seed=1, negate=True))
     save_instance(tmp_path / "inst", case)
-    manifest, matrices = load_instance(tmp_path / "inst")
-    assert manifest["negate"] is True
+    manifest, matrices, lam = load_instance(tmp_path / "inst")
+    assert manifest["negate"] is True and lam == 2.0
     assert manifest["broken"] == case.broken
     assert set(matrices) == {"a", "b"}
 
