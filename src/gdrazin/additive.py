@@ -340,18 +340,6 @@ def _pair_factors(a: np.ndarray, b: np.ndarray, a_dr=None, b_dr=None) -> dict[st
     return factors
 
 
-def pair_checks(
-    a: np.ndarray, b: np.ndarray, target: str, oracles: dict, lam: complex | None
-) -> list[FactorCheck]:
-    """Every hypothesis condition of a pair target, in catalog order, on
-    (a, b) as square_pair returns them and on pair_oracles' set for this
-    target on them; evaluation's judge forms both and calls this. ``lam``
-    fixes the scalar; None fits it. A quasinilpotency row carries no scalar;
-    its residual is nilpotency_residual of the operand."""
-    factors = _pair_factors(a, b, **oracles)
-    return check_condition_rows(condition_rows(_PAIR_CONDITIONS[target], factors), lam)
-
-
 def _refusal(c: FactorCheck) -> str:
     # a scalar condition names lambda on its right-hand side
     scalar = "lambda" in c.condition.partition(" = ")[2]

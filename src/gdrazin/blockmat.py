@@ -18,14 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .additive import (
-    FactorCheck,
-    check_condition_rows,
-    condition_rows,
-    parse_rules,
-    require_hypothesis,
-    sum_formula,
-)
+from .additive import FactorCheck, parse_rules, require_hypothesis, sum_formula
 from .drazin import DrazinResult, drazin_oracle
 from .errors import ReconciliationError
 from .linalg import EPS_CHECK, EPS_MATCH, EPS_TAIL, as_matrix, fro_norm, scale_of
@@ -135,7 +128,7 @@ def _zero_like(rows: int, cols: int) -> np.ndarray:
     return np.zeros((rows, cols), dtype=complex)
 
 
-def _q_drazin(blocks: Block2x2) -> DrazinResult | None:
+def _q_drazin(blocks: Block2x2) -> DrazinResult:
     """Drazin data of the corner Q = [[0, B], [C, 0]], from one oracle run on
     B C by the product-exchange identity (C B)^d = C ((B C)^d)^2 B:
     Q^d = [[0, B (C B)^d], [C (B C)^d, 0]], and Q^pi = I - Q Q^d is block
@@ -143,15 +136,15 @@ def _q_drazin(blocks: Block2x2) -> DrazinResult | None:
     (C B)^pi = I - C B (C B)^d, each formed at its own size.
 
     A product B C at rounding-noise level is an exact zero of the
-    hypotheses (and makes Q^3 = 0, so Q^d = 0): then the result is None,
-    which stands for (0, I), rather than the oracle on the noise, which
-    would invert it.
+    hypotheses (and makes Q^3 = 0, so Q^d = 0): then the result is
+    DrazinResult.nilpotent, the data (0, I), rather than the oracle on the
+    noise, which would invert it.
     """
     m, n = blocks.dims
     b, c = blocks.b, blocks.c
     bc = b @ c
     if fro_norm(bc) <= EPS_CHECK * scale_of(b, c):
-        return None
+        return DrazinResult.nilpotent(m + n)
     bc_d = drazin_oracle(bc).d
     del bc
     c_bcd = c @ bc_d  # C (B C)^d
@@ -175,10 +168,11 @@ def block_oracles(blocks: Block2x2, rule: str) -> dict[str, DrazinResult | None]
     and hands it to the rows and to the engine, so each matrix goes through
     the oracle once; an oracle's idempotent is formed on its first read, so
     one that no row and no series reads (D^pi of rule 3.4) is never formed.
-    "q_dr" is formed, from the oracle on B C, only for the rules whose
-    conditions name (B C)^pi or (C B)^pi (3.1, 3.3). For the others, whose
-    hypotheses make Q^3 = 0, it is None: Q^d = 0 and Q^pi = I are taken by
-    identity (``block_formula``, ``sum_formula``), and nothing is formed.
+    "q_dr" is formed (``_q_drazin``) only for the rules whose conditions
+    name (B C)^pi or (C B)^pi (3.1, 3.3). For the others, whose hypotheses
+    make Q^3 = 0, it is None, which means only that: Q^d = 0 and Q^pi = I
+    are forced by a hypothesis and taken by identity (``block_formula``,
+    ``sum_formula``), and nothing is formed.
     """
     _require_rule(rule)
     return {
@@ -191,8 +185,8 @@ def block_oracles(blocks: Block2x2, rule: str) -> dict[str, DrazinResult | None]
 def _block_factors(blocks: Block2x2, rule: str, a_dr, d_dr, q_dr) -> dict[str, np.ndarray]:
     """The factor map the labels of ``rule`` read, on block_oracles' data:
     the blocks, and the idempotents the labels name. (B C)^pi and (C B)^pi
-    are the diagonal blocks of Q^pi, or identities when q_dr is None."""
-    m, n = blocks.dims
+    are the diagonal blocks of Q^pi."""
+    m = blocks.dims[0]
     factors = dict(zip(_BLOCK_FACTORS, (blocks.a, blocks.b, blocks.c, blocks.d)))
     named = _NAMED[rule]
     if "A^pi" in named:
@@ -200,19 +194,8 @@ def _block_factors(blocks: Block2x2, rule: str, a_dr, d_dr, q_dr) -> dict[str, n
     if "D^pi" in named:
         factors["D^pi"] = d_dr.pi
     if rule in _BC_RULES:
-        if q_dr is None:
-            factors["(B C)^pi"], factors["(C B)^pi"] = np.eye(m, dtype=complex), np.eye(n, dtype=complex)
-        else:
-            factors["(B C)^pi"], factors["(C B)^pi"] = q_dr.pi[:m, :m], q_dr.pi[m:, m:]
+        factors["(B C)^pi"], factors["(C B)^pi"] = q_dr.pi[:m, :m], q_dr.pi[m:, m:]
     return factors
-
-
-def block_checks(blocks: Block2x2, rule: str, oracles: dict, lam: complex | None) -> list[FactorCheck]:
-    """Every hypothesis condition of a rule, in catalog order, on the blocks
-    and on block_oracles' set for this rule on them; evaluation's judge
-    forms both and calls this. ``lam`` fixes the scalar; None fits it."""
-    factors = _block_factors(blocks, rule, **oracles)
-    return check_condition_rows(condition_rows(_CONDITIONS[rule], factors), lam)
 
 
 def check_hypothesis(blocks: Block2x2, rule: str, lam: complex | None = None) -> list[FactorCheck]:
@@ -291,6 +274,15 @@ def _diag_dr(a_dr: DrazinResult, d_dr: DrazinResult, m: int, n: int) -> DrazinRe
     )
 
 
+def _corner_inverse(ad: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """[[A^d, (A^d)^2 B], [C (A^d)^2, C (A^d)^3 B]] from A^d: the Drazin
+    inverse of rule 4.1's corner Q = [[A^2 A^d, B], [C, 0]], which
+    ``block_formula`` reads as Q^d and ``closed_form_drazin`` as its head."""
+    ad2 = ad @ ad
+    cad2 = c @ ad2
+    return _quad(ad, ad2 @ b, cad2, cad2 @ ad @ b)
+
+
 def block_formula(
     blocks: Block2x2, rule: str, a_dr: DrazinResult, d_dr: DrazinResult, q_dr: DrazinResult | None
 ) -> np.ndarray:
@@ -298,8 +290,9 @@ def block_formula(
     D and the corner Q = [[0, B], [C, 0]], as block_oracles keys it; it
     checks no hypothesis. Under the rule's hypothesis the result is the
     Drazin inverse of the assembled matrix. The index is not read. A q_dr
-    of None is Q's data when Q^3 = 0, (0, I), which sum_formula takes by
-    identity; rules 4.1 and 4.2 build their own corner data and read none."""
+    of None is Q's data when a hypothesis forces Q^3 = 0, (0, I), which
+    sum_formula takes by identity; rules 4.1 and 4.2 read none, and take
+    their corner's Q^d from ``_corner_inverse``."""
     m, n = blocks.dims
     a, b, c, d = blocks.a, blocks.b, blocks.c, blocks.d
     if rule == "4.2":
@@ -312,10 +305,7 @@ def block_formula(
         p = _quad(a @ api, _zero_like(m, n), _zero_like(n, m), d)
         q = _quad(a @ a @ ad, b, c, _zero_like(n, n))
         p_dr = _diag_dr(DrazinResult.nilpotent(m), d_dr, m, n)  # A A^pi is nilpotent
-        ad2 = ad @ ad
-        cad2 = c @ ad2
-        qd = _quad(ad, ad2 @ b, cad2, cad2 @ ad @ b)
-        del ad2, cad2  # no series reads them
+        qd = _corner_inverse(ad, b, c)
         q_dr = DrazinResult(d=qd, pi=lambda: np.eye(m + n, dtype=complex) - q @ qd, index=None)
         x = sum_formula(p, q, p_dr, q_dr)
         return x if rule == "4.1" else _quad(x[m:, m:], x[m:, :m], x[:m, m:], x[:m, :m])
@@ -340,6 +330,11 @@ def closed_form_drazin(blocks: Block2x2, lam: complex | None = None, force: bool
         bottom-right  D^d + C (A^d)^3 B
                       + sum_{n >= 1} sum_{k=1..n} D^(k-1) C A^(n-k) B (D^d)^(n+2)
 
+    The head, every corner without its series, is the splitting's corner
+    inverse (``_corner_inverse``) plus D^d. The series step by their
+    recurrences: A^(n+1) B = A (A^n B), and the inner sum
+    s_n = sum_{k=1..n} D^(k-1) C A^(n-k) by s_(n+1) = D s_n + C A^n.
+
     The result is compared against the splitting route, ``block_formula``;
     disagreement beyond EPS_MATCH * scale raises ReconciliationError.
 
@@ -358,35 +353,28 @@ def closed_form_drazin(blocks: Block2x2, lam: complex | None = None, force: bool
     a_dr, d_dr = oracles["a_dr"], oracles["d_dr"]
 
     a, b, c, d = blocks.a, blocks.b, blocks.c, blocks.d
-    m, n = blocks.dims
-    dim = m + n
+    m = blocks.dims[0]
     scale = scale_of(a, b, c, d)
     tiny = EPS_TAIL * scale
-    nmax = series_cap(dim)
-    a_pow = PowerCache(a)
-    d_pow = PowerCache(d)
+    nmax = series_cap(m + blocks.dims[1])
     dd_pow = PowerCache(d_dr.d)
-    ad = a_dr.d
-    ad2 = ad @ ad
 
     def tr_terms():
-        i = 0
+        i, ab = 0, b  # ab = A^i B
         while True:
-            yield a_pow(i) @ b @ dd_pow(i + 2)
-            i += 1
+            yield ab @ dd_pow(i + 2)
+            i, ab = i + 1, a @ ab
 
     def br_terms():
-        i = 1
+        i, s, ca = 1, c, c @ a  # s = s_i, ca = C A^i
         while True:
-            acc = _zero_like(n, m)
-            for k in range(1, i + 1):
-                acc = acc + d_pow(k - 1) @ c @ a_pow(i - k)
-            yield acc @ b @ dd_pow(i + 2)
-            i += 1
+            yield s @ b @ dd_pow(i + 2)
+            i, s, ca = i + 1, d @ s + ca, ca @ a
 
-    tr = ad2 @ b + summed(tr_terms(), nmax, tiny, "closed form corner series")
-    br = d_dr.d + c @ ad2 @ ad @ b + summed(br_terms(), nmax, tiny, "closed form tail series")
-    closed = _quad(ad, tr, c @ ad2, br)
+    closed = _corner_inverse(a_dr.d, b, c)
+    closed[:m, m:] += summed(tr_terms(), nmax, tiny, "closed form corner series")
+    closed[m:, m:] += d_dr.d
+    closed[m:, m:] += summed(br_terms(), nmax, tiny, "closed form tail series")
 
     general = block_formula(blocks, "4.1", **oracles)
     gap = fro_norm(closed - general)

@@ -14,9 +14,9 @@ only chooses the core counts: none for 2.2, one of b for 2.3, a split
 between a and b for 2.4 (``_pair_cores``); one of b and c for the rules
 whose conditions name (B C)^pi or (C B)^pi (3.1 and 3.3), and for a and d
 what a window of at most 4 leaves (``_block_layout``).
-Rule 4.2's instances are rule 4.1's with the blocks exchanged. A final
-unitary conjugation hides the zone structure without touching any
-hypothesis.
+Rule 4.2's instances are rule 4.1's with the blocks exchanged
+(``blockmat.exchange``). A final unitary conjugation hides the zone
+structure without touching any hypothesis.
 
 Negated instances are candidates, each from one break recipe (a doubled
 last band weight, a coupling entry injected next to a core slot, or for 2.2
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .additive import PAIR_TARGETS, FactorCheck, require_lambda
-from .blockmat import _BC_RULES, Block2x2
+from .blockmat import _BC_RULES, Block2x2, exchange
 from .errors import AxiomViolation, GenerationFailed
 from .evaluation import TARGETS, certify, target_kind
 
@@ -86,8 +86,7 @@ class CaseSpec:
     negate: bool = False
 
     def __post_init__(self):
-        if self.target not in TARGETS:
-            raise ValueError(f"unknown target {self.target!r}; valid: {', '.join(TARGETS)}")
+        target_kind(self.target)
         _require_int("dim", self.dim, 2)
         require_lambda(complex(self.lam))
         _require_int("seed", self.seed, 0)
@@ -347,11 +346,6 @@ def _block_window(
     return zones
 
 
-def _exchanged(mats: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """The blocks [[d, c], [b, a]]: rule 4.2 is rule 4.1 on these."""
-    return {"a": mats["d"], "b": mats["c"], "c": mats["b"], "d": mats["a"]}
-
-
 def _build_block(
     target: str, dim: int, lam: complex, rng: np.random.Generator,
     cores: int | None = None, slot_rng: np.random.Generator | None = None,
@@ -359,7 +353,7 @@ def _build_block(
     """The window drawn from ``rng``, the core slots from ``slot_rng``
     (default ``rng``)."""
     if target == "4.2":
-        return _exchanged(_build_block("4.1", dim, lam, rng, cores, slot_rng))
+        return vars(exchange(Block2x2(**_build_block("4.1", dim, lam, rng, cores, slot_rng))))
     s_q, s_p, w, g = _block_layout(target, dim, cores)
     window = _block_window(target, w, g, lam, rng)
     slots = [("b", 0, s_q), ("c", 0, s_q), ("a", s_q, s_p), ("d", s_q, s_p)]
@@ -390,7 +384,7 @@ def _block_cases(
     if not negate:
         return [functools.partial(_conjugate_block, _build_block(target, dim, lam, rng), rng)]
     if target == "4.2":
-        return [lambda build=build: _exchanged(build())
+        return [lambda build=build: vars(exchange(Block2x2(**build())))
                 for build in _block_cases("4.1", dim, lam, rng, negate)]
 
     candidates: list[dict[str, np.ndarray]] = []

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .additive import (
-    PAIR_TARGETS, FactorCheck, pair_checks, pair_oracles, require_hypothesis, require_lambda, square_pair,
-    sum_formula,
+    _PAIR_CONDITIONS, PAIR_TARGETS, FactorCheck, _pair_factors, check_condition_rows, condition_rows,
+    pair_oracles, require_hypothesis, require_lambda, square_pair, sum_formula,
 )
-from .blockmat import RULE_IDS, Block2x2, assemble, block_checks, block_formula, block_oracles
+from .blockmat import _CONDITIONS, RULE_IDS, Block2x2, _block_factors, assemble, block_formula, block_oracles
 from .drazin import DrazinResult, drazin_oracle, is_quasinilpotent
 from .errors import AxiomViolation, ConvergenceError
 from .linalg import EPS_MATCH, fro_norm, scale_of
@@ -85,8 +85,10 @@ def _judge(
     target: str, mats: dict[str, np.ndarray], lam: complex | None
 ) -> tuple[Block2x2 | tuple[np.ndarray, np.ndarray], dict, tuple[FactorCheck, ...]]:
     """The checked operands of a request, their oracle data and the
-    hypothesis rows of ``target``. ValueError for a bad ``lam``, before any
-    oracle runs, and unless ``mats`` maps exactly the target's OPERANDS."""
+    hypothesis rows of ``target``: its parsed labels, multiplied out on the
+    factor map of that data and checked at ``lam`` (None fits the scalar).
+    ValueError for a bad ``lam``, before any oracle runs, and unless
+    ``mats`` maps exactly the target's OPERANDS."""
     require_lambda(lam)
     kind = target_kind(target)
     if set(mats) != set(OPERANDS[kind]):
@@ -94,10 +96,12 @@ def _judge(
     if kind == "block":
         ops = Block2x2(**mats)
         oracles = block_oracles(ops, target)
-        return ops, oracles, tuple(block_checks(ops, target, oracles, lam))
-    ops = square_pair(**mats)
-    oracles = pair_oracles(target, *ops)
-    return ops, oracles, tuple(pair_checks(*ops, target, oracles, lam))
+        table, factors = _CONDITIONS, _block_factors(ops, target, **oracles)
+    else:
+        ops = square_pair(**mats)
+        oracles = pair_oracles(target, *ops)
+        table, factors = _PAIR_CONDITIONS, _pair_factors(*ops, **oracles)
+    return ops, oracles, tuple(check_condition_rows(condition_rows(table[target], factors), lam))
 
 
 def _formula(target: str, ops, oracles: dict) -> tuple[np.ndarray, np.ndarray]:

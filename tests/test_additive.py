@@ -26,9 +26,12 @@ from gdrazin import (
     preset,
 )
 from gdrazin.additive import (
+    _PAIR_CONDITIONS,
     _PAIR_FACTORS,
     PAIR_RULES,
-    pair_checks,
+    _pair_factors,
+    check_condition_rows,
+    condition_rows,
     pair_oracles,
     parse_condition,
     sum_formula,
@@ -195,7 +198,8 @@ class TestPairHypothesisTable:
         assert len(ran) == len(want) and all(map(np.array_equal, ran, want))
         if target == "2.3":
             assert oracles["a_dr"] is None
-        given = pair_checks(a, b, target, oracles, 1j)
+        factors = _pair_factors(a, b, **oracles)
+        given = check_condition_rows(condition_rows(_PAIR_CONDITIONS[target], factors), 1j)
         assert tuple(given) == certify(target, case.matrices, 1j)
 
     def test_unknown_target(self):

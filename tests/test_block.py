@@ -50,6 +50,26 @@ def _case(rule, dim, lam, seed):
     return generate(CaseSpec(target=rule, dim=dim, lam=lam, seed=seed))
 
 
+def _record_series(monkeypatch):
+    """The label of every series sum_formula forms from now on, in order."""
+    labels = []
+    real_summed = gdrazin.additive.summed
+
+    def recording(terms, nmax, tiny, label):
+        labels.append(label)
+        return real_summed(terms, nmax, tiny, label)
+
+    monkeypatch.setattr(gdrazin.additive, "summed", recording)
+    return labels
+
+
+def _assert_zero_corner(blocks):
+    """B C is at rounding-noise level: the corner Q's data is (0, I)."""
+    q_dr, size = gdrazin.blockmat._q_drazin(blocks), sum(blocks.dims)
+    assert q_dr.d.shape == (size, size) and not q_dr.d.any()
+    assert np.array_equal(q_dr.pi, np.eye(size))
+
+
 def _swap_permutation(m, n):
     """Permutation p with assemble(blocks) = p @ assemble(exchange(blocks)) @ p.T
     for blocks of dims (m, n)."""
@@ -259,14 +279,7 @@ class TestBlockDrazin:
         # sum_formula forms series 2 alone: the others carry powers of b^d.
         # From dim 5 on A and D have an invertible core, so P^d != 0 and the
         # a^d = 0 return (series 1 alone) is not the one taken.
-        labels = []
-        real_summed = gdrazin.additive.summed
-
-        def counting(terms, nmax, tiny, label):
-            labels.append(label)
-            return real_summed(terms, nmax, tiny, label)
-
-        monkeypatch.setattr(gdrazin.additive, "summed", counting)
+        labels = _record_series(monkeypatch)
         for i in range(12):
             lam = LAMBDAS[i % 4]
             case = _case(rule, 5 + i % 4, lam, i)
@@ -277,20 +290,30 @@ class TestBlockDrazin:
             scale = scale_of(*case.matrices.values())
             assert np.linalg.norm(got - drazin_oracle(m).d) < 1e-8 * scale, (rule, i)
 
-    def test_zero_product_subsumption(self):
+    def test_zero_product_subsumption(self, monkeypatch):
         # an instance of the zero-coupling rule also satisfies the projector
-        # variant: with B C = 0 the extra projector factors are identities
+        # variant: with B C = 0 the extra projector factors are identities.
+        # Its B C is at noise level, so rule 3.1 reads Q's data as (0, I),
+        # and its splitting (Q first) forms series 1 alone
         case = _case("3.2", 6, 0.5, 3)
+        _assert_zero_corner(case.blocks)
         assert all(c.holds for c in check_hypothesis(case.blocks, "3.1", lam=0.5))
+        labels = _record_series(monkeypatch)
         a31 = block_drazin(case.blocks, "3.1", lam=0.5)
+        assert labels == ["sum formula series 1"]
         a32 = block_drazin(case.blocks, "3.2", lam=0.5)
         assert np.allclose(a31, a32, atol=1e-10)
 
-    def test_one_sided_subsumption(self):
-        # D C = 0 cases satisfy the two-sided variant degenerately
+    def test_one_sided_subsumption(self, monkeypatch):
+        # D C = 0 cases satisfy the two-sided variant degenerately. Its B C
+        # is at noise level, so rule 3.3 reads Q's data as (0, I), and its
+        # splitting (Q second, P^d != 0) forms series 2 alone
         case = _case("3.4", 6, 3.0, 5)
+        _assert_zero_corner(case.blocks)
         assert all(c.holds for c in check_hypothesis(case.blocks, "3.3", lam=3.0))
+        labels = _record_series(monkeypatch)
         a33 = block_drazin(case.blocks, "3.3", lam=3.0)
+        assert labels == ["sum formula series 2"]
         a34 = block_drazin(case.blocks, "3.4", lam=3.0)
         assert np.allclose(a33, a34, atol=1e-10)
 

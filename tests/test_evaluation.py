@@ -26,8 +26,10 @@ from gdrazin import (
     generate,
     scale_of,
 )
-from gdrazin.additive import pair_checks, pair_oracles, sum_formula
-from gdrazin.blockmat import block_checks, block_formula, block_oracles, check_hypothesis
+from gdrazin.additive import (
+    _PAIR_CONDITIONS, _pair_factors, check_condition_rows, condition_rows, pair_oracles, sum_formula,
+)
+from gdrazin.blockmat import _CONDITIONS, _block_factors, block_formula, block_oracles, check_hypothesis
 from gdrazin.evaluation import target_kind
 from gdrazin.linalg import EPS_MATCH
 from helpers import NO_RECIPROCAL
@@ -78,20 +80,25 @@ def test_valid_instance_matches_the_oracle(target, lam):
     assert out.failing == [] and out.error is None and out.closed is None
     m = case.pair[0] + case.pair[1] if case.kind == "pair" else assemble(case.blocks)
     assert np.array_equal(out.m, m)
-    # the rows and the engine on one oracle set give the bytes of the
-    # library route and of evaluate
+    # the rows (the target's parsed labels on the factor map of one oracle
+    # set) and the engine on that set give the bytes of the library route
+    # and of evaluate
     if case.kind == "pair":
         # and 2.3's shortcut (a^d = 0, a^pi = I) agrees with the general
         # route, which runs the oracle on the quasinilpotent a
         assert out.formula.tobytes() == drazin_sum(*case.pair, lam=lam).tobytes()
         oracles = pair_oracles(target, *case.pair)
-        rows = pair_checks(*case.pair, target, oracles, lam)
+        rows = check_condition_rows(
+            condition_rows(_PAIR_CONDITIONS[target], _pair_factors(*case.pair, **oracles)), lam
+        )
         formula = sum_formula(*case.pair, **oracles)
         route = drazin_sum_nilpotent if target == "2.3" else drazin_sum
         assert formula.tobytes() == route(*case.pair, lam=lam).tobytes()
     else:
         oracles = block_oracles(case.blocks, target)
-        rows = block_checks(case.blocks, target, oracles, lam)
+        rows = check_condition_rows(
+            condition_rows(_CONDITIONS[target], _block_factors(case.blocks, target, **oracles)), lam
+        )
         assert rows == check_hypothesis(case.blocks, target, lam=lam)
         formula = block_formula(case.blocks, target, **oracles)
         assert formula.tobytes() == block_drazin(case.blocks, target, lam=lam).tobytes()
