@@ -9,10 +9,12 @@ gen      Write a generated instance directory for a target hypothesis set.
 verify   Re-check a directory of generated instances end to end.
 
 Exit codes: 0 success/match, 2 precondition violation (or an instance the
-generator cannot realize), 3 mismatch, failed axioms, or a forced run that
-did not converge, 4 I/O, parse, or usage errors (a non-square drazin input
-among them). The parser of each command checks every value given to it, so
-a usage error prints that command's usage line.
+generator cannot realize), 3 mismatch, failed axioms, a forced run that did
+not converge, or an input the oracle refuses (an ambiguous rank), each
+written as a report, 4 I/O, parse, or usage errors (a non-square drazin
+input among them, and an instance manifest whose kind or files are not the
+ones gen writes for its target). The parser of each command checks every
+value given to it, so a usage error prints that command's usage line.
 
 Thresholds are fixed (gdrazin.linalg: EPS_RANK 1e-10, EPS_CHECK 1e-9,
 EPS_MATCH 1e-8, EPS_TAIL 1e-12): no option or environment variable changes
@@ -36,12 +38,7 @@ import time
 from .additive import PAIR_TARGETS, require_lambda
 from .blockmat import RULE_IDS
 from .drazin import AxiomReport, check_drazin_axioms, drazin_oracle
-from .errors import (
-    AxiomViolation,
-    ConvergenceError,
-    GenerationFailed,
-    PreconditionViolated,
-)
+from .errors import AxiomViolation, GenerationFailed
 from .evaluation import OPERANDS, TARGETS, evaluate
 from .io import (
     SCHEMA_VERSION,
@@ -145,7 +142,10 @@ def cmd_solve(args) -> tuple[dict, int]:
     """``sum`` and ``block``: evaluate, plus the axiom check of the formula."""
     mats = {name: load_matrix(getattr(args, name)) for name in args.names}
     check_shapes(args.theorem, mats)
-    out = evaluate(args.theorem, mats, args.lam, args.force)
+    try:
+        out = evaluate(args.theorem, mats, args.lam, args.force)
+    except AxiomViolation as exc:  # from the oracle run on an operand
+        return _report(args.command, theorem=args.theorem, error=str(exc)), EXIT_MISMATCH
     fitted = next((c.lam for c in out.conditions if c.lam is not None), None)
     report = _report(
         args.command,
@@ -312,12 +312,6 @@ def main(argv=None) -> int:
     except (DocumentError, OSError) as exc:  # OSError: writing an instance
         print(f"gdz: {exc}", file=sys.stderr)
         return EXIT_IO
-    except PreconditionViolated as exc:
-        print(f"gdz: precondition violated: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except (ConvergenceError, AxiomViolation) as exc:
-        print(f"gdz: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
     except (GenerationFailed, ValueError) as exc:
         print(f"gdz: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -17,9 +17,11 @@ text is RFC 8259 JSON: a file whose numbers are spelled another way
 (``1e-05``, ``1e+16``, integers) loads to the same values, and the literals
 ``NaN`` and ``Infinity`` are refused as not valid JSON.
 
-A generated-instance directory holds one matrix document per block plus an
-``instance.json`` manifest recording the spec, the file map, and the
-verification certificate. ``load_instance`` reads schema ``SCHEMA_VERSION``.
+A generated-instance directory holds ``<name>.json`` for each of its
+target's ``OPERANDS`` plus an ``instance.json`` manifest recording the spec,
+that file map (``_files``) and the verification certificate.
+``load_instance`` reads a manifest of schema ``SCHEMA_VERSION`` only as
+``save_instance`` writes it.
 
 Paths are handled as strings. ``norm_path`` spells a path as pathlib would
 (so messages and report fields name files exactly as ``str(Path(p))`` did)
@@ -38,8 +40,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 import orjson
 
-from .additive import PAIR_TARGETS, FactorCheck, _same_square, require_lambda
-from .blockmat import RULE_IDS, _block_shapes
+from .additive import FactorCheck, _same_square, require_lambda
+from .blockmat import _block_shapes
 from .errors import GDrazinError
 from .evaluation import OPERANDS, target_kind
 
@@ -273,15 +275,19 @@ def parse_scalar(text: str) -> complex:
     return z
 
 
+def _files(kind: str) -> dict[str, str]:
+    """The file map of an instance of ``kind``: each of its OPERANDS to
+    ``<name>.json`` in the instance directory."""
+    return {name: f"{name}.json" for name in OPERANDS[kind]}
+
+
 def save_instance(directory, case: "GeneratedCase") -> dict:
     """Write one generated instance into a directory; returns the manifest."""
     d = norm_path(directory)
     os.makedirs(d, exist_ok=True)
-    files = {}
-    for name, m in sorted(case.matrices.items()):
-        fname = f"{name}.json"
-        save_matrix(join_path(d, fname), m)
-        files[name] = fname
+    files = _files(case.kind)
+    for name, fname in files.items():
+        save_matrix(join_path(d, fname), case.matrices[name])
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "kind": case.kind,
@@ -303,12 +309,13 @@ def load_instance(directory) -> tuple[dict, dict[str, np.ndarray], complex]:
     lambda), the last being the manifest's lambda decoded and checked here,
     so that a caller does not decode it again.
 
-    Raises DocumentError unless the manifest's schema_version is an integer
-    in READABLE_SCHEMA_VERSIONS, it names a kind ("pair" or "block") and a
-    target of that kind, its negate is a boolean, its lambda is a [re, im]
-    pair that require_lambda takes, and its files map each block name to the
-    plain name of a matrix document in the directory (no path separator, not
-    "." or ".."), the matrices fitting together."""
+    The manifest is read only as ``save_instance`` writes it. Raises
+    DocumentError unless its schema_version is an integer in
+    READABLE_SCHEMA_VERSIONS, its target is a target id and its kind that
+    target's kind (``target_kind``), its negate is a boolean, its lambda is
+    a [re, im] pair that require_lambda takes, and its files map each of
+    the target's OPERANDS to ``<name>.json``, the matrices fitting
+    together."""
     d = norm_path(directory)
     mpath = join_path(d, "instance.json")
     manifest = _read_json(mpath)
@@ -322,12 +329,13 @@ def load_instance(directory) -> tuple[dict, dict[str, np.ndarray], complex]:
         raise DocumentError(
             f"{mpath}: schema_version must be one of {READABLE_SCHEMA_VERSIONS}, got {version!r}"
         )
-    kind, target = manifest["kind"], manifest["target"]
-    if kind not in ("pair", "block"):
-        raise DocumentError(f"{mpath}: kind must be 'pair' or 'block', got {kind!r}")
-    targets = PAIR_TARGETS if kind == "pair" else RULE_IDS
-    if target not in targets:
-        raise DocumentError(f"{mpath}: target {target!r} is not a {kind} target {targets}")
+    target = manifest["target"]
+    try:
+        kind = target_kind(target)
+    except ValueError as exc:
+        raise DocumentError(f"{mpath}: {exc}") from exc
+    if manifest["kind"] != kind:
+        raise DocumentError(f"{mpath}: kind must be {kind!r} for its target, got {manifest['kind']!r}")
     if not isinstance(manifest["negate"], bool):
         raise DocumentError(f"{mpath}: negate must be true or false, got {manifest['negate']!r}")
     try:
@@ -338,17 +346,9 @@ def load_instance(directory) -> tuple[dict, dict[str, np.ndarray], complex]:
         require_lambda(lam)
     except ValueError as exc:
         raise DocumentError(f"{mpath}: {exc}") from exc
-    expected = set(OPERANDS[kind])
-    files = manifest["files"]
-    if (
-        not isinstance(files, dict)
-        or set(files) != expected
-        or not all(isinstance(f, str) for f in files.values())
-    ):
-        raise DocumentError(f"{mpath}: files must map exactly {sorted(expected)} to file names")
-    for fname in files.values():
-        if fname in ("", ".", "..") or "/" in fname:
-            raise DocumentError(f"{mpath}: file name {fname!r} is not a plain name in {d}")
+    files = _files(kind)
+    if manifest["files"] != files:
+        raise DocumentError(f"{mpath}: files must be {files}, got {manifest['files']!r}")
     matrices = {name: load_matrix(join_path(d, fname)) for name, fname in files.items()}
     try:
         check_shapes(target, matrices)

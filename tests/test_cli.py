@@ -42,6 +42,9 @@ EXAMPLE_2_5 = ["--target", "2.4", "--dim", "3", "--lambda", "1/2"]
 # an edit of a manifest key that deletes the key
 DROP = object()
 
+# the refusal of a pair manifest whose files are not the ones gdz writes
+PAIR_FILES = "files must be {'a': 'a.json', 'b': 'b.json'}"
+
 
 def run(argv, capsys):
     code = main(argv)
@@ -353,10 +356,10 @@ class TestGenVerify:
     @pytest.mark.parametrize(
         "target,edit,fault",
         [
-            ("2.4", {"target": "9.9"}, "not a pair target"),
-            ("3.1", {"kind": "blok"}, "kind must be"),
-            ("3.1", {"kind": "block", "target": "2.4"}, "not a block target"),
-            ("2.4", {"target": ["2.4"]}, "not a pair target"),
+            ("2.4", {"target": "9.9"}, "unknown target '9.9'"),
+            ("3.1", {"kind": "blok"}, "kind must be 'block' for its target, got 'blok'"),
+            ("3.1", {"kind": "block", "target": "2.4"}, "kind must be 'pair' for its target, got 'block'"),
+            ("2.4", {"target": ["2.4"]}, "unknown target ['2.4']"),
             ("3.1", {"negate": "yes"}, "negate must be"),
             # gdz writes lambda and negate into every manifest, and reads
             # them back only as it writes them
@@ -370,17 +373,20 @@ class TestGenVerify:
             ("4.3", {"lambda": [0.0, 0.0]}, "lambda must be nonzero"),
             # the stdlib encoder writes NaN, which is not JSON
             ("4.3", {"lambda": [float("nan"), 0.0]}, "not valid JSON"),
-            ("2.4", {"files": {"a": 1, "b": "b.json"}}, "files must map exactly"),
-            ("2.4", {"files": {"a": "a.json", "b": None}}, "files must map exactly"),
-            # a file name must be a plain name inside the instance directory
-            ("2.4", {"files": {"a": "/tmp/x/a.json", "b": "b.json"}}, "not a plain name"),
-            ("2.4", {"files": {"a": "a.json", "b": "../x/b.json"}}, "not a plain name"),
-            ("2.4", {"files": {"a": "sub/a.json", "b": "b.json"}}, "not a plain name"),
-            ("2.4", {"files": {"a": "a.json", "b": ".."}}, "not a plain name"),
+            # files must be the map gdz writes: each operand to <name>.json
+            ("2.4", {"files": {"a": 1, "b": "b.json"}}, PAIR_FILES),
+            ("2.4", {"files": {"a": "a.json", "b": None}}, PAIR_FILES),
+            ("2.4", {"files": {"a": "/tmp/x/a.json", "b": "b.json"}}, PAIR_FILES),
+            ("2.4", {"files": {"a": "a.json", "b": "../x/b.json"}}, PAIR_FILES),
+            ("2.4", {"files": {"a": "sub/a.json", "b": "b.json"}}, PAIR_FILES),
+            ("2.4", {"files": {"a": "a.json", "b": ".."}}, PAIR_FILES),
+            ("2.4", {"files": {"a": "left.json", "b": "b.json"}}, PAIR_FILES),
         ],
     )
     def test_verify_bad_manifest_field_exits_io(self, target, edit, fault, tmp_path, capsys):
         save_instance(tmp_path, generate(CaseSpec(target=target, dim=4, lam=0.5, seed=0)))
+        # a readable matrix document that no manifest gdz writes names
+        (tmp_path / "left.json").write_bytes((tmp_path / "a.json").read_bytes())
         path = tmp_path / "instance.json"
         manifest = {**json.loads(path.read_text()), **edit}
         path.write_text(json.dumps({key: v for key, v in manifest.items() if v is not DROP}))
@@ -450,15 +456,22 @@ class TestVerifyVerdicts:
         detail = "negated instance was accepted (no condition failed)"
         assert self.verify(tmp_path, capsys) == (EXIT_MISMATCH, False, detail)
 
-    def test_operand_the_oracle_refuses_exits_mismatch(self, tmp_path, capsys):
-        save_instance(tmp_path, generate(CaseSpec(target="2.4", dim=2, lam=0.5, seed=0)))
-        save_matrix(tmp_path / "a.json", np.diag([1.0, 3e-10]).astype(complex))
-        save_matrix(tmp_path / "b.json", np.zeros((2, 2), dtype=complex))
-        files = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
-        assert main(["sum", *files, "--theorem", "2.4"]) == EXIT_MISMATCH
+    @pytest.mark.parametrize("command,target", [("sum", "2.4"), ("block", "4.3")])
+    def test_operand_the_oracle_refuses_exits_mismatch(self, command, target, tmp_path, capsys):
+        # reported as drazin and verify report it: exit 3 and the oracle's
+        # message in the report, nothing on stderr
+        case = generate(CaseSpec(target=target, dim=2, lam=0.5, seed=0))
+        save_instance(tmp_path, case)
+        files = [str(tmp_path / f"{name}.json") for name in sorted(case.matrices)]
+        save_matrix(files[0], np.diag([1.0, 3e-10]).astype(complex))
+        for f in files[1:]:
+            save_matrix(f, np.zeros((2, 2), dtype=complex))
+        assert main([command, *files, "--theorem", target]) == EXIT_MISMATCH
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("gdz: rank of power 1 is ambiguous") and err.endswith("\n")
-        assert self.verify(tmp_path, capsys) == (EXIT_MISMATCH, False, err[len("gdz: "):-1])
+        doc = json.loads(out)
+        assert out.count("\n") == 1 and err == ""
+        assert doc["error"].startswith("rank of power 1 is ambiguous") and doc["match"] is None
+        assert self.verify(tmp_path, capsys) == (EXIT_MISMATCH, False, doc["error"])
 
     def test_formula_error_fails_the_row(self, tmp_path, capsys, monkeypatch):
         def diverging(*args, **kwargs):
