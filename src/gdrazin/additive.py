@@ -31,7 +31,7 @@ import numpy as np
 
 from .drazin import DrazinResult, drazin_oracle, nilpotency_residual
 from .errors import PreconditionViolated
-from .linalg import EPS_CHECK, EPS_TAIL, as_matrix, checked_norm, fro_norm
+from .linalg import EPS_CHECK, as_matrix, checked_norm, fro_norm
 from .series import PowerCache, series_cap, summed
 
 __all__ = [
@@ -177,7 +177,13 @@ def check_factor_condition(
     if given_lambda is not None:
         lam = complex(given_lambda)
     else:
-        lam = complex(np.vdot(rhs_base.ravel(), lhs.ravel()) / np.vdot(rhs_base.ravel(), rhs_base.ravel()))
+        num, den = np.vdot(rhs_base, lhs), np.vdot(rhs_base, rhs_base)
+        if not (cmath.isfinite(num) and cmath.isfinite(den)):
+            # an inner product overflowed: fit again with both sides divided
+            # exactly, by the power of two just above their larger norm
+            s = math.ldexp(1.0, -math.frexp(max(lhs_norm, rhs_norm))[1])
+            num, den = np.vdot(s * rhs_base, s * lhs), np.vdot(s * rhs_base, s * rhs_base)
+        lam = complex(num / den)
     # formed at the scale 2**-e, 2**e >= |lam|, so that lam * rhs_base cannot
     # overflow where the residual is finite; a power of two scales exactly
     e = max(0, math.frexp(max(abs(lam.real), abs(lam.imag)))[1] + 1)
@@ -461,15 +467,16 @@ def sum_formula(
     3 and 4 read again.
 
     a and b are checked as square_pair checks them, with finiteness read off
-    the norms that the tail bound EPS_TAIL * max(1, ||a||, ||b||) needs (the
-    finite-norm rule of ``linalg``). ConvergenceError if a series that is
-    formed fails to terminate within the cap.
+    the norms that the series scale max(1, ||a||, ||b||) needs (the
+    finite-norm rule of ``linalg``); ``summed`` forms the tail band
+    EPS_TAIL * scale from it. ConvergenceError if a series that is formed
+    fails to terminate within the cap.
     """
     (a, a_norm), (b, b_norm) = checked_norm(a), checked_norm(b)
     _same_square(a, b)
 
     dim = a.shape[0]
-    tiny = EPS_TAIL * max(1.0, a_norm, b_norm)  # scale_of(a, b)
+    scale = max(1.0, a_norm, b_norm)  # scale_of(a, b)
     nmax = series_cap(dim)
     a_zero = a_dr is None or not a_dr.d.any()
     if a_zero and b_dr is None:
@@ -534,26 +541,26 @@ def sum_formula(
     def s5_terms():
         n = 0
         while True:
-            yield summed(s5_inner_terms(n), nmax, tiny, "sum formula series 3 (inner)") @ ad_pow(n + 2)
+            yield summed(s5_inner_terms(n), nmax, scale, "sum formula series 3 (inner)") @ ad_pow(n + 2)
             del amb[n]  # every later inner sum starts past n
             n += 1
 
     if a_zero:
         # head b^pi 0 + b^d I = b^d; series 1 alone, added to the head in
         # the other order, which gives the same bits
-        total = summed(s3_terms(), nmax, tiny, "sum formula series 1")
+        total = summed(s3_terms(), nmax, scale, "sum formula series 1")
         total += b_dr.d
         return total
     if b_zero:
         # head I a^d + 0 a^pi = a^d; series 2 alone
-        total = summed(s4_terms(), nmax, tiny, "sum formula series 2")
+        total = summed(s4_terms(), nmax, scale, "sum formula series 2")
         total += a_dr.d
         return total
     # one running total, added in the order head + s3 + s4 - s5 - s6
     total = b_pi @ ad_pow(1) + bd_pow(1) @ a_pi
-    total += summed(s3_terms(), nmax, tiny, "sum formula series 1")
-    total += summed(s4_terms(), nmax, tiny, "sum formula series 2")
-    s6 = summed(s6_terms(), nmax, tiny, "sum formula series 4")
-    total -= summed(s5_terms(), nmax, tiny, "sum formula series 3 (outer)")
+    total += summed(s3_terms(), nmax, scale, "sum formula series 1")
+    total += summed(s4_terms(), nmax, scale, "sum formula series 2")
+    s6 = summed(s6_terms(), nmax, scale, "sum formula series 4")
+    total -= summed(s5_terms(), nmax, scale, "sum formula series 3 (outer)")
     total -= s6
     return total

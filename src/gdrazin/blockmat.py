@@ -21,7 +21,7 @@ import numpy as np
 from .additive import FactorCheck, parse_rules, require_hypothesis, sum_formula
 from .drazin import DrazinResult, drazin_oracle
 from .errors import ReconciliationError
-from .linalg import EPS_CHECK, EPS_MATCH, EPS_TAIL, as_matrix, fro_norm, scale_of
+from .linalg import EPS_CHECK, EPS_MATCH, as_matrix, fro_norm, scale_of
 from .series import PowerCache, series_cap, summed
 
 __all__ = [
@@ -355,7 +355,6 @@ def closed_form_drazin(blocks: Block2x2, lam: complex | None = None, force: bool
     a, b, c, d = blocks.a, blocks.b, blocks.c, blocks.d
     m = blocks.dims[0]
     scale = scale_of(a, b, c, d)
-    tiny = EPS_TAIL * scale
     nmax = series_cap(m + blocks.dims[1])
     dd_pow = PowerCache(d_dr.d)
 
@@ -372,9 +371,9 @@ def closed_form_drazin(blocks: Block2x2, lam: complex | None = None, force: bool
             i, s, ca = i + 1, d @ s + ca, ca @ a
 
     closed = _corner_inverse(a_dr.d, b, c)
-    closed[:m, m:] += summed(tr_terms(), nmax, tiny, "closed form corner series")
+    closed[:m, m:] += summed(tr_terms(), nmax, scale, "closed form corner series")
     closed[m:, m:] += d_dr.d
-    closed[m:, m:] += summed(br_terms(), nmax, tiny, "closed form tail series")
+    closed[m:, m:] += summed(br_terms(), nmax, scale, "closed form tail series")
 
     general = block_formula(blocks, "4.1", **oracles)
     gap = fro_norm(closed - general)

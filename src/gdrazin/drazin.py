@@ -8,14 +8,16 @@ additive or block-matrix modules.
 Numerical strategy: the input is normalized by its largest singular value
 before any power is taken. One values-only SVD of a gives that value, and
 the same singular values divided by it are those of the first power, so the
-sweep starts its own SVDs at the second power. Ranks of powers are decided
-with the absolute cutoff EPS_RANK (a relative cutoff would promote the
-rounding noise that powers of a conjugated nilpotent consist of to full
-rank), and the pseudoinverse of a^{2k+1} is truncated to the stationary rank
-found during index computation (a relative cutoff would invert that noise
-whenever the whole power decays). The sweep hands back a^k and a^{k+1}: the
-oracle forms a^{2m+1} = a^m a^{m+1} (m = max(k, 1)) from them, reuses a^m on
-both sides of the pseudoinverse, and self-checks with the same two powers.
+sweep starts its own SVDs at the second power. ``_sweep`` is that one route,
+zero matrix included, for both ``drazin_index`` and the oracle. Ranks of
+powers are decided with the absolute cutoff EPS_RANK (a relative cutoff
+would promote the rounding noise that powers of a conjugated nilpotent
+consist of to full rank), and the pseudoinverse of a^{2k+1} is truncated to
+the stationary rank found during index computation (a relative cutoff would
+invert that noise whenever the whole power decays). The sweep hands back a^k
+and a^{k+1}: the oracle forms a^{2m+1} = a^m a^{m+1} (m = max(k, 1)) from
+them, reuses a^m on both sides of the pseudoinverse, and self-checks with
+the same two powers.
 Inputs whose singular values fall too close to the cutoff, or whose spectral
 gap at the stationary rank is too thin, are rejected with AxiomViolation
 rather than guessed at. At each power the guard is two counts: r singular
@@ -143,15 +145,21 @@ def _power_ranks(ah: np.ndarray, sv: np.ndarray) -> tuple[int, int, np.ndarray, 
     raise AxiomViolation("rank sequence of powers failed to stabilize")
 
 
-def drazin_index(a) -> int:
-    """Smallest k >= 0 with rank(a^k) = rank(a^{k+1})."""
-    a = _require_square(as_matrix(a))
+def _sweep(a: np.ndarray) -> tuple:
+    """sigma_max s of the square matrix ``a`` and the power-rank sweep of
+    a / s: (s, a / s, k, r, (a/s)^k, (a/s)^{k+1}) as _power_ranks gives
+    them. The zero matrix has index 1 and rank 0, and no powers."""
     sv = np.linalg.svd(a, compute_uv=False)
     s = float(sv[0])
     if s == 0.0:
-        return 1
-    k, *_ = _power_ranks(a / s, sv / s)
-    return k
+        return s, None, 1, 0, None, None
+    ah = a / s
+    return (s, ah, *_power_ranks(ah, sv / s))
+
+
+def drazin_index(a) -> int:
+    """Smallest k >= 0 with rank(a^k) = rank(a^{k+1})."""
+    return _sweep(_require_square(as_matrix(a)))[2]
 
 
 def drazin_oracle(a) -> DrazinResult:
@@ -164,12 +172,7 @@ def drazin_oracle(a) -> DrazinResult:
     """
     a = _require_square(as_matrix(a))
     n = a.shape[0]
-    sv = np.linalg.svd(a, compute_uv=False)
-    s = float(sv[0])  # sigma_max
-    if s == 0.0:
-        return DrazinResult.nilpotent(n, index=1)
-    ah = a / s
-    k, r, ak, ak1 = _power_ranks(ah, sv / s)
+    s, ah, k, r, ak, ak1 = _sweep(a)
     if r == 0:
         return DrazinResult.nilpotent(n, index=k)
     # a^m and a^{m+1} for m = max(k, 1)

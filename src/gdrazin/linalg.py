@@ -10,7 +10,13 @@ infinite. So ``checked_norm`` and ``fro_norm`` validate an operand by the
 norm they compute anyway, with no separate non-finite scan. Only a
 non-finite norm (a non-finite entry, or a sum of squares that overflows)
 gets the full ``as_matrix`` scan, which raises the same ValueError as before
-when an entry is not finite and otherwise lets the infinite norm through.
+when an entry is not finite. A finite matrix never gets an infinite norm:
+when the scan finds every entry finite, the norm is taken again of the
+matrix divided by the power of two just above its largest entry, which is
+exact (as in Blue's norm), and scaled back; a norm beyond the float range
+even so is a ValueError.
+``checked_norm`` is the package's one Frobenius norm: ``fro_norm`` and
+``scale_of`` read theirs from it.
 """
 
 import math
@@ -33,7 +39,7 @@ __all__ = [
 EPS_RANK = 1e-10  # singular-value cutoff for rank decisions (sigma_max-normalized)
 EPS_CHECK = 1e-9  # residual bound for hypothesis checks
 EPS_MATCH = 1e-8  # bound for formula-vs-oracle and axiom comparisons
-EPS_TAIL = 1e-12  # series tail bound
+EPS_TAIL = 1e-12  # series tail bound, relative to a scale (see series.summed)
 
 
 def _coerce(a) -> np.ndarray:
@@ -60,11 +66,17 @@ def checked_norm(a) -> tuple[np.ndarray, float]:
     """``(as_matrix(a), its Frobenius norm)``, with finiteness read off the
     norm (the finite-norm rule of the module docstring): the same checks and
     the same ValueError as as_matrix, without its scan when the norm is
-    finite."""
+    finite, and a ValueError for a norm beyond the float range."""
     m = _coerce(a)
     norm = float(np.linalg.norm(m))
     if not math.isfinite(norm):
         as_matrix(m)
+        # every entry is finite, so the sum of squares overflowed
+        e = math.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1]
+        try:
+            norm = math.ldexp(float(np.linalg.norm(m * math.ldexp(1.0, -e))), e)
+        except OverflowError:
+            raise ValueError("matrix norm exceeds the float range") from None
     return m, norm
 
 
@@ -75,8 +87,5 @@ def fro_norm(a) -> float:
 
 def scale_of(*mats) -> float:
     """max(1, largest Frobenius norm among the operands)."""
-    s = 1.0
-    for m in mats:
-        s = max(s, float(np.linalg.norm(m)))
-    return s
+    return max([1.0, *map(fro_norm, mats)])
 

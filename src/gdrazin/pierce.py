@@ -16,7 +16,7 @@ import numpy as np
 
 from .drazin import drazin_oracle
 from .errors import NotIdempotent, NotTriangular
-from .linalg import EPS_CHECK, EPS_TAIL, as_matrix, fro_norm, scale_of
+from .linalg import EPS_CHECK, as_matrix, fro_norm, scale_of
 from .series import PowerCache, series_cap, summed
 
 __all__ = ["PierceSplit", "pierce_split", "triangular_drazin", "cline_drazin"]
@@ -114,7 +114,6 @@ def triangular_drazin(x: np.ndarray, p: np.ndarray) -> np.ndarray:
 
     a_dr = drazin_oracle(a)
     b_dr = drazin_oracle(b)
-    tiny = EPS_TAIL * scale
     nmax = series_cap(x.shape[0])
     ad_pow = PowerCache(a_dr.d)
     bd_pow = PowerCache(b_dr.d)
@@ -129,8 +128,8 @@ def triangular_drazin(x: np.ndarray, p: np.ndarray) -> np.ndarray:
         for i in count():
             yield b_run(i) @ c @ ad_pow(i + 2)
 
-    s1 = summed(left_terms(), nmax, tiny, "triangular coupling series (left)")
-    s2 = summed(right_terms(), nmax, tiny, "triangular coupling series (right)")
+    s1 = summed(left_terms(), nmax, scale, "triangular coupling series (left)")
+    s2 = summed(right_terms(), nmax, scale, "triangular coupling series (right)")
     z = s1 + s2 - bd_pow(1) @ c @ ad_pow(1)
     return a_dr.d + b_dr.d + z
 

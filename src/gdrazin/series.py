@@ -3,9 +3,10 @@
 Every formula in this package sums series that terminate exactly on valid
 inputs (a nilpotent running factor dies at the matrix dimension). The policy,
 applied uniformly: cap at N_max = 2*dim + 2 terms, exit early once two
-consecutive terms fall below EPS_TAIL * scale, and raise ConvergenceError if
-the final term at the cap is still above that threshold (reachable only when
-a formula is forced outside its hypothesis).
+consecutive terms fall below the tail band EPS_TAIL * scale, and raise
+ConvergenceError if the final term at the cap is still above that band
+(reachable only when a formula is forced outside its hypothesis). Each
+caller passes only its scale; summed alone forms the band.
 
 Every series is an endless stream of terms, and summed alone ends it: by the
 early exit, or at the cap. Its running factors are PowerCache products. A
@@ -21,6 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConvergenceError
+from .linalg import EPS_TAIL
 
 __all__ = ["PowerCache", "series_cap", "summed"]
 
@@ -30,14 +32,12 @@ def series_cap(dim: int) -> int:
 
 
 class PowerCache:
-    """Memoized nonnegative powers m^i of a fixed square matrix, or the
-    products start m^i when ``start`` is given; each is formed once, from
-    the one before, and kept until ``drop`` releases it. The identity m^0 is
-    formed only when it is read."""
+    """Memoized positive powers m^i of a fixed square matrix, or the
+    products start m^i from i = 0 when ``start`` is given; each is formed
+    once, from the one before, and kept until ``drop`` releases it."""
 
     def __init__(self, m: np.ndarray, start: np.ndarray | None = None):
         self._m = np.asarray(m, dtype=complex)
-        self._eye = start is None
         self._top = 1 if start is None else 0
         # the highest power formed: the next is formed from it, so it stays
         # here when drop releases it
@@ -45,9 +45,6 @@ class PowerCache:
         self._pows = {self._top: self._last}
 
     def __call__(self, i: int) -> np.ndarray:
-        if i == 0 and self._eye:
-            self._eye = False
-            self._pows[0] = np.eye(self._m.shape[0], dtype=complex)
         while self._top < i:
             self._top += 1
             self._last = self._pows[self._top] = self._last @ self._m
@@ -58,10 +55,12 @@ class PowerCache:
         del self._pows[i]
 
 
-def summed(terms: Iterator[np.ndarray], nmax: int, tiny: float, label: str) -> np.ndarray:
+def summed(terms: Iterator[np.ndarray], nmax: int, scale: float, label: str) -> np.ndarray:
     """Sum the first nmax terms of the endless stream ``terms`` with the
-    early-exit/tail policy above, in order, into one running total of the
-    first term's dtype; the total is a copy, so no term is changed."""
+    early-exit/tail policy above, at the band EPS_TAIL * scale, in order,
+    into one running total of the first term's dtype; the total is a copy,
+    so no term is changed."""
+    tiny = EPS_TAIL * scale
     total = None
     last = 0.0
     consecutive_tiny = 0

@@ -5,12 +5,13 @@ oracle's ambiguity guard tolerates, so sweeps are deterministic: no retry
 loops, no tolerance fudging.
 """
 
+import functools
 import json
 
 import numpy as np
 
 import gdrazin.drazin
-from gdrazin import AxiomViolation, ConvergenceError, DrazinResult
+from gdrazin import TARGETS, AxiomViolation, CaseSpec, ConvergenceError, DrazinResult, generate
 from gdrazin.drazin import AMBIGUITY_BAND, GAP_MIN
 from gdrazin.linalg import EPS_MATCH, EPS_RANK, EPS_TAIL, fro_norm, scale_of
 from gdrazin.series import PowerCache, series_cap, summed
@@ -18,6 +19,42 @@ from gdrazin.series import PowerCache, series_cap, summed
 # Finite nonzero scalars whose reciprocal, which the (1/lambda) condition
 # rows test at, is not finite (a modulus below about 5.6e-309) or is zero.
 NO_RECIPROCAL = (5e-324, 1e-310j, complex(1e308, 1e308))
+
+# The scalars the sweeps cycle through, lambda = LAMBDAS[i % 4] at index i.
+LAMBDAS = (0.5, 3.0, 1j, -2.0)
+
+
+def _read_only(case):
+    for m in case.matrices.values():
+        m.flags.writeable = False
+    return case
+
+
+@functools.cache
+def criterion_4_corpus() -> tuple:
+    """The valid instances of acceptance criterion 4, in its order: (target,
+    i, lambda, case) for every target but 2.2 and i < 100, at dim 2 + i % 7,
+    LAMBDAS[i % 4] and seed i // 4. Built once; every matrix is read-only."""
+    return tuple(
+        (target, i, LAMBDAS[i % 4],
+         _read_only(generate(CaseSpec(target, dim=2 + i % 7, lam=LAMBDAS[i % 4], seed=i // 4))))
+        for target in TARGETS
+        if target != "2.2"
+        for i in range(100)
+    )
+
+
+@functools.cache
+def criterion_7_corpus() -> tuple:
+    """The negated instances of acceptance criterion 7, in its order:
+    (target, i, lambda, case) for every target and i < 50, at dim 2 + i % 7,
+    LAMBDAS[i % 4] and seed i. Built once; every matrix is read-only."""
+    return tuple(
+        (target, i, LAMBDAS[i % 4],
+         _read_only(generate(CaseSpec(target, dim=2 + i % 7, lam=LAMBDAS[i % 4], seed=i, negate=True))))
+        for target in TARGETS
+        for i in range(50)
+    )
 
 
 def unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -162,8 +199,8 @@ def count_finite_scans(monkeypatch) -> list:
 # series product was formed once: sigma_max from norm(a, 2), a sweep that
 # takes the SVD of every power from the first, x and a^m rebuilt with
 # matrix_power, a self-check that rebuilds a^k and a^{k+1}, and series
-# terms that multiply every factor out, m^0 = I included. The tests compare
-# the package against these.
+# terms that multiply every factor out, m^0 = I included (the start of
+# their power caches). The tests compare the package against these.
 
 
 def reference_axioms_ok(a, cand, k) -> bool:
@@ -221,8 +258,7 @@ def reference_oracle(a) -> DrazinResult:
 
 def reference_sum_nilpotent(a, b, b_dr):
     """b^d + sum_n (b^d)^(n+2) a (a + b)^n with every factor multiplied out."""
-    tiny = EPS_TAIL * scale_of(a, b)
-    m_pow = PowerCache(a + b)
+    m_pow = PowerCache(a + b, start=np.eye(a.shape[0], dtype=complex))
     bd_pow = PowerCache(b_dr.d)
 
     def terms():
@@ -231,15 +267,16 @@ def reference_sum_nilpotent(a, b, b_dr):
             yield bd_pow(n + 2) @ a @ m_pow(n)
             n += 1
 
-    return b_dr.d + summed(terms(), series_cap(a.shape[0]), tiny, "nilpotent-plus-b series")
+    return b_dr.d + summed(terms(), series_cap(a.shape[0]), scale_of(a, b), "nilpotent-plus-b series")
 
 
 def reference_sum(a, b, a_dr, b_dr):
     """The six-part sum formula (see gdrazin.additive.sum_formula) with every
     factor of every term multiplied out; no hypothesis check."""
-    tiny = EPS_TAIL * scale_of(a, b)
+    scale = scale_of(a, b)
+    tiny = EPS_TAIL * scale  # the band of the outer loop below
     nmax = series_cap(a.shape[0])
-    m_pow = PowerCache(a + b)
+    m_pow = PowerCache(a + b, start=np.eye(a.shape[0], dtype=complex))
     ad_pow = PowerCache(a_dr.d)
     bd_pow = PowerCache(b_dr.d)
     a_pi, b_pi = a_dr.pi, b_dr.pi
@@ -251,7 +288,7 @@ def reference_sum(a, b, a_dr, b_dr):
                 yield term(n)
                 n += 1
 
-        return summed(terms(), nmax, tiny, "reference series")
+        return summed(terms(), nmax, scale, "reference series")
 
     s3 = series(lambda n: bd_pow(n + 2) @ a @ m_pow(n) @ a_pi)
     s4 = series(lambda n: b_pi @ m_pow(n) @ b @ ad_pow(n + 2))

@@ -13,7 +13,15 @@ from pathlib import Path
 
 import numpy as np
 
-from helpers import mild_similarity, mixture, rectangular_pair, triangular_instance
+from helpers import (
+    LAMBDAS,
+    criterion_4_corpus,
+    criterion_7_corpus,
+    mild_similarity,
+    mixture,
+    rectangular_pair,
+    triangular_instance,
+)
 
 from gdrazin import (
     CaseSpec,
@@ -40,7 +48,6 @@ from gdrazin.casegen import TARGETS
 from gdrazin.cli import EXIT_MISMATCH, EXIT_OK, EXIT_PRECONDITION, main
 from gdrazin.io import save_matrix
 
-LAMBDAS = (0.5, 3.0, 1j, -2.0)
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -142,26 +149,23 @@ def test_criterion_3_oracle_axioms_and_invariances():
 
 def test_criterion_4_formula_oracle_equivalence_sweep():
     t0 = time.perf_counter()
-    targets = [t for t in TARGETS if t != "2.2"]
     failures = []
     worst = 0.0
-    for target in targets:
-        for i in range(100):
-            lam = LAMBDAS[i % 4]
-            case = generate(CaseSpec(target, dim=2 + i % 7, lam=lam, seed=i // 4))
-            out = evaluate(target, case.matrices, lam)
-            if out.gap is None:  # refused, or the formula or the oracle raised
-                failures.append((target, i, out.error))
-                continue
-            gap = fro_norm(out.formula - out.oracle.d)
-            limit = 1e-8 * scale_of(out.m)
-            worst = max(worst, gap / limit)
-            if gap > limit:
-                failures.append((target, i))
-            # the verdict that gdz verify gives: the gap against out.bound,
-            # EPS_MATCH times the scale of the operands
-            if out.gap > out.bound:
-                failures.append((target, i, f"gap {out.gap:.3e} exceeds bound {out.bound:.3e}"))
+    for target, i, lam, case in criterion_4_corpus():
+        out = evaluate(target, case.matrices, lam)
+        if out.gap is None:  # refused, or the formula or the oracle raised
+            failures.append((target, i, out.error))
+            continue
+        gap = fro_norm(out.formula - out.oracle.d)
+        limit = 1e-8 * scale_of(out.m)
+        worst = max(worst, gap / limit)
+        if gap > limit:
+            failures.append((target, i))
+        # the verdict that gdz verify gives: the gap against out.bound,
+        # EPS_MATCH times the scale of the operands
+        if out.gap > out.bound:
+            failures.append((target, i, f"gap {out.gap:.3e} exceeds bound {out.bound:.3e}"))
+    assert len(criterion_4_corpus()) == 900
     assert not failures, f"mismatches: {failures[:10]}"
 
     elapsed = time.perf_counter() - t0
@@ -277,35 +281,32 @@ def test_criterion_7_negative_paths(tmp_path, capsys):
     refusals = 0
     forced_mismatches = 0
     forced_accepted = 0
-    for target in TARGETS:
-        for i in range(50):
-            lam = LAMBDAS[i % 4]
-            case = generate(CaseSpec(target, dim=2 + i % 7, lam=lam, seed=i, negate=True))
-            out = evaluate(target, case.matrices, lam)
-            assert [c.condition for c in out.failing] == [case.broken]
-            assert out.formula is None and out.closed is None
-            refusals += 1
+    for target, i, lam, case in criterion_7_corpus():
+        out = evaluate(target, case.matrices, lam)
+        assert [c.condition for c in out.failing] == [case.broken]
+        assert out.formula is None and out.closed is None
+        refusals += 1
 
-            # the same instance through the CLI, forced: a failing result
-            # must surface as exit 3, never as a silent exit 0
-            argv, names = [], sorted(case.matrices)
-            for name in names:
-                path = tmp_path / f"{target}-{i}-{name}.json"
-                save_matrix(path, case.matrices[name])
-                argv.append(str(path))
-            cmd = "sum" if case.kind == "pair" else "block"
-            lam_text = f"{lam.real}" if isinstance(lam, float) else "i"
-            code = main(
-                [cmd, *argv, "--theorem", target, "--lambda", lam_text, "--force"]
-            )
-            doc = json.loads(capsys.readouterr().out)
-            assert code in (EXIT_OK, EXIT_MISMATCH)
-            if code == EXIT_OK:
-                assert doc["match"] is True
-                forced_accepted += 1
-            else:
-                assert doc["match"] is not True
-                forced_mismatches += 1
+        # the same instance through the CLI, forced: a failing result
+        # must surface as exit 3, never as a silent exit 0
+        argv, names = [], sorted(case.matrices)
+        for name in names:
+            path = tmp_path / f"{target}-{i}-{name}.json"
+            save_matrix(path, case.matrices[name])
+            argv.append(str(path))
+        cmd = "sum" if case.kind == "pair" else "block"
+        lam_text = f"{lam.real}" if isinstance(lam, float) else "i"
+        code = main(
+            [cmd, *argv, "--theorem", target, "--lambda", lam_text, "--force"]
+        )
+        doc = json.loads(capsys.readouterr().out)
+        assert code in (EXIT_OK, EXIT_MISMATCH)
+        if code == EXIT_OK:
+            assert doc["match"] is True
+            forced_accepted += 1
+        else:
+            assert doc["match"] is not True
+            forced_mismatches += 1
 
     assert refusals == 50 * len(TARGETS)
     assert forced_mismatches > 0

@@ -30,9 +30,8 @@ from gdrazin import (
 from gdrazin.additive import _FACTOR
 from gdrazin.blockmat import RULES, _quad, block_formula, block_oracles
 from gdrazin.linalg import scale_of
-from helpers import count_sweeps
+from helpers import LAMBDAS, count_sweeps
 
-LAMBDAS = (0.5, 3.0, 1j, -2.0)
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 EXPECTED_LABELS = {
@@ -55,9 +54,9 @@ def _record_series(monkeypatch):
     labels = []
     real_summed = gdrazin.additive.summed
 
-    def recording(terms, nmax, tiny, label):
+    def recording(terms, nmax, scale, label):
         labels.append(label)
-        return real_summed(terms, nmax, tiny, label)
+        return real_summed(terms, nmax, scale, label)
 
     monkeypatch.setattr(gdrazin.additive, "summed", recording)
     return labels

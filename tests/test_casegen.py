@@ -17,8 +17,7 @@ from gdrazin import (
     is_quasinilpotent,
     preset,
 )
-
-LAMBDAS = (0.5, 3.0, 1j, -2.0)
+from helpers import LAMBDAS
 
 
 class TestCaseSpec:

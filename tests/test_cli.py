@@ -170,6 +170,19 @@ class TestSumCommand:
         assert doc["match"] is True
         assert doc["result"] is None  # closure is a yes/no claim
 
+    @pytest.mark.parametrize("lam", [["--lambda", "2"], []])
+    def test_huge_identity_is_not_quasinilpotent(self, lam, tmp_path, capsys):
+        # the sum of squares of 1e155 I overflows, its norm does not; with
+        # an infinite norm every band was infinite and every row held
+        pa, pb = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        save_matrix(pa, 1e155 * np.eye(2))
+        save_matrix(pb, np.array([[0, 1], [0, 0]]))
+        with np.errstate(over="ignore"):
+            code, doc = run(["sum", pa, pb, "--theorem", "2.2", *lam], capsys)
+        assert code == EXIT_PRECONDITION
+        assert [c["condition"] for c in doc["conditions"] if not c["holds"]][0] == "a is quasinilpotent"
+        assert doc["error"].startswith("precondition violated: a is quasinilpotent")
+        assert doc["match"] is None
 
     @pytest.mark.parametrize("shapes", [((2, 2), (3, 3)), ((2, 3), (2, 3))])
     def test_unfit_operand_shapes_exit_io(self, shapes, tmp_path, capsys):

@@ -137,6 +137,22 @@ def test_oracle_takes_k_plus_2_svds(k, monkeypatch):
     assert len(svds) == k + 1
 
 
+def test_index_is_the_oracle_index_with_the_same_sweep(monkeypatch):
+    # one sweep serves both: drazin_index takes the oracle's values-only
+    # SVDs, sigma_max and powers 2 .. k + 1 (2 .. k when a power of rank 0
+    # ends it), and no more
+    svds = count_svds(monkeypatch)
+    for seed in range(60):
+        a = mixture(2 + seed % 11, np.random.default_rng(seed))
+        svds.clear()
+        r = drazin_oracle(a)
+        oracle_svds = len(svds)
+        svds.clear()
+        assert drazin_index(a) == r.index, seed
+        assert len(svds) == (r.index + 1 if r.d.any() else r.index), seed
+        assert len(svds) == oracle_svds - bool(r.d.any()), seed
+
+
 def test_nilpotent_oracle_takes_no_full_svd(monkeypatch):
     a = nilpotent(5, np.random.default_rng(1))
     svds = count_svds(monkeypatch)
@@ -256,3 +272,10 @@ def test_is_quasinilpotent_is_scale_invariant(s):
     assert is_quasinilpotent(s * nilpotent(5, rng))
     assert not is_quasinilpotent(s * invertible(5, rng))
     assert not is_quasinilpotent(s * mixture(6, rng))
+
+
+def test_is_quasinilpotent_holds_its_scale_up_to_the_float_range():
+    # the sum of squares of 1e155 I overflows; the norm does not
+    with np.errstate(over="ignore"):
+        assert not is_quasinilpotent(1e155 * np.eye(4))
+        assert is_quasinilpotent(1e155 * nilpotent(4, np.random.default_rng(4)))

@@ -19,7 +19,9 @@ moves by a rounding).
 Scaling every operand by 2^e (lambda unchanged) is exact too, but the
 check bands and the gap bound have absolute floors, so only the verdicts
 are compared, and only at moderate e: at 2^-20 and 2^20 they move until
-ROADMAP item 1 makes every decision scale-invariant.
+ROADMAP item 1 makes every decision scale-invariant. At 2^266 the sums of
+squares of the hypothesis products leave the float range but their norms do
+not, so criterion 7's instances must still all be refused there.
 """
 
 import json
@@ -32,8 +34,8 @@ from gdrazin import CaseSpec, evaluate, generate
 from gdrazin.casegen import TARGETS
 from gdrazin.cli import main
 from gdrazin.io import load_instance, save_instance, save_matrix
+from helpers import LAMBDAS, criterion_4_corpus, criterion_7_corpus
 
-LAMBDAS = (0.5, 3.0, 1j, -2.0)
 # map name: (image of an operand, image of lambda, whether the oracle on the
 # assembled matrix and the gap are bit-exact under it)
 MAPS = {
@@ -51,24 +53,9 @@ POWERS = [-8, 8] + [
 ]
 
 
-@pytest.fixture(scope="module")
-def corpora():
-    """The instances of acceptance criteria 4 and 7: (target, matrices,
-    lambda, forced runs too)."""
-    valid = [
-        (target, generate(CaseSpec(target, dim=2 + i % 7, lam=LAMBDAS[i % 4], seed=i // 4)).matrices,
-         LAMBDAS[i % 4], False)
-        for target in TARGETS
-        if target != "2.2"
-        for i in range(100)
-    ]
-    negated = [
-        (target, generate(CaseSpec(target, dim=2 + i % 7, lam=LAMBDAS[i % 4], seed=i, negate=True)).matrices,
-         LAMBDAS[i % 4], True)
-        for target in TARGETS
-        for i in range(50)
-    ]
-    return {"criterion 4": valid, "criterion 7": negated}
+# The instances of acceptance criteria 4 and 7, and whether forced runs are
+# compared too.
+CORPORA = {"criterion 4": (criterion_4_corpus, False), "criterion 7": (criterion_7_corpus, True)}
 
 
 def outcome(target, mats, lam, force):
@@ -128,10 +115,12 @@ def assert_image(base, image, f, g, oracle_exact, where):
         assert (x is None and y is None) or np.array_equal(y, f(x)), where
 
 
-@pytest.mark.parametrize("corpus", ["criterion 4", "criterion 7"])
-def test_evaluate_is_exactly_equivariant(corpus, corpora):
+@pytest.mark.parametrize("corpus", CORPORA)
+def test_evaluate_is_exactly_equivariant(corpus):
     formulas = 0
-    for i, (target, mats, lam, forced) in enumerate(corpora[corpus]):
+    build, forced = CORPORA[corpus]
+    for target, i, lam, case in build():
+        mats = case.matrices
         for force in (False, True) if forced else (False,):
             base = outcome(target, mats, lam, force)
             formulas += getattr(base, "formula", None) is not None
@@ -152,6 +141,19 @@ def test_verdicts_are_invariant_under_a_power_of_two(e, small_grid):
     ]
     assert len(small_grid) == 240
     assert not moved, f"{len(moved)} of 480 verdicts moved, first {moved[:3]}"
+
+
+def test_criterion_7_is_refused_past_the_norm_overflow():
+    # at 2^266 the sums of squares of the hypothesis products overflow;
+    # their norms, taken at a power-of-two scale, do not, so every negated
+    # instance is still refused (with infinite norms every band was infinite)
+    scale = math.ldexp(1.0, 266)
+    with np.errstate(over="ignore"):
+        outs = [
+            outcome(target, {k: v * scale for k, v in case.matrices.items()}, lam, False)
+            for target, i, lam, case in criterion_7_corpus()
+        ]
+    assert all(not isinstance(out, tuple) and out.failing for out in outs)
 
 
 def test_verify_on_a_conjugated_directory(tmp_path, capsys):

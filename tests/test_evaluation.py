@@ -32,10 +32,9 @@ from gdrazin.additive import (
 from gdrazin.blockmat import _CONDITIONS, _block_factors, block_formula, block_oracles, check_hypothesis
 from gdrazin.evaluation import target_kind
 from gdrazin.linalg import EPS_MATCH
-from helpers import NO_RECIPROCAL
+from helpers import NO_RECIPROCAL, criterion_7_corpus
 
 SOLVED = [t for t in TARGETS if t != "2.2"]
-LAMBDAS = (0.5, 3.0, 1j, -2.0)
 
 # Every public function of the modules that hold the formula routes.
 PUBLIC_FUNCTIONS = [
@@ -214,9 +213,7 @@ def test_kind_follows_the_target():
 def test_forced_library_route_is_evaluate(target):
     # the criterion-7 corpus, forced: the library route gives the bytes of
     # evaluate's formula, or raises the ConvergenceError evaluate records
-    for i in range(50):
-        lam = LAMBDAS[i % 4]
-        case = generate(CaseSpec(target, dim=2 + i % 7, lam=lam, seed=i, negate=True))
+    for _, i, lam, case in (x for x in criterion_7_corpus() if x[0] == target):
         out = evaluate(target, case.matrices, lam, force=True)
         if case.kind == "pair":
             route = {"2.3": drazin_sum_nilpotent, "2.4": drazin_sum}[target]

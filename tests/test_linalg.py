@@ -62,10 +62,21 @@ def test_norm_check_keeps_the_shape_checks(fn, bad):
         fn(bad)
 
 
-def test_overflowing_norm_of_finite_entries_is_infinite():
-    # the non-finite norm gets the full scan, which finds every entry finite
+def test_overflowing_sum_of_squares_gives_the_true_norm():
+    # the non-finite norm gets the full scan, which finds every entry finite;
+    # the norm is then taken again at a power-of-two scale
     with np.errstate(over="ignore"):
-        assert fro_norm(np.full((2, 2), 1e200)) == np.inf
+        assert fro_norm(np.full((2, 2), 1e200)) == 2e200
+        assert fro_norm(np.full((3, 1), complex(-1e300, 1e300))) == pytest.approx(np.sqrt(6) * 1e300)
+        # a power of two scales exactly, so the largest finite float is
+        # its own norm, at the edge of the range
+        assert checked_norm(np.diag([np.finfo(float).max, 0.0]))[1] == np.finfo(float).max
+
+
+@pytest.mark.parametrize("fn", [checked_norm, fro_norm, scale_of])
+def test_norm_beyond_the_float_range_is_an_error(fn):
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="exceeds the float range"):
+        fn(np.full((2, 2), 1e308))
 
 
 def test_scale_of_is_at_least_one():

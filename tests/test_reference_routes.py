@@ -40,6 +40,9 @@ from gdrazin import (
 from gdrazin.additive import sum_formula
 from gdrazin.casegen import TARGETS
 from helpers import (
+    LAMBDAS,
+    criterion_4_corpus,
+    criterion_7_corpus,
     mixture,
     nilpotent,
     reference_axioms_ok,
@@ -50,7 +53,6 @@ from helpers import (
     reference_sum_nilpotent,
 )
 
-LAMBDAS = (0.5, 3.0, 1j, -2.0)
 REL = 1e-12
 REL_ORACLE_FLOOR = 1e-11
 
@@ -114,9 +116,7 @@ def _reference_block_drazin(monkeypatch, blocks, target, lam):
 
 @pytest.mark.parametrize("target", [t for t in TARGETS if t != "2.2"])
 def test_criterion_4_corpus_matches_reference(target, monkeypatch):
-    for i in range(100):
-        lam = LAMBDAS[i % 4]
-        case = generate(CaseSpec(target, dim=2 + i % 7, lam=lam, seed=i // 4))
+    for _, i, lam, case in (x for x in criterion_4_corpus() if x[0] == target):
         where = (target, i)
         if case.kind == "pair":
             a, b = case.pair
@@ -157,14 +157,11 @@ def _row_bits(row):
 
 @pytest.mark.parametrize("target", TARGETS)
 def test_label_rows_match_reference_bit_for_bit(target):
-    # the criterion-4 corpus (valid instances; none for 2.2) and the
-    # criterion-7 corpus (negated instances)
-    specs = [CaseSpec(target, 2 + i % 7, LAMBDAS[i % 4], seed=i, negate=True) for i in range(50)]
-    if target != "2.2":
-        specs += [CaseSpec(target, 2 + i % 7, LAMBDAS[i % 4], seed=i // 4) for i in range(100)]
-    for spec in specs:
-        rows, ref = _label_and_reference_rows(target, generate(spec).matrices)
-        assert [_row_bits(r) for r in rows] == [_row_bits(r) for r in ref], spec
+    # the criterion-7 corpus (negated instances) and the criterion-4 corpus
+    # (valid instances; none for 2.2)
+    for _, _, _, case in (x for x in criterion_7_corpus() + criterion_4_corpus() if x[0] == target):
+        rows, ref = _label_and_reference_rows(target, case.matrices)
+        assert [_row_bits(r) for r in rows] == [_row_bits(r) for r in ref], case.spec
 
 
 def test_forced_series_match_reference():

@@ -15,7 +15,6 @@ def test_series_cap():
 def test_power_cache():
     a = np.array([[1, 1], [0, 1]], dtype=complex)
     pc = PowerCache(a)
-    assert np.array_equal(pc(0), np.eye(2))
     assert np.array_equal(pc(1), a)
     assert np.array_equal(pc(4), np.linalg.matrix_power(a, 4))
     # memoized object is returned, not recomputed
@@ -25,26 +24,6 @@ def test_power_cache():
     sc = PowerCache(a, start=start)
     assert sc(0) is start
     assert np.array_equal(sc(3), start @ np.linalg.matrix_power(a, 3))
-
-
-def test_power_cache_forms_the_identity_only_when_read(monkeypatch):
-    eyes = []
-    real_eye = np.eye
-
-    def counting_eye(*args, **kwargs):
-        eyes.append(args)
-        return real_eye(*args, **kwargs)
-
-    monkeypatch.setattr(np, "eye", counting_eye)
-    a = np.array([[1, 1], [0, 1]], dtype=complex)
-    pc = PowerCache(a)
-    assert np.array_equal(pc(3), np.linalg.matrix_power(a, 3))
-    assert eyes == []
-    identity = pc(0)
-    assert identity.dtype == complex and np.array_equal(identity, real_eye(2))
-    assert pc(0) is identity and len(eyes) == 1
-    # with a start, power 0 is the start: no identity at all
-    assert PowerCache(a, start=a)(0) is a and len(eyes) == 1
 
 
 def test_power_cache_drop():
@@ -71,7 +50,7 @@ def test_summed_early_exit_counts_terms():
             yield np.zeros((2, 2)) if i >= 1 else np.eye(2)
             i += 1
 
-    out = summed(terms(), nmax=50, tiny=1e-12, label="t")
+    out = summed(terms(), nmax=50, scale=1.0, label="t")
     assert np.array_equal(out, np.eye(2))
     # one big term, then two consecutive tiny ones stop the scan
     assert len(calls) == 3
@@ -86,9 +65,20 @@ def test_summed_raises_on_divergence():
             yield np.ones((2, 2))
 
     with pytest.raises(ConvergenceError, match="stubborn series"):
-        summed(terms(), nmax=6, tiny=1e-12, label="stubborn series")
+        summed(terms(), nmax=6, scale=1.0, label="stubborn series")
     # the cap ends the endless stream: no term past it is formed
     assert len(calls) == 6
+
+
+def test_summed_forms_the_band_from_the_scale():
+    def terms():
+        while True:
+            yield 1e-10 * np.eye(2)
+
+    # a term norm of 1.414e-10 is above EPS_TAIL * 100 and below EPS_TAIL * 1000
+    with pytest.raises(ConvergenceError, match=r"still above 1\.000e-10 after 6 terms"):
+        summed(terms(), 6, 100.0, "t")
+    assert np.allclose(summed(terms(), 6, 1000.0, "t"), 2e-10 * np.eye(2))
 
 
 def test_summed_leaves_terms_unchanged():
@@ -99,7 +89,7 @@ def test_summed_leaves_terms_unchanged():
         while True:
             yield np.zeros((2, 2))
 
-    out = summed(terms(), nmax=10, tiny=1e-12, label="t")
+    out = summed(terms(), nmax=10, scale=1.0, label="t")
     assert np.array_equal(out, 3 * np.eye(2))
     # the running total is summed's own: the terms are left as they were
     assert np.array_equal(seq[0], np.eye(2)) and np.array_equal(seq[1], 2 * np.eye(2))
