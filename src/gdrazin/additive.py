@@ -5,14 +5,15 @@ The engine is ``sum_formula``: under a b = lambda a^pi b a b^pi the inverse
 of the sum is a finite combination of corner inverses and four terminating
 series, which it evaluates on given Drazin data of a and b, checking no
 hypothesis. It is the only series engine for sums; at a^d = 0 it forms only
-the one series that a^d does not multiply, and at b^d = 0 only the one that
-b^d does not multiply. It keeps each product alive only until its last
-reader has run, so a run that forms one series holds a fixed number of
-arrays however many terms that series takes. ``drazin_sum`` (theorem 2.4),
-``drazin_sum_nilpotent`` (theorem 2.3, at a quasinilpotent a: a^d = 0,
-a^pi = I) and ``nilpotent_sum_closure`` (theorem 2.2, closure of
-nilpotency under lambda-commutation) are ``evaluation.solve`` on their
-target, which forms the oracle data and judges the hypothesis. Their
+the one series that a^d does not multiply, at b^d = 0 only the one that
+b^d does not multiply, and when both are zero none. It keeps each product
+alive only until its last reader has run, so a run that forms one series
+holds a fixed number of arrays however many terms that series takes.
+``drazin_sum`` (theorem 2.4), ``drazin_sum_nilpotent`` (theorem 2.3, at a
+quasinilpotent a: a^d = 0, a^pi = I) and ``nilpotent_sum_closure``
+(theorem 2.2, closure of nilpotency under lambda-commutation) are
+``evaluation.solve`` on their target, which forms the oracle data and
+judges the hypothesis. Their
 hypotheses live in one table, ``PAIR_RULES``, as the labels the
 certificates print; each label is also its definition. ``parse_condition`` reads a label once, at import,
 ``condition_rows`` multiplies its factors out on one factor map, and
@@ -318,32 +319,30 @@ def _same_square(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def pair_oracles(target: str, a: np.ndarray, b: np.ndarray) -> dict[str, DrazinResult | None]:
+def pair_oracles(target: str, a: np.ndarray, b: np.ndarray) -> dict[str, DrazinResult]:
     """Oracle data that the conditions and the formula of ``target`` read:
     none for 2.2, "a_dr" and "b_dr" for 2.3 and 2.4, on a and b as
     square_pair returns them. evaluation's judge forms it once per request
     and hands it to the rows and to the engine, so each matrix sees the
-    oracle once. Nothing is formed for the a of 2.3: that a is
-    quasinilpotent, so its "a_dr" is None, which sum_formula reads as
-    a^d = 0 and a^pi = I. ValueError unless ``target`` is one of
-    PAIR_TARGETS."""
+    oracle once. No oracle runs on the a of 2.3: that a is quasinilpotent,
+    so its "a_dr" is DrazinResult.nilpotent, the data (0, I), which forms
+    neither. ValueError unless ``target`` is one of PAIR_TARGETS."""
     if target not in PAIR_TARGETS:
         raise ValueError(f"unknown pair target {target!r}; valid: {', '.join(PAIR_TARGETS)}")
     if target == "2.2":
         return {}
-    return {"a_dr": None if target == "2.3" else drazin_oracle(a), "b_dr": drazin_oracle(b)}
+    a_dr = DrazinResult.nilpotent(a.shape[0]) if target == "2.3" else drazin_oracle(a)
+    return {"a_dr": a_dr, "b_dr": drazin_oracle(b)}
 
 
-def _pair_factors(a: np.ndarray, b: np.ndarray, a_dr=None, b_dr=None) -> dict[str, np.ndarray]:
-    """The factor map the pair labels read, on pair_oracles' data: the
-    idempotent of each operand that has data (none for 2.2, whose labels
-    name no idempotent, and b's alone for 2.3, whose labels do not name
-    a^pi)."""
-    factors = {"a": a, "b": b}
-    for name, dr in (("a^pi", a_dr), ("b^pi", b_dr)):
-        if dr is not None:
-            factors[name] = dr.pi
-    return factors
+def _pair_factors(
+    a: np.ndarray, b: np.ndarray, named: frozenset[str], **oracles: DrazinResult
+) -> dict[str, np.ndarray]:
+    """The factor map the pair labels read, on pair_oracles' data: a, b and
+    the idempotents among ``named``, the factors the target's labels name
+    (none for 2.2, and b^pi alone for 2.3, so its a^pi is never formed)."""
+    idempotents = (("a^pi", "a_dr"), ("b^pi", "b_dr"))
+    return {"a": a, "b": b, **{name: oracles[key].pi for name, key in idempotents if name in named}}
 
 
 def _refusal(c: FactorCheck) -> str:
@@ -426,13 +425,10 @@ def drazin_sum(
     return solve("2.4", {"a": a, "b": b}, lam, force)
 
 
-def sum_formula(
-    a: np.ndarray, b: np.ndarray, a_dr: DrazinResult | None, b_dr: DrazinResult | None
-) -> np.ndarray:
+def sum_formula(a: np.ndarray, b: np.ndarray, a_dr: DrazinResult, b_dr: DrazinResult) -> np.ndarray:
     """The sum formula of theorem 2.4 on the Drazin data (d, pi) of a and b,
     ``a_dr`` and ``b_dr`` (the index is not read); it checks no hypothesis.
-    None stands for the data of a quasinilpotent operand, (0, I), which is
-    then not formed.
+    A quasinilpotent operand's data is DrazinResult.nilpotent, (0, I).
 
     Under a b = lambda * a^pi b a b^pi the result is (a + b)^d. It combines
     the corner inverses with four terminating series (m = a + b throughout):
@@ -446,17 +442,17 @@ def sum_formula(
     with every index running from 0. All series obey the shared truncation
     policy (cap 2 * dim + 2, early exit on two consecutive tiny terms).
 
-    When a^d is None or exactly zero (theorem 2.3's quasinilpotent a, or a
-    rule 3.1/3.2 splitting whose corner Q has Q^d = 0), a^pi = I - a a^d is
-    the identity, and the display reduces to b^d plus the first series
-    without its trailing a^pi: every term of the other three carries a power
-    of a^d, so they sum to exactly zero and are not formed, and cannot raise
-    ConvergenceError either. Likewise, when b^d is None or exactly zero (a
-    rule 3.3/3.4/4.3 splitting whose Q^d = 0) the result is a^d plus the
-    second series without its leading b^pi. The a^d = 0 test comes first:
-    when both are zero, series 1 runs on b^d = 0, so its terms and the
-    result are 0. No idempotent is read on these routes, and multiplying by
-    the identity is exact, so they give the bits of the full display.
+    When a^d is exactly zero (theorem 2.3's quasinilpotent a, or a rule
+    3.1/3.2 splitting whose corner Q has Q^d = 0), a^pi = I - a a^d is the
+    identity, and the display reduces to b^d plus the first series without
+    its trailing a^pi: every term of the other three carries a power of
+    a^d, so they sum to exactly zero and are not formed, and cannot raise
+    ConvergenceError either. Likewise, when b^d is exactly zero (a rule
+    3.3/3.4/4.3 splitting whose Q^d = 0) the result is a^d plus the second
+    series without its leading b^pi. When both are zero, every term of every
+    series is zero, and the result is the zero matrix, returned at once with
+    no series formed. No idempotent is read on these routes, and multiplying by the identity is
+    exact, so they give the bits of the full display.
 
     The result is one running total, added in the order of the display
     above; the series are formed in the order 1, 2, 4, 3, so a forced run
@@ -478,11 +474,9 @@ def sum_formula(
     dim = a.shape[0]
     scale = max(1.0, a_norm, b_norm)  # scale_of(a, b)
     nmax = series_cap(dim)
-    a_zero = a_dr is None or not a_dr.d.any()
-    if a_zero and b_dr is None:
-        # series 1 runs on b^d = 0: each of its terms is 0, and so is the result
-        b_dr = DrazinResult.nilpotent(dim)
-    b_zero = not a_zero and (b_dr is None or not b_dr.d.any())
+    a_zero, b_zero = not a_dr.d.any(), not b_dr.d.any()
+    if a_zero and b_zero:
+        return np.zeros((dim, dim), dtype=complex)
     # the four-series route reads both idempotents, formed before any
     # product; None is the identity of a single-series route
     a_pi, b_pi = (None, None) if a_zero or b_zero else (a_dr.pi, b_dr.pi)

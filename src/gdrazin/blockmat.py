@@ -51,15 +51,10 @@ RULE_IDS = tuple(RULES)
 # The factors a rule label may name, the blocks first.
 _BLOCK_FACTORS = ("A", "B", "C", "D", "A^pi", "D^pi", "(B C)^pi", "(C B)^pi")
 _CONDITIONS = parse_rules(RULES, _BLOCK_FACTORS)
-# The factors each rule's labels name.
-_NAMED = {
-    rule: frozenset(f for _, lhs, rhs, _ in conditions for f in lhs + (rhs or ()))
-    for rule, conditions in _CONDITIONS.items()
-}
 # Rules whose conditions name (B C)^pi (and then (C B)^pi too): they and
 # their splitting read the Drazin data of Q = [[0, B], [C, 0]]. Every other
 # rule has B C = 0 or C B = 0 among its conditions, which makes Q^3 = 0.
-_BC_RULES = frozenset(rule for rule, named in _NAMED.items() if "(B C)^pi" in named)
+_BC_RULES = frozenset(rule for rule, labels in RULES.items() if any("(B C)^pi" in c for c in labels))
 
 
 @dataclass(frozen=True)
@@ -161,7 +156,7 @@ def _require_rule(rule: str) -> None:
         raise ValueError(f"unknown rule {rule!r}; valid ids: {', '.join(RULE_IDS)}")
 
 
-def block_oracles(blocks: Block2x2, rule: str) -> dict[str, DrazinResult | None]:
+def block_oracles(blocks: Block2x2, rule: str) -> dict[str, DrazinResult]:
     """Oracle data that the conditions and the splitting of ``rule`` read:
     the Drazin data of A, D and of the corner Q = [[0, B], [C, 0]], keyed
     "a_dr", "d_dr" and "q_dr". evaluation's judge forms it once per request
@@ -170,30 +165,31 @@ def block_oracles(blocks: Block2x2, rule: str) -> dict[str, DrazinResult | None]
     one that no row and no series reads (D^pi of rule 3.4) is never formed.
     "q_dr" is formed (``_q_drazin``) only for the rules whose conditions
     name (B C)^pi or (C B)^pi (3.1, 3.3). For the others, whose hypotheses
-    make Q^3 = 0, it is None, which means only that: Q^d = 0 and Q^pi = I
-    are forced by a hypothesis and taken by identity (``block_formula``,
-    ``sum_formula``), and nothing is formed.
+    make Q^3 = 0, it is DrazinResult.nilpotent, the data (0, I): forced by a
+    hypothesis, it takes no oracle run and forms nothing, and rules 4.1 and
+    4.2 do not read it.
     """
     _require_rule(rule)
     return {
         "a_dr": drazin_oracle(blocks.a),
         "d_dr": drazin_oracle(blocks.d),
-        "q_dr": _q_drazin(blocks) if rule in _BC_RULES else None,
+        "q_dr": _q_drazin(blocks) if rule in _BC_RULES else DrazinResult.nilpotent(sum(blocks.dims)),
     }
 
 
-def _block_factors(blocks: Block2x2, rule: str, a_dr, d_dr, q_dr) -> dict[str, np.ndarray]:
-    """The factor map the labels of ``rule`` read, on block_oracles' data:
-    the blocks, and the idempotents the labels name. (B C)^pi and (C B)^pi
-    are the diagonal blocks of Q^pi."""
+def _block_factors(
+    blocks: Block2x2, named: frozenset[str], a_dr: DrazinResult, d_dr: DrazinResult, q_dr: DrazinResult
+) -> dict[str, np.ndarray]:
+    """The factor map the block labels read, on block_oracles' data: the
+    blocks, and the idempotents among ``named``, the factors the rule's
+    labels name. (B C)^pi and (C B)^pi are the diagonal blocks of Q^pi."""
     m = blocks.dims[0]
     factors = dict(zip(_BLOCK_FACTORS, (blocks.a, blocks.b, blocks.c, blocks.d)))
-    named = _NAMED[rule]
     if "A^pi" in named:
         factors["A^pi"] = a_dr.pi
     if "D^pi" in named:
         factors["D^pi"] = d_dr.pi
-    if rule in _BC_RULES:
+    if "(B C)^pi" in named:
         factors["(B C)^pi"], factors["(C B)^pi"] = q_dr.pi[:m, :m], q_dr.pi[m:, m:]
     return factors
 
@@ -284,15 +280,15 @@ def _corner_inverse(ad: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def block_formula(
-    blocks: Block2x2, rule: str, a_dr: DrazinResult, d_dr: DrazinResult, q_dr: DrazinResult | None
+    blocks: Block2x2, rule: str, a_dr: DrazinResult, d_dr: DrazinResult, q_dr: DrazinResult
 ) -> np.ndarray:
     """The splitting of ``rule`` (one of RULE_IDS) on given Drazin data of A,
     D and the corner Q = [[0, B], [C, 0]], as block_oracles keys it; it
     checks no hypothesis. Under the rule's hypothesis the result is the
-    Drazin inverse of the assembled matrix. The index is not read. A q_dr
-    of None is Q's data when a hypothesis forces Q^3 = 0, (0, I), which
-    sum_formula takes by identity; rules 4.1 and 4.2 read none, and take
-    their corner's Q^d from ``_corner_inverse``."""
+    Drazin inverse of the assembled matrix. The index is not read. Where a
+    hypothesis forces Q^3 = 0, q_dr is DrazinResult.nilpotent, (0, I), on
+    which sum_formula forms no power of Q^d; rules 4.1 and 4.2 do not read
+    q_dr, and take their corner's Q^d from ``_corner_inverse``."""
     m, n = blocks.dims
     a, b, c, d = blocks.a, blocks.b, blocks.c, blocks.d
     if rule == "4.2":

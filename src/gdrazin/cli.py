@@ -10,11 +10,13 @@ verify   Re-check a directory of generated instances end to end.
 
 Exit codes: 0 success/match, 2 precondition violation (or an instance the
 generator cannot realize), 3 mismatch, failed axioms, a forced run that did
-not converge, or an input the oracle refuses (an ambiguous rank), each
-written as a report, 4 I/O, parse, or usage errors (a non-square drazin
-input among them, and an instance manifest whose kind or files are not the
-ones gen writes for its target). The parser of each command checks every
-value given to it, so a usage error prints that command's usage line.
+not converge, an input the oracle refuses (an ambiguous rank), or a product
+of finite inputs that leaves the float range, each written as a report
+(verify writes one row for each such instance and goes on), 4 I/O, parse,
+or usage errors (a non-square drazin input among them, and an instance
+manifest whose kind or files are not the ones gen writes for its target).
+The parser of each command checks every value given to it, so a usage
+error prints that command's usage line.
 
 Thresholds are fixed (gdrazin.linalg: EPS_RANK 1e-10, EPS_CHECK 1e-9,
 EPS_MATCH 1e-8, EPS_TAIL 1e-12): no option or environment variable changes
@@ -114,6 +116,13 @@ def _report(command: str, **fields) -> dict:
     return base
 
 
+# What a request raises, past the checks of its documents and their shapes,
+# that becomes its report (exit 3): the oracle's refusal of an operand, and
+# the ValueError of an intermediate product of finite inputs that left the
+# float range, the one ValueError that the checked documents leave possible.
+_REFUSED = (AxiomViolation, ValueError)
+
+
 def _axioms_doc(axioms: AxiomReport) -> dict:
     return {"solution": axioms.solution, "commute": axioms.commute, "power": axioms.power}
 
@@ -124,9 +133,9 @@ def cmd_drazin(args) -> tuple[dict, int]:
         raise DocumentError(f"{norm_path(args.matrix)}: expected a square matrix, got {a.shape}")
     try:
         res = drazin_oracle(a)
-    except AxiomViolation as exc:
+        axioms = check_drazin_axioms(a, res.d, index=res.index)
+    except _REFUSED as exc:
         return _report("drazin", error=str(exc)), EXIT_MISMATCH
-    axioms = check_drazin_axioms(a, res.d, index=res.index)
     report = _report(
         "drazin",
         result=matrix_to_doc(res.d),
@@ -144,7 +153,9 @@ def cmd_solve(args) -> tuple[dict, int]:
     check_shapes(args.theorem, mats)
     try:
         out = evaluate(args.theorem, mats, args.lam, args.force)
-    except AxiomViolation as exc:  # from the oracle run on an operand
+        # the formula has a gap exactly when the report below reads its axioms
+        axioms = None if out.gap is None else check_drazin_axioms(out.m, out.formula, index=out.oracle.index)
+    except _REFUSED as exc:
         return _report(args.command, theorem=args.theorem, error=str(exc)), EXIT_MISMATCH
     fitted = next((c.lam for c in out.conditions if c.lam is not None), None)
     report = _report(
@@ -163,7 +174,6 @@ def cmd_solve(args) -> tuple[dict, int]:
         report["error"] = out.error
         code = EXIT_MISMATCH
     else:
-        axioms = check_drazin_axioms(out.m, out.formula, index=out.oracle.index)
         ok = out.gap <= out.bound and axioms.ok
         report.update(
             result=matrix_to_doc(out.formula),
@@ -238,7 +248,7 @@ def cmd_verify(args) -> tuple[dict, int]:
         manifest, matrices, lam = load_instance(d)
         try:
             ok, detail = _verify_one(manifest, matrices, lam)
-        except AxiomViolation as exc:  # from the oracle run on an operand
+        except _REFUSED as exc:
             ok, detail = False, str(exc)
         rows.append(
             {

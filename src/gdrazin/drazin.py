@@ -61,10 +61,11 @@ class DrazinResult:
 
     ``index`` is None for results assembled from other results (the parts
     P and Q of the block splittings) rather than computed by the oracle; no
-    formula reads it. Where an operand is quasinilpotent by hypothesis (the
-    a of theorem 2.3, the corner Q of rules whose hypotheses make Q^3 = 0)
-    the engines take None for its data and use a^d = 0, a^pi = I by
-    identity, so no DrazinResult is formed for it.
+    formula reads it. The data (0, I) of a quasinilpotent matrix has one
+    form, ``nilpotent``: the oracle gives it on a nilpotent matrix, and the
+    judge gives it, with no oracle run, to an operand that is quasinilpotent
+    by hypothesis (the a of theorem 2.3, the corner Q of the rules whose
+    hypotheses make Q^3 = 0).
     """
 
     __slots__ = ("d", "index", "_pi")
@@ -84,9 +85,10 @@ class DrazinResult:
 
     @classmethod
     def nilpotent(cls, n: int, index: int | None = None) -> "DrazinResult":
-        """The data (0, I) of a quasinilpotent n x n matrix; I is formed on
-        its first read."""
-        return cls(np.zeros((n, n), dtype=complex), lambda: np.eye(n, dtype=complex), index)
+        """The data (0, I) of a quasinilpotent n x n matrix. The zero is a
+        read-only view of one complex zero, with no n x n buffer; I is
+        formed on its first read."""
+        return cls(np.broadcast_to(0j, (n, n)), lambda: np.eye(n, dtype=complex), index)
 
 
 @dataclass(frozen=True)

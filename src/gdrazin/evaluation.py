@@ -31,6 +31,10 @@ TARGETS = PAIR_TARGETS + RULE_IDS
 
 # The operand names of each kind of target: an instance maps exactly these.
 OPERANDS = {"pair": ("a", "b"), "block": ("a", "b", "c", "d")}
+# The factors that the labels of each target name, for both kinds: the
+# factor maps bind only the idempotents named here.
+_NAMED = {target: frozenset(f for _, lhs, rhs, _ in conditions for f in lhs + (rhs or ()))
+          for target, conditions in {**_PAIR_CONDITIONS, **_CONDITIONS}.items()}
 
 
 def target_kind(target: str) -> str:
@@ -96,11 +100,11 @@ def _judge(
     if kind == "block":
         ops = Block2x2(**mats)
         oracles = block_oracles(ops, target)
-        table, factors = _CONDITIONS, _block_factors(ops, target, **oracles)
+        table, factors = _CONDITIONS, _block_factors(ops, _NAMED[target], **oracles)
     else:
         ops = square_pair(**mats)
         oracles = pair_oracles(target, *ops)
-        table, factors = _PAIR_CONDITIONS, _pair_factors(*ops, **oracles)
+        table, factors = _PAIR_CONDITIONS, _pair_factors(*ops, _NAMED[target], **oracles)
     return ops, oracles, tuple(check_condition_rows(condition_rows(table[target], factors), lam))
 
 

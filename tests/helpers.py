@@ -24,6 +24,15 @@ NO_RECIPROCAL = (5e-324, 1e-310j, complex(1e308, 1e308))
 LAMBDAS = (0.5, 3.0, 1j, -2.0)
 
 
+def is_unformed_nilpotent(dr, n: int) -> bool:
+    """Whether ``dr`` is DrazinResult.nilpotent(n) as it is made: its d a
+    read-only n x n zero view with no buffer of its own (every stride 0),
+    and its pi not yet formed."""
+    d = dr.d
+    unformed = d.strides == (0, 0) and not d.flags.writeable and callable(dr._pi)
+    return unformed and d.shape == (n, n) and not d.any()
+
+
 def _read_only(case):
     for m in case.matrices.values():
         m.flags.writeable = False

@@ -37,9 +37,10 @@ from gdrazin.additive import (
     sum_formula,
 )
 from gdrazin.blockmat import _BLOCK_FACTORS, RULES, _diag_dr, _quad, block_oracles
+from gdrazin.evaluation import _NAMED
 from gdrazin.linalg import scale_of
 from gdrazin.series import PowerCache, series_cap, summed
-from helpers import LAMBDAS
+from helpers import LAMBDAS, is_unformed_nilpotent
 
 NON_FINITE = (float("nan"), complex("inf"), complex(0, float("-inf")))
 
@@ -197,10 +198,22 @@ class TestPairHypothesisTable:
         want = {"2.2": [], "2.3": [b], "2.4": [a, b]}[target]
         assert len(ran) == len(want) and all(map(np.array_equal, ran, want))
         if target == "2.3":
-            assert oracles["a_dr"] is None
-        factors = _pair_factors(a, b, **oracles)
+            assert is_unformed_nilpotent(oracles["a_dr"], 5)
+        factors = _pair_factors(a, b, _NAMED[target], **oracles)
         given = check_condition_rows(condition_rows(_PAIR_CONDITIONS[target], factors), 1j)
         assert tuple(given) == certify(target, case.matrices, 1j)
+
+    @pytest.mark.parametrize("target", PAIR_TARGETS)
+    def test_factor_map_binds_only_the_named_idempotents(self, target):
+        # 2.3's labels do not name a^pi, so its (0, I) stays unformed; 2.2's
+        # name no idempotent, and 2.4's both
+        a, b = generate(CaseSpec(target=target, dim=4, lam=0.5, seed=0)).pair
+        oracles = pair_oracles(target, a, b)
+        factors = _pair_factors(a, b, _NAMED[target], **oracles)
+        want = {"2.2": {"a", "b"}, "2.3": {"a", "b", "b^pi"}, "2.4": {"a", "b", "a^pi", "b^pi"}}
+        assert set(factors) == want[target]
+        if target == "2.3":
+            assert is_unformed_nilpotent(oracles["a_dr"], 4)
 
     def test_unknown_target(self):
         with pytest.raises(ValueError, match="unknown pair target"):
@@ -389,14 +402,29 @@ class TestSumGeneral:
             sum_formula(eye / 2, eye / 2, a_dr, b_dr)
 
     def test_both_sides_quasinilpotent_sum_to_zero(self):
-        # a^d = b^d = 0, given as data or as None (not formed): the one series
-        # formed runs on b^d = 0, and nothing is raised
+        # a^d = b^d = 0, given as formed zeros or as DrazinResult.nilpotent
+        # (not formed): nothing is raised, and the sum is zero
         rng = np.random.default_rng(0)
         a, b = (np.triu(rng.standard_normal((5, 5)), 1) for _ in range(2))
-        zero = DrazinResult.nilpotent(5)
-        for a_dr, b_dr in itertools.product((None, zero), repeat=2):
+        eye = np.eye(5, dtype=complex)
+        formed = DrazinResult(np.zeros_like(eye), eye, None)
+        for a_dr, b_dr in itertools.product((formed, DrazinResult.nilpotent(5)), repeat=2):
             got = sum_formula(a, b, a_dr, b_dr)
             assert got.shape == (5, 5) and not got.any()
+
+    def test_both_zero_route_forms_no_series(self, monkeypatch):
+        # at a^d = b^d = 0 every term of every series is zero: the result is
+        # the zero matrix, all +0.0, with no summed call and no idempotent
+        rng = np.random.default_rng(1)
+        a, b = (np.triu(rng.standard_normal((6, 6)) - 1j, 1) for _ in range(2))
+        calls = []
+        monkeypatch.setattr("gdrazin.additive.summed", lambda *args: calls.append(args))
+        a_dr, b_dr = DrazinResult.nilpotent(6), DrazinResult.nilpotent(6)
+        got = sum_formula(a, b, a_dr, b_dr)
+        assert calls == []
+        assert got.dtype == complex and got.shape == (6, 6)
+        assert got.tobytes() == np.zeros((6, 6), dtype=complex).tobytes()
+        assert is_unformed_nilpotent(a_dr, 6) and is_unformed_nilpotent(b_dr, 6)
 
     @pytest.mark.parametrize("rule", ["3.2", "3.4"])
     def test_forced_single_series_raises_as_the_full_display(self, rule):
@@ -407,17 +435,18 @@ class TestSumGeneral:
         blocks = generate(CaseSpec(rule, 8, 0.5, 2, negate=True)).blocks
         (m, n), eye = blocks.dims, np.eye(16, dtype=complex)
         oracles = block_oracles(blocks, rule)
-        assert oracles["q_dr"] is None
+        q_dr = oracles["q_dr"]
+        assert is_unformed_nilpotent(q_dr, 16)
         p = _quad(blocks.a, np.zeros((m, n)), np.zeros((n, m)), blocks.d)
         q = _quad(np.zeros((m, m)), blocks.b, blocks.c, np.zeros((n, n)))
         p_dr = _diag_dr(oracles["a_dr"], oracles["d_dr"], m, n)
         d_pow = PowerCache(p_dr.d)
         if rule == "3.2":  # Q = a: sum_n (b^d)^(n+2) a m^n a^pi, a^pi = I
-            args, label = (q, p, None, p_dr), "sum formula series 1"
+            args, label = (q, p, q_dr, p_dr), "sum formula series 1"
             am = PowerCache(q + p, start=q)
             terms = (d_pow(k + 2) @ am(k) @ eye for k in itertools.count())
         else:  # Q = b: sum_n b^pi m^n b (a^d)^(n+2), b^pi = I
-            args, label = (p, q, p_dr, None), "sum formula series 2"
+            args, label = (p, q, p_dr, q_dr), "sum formula series 2"
             mb = itertools.accumulate(itertools.repeat(p + q), lambda x, y: y @ x, initial=q)
             terms = (eye @ x @ d_pow(k + 2) for k, x in enumerate(mb))
         with pytest.raises(ConvergenceError) as want:

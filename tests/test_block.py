@@ -221,6 +221,28 @@ class TestBlockDrazin:
             assert np.linalg.norm(got - want) < 1e-8 * scale, (rule, lam, dim, seed)
             assert check_drazin_axioms(m, got).ok
 
+    @pytest.mark.parametrize("side", ["a", "d"])
+    @pytest.mark.parametrize("rule", RULE_IDS)
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    def test_unequal_corners_match_oracle(self, lam, rule, side):
+        # a valid dim-4 instance with diag(2, -3i) set beside A (or D), and B
+        # and C padded with zeros, is a valid instance of the same rule with
+        # (m, n) = (6, 4) (or (4, 6)); 3.1 and 3.3 form Q's data at those sizes
+        def grow(x):
+            return _quad(x, np.zeros((4, 2)), np.zeros((2, 4)), np.diag([2, -3j]))
+
+        rows, cols = ((0, 2), (0, 0)), ((0, 0), (0, 2))
+        for seed in range(3):
+            a, b, c, d = vars(_case(rule, 4, lam, seed).blocks).values()
+            if side == "a":
+                padded = Block2x2(a=grow(a), b=np.pad(b, rows), c=np.pad(c, cols), d=d)
+            else:
+                padded = Block2x2(a=a, b=np.pad(b, cols), c=np.pad(c, rows), d=grow(d))
+            assert padded.dims == ((6, 4) if side == "a" else (4, 6))
+            out = evaluate(rule, vars(padded), lam)
+            assert out.failing == [] and out.error is None, (seed, out.failing, out.error)
+            assert out.gap <= out.bound, (seed, out.gap, out.bound)
+
     @pytest.mark.parametrize("rule", RULE_IDS)
     def test_negated_instance_is_refused_with_named_condition(self, rule):
         case = generate(CaseSpec(target=rule, dim=6, lam=3.0, seed=0, negate=True))
@@ -233,7 +255,7 @@ class TestBlockDrazin:
         # DrazinResult.index may be None, and no splitting reads it
         case = _case(rule, 4, 3.0, 0)
         oracles = block_oracles(case.blocks, rule)
-        bare = {k: dr and DrazinResult(dr.d, dr.pi, None) for k, dr in oracles.items()}
+        bare = {k: DrazinResult(dr.d, dr.pi, None) for k, dr in oracles.items()}
         got = block_formula(case.blocks, rule, **bare)
         assert np.array_equal(got, block_drazin(case.blocks, rule, lam=3.0))
 

@@ -504,6 +504,46 @@ class TestVerifyVerdicts:
         assert re.fullmatch(r"formula/oracle gap 4\.000e-03 exceeds \d\.\d{3}e-\d\d", detail)
 
 
+class TestProductsBeyondTheFloatRange:
+    """Finite documents whose products leave the float range: a hypothesis
+    product of the pair, and in drazin the powers of its axiom check. Each
+    request ends in one report that exits 3, not in exit 2 with nothing
+    written. numpy's warnings on the overflowing products are silenced
+    around the one call that makes them."""
+
+    ERROR = "matrix contains non-finite entries"
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        paths = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        save_matrix(paths[0], np.array([[1e200, 1e200], [0, 0]]))
+        save_matrix(paths[1], np.array([[0, 0], [1e200, 1e200]]))
+        return paths
+
+    @pytest.mark.parametrize("command", [["sum", "2.2"], ["sum", "2.3"], ["sum", "2.4"], ["drazin"]])
+    def test_request_exits_mismatch_with_one_report(self, command, files, capsys):
+        argv = [command[0], *files, "--theorem", command[1]] if command[0] == "sum" else ["drazin", files[0]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == EXIT_MISMATCH and out.count("\n") == 1 and err == ""
+        doc = json.loads(out)
+        assert doc["match"] is None and doc["error"] == self.ERROR
+
+    def test_verify_reports_the_instance_beside_a_valid_one(self, files, tmp_path, capsys):
+        save_instance(tmp_path / "ok", generate(CaseSpec(target="2.4", dim=2, lam=0.5, seed=0)))
+        save_instance(tmp_path / "far", generate(CaseSpec(target="2.4", dim=2, lam=0.5, seed=0)))
+        for name, path in zip("ab", files):
+            save_matrix(tmp_path / "far" / f"{name}.json", load_matrix(path))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, doc = run(["verify", str(tmp_path)], capsys)
+        assert code == EXIT_MISMATCH and doc["match"] is False
+        rows = {Path(row["dir"]).name: (row["ok"], row["detail"]) for row in doc["instances"]}
+        assert rows["far"] == (False, self.ERROR)
+        assert rows["ok"][0] is True and rows["ok"][1].startswith("match")
+        assert len(rows) == 2
+
+
 class TestUsageAndThresholds:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == EXIT_IO

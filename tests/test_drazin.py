@@ -1,10 +1,13 @@
 """Oracle behavior: index, axioms, invariances, and refusal modes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gdrazin import (
     AxiomViolation,
+    DrazinResult,
     PreconditionViolated,
     check_drazin_axioms,
     drazin_index,
@@ -38,6 +41,24 @@ def test_identity_is_its_own_inverse():
     assert np.allclose(r.d, np.eye(4), atol=1e-14)
     assert np.allclose(r.pi, np.zeros((4, 4)), atol=1e-14)
     assert r.index == 0
+
+
+def test_nilpotent_data_holds_no_array_until_pi_is_read():
+    # DrazinResult.nilpotent(64) holds less than one 64x64 complex array:
+    # its d is a read-only view of one zero, and its pi is formed on read
+    tracemalloc.start()
+    try:
+        dr = DrazinResult.nilpotent(64, index=3)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 64 * 64 * np.dtype(complex).itemsize
+    assert not dr.d.flags.writeable and dr.d.shape == (64, 64) and dr.d.dtype == complex
+    assert not dr.d.any() and dr.index == 3
+    with pytest.raises(ValueError, match="read-only"):
+        dr.d[0, 0] = 1.0
+    assert callable(dr._pi)
+    assert np.array_equal(dr.pi, np.eye(64)) and dr.pi is dr.pi
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])

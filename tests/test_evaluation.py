@@ -30,7 +30,7 @@ from gdrazin.additive import (
     _PAIR_CONDITIONS, _pair_factors, check_condition_rows, condition_rows, pair_oracles, sum_formula,
 )
 from gdrazin.blockmat import _CONDITIONS, _block_factors, block_formula, block_oracles, check_hypothesis
-from gdrazin.evaluation import target_kind
+from gdrazin.evaluation import _NAMED, target_kind
 from gdrazin.linalg import EPS_MATCH
 from helpers import NO_RECIPROCAL, criterion_7_corpus
 
@@ -88,7 +88,7 @@ def test_valid_instance_matches_the_oracle(target, lam):
         assert out.formula.tobytes() == drazin_sum(*case.pair, lam=lam).tobytes()
         oracles = pair_oracles(target, *case.pair)
         rows = check_condition_rows(
-            condition_rows(_PAIR_CONDITIONS[target], _pair_factors(*case.pair, **oracles)), lam
+            condition_rows(_PAIR_CONDITIONS[target], _pair_factors(*case.pair, _NAMED[target], **oracles)), lam
         )
         formula = sum_formula(*case.pair, **oracles)
         route = drazin_sum_nilpotent if target == "2.3" else drazin_sum
@@ -96,7 +96,7 @@ def test_valid_instance_matches_the_oracle(target, lam):
     else:
         oracles = block_oracles(case.blocks, target)
         rows = check_condition_rows(
-            condition_rows(_CONDITIONS[target], _block_factors(case.blocks, target, **oracles)), lam
+            condition_rows(_CONDITIONS[target], _block_factors(case.blocks, _NAMED[target], **oracles)), lam
         )
         assert rows == check_hypothesis(case.blocks, target, lam=lam)
         formula = block_formula(case.blocks, target, **oracles)

@@ -24,6 +24,7 @@ import pytest
 
 import gdrazin.additive
 import gdrazin.blockmat
+import gdrazin.evaluation
 from gdrazin import (
     CaseSpec,
     ConvergenceError,
@@ -73,21 +74,9 @@ def assert_close(new, ref, where, rel=REL):
 
 
 def nilpotent_a(a, b_dr):
-    """Theorem 2.3's oracle set: None for the quasinilpotent a, whose data
-    (0, I) the engine takes by identity, and b's."""
-    return {"a_dr": None, "b_dr": b_dr}
-
-
-def zero_data(dr, n):
-    """``dr``, or for None the data (0, I) of a quasinilpotent n x n
-    operand, built here in full."""
-    return DrazinResult(np.zeros((n, n), dtype=complex), np.eye(n, dtype=complex), None) if dr is None else dr
-
-
-def reference_sum_of(a, b, a_dr, b_dr):
-    """reference_sum on the engine's data, None read as (0, I)."""
-    n = a.shape[0]
-    return reference_sum(a, b, zero_data(a_dr, n), zero_data(b_dr, n))
+    """Theorem 2.3's oracle set: the data (0, I) of the quasinilpotent a,
+    as pair_oracles gives it, and b's."""
+    return {"a_dr": DrazinResult.nilpotent(a.shape[0]), "b_dr": b_dr}
 
 
 def assert_same_oracle(a, where, rel=REL):
@@ -110,7 +99,7 @@ def _reference_block_drazin(monkeypatch, blocks, target, lam):
     with monkeypatch.context() as mp:
         mp.setattr(gdrazin.blockmat, "drazin_oracle", reference_oracle)
         mp.setattr(gdrazin.additive, "drazin_oracle", reference_oracle)
-        mp.setattr(gdrazin.blockmat, "sum_formula", reference_sum_of)
+        mp.setattr(gdrazin.blockmat, "sum_formula", reference_sum)
         return outcome(block_drazin, blocks, target, lam=lam)
 
 
@@ -140,12 +129,13 @@ def _label_and_reference_rows(target, mats):
     reference rows, both on the factor map the package builds."""
     if target in gdrazin.additive.PAIR_TARGETS:
         a, b = gdrazin.additive.square_pair(mats["a"], mats["b"])
-        factors = gdrazin.additive._pair_factors(a, b, **gdrazin.additive.pair_oracles(target, a, b))
+        oracles = gdrazin.additive.pair_oracles(target, a, b)
+        factors = gdrazin.additive._pair_factors(a, b, gdrazin.evaluation._NAMED[target], **oracles)
         conditions, reference = gdrazin.additive._PAIR_CONDITIONS[target], reference_pair_rows
     else:
         blocks = gdrazin.blockmat.Block2x2(**mats)
         oracles = gdrazin.blockmat.block_oracles(blocks, target)
-        factors = gdrazin.blockmat._block_factors(blocks, target, **oracles)
+        factors = gdrazin.blockmat._block_factors(blocks, gdrazin.evaluation._NAMED[target], **oracles)
         conditions, reference = gdrazin.blockmat._CONDITIONS[target], reference_block_rows
     return gdrazin.additive.condition_rows(conditions, factors), reference(target, factors)
 
@@ -206,9 +196,9 @@ def test_zero_a_drazin_return_matches_reference(monkeypatch):
 
     def spy(a, b, a_dr, b_dr):
         new = outcome(real_sum, a, b, a_dr, b_dr)
-        if a_dr is None or not a_dr.d.any():
+        if not a_dr.d.any():
             hits[where[0]] += 1
-            assert_close(new, outcome(reference_sum_of, a, b, a_dr, b_dr), where)
+            assert_close(new, outcome(reference_sum, a, b, a_dr, b_dr), where)
         return new
 
     monkeypatch.setattr(gdrazin.blockmat, "sum_formula", spy)
@@ -220,7 +210,7 @@ def test_zero_a_drazin_return_matches_reference(monkeypatch):
             oracles = nilpotent_a(a, reference_oracle(b))
             assert_close(
                 outcome(sum_formula, a, b, **oracles),
-                outcome(reference_sum_of, a, b, oracles["a_dr"], oracles["b_dr"]),
+                outcome(reference_sum, a, b, **oracles),
                 where,
             )
             # B C = 0 makes Q^d = 0; rule 3.2 instances satisfy rule 3.1 too
@@ -238,10 +228,9 @@ def test_zero_a_drazin_skips_series_that_cannot_terminate():
     # multiplied by (a^d)^2 = 0, and sum_formula does not form it.
     case = generate(CaseSpec("2.3", dim=4, lam=1j, seed=0))
     a, b = (1e5 * x for x in case.pair)
-    b_dr = reference_oracle(b)
-    eye = np.eye(4, dtype=complex)
+    oracles = nilpotent_a(a, reference_oracle(b))
     with pytest.raises(ConvergenceError, match="reference series"):
-        reference_sum(a, b, DrazinResult(np.zeros_like(eye), eye, None), b_dr)
-    got = sum_formula(a, b, **nilpotent_a(a, b_dr))
-    assert_close(got, reference_sum_nilpotent(a, b, b_dr), "scaled 2.3")
+        reference_sum(a, b, **oracles)
+    got = sum_formula(a, b, **oracles)
+    assert_close(got, reference_sum_nilpotent(a, b, oracles["b_dr"]), "scaled 2.3")
     assert_close(got, drazin_oracle(a + b).d, "scaled 2.3", rel=1e-8)

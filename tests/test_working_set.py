@@ -13,6 +13,7 @@ import pytest
 from gdrazin import CaseSpec, generate
 from gdrazin.blockmat import block_formula, block_oracles
 from gdrazin.evaluation import evaluate
+from helpers import is_unformed_nilpotent
 
 
 def peak_arrays(fn, n):
@@ -51,11 +52,11 @@ def test_block_formula_peak(rule):
 
 def test_a_valid_4_1_request_forms_no_corner_data_in_its_judge():
     # 4.1's splitting builds its own corner data, so the judge forms none
-    # for Q = [[0, B], [C, 0]]: the whole request, rows, formula and the
-    # oracle on the assembled matrix, holds fewer arrays than the splitting
-    # plus a size-2 dim copy of Q's data
+    # for Q = [[0, B], [C, 0]], whose data is the unformed (0, I): the whole
+    # request, rows, formula and the oracle on the assembled matrix, holds
+    # fewer arrays than the splitting plus a size-2 dim copy of Q's data
     case = generate(CaseSpec("4.1", 16, 0.5, 0))
-    assert block_oracles(case.blocks, "4.1")["q_dr"] is None
+    assert is_unformed_nilpotent(block_oracles(case.blocks, "4.1")["q_dr"], 32)
     out, peak = peak_arrays(lambda: evaluate("4.1", case.matrices, 0.5), 32)
     assert out.gap <= out.bound
     assert peak <= 22
