@@ -458,9 +458,16 @@ def sum_formula(a: np.ndarray, b: np.ndarray, a_dr: DrazinResult, b_dr: DrazinRe
     above; the series are formed in the order 1, 2, 4, 3, so a forced run
     raises the ConvergenceError of the first of them that fails. A product
     lives only until its last reader has run: a single series holds a fixed
-    number of arrays however many terms it takes, while the four-series run
-    keeps the powers of a^d and b^d that series 1 and 2 formed, which series
-    3 and 4 read again.
+    number of arrays however many terms it takes. The four-series run
+    releases a^pi once series 1 has run, b^pi once series 2 has run, the
+    operand a once series 4 has formed a b, and each (a^d)^(n+2) once
+    series 3's outer term n has read it; it keeps the powers of b^d, which
+    every inner sum of series 3 rereads from the first. A caller that hands
+    over its operand a and both data as temporaries, with no name of its
+    own for them, lets them go at these points, since the engine drops its
+    own references to the data once it has read their parts. That takes
+    CPython 3.11 or later: 3.10 keeps a call's arguments on the caller's
+    stack until the call returns.
 
     a and b are checked as square_pair checks them, with finiteness read off
     the norms that the series scale max(1, ||a||, ||b||) needs (the
@@ -474,24 +481,30 @@ def sum_formula(a: np.ndarray, b: np.ndarray, a_dr: DrazinResult, b_dr: DrazinRe
     dim = a.shape[0]
     scale = max(1.0, a_norm, b_norm)  # scale_of(a, b)
     nmax = series_cap(dim)
-    a_zero, b_zero = not a_dr.d.any(), not b_dr.d.any()
+    ad, bd = a_dr.d, b_dr.d
+    a_zero, b_zero = not ad.any(), not bd.any()
     if a_zero and b_zero:
         return np.zeros((dim, dim), dtype=complex)
     # the four-series route reads both idempotents, formed before any
-    # product; None is the identity of a single-series route
+    # product; None is the identity of a single-series route. The data go
+    # with their parts: a cached idempotent would outlive its last reader
     a_pi, b_pi = (None, None) if a_zero or b_zero else (a_dr.pi, b_dr.pi)
+    del a_dr, b_dr
     # Each product of the series is formed once and lives until its last
     # reader has run. a m^n goes once a m^n b exists; a m^j b, read by
     # series 4 and by every inner sum of series 3 that starts at or below j,
     # goes once the outer index of series 3 passes j; m^n b, read by series
-    # 2 alone, is its running product. The powers of a^d and b^d are reread
-    # by later series and stay, unless one series is all that is formed:
-    # then it reads each of its powers once and drops it after its term.
+    # 2 alone, is its running product. The powers of b^d are reread by every
+    # inner sum of series 3 and stay; (a^d)^(n+2), read by series 2 and last
+    # by the outer term n of series 3, goes after that term. When one series
+    # is all that is formed, it reads each of its powers once and drops it
+    # after its term.
     m = a + b
     am = PowerCache(m, start=a)
+    del a  # am holds it, as a m^0, until its last reader has run
     amb = {}
-    ad_pow = None if a_zero else PowerCache(a_dr.d)
-    bd_pow = None if b_zero else PowerCache(b_dr.d)
+    ad_pow = None if a_zero else PowerCache(ad)
+    bd_pow = None if b_zero else PowerCache(bd)
 
     def amb_at(j):
         if j not in amb:
@@ -537,23 +550,26 @@ def sum_formula(a: np.ndarray, b: np.ndarray, a_dr: DrazinResult, b_dr: DrazinRe
         while True:
             yield summed(s5_inner_terms(n), nmax, scale, "sum formula series 3 (inner)") @ ad_pow(n + 2)
             del amb[n]  # every later inner sum starts past n
+            ad_pow.drop(n + 2)
             n += 1
 
     if a_zero:
         # head b^pi 0 + b^d I = b^d; series 1 alone, added to the head in
         # the other order, which gives the same bits
         total = summed(s3_terms(), nmax, scale, "sum formula series 1")
-        total += b_dr.d
+        total += bd
         return total
     if b_zero:
         # head I a^d + 0 a^pi = a^d; series 2 alone
         total = summed(s4_terms(), nmax, scale, "sum formula series 2")
-        total += a_dr.d
+        total += ad
         return total
     # one running total, added in the order head + s3 + s4 - s5 - s6
     total = b_pi @ ad_pow(1) + bd_pow(1) @ a_pi
     total += summed(s3_terms(), nmax, scale, "sum formula series 1")
+    del a_pi  # series 1 was its last reader
     total += summed(s4_terms(), nmax, scale, "sum formula series 2")
+    del b_pi  # series 2 was its last reader
     s6 = summed(s6_terms(), nmax, scale, "sum formula series 4")
     total -= summed(s5_terms(), nmax, scale, "sum formula series 3 (outer)")
     total -= s6

@@ -123,6 +123,17 @@ def _zero_like(rows: int, cols: int) -> np.ndarray:
     return np.zeros((rows, cols), dtype=complex)
 
 
+def _diag(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The block diagonal diag(x, y) of square x and y."""
+    return _quad(x, _zero_like(len(x), len(y)), _zero_like(len(y), len(x)), y)
+
+
+def _anti(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The corner [[0, b], [c, 0]] of an m x n block b and an n x m block c."""
+    m, n = b.shape
+    return _quad(_zero_like(m, m), b, c, _zero_like(n, n))
+
+
 def _q_drazin(blocks: Block2x2) -> DrazinResult:
     """Drazin data of the corner Q = [[0, B], [C, 0]], from one oracle run on
     B C by the product-exchange identity (C B)^d = C ((B C)^d)^2 B:
@@ -144,9 +155,8 @@ def _q_drazin(blocks: Block2x2) -> DrazinResult:
     del bc
     c_bcd = c @ bc_d  # C (B C)^d
     b_cbd = b @ (c_bcd @ bc_d @ b)  # B (C B)^d
-    qd = _quad(_zero_like(m, m), b_cbd, c_bcd, _zero_like(n, n))
-    qpi = _quad(np.eye(m, dtype=complex) - b @ c_bcd, _zero_like(m, n), _zero_like(n, m),
-                np.eye(n, dtype=complex) - c @ b_cbd)
+    qd = _anti(b_cbd, c_bcd)
+    qpi = _diag(np.eye(m, dtype=complex) - b @ c_bcd, np.eye(n, dtype=complex) - c @ b_cbd)
     return DrazinResult(d=qd, pi=qpi, index=None)
 
 
@@ -260,14 +270,11 @@ def block_drazin(
     return solve(rule, vars(blocks), lam, force)
 
 
-def _diag_dr(a_dr: DrazinResult, d_dr: DrazinResult, m: int, n: int) -> DrazinResult:
-    """The data of diag(x, y) from that of x (m x m) and y (n x n); the
-    idempotent diag(x^pi, y^pi) is formed on its first read, which a
-    single-series splitting never makes."""
-    d = _quad(a_dr.d, _zero_like(m, n), _zero_like(n, m), d_dr.d)
-    return DrazinResult(
-        d=d, pi=lambda: _quad(a_dr.pi, _zero_like(m, n), _zero_like(n, m), d_dr.pi), index=None
-    )
+def _diag_dr(x_dr: DrazinResult, y_dr: DrazinResult) -> DrazinResult:
+    """The data of diag(x, y) from that of square x and y; the idempotent
+    diag(x^pi, y^pi) is formed on its first read, which a single-series
+    splitting never makes."""
+    return DrazinResult(d=_diag(x_dr.d, y_dr.d), pi=lambda: _diag(x_dr.pi, y_dr.pi), index=None)
 
 
 def _corner_inverse(ad: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -288,7 +295,12 @@ def block_formula(
     Drazin inverse of the assembled matrix. The index is not read. Where a
     hypothesis forces Q^3 = 0, q_dr is DrazinResult.nilpotent, (0, I), on
     which sum_formula forms no power of Q^d; rules 4.1 and 4.2 do not read
-    q_dr, and take their corner's Q^d from ``_corner_inverse``."""
+    q_dr, and take their corner's Q^d from ``_corner_inverse``.
+
+    The parts P and Q and their data go to sum_formula as temporaries, with
+    no name here, so that the engine can release the splitting operand and
+    the idempotents after their last reader. Only the data that the caller
+    handed in (q_dr of rules 3.1 and 3.3) outlive it."""
     m, n = blocks.dims
     a, b, c, d = blocks.a, blocks.b, blocks.c, blocks.d
     if rule == "4.2":
@@ -297,21 +309,20 @@ def block_formula(
         a, b, c, d, a_dr, d_dr, m, n = d, c, b, a, d_dr, a_dr, n, m
 
     if rule in ("4.1", "4.2"):
-        ad, api = a_dr.d, a_dr.pi
-        p = _quad(a @ api, _zero_like(m, n), _zero_like(n, m), d)
+        ad = a_dr.d
         q = _quad(a @ a @ ad, b, c, _zero_like(n, n))
-        p_dr = _diag_dr(DrazinResult.nilpotent(m), d_dr, m, n)  # A A^pi is nilpotent
         qd = _corner_inverse(ad, b, c)
-        q_dr = DrazinResult(d=qd, pi=lambda: np.eye(m + n, dtype=complex) - q @ qd, index=None)
-        x = sum_formula(p, q, p_dr, q_dr)
+        x = sum_formula(
+            _diag(a @ a_dr.pi, d),
+            q,
+            _diag_dr(DrazinResult.nilpotent(m), d_dr),  # A A^pi is nilpotent
+            DrazinResult(d=qd, pi=lambda: np.eye(m + n, dtype=complex) - q @ qd, index=None),
+        )
         return x if rule == "4.1" else _quad(x[m:, m:], x[m:, :m], x[:m, m:], x[:m, :m])
 
-    p = _quad(a, _zero_like(m, n), _zero_like(n, m), d)
-    p_dr = _diag_dr(a_dr, d_dr, m, n)
-    q = _quad(_zero_like(m, m), b, c, _zero_like(n, n))
     if rule in ("3.1", "3.2"):
-        return sum_formula(q, p, q_dr, p_dr)
-    return sum_formula(p, q, p_dr, q_dr)
+        return sum_formula(_anti(b, c), _diag(a, d), q_dr, _diag_dr(a_dr, d_dr))
+    return sum_formula(_diag(a, d), _anti(b, c), _diag_dr(a_dr, d_dr), q_dr)
 
 
 def closed_form_drazin(blocks: Block2x2, lam: complex | None = None, force: bool = False) -> np.ndarray:

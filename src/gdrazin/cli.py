@@ -123,6 +123,14 @@ def _report(command: str, **fields) -> dict:
 _REFUSED = (AxiomViolation, ValueError)
 
 
+def _refusal(exc: Exception) -> str:
+    """The report's error for a _REFUSED exception: its text, and for a
+    ValueError that text after the one cause it can have here."""
+    if isinstance(exc, ValueError):
+        return f"an intermediate product of the finite inputs left the float range: {exc}"
+    return str(exc)
+
+
 def _axioms_doc(axioms: AxiomReport) -> dict:
     return {"solution": axioms.solution, "commute": axioms.commute, "power": axioms.power}
 
@@ -135,7 +143,7 @@ def cmd_drazin(args) -> tuple[dict, int]:
         res = drazin_oracle(a)
         axioms = check_drazin_axioms(a, res.d, index=res.index)
     except _REFUSED as exc:
-        return _report("drazin", error=str(exc)), EXIT_MISMATCH
+        return _report("drazin", error=_refusal(exc)), EXIT_MISMATCH
     report = _report(
         "drazin",
         result=matrix_to_doc(res.d),
@@ -156,7 +164,7 @@ def cmd_solve(args) -> tuple[dict, int]:
         # the formula has a gap exactly when the report below reads its axioms
         axioms = None if out.gap is None else check_drazin_axioms(out.m, out.formula, index=out.oracle.index)
     except _REFUSED as exc:
-        return _report(args.command, theorem=args.theorem, error=str(exc)), EXIT_MISMATCH
+        return _report(args.command, theorem=args.theorem, error=_refusal(exc)), EXIT_MISMATCH
     fitted = next((c.lam for c in out.conditions if c.lam is not None), None)
     report = _report(
         args.command,
@@ -249,7 +257,7 @@ def cmd_verify(args) -> tuple[dict, int]:
         try:
             ok, detail = _verify_one(manifest, matrices, lam)
         except _REFUSED as exc:
-            ok, detail = False, str(exc)
+            ok, detail = False, _refusal(exc)
         rows.append(
             {
                 "dir": d,

@@ -439,7 +439,7 @@ class TestSumGeneral:
         assert is_unformed_nilpotent(q_dr, 16)
         p = _quad(blocks.a, np.zeros((m, n)), np.zeros((n, m)), blocks.d)
         q = _quad(np.zeros((m, m)), blocks.b, blocks.c, np.zeros((n, n)))
-        p_dr = _diag_dr(oracles["a_dr"], oracles["d_dr"], m, n)
+        p_dr = _diag_dr(oracles["a_dr"], oracles["d_dr"])
         d_pow = PowerCache(p_dr.d)
         if rule == "3.2":  # Q = a: sum_n (b^d)^(n+2) a m^n a^pi, a^pi = I
             args, label = (q, p, q_dr, p_dr), "sum formula series 1"

@@ -511,7 +511,8 @@ class TestProductsBeyondTheFloatRange:
     written. numpy's warnings on the overflowing products are silenced
     around the one call that makes them."""
 
-    ERROR = "matrix contains non-finite entries"
+    ERROR = ("an intermediate product of the finite inputs left the float range: "
+             "matrix contains non-finite entries")
 
     @pytest.fixture()
     def files(self, tmp_path):

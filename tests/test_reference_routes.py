@@ -95,12 +95,12 @@ def test_oracle_matches_reference_on_mixture_sweep():
         assert_same_oracle(a, seed, REL_ORACLE_FLOOR)
 
 
-def _reference_block_drazin(monkeypatch, blocks, target, lam):
+def _reference_block_drazin(monkeypatch, blocks, target, lam, force=False):
     with monkeypatch.context() as mp:
         mp.setattr(gdrazin.blockmat, "drazin_oracle", reference_oracle)
         mp.setattr(gdrazin.additive, "drazin_oracle", reference_oracle)
         mp.setattr(gdrazin.blockmat, "sum_formula", reference_sum)
-        return outcome(block_drazin, blocks, target, lam=lam)
+        return outcome(block_drazin, blocks, target, lam=lam, force=force)
 
 
 @pytest.mark.parametrize("target", [t for t in TARGETS if t != "2.2"])
@@ -154,7 +154,7 @@ def test_label_rows_match_reference_bit_for_bit(target):
         assert [_row_bits(r) for r in rows] == [_row_bits(r) for r in ref], case.spec
 
 
-def test_forced_series_match_reference():
+def test_forced_series_match_reference(monkeypatch):
     # Forced runs carry series terms above rounding level, which valid
     # instances never do.
     for target in ("2.3", "2.4"):
@@ -170,6 +170,16 @@ def test_forced_series_match_reference():
             else:
                 new = outcome(sum_formula, a, b, a_dr, b_dr)
                 ref = outcome(reference_sum, a, b, a_dr, b_dr)
+            assert_close(new, ref, (target, i))
+    # The splittings of the four-series rules, forced on negated instances:
+    # 3.1 and 3.3 end on a ConvergenceError in most of these, 4.1 and 4.2
+    # give a matrix in all of them.
+    for target in ("3.1", "3.3", "4.1", "4.2"):
+        for i in range(100):
+            spec = CaseSpec(target, dim=2 + i % 7, lam=LAMBDAS[i % 4], seed=i // 4, negate=True)
+            blocks = generate(spec).blocks
+            new = outcome(block_drazin, blocks, target, lam=spec.lam, force=True)
+            ref = _reference_block_drazin(monkeypatch, blocks, target, spec.lam, force=True)
             assert_close(new, ref, (target, i))
     # Nilpotent stand-ins for the inverses make every series run to its
     # natural end, the double series included.
